@@ -495,7 +495,7 @@ common::Result<CoordinatorTree::RouteResult> CoordinatorTree::RouteQuery(
 }
 
 void CoordinatorTree::SetEntityInterest(common::EntityId id,
-                                        interest::InterestSet set) {
+                                        const interest::InterestSet& set) {
   interest::InterestSet& slot = entity_interest_[id];
   // Change cutoff: republishing an identical set must not invalidate the
   // cached subtree summaries. The system re-ships an entity's aggregated
@@ -505,7 +505,7 @@ void CoordinatorTree::SetEntityInterest(common::EntityId id,
   // function of the stored sets, so skipping the bump when the bytes are
   // unchanged yields bit-identical routing.
   if (slot == set) return;
-  slot = std::move(set);
+  slot = set;
   ++interest_version_;
 }
 

@@ -89,8 +89,10 @@ class CoordinatorTree {
   /// Registers the data interest of `id` (the union of its queries'
   /// boxes). Coordinators summarize their subtree's interest with at most
   /// `interest_budget` boxes per stream — the "coarser information" higher
-  /// levels route by.
-  void SetEntityInterest(common::EntityId id, interest::InterestSet set);
+  /// levels route by. Copies `set` only when it differs from the
+  /// registered one.
+  void SetEntityInterest(common::EntityId id,
+                         const interest::InterestSet& set);
 
   /// Routes a query level-by-level like RouteQuery, but each child's score
   /// additionally rewards overlap between `query_interest` and the child's

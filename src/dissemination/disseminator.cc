@@ -104,15 +104,15 @@ common::Status Disseminator::RemoveEntity(common::EntityId id) {
   return common::Status::OK();
 }
 
-common::Status Disseminator::SetEntityInterest(common::EntityId id,
-                                               common::StreamId stream,
-                                               std::vector<interest::Box> boxes) {
+common::Status Disseminator::SetEntityInterest(
+    common::EntityId id, common::StreamId stream,
+    const std::vector<interest::Box>& boxes) {
   auto it = trees_.find(stream);
   if (it == trees_.end()) return common::Status::NotFound("unknown stream");
   if (gateways_.count(id) == 0) {
     return common::Status::NotFound("unknown entity");
   }
-  it->second->SetLocalInterest(id, std::move(boxes));
+  it->second->SetLocalInterest(id, boxes);
   return common::Status::OK();
 }
 

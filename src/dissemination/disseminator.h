@@ -95,7 +95,7 @@ class Disseminator {
   /// boxes on that stream).
   common::Status SetEntityInterest(common::EntityId id,
                                    common::StreamId stream,
-                                   std::vector<interest::Box> boxes);
+                                   const std::vector<interest::Box>& boxes);
 
   /// Called whenever a tuple matching the entity's local interest arrives
   /// at its gateway.

@@ -127,39 +127,68 @@ common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
   return common::Status::OK();
 }
 
-bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
-  Node& node = nodes_.at(id);
-  interest::InterestSet agg;
-  for (const Box& b : node.local) agg.Add(stream_, b);
+namespace {
+
+/// Overwrites `out` with the `kept` boxes of `in` whose flag is set, in
+/// order, reusing `out`'s storage. Grows it to exactly `kept` slots, as
+/// a fresh copy would: aggregates grow a box at a time, and doubling
+/// would leave them up to half empty.
+void AssignKept(const std::vector<const Box*>& in,
+                const std::vector<uint8_t>& keep, size_t kept,
+                std::vector<Box>* out) {
+  out->reserve(kept);
+  out->resize(kept);
+  size_t t = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (keep[i]) (*out)[t++] = *in[i];
+  }
+}
+
+/// True if the `kept` flagged boxes of `in`, in order, equal `stored`.
+bool KeptEquals(const std::vector<const Box*>& in,
+                const std::vector<uint8_t>& keep, size_t kept,
+                const std::vector<Box>& stored) {
+  if (kept != stored.size()) return false;
+  size_t t = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (keep[i] && *in[i] != stored[t++]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+size_t DisseminationTree::MarkAggregate(const Node& node,
+                                        std::vector<const Box*>* in,
+                                        std::vector<uint8_t>* keep) const {
+  in->clear();
+  for (const Box& b : node.local) {
+    if (!interest::BoxEmpty(b)) in->push_back(&b);
+  }
   for (common::EntityId child : node.children) {
-    for (const Box& b : nodes_.at(child).subtree) agg.Add(stream_, b);
-  }
-  agg.Simplify();
-  const std::vector<Box>* boxes = agg.boxes_for(stream_);
-  std::vector<Box> next = boxes == nullptr ? std::vector<Box>() : *boxes;
-  if (config_.interest_budget > 0 &&
-      static_cast<int>(next.size()) > config_.interest_budget) {
-    next = interest::CoarsenBoxes(std::move(next), config_.interest_budget);
-  }
-  // Cheap change detection: size + per-box bounds comparison.
-  bool changed = next.size() != node.subtree.size();
-  if (!changed) {
-    for (size_t i = 0; i < next.size() && !changed; ++i) {
-      if (next[i].size() != node.subtree[i].size()) {
-        changed = true;
-        break;
-      }
-      for (size_t d = 0; d < next[i].size(); ++d) {
-        if (next[i][d].lo != node.subtree[i][d].lo ||
-            next[i][d].hi != node.subtree[i][d].hi) {
-          changed = true;
-          break;
-        }
-      }
+    for (const Box& b : nodes_.at(child).subtree) {
+      if (!interest::BoxEmpty(b)) in->push_back(&b);
     }
   }
+  return interest::SimplifyKeep(*in, keep);
+}
+
+bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
+  Node& node = nodes_.at(id);
+  const size_t kept = MarkAggregate(node, &agg_in_, &agg_keep_);
+  if (!Coarsens(kept)) {
+    // Most installs leave an ancestor's aggregate as it was: compare the
+    // survivors in place and copy only on a change.
+    if (KeptEquals(agg_in_, agg_keep_, kept, node.subtree)) return false;
+    AssignKept(agg_in_, agg_keep_, kept, &node.subtree);
+    return true;
+  }
+  std::vector<Box> next;
+  AssignKept(agg_in_, agg_keep_, kept, &next);
+  next = interest::CoarsenBoxes(std::move(next), config_.interest_budget);
+  if (next == node.subtree) return false;
   node.subtree = std::move(next);
-  return changed;
+  return true;
 }
 
 void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
@@ -175,9 +204,13 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
 }
 
 int DisseminationTree::SetLocalInterest(common::EntityId id,
-                                        std::vector<Box> boxes) {
-  DSPS_CHECK_MSG(Contains(id), "unknown entity %d", id);
-  nodes_.at(id).local = std::move(boxes);
+                                        const std::vector<Box>& boxes) {
+  auto it = nodes_.find(id);
+  DSPS_CHECK_MSG(it != nodes_.end(), "unknown entity %d", id);
+  // Aggregates are always fresh (CheckInvariants check 3), so recomputing
+  // from an unchanged local interest would change nothing.
+  if (it->second.local == boxes) return 0;
+  it->second.local = boxes;
   int updates = 0;
   PropagateUp(id, &updates);
   return updates;
@@ -248,7 +281,7 @@ namespace {
 constexpr size_t kRouteIndexMinBoxes = 32;
 }  // namespace
 
-void DisseminationTree::InvalidateRouteCache(common::EntityId parent) {
+void DisseminationTree::InvalidateRouteCache(common::EntityId parent) const {
   if (parent == common::kInvalidEntity) {
     source_route_index_.reset();
     source_route_cache_valid_ = false;
@@ -464,17 +497,13 @@ common::Status DisseminationTree::CheckInvariants() const {
   }
   // (3) Cached subtree aggregates: recompute each node's aggregate the
   // way RecomputeSubtree does and require interval-exact equality.
+  std::vector<const Box*> in;
+  std::vector<uint8_t> keep;
+  std::vector<Box> expect;
   for (const auto& [id, node] : nodes_) {
-    interest::InterestSet agg;
-    for (const Box& b : node.local) agg.Add(stream_, b);
-    for (common::EntityId child : node.children) {
-      for (const Box& b : nodes_.at(child).subtree) agg.Add(stream_, b);
-    }
-    agg.Simplify();
-    const std::vector<Box>* boxes = agg.boxes_for(stream_);
-    std::vector<Box> expect = boxes == nullptr ? std::vector<Box>() : *boxes;
-    if (config_.interest_budget > 0 &&
-        static_cast<int>(expect.size()) > config_.interest_budget) {
+    const size_t kept = MarkAggregate(node, &in, &keep);
+    AssignKept(in, keep, kept, &expect);
+    if (Coarsens(kept)) {
       expect =
           interest::CoarsenBoxes(std::move(expect), config_.interest_budget);
     }
@@ -495,13 +524,18 @@ common::Status DisseminationTree::CheckInvariants() const {
   }
   // (4) Routing cache vs linear scan, probed at child subtree box centers
   // (where mismatches from a stale index are most likely to show). The
-  // ForwardTargets call may lazily build a cache — a deterministic,
-  // output-invariant side effect the hot path would perform anyway.
+  // ForwardTargets call lazily builds a cache that is not there yet; such
+  // a cache is dropped again afterwards, since routing output never
+  // depends on it and on a system without traffic it would only hold
+  // memory.
   std::vector<common::EntityId> parents(1, common::kInvalidEntity);
   for (const auto& [id, node] : nodes_) parents.push_back(id);
   std::vector<common::EntityId> cached;
   constexpr size_t kMaxProbesPerParent = 16;
   for (common::EntityId parent : parents) {
+    const bool had_cache = parent == common::kInvalidEntity
+                               ? source_route_cache_valid_
+                               : nodes_.at(parent).route_cache_valid;
     const std::vector<common::EntityId>& children =
         parent == common::kInvalidEntity ? source_children_
                                          : nodes_.at(parent).children;
@@ -533,6 +567,7 @@ common::Status DisseminationTree::CheckInvariants() const {
         return violation("routing cache disagrees with linear scan");
       }
     }
+    if (!had_cache) InvalidateRouteCache(parent);
   }
   return common::Status::OK();
 }

@@ -62,8 +62,10 @@ class DisseminationTree {
   /// Replaces the entity's own interest in this stream (the union of its
   /// local queries' boxes) and re-propagates subtree aggregates to the
   /// root. Returns the number of ancestors whose aggregate changed (the
-  /// interest-update messages sent upstream).
-  int SetLocalInterest(common::EntityId id, std::vector<interest::Box> boxes);
+  /// interest-update messages sent upstream). Setting the interest the
+  /// entity already has is a no-op returning 0.
+  int SetLocalInterest(common::EntityId id,
+                       const std::vector<interest::Box>& boxes);
 
   /// Parent entity; kInvalidEntity when the parent is the source.
   common::Result<common::EntityId> Parent(common::EntityId id) const;
@@ -131,8 +133,8 @@ class DisseminationTree {
   /// node's cached subtree aggregate equals a fresh recomputation from
   /// local + children (interval-exact, including coarsening); (4) cached
   /// early-filter routing equals a plain linear scan over child subtree
-  /// boxes at probe points. Internal error naming the first violation;
-  /// read-only apart from deterministically pre-building route caches.
+  /// boxes at probe points. Internal error naming the first violation.
+  /// Read-only: a routing cache check (4) has to build is dropped again.
   common::Status CheckInvariants() const;
 
   /// Accumulates the statistics of every live routing cache (per-node and
@@ -156,14 +158,28 @@ class DisseminationTree {
   };
 
   /// Recomputes `id`'s subtree aggregate from local + children; returns
-  /// true if it changed (propagation continues upward).
+  /// true if it changed (propagation continues upward). Writes the stored
+  /// aggregate only when it changed.
   bool RecomputeSubtree(common::EntityId id);
+  /// Points `in` at the inputs of `node`'s aggregate — its own boxes, then
+  /// each child's aggregate, skipping empty boxes — and marks the
+  /// survivors of simplification in `keep` (interest::SimplifyKeep).
+  /// Returns how many survive.
+  size_t MarkAggregate(const Node& node,
+                       std::vector<const interest::Box*>* in,
+                       std::vector<uint8_t>* keep) const;
+  /// True if `kept` surviving boxes exceed the interest budget, so the
+  /// aggregate is their coarsening rather than the survivors themselves.
+  bool Coarsens(size_t kept) const {
+    return config_.interest_budget > 0 &&
+           kept > static_cast<size_t>(config_.interest_budget);
+  }
   void PropagateUp(common::EntityId id, int* updates);
   int FanoutOf(common::EntityId id) const;
   /// Drops `parent`'s routing cache (kInvalidEntity = the source's). Must
   /// be called whenever `parent`'s child list or any child's subtree
-  /// aggregate changes.
-  void InvalidateRouteCache(common::EntityId parent);
+  /// aggregate changes. Const because the caches are mutable.
+  void InvalidateRouteCache(common::EntityId parent) const;
   /// Builds a fresh routing index over `children`'s subtree aggregates.
   /// Returns null when the children hold too few boxes for an index to
   /// beat the plain linear scan.
@@ -182,6 +198,9 @@ class DisseminationTree {
   /// Scratch for ForwardTargets' cache lookups (avoids a per-tuple
   /// allocation on the hot path).
   mutable std::vector<int64_t> match_scratch_;
+  /// Scratch for RecomputeSubtree's MarkAggregate call.
+  std::vector<const interest::Box*> agg_in_;
+  std::vector<uint8_t> agg_keep_;
   std::vector<interest::Box> empty_;
 };
 

@@ -90,6 +90,7 @@ void BoxIndex::Insert(int64_t subscriber, const Box& box) {
   boxes_of_[subscriber].push_back(box);
   ++total_boxes_;
   if (spline_mode_) {
+    DropScan();
     // Before the first build, boxes_of_ alone feeds the (lazy) build and
     // the linear fallback; a pending overlay would only duplicate it.
     if (spline_ != nullptr) {
@@ -139,6 +140,7 @@ void BoxIndex::Remove(int64_t subscriber) {
   auto it = boxes_of_.find(subscriber);
   if (it == boxes_of_.end()) return;
   if (spline_mode_) {
+    DropScan();
     if (spline_ != nullptr) {
       pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
                                     [subscriber](const SplineIndex::Entry& e) {
@@ -179,6 +181,21 @@ void BoxIndex::Remove(int64_t subscriber) {
   }
   total_boxes_ -= it->second.size();
   boxes_of_.erase(it);
+}
+
+void BoxIndex::BuildScan() const {
+  scan_bounds_.clear();
+  scan_subs_.clear();
+  for (const auto& [sub, boxes] : boxes_of_) {
+    for (const Box& box : boxes) {
+      scan_subs_.push_back(sub);
+      for (const Interval& iv : box) {
+        scan_bounds_.push_back(iv.lo);
+        scan_bounds_.push_back(iv.hi);
+      }
+    }
+  }
+  scan_valid_ = true;
 }
 
 void BoxIndex::MaybeRebuildSpline() const {
@@ -228,10 +245,15 @@ void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
     MaybeRebuildSpline();
     if (spline_ == nullptr) {
       // Linear fallback below the build threshold.
-      for (const auto& [sub, boxes] : boxes_of_) {
-        for (const Box& box : boxes) {
-          if (BoxContains(box, point)) out->push_back(sub);
+      if (!scan_valid_) BuildScan();
+      const size_t dims = domain_.size();
+      const double* b = scan_bounds_.data();
+      for (size_t r = 0; r < scan_subs_.size(); ++r, b += 2 * dims) {
+        bool in = true;
+        for (size_t d = 0; d < dims && in; ++d) {
+          in = point[d] >= b[2 * d] && point[d] <= b[2 * d + 1];
         }
+        if (in) out->push_back(scan_subs_[r]);
       }
     } else if (pending_.empty() && erased_.empty()) {
       spline_->Match(point, out);
@@ -352,6 +374,8 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
             dims * static_cast<int64_t>(sizeof(Interval)));
     mem += static_cast<int64_t>(erased_.size()) *
            static_cast<int64_t>(sizeof(int64_t));
+    mem += static_cast<int64_t>(scan_subs_.size() * sizeof(int64_t) +
+                                scan_bounds_.size() * sizeof(double));
   } else {
     ++stats->grid_indexes;
     for (const auto& cell : cells_) {

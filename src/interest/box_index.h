@@ -19,12 +19,14 @@ namespace dsps::interest {
 ///   dimension (SplineIndex), with a plain linear scan below a build
 ///   threshold and pending/tombstone overlays for churn.
 /// - kAuto: start on the grid and switch to the spline once the box count
-///   crosses `Config::spline_min_boxes` — small indexes (per-entity stream
-///   delegates, routing caches over a node's children) keep the cheap
-///   grid, while million-box structures (graph build, metro-scale routing)
-///   get the learned index. The `DSPS_INDEX` environment variable
-///   (`grid` | `spline`) pins auto indexes to one strategy process-wide;
-///   explicit configs always win over the environment.
+///   crosses `Config::spline_min_boxes` — small routing caches over a
+///   node's children keep the grid, while million-box structures (graph
+///   build, metro-scale routing) get the learned index. The `DSPS_INDEX`
+///   environment variable (`grid` | `spline`) pins auto indexes to one
+///   strategy process-wide; explicit configs always win over the
+///   environment. Per-entity stream indexes ask for kSpline explicitly:
+///   they hold a few boxes each, and the grid allocates its cells up
+///   front while the spline scans linearly below kSplineBuildMin.
 enum class IndexStrategy { kAuto, kGrid, kSpline };
 
 /// Aggregated health/size statistics across one or more box indexes;
@@ -78,7 +80,7 @@ struct IndexStats {
 ///   overlay and removals in a tombstone set; the immutable spline is
 ///   rebuilt lazily when either overlay grows past a quarter of the
 ///   built size. Below kSplineBuildMin boxes no spline is built at all
-///   and lookups fall back to a linear scan.
+///   and point lookups scan a flat copy of the boxes' bounds.
 class BoxIndex {
  public:
   struct Config {
@@ -146,6 +148,12 @@ class BoxIndex {
   /// routing caches in dissemination/tree.h).
   void MaybeRebuildSpline() const;
   void RebuildSpline() const;
+  void BuildScan() const;
+  void DropScan() {
+    scan_bounds_.clear();
+    scan_subs_.clear();
+    scan_valid_ = false;
+  }
 
   Box domain_;
   Config config_;
@@ -167,6 +175,14 @@ class BoxIndex {
   mutable std::vector<SplineIndex::Entry> pending_;
   mutable std::unordered_set<int64_t> erased_;
   mutable std::vector<int64_t> spline_scratch_;
+  /// The spline strategy's linear scan below kSplineBuildMin reads these
+  /// instead of boxes_of_: every box's bounds (lo, hi per dimension, box
+  /// after box) and its subscriber, so a stab walks one contiguous array
+  /// rather than a hash node and a heap box per subscriber. Built lazily
+  /// at lookup; Insert and Remove drop it.
+  mutable std::vector<double> scan_bounds_;
+  mutable std::vector<int64_t> scan_subs_;
+  mutable bool scan_valid_ = false;
   mutable int64_t rebuilds_ = 0;
   mutable double build_us_ = 0.0;
   mutable int64_t lookups_ = 0;

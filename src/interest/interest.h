@@ -1,6 +1,7 @@
 #ifndef DSPS_INTEREST_INTEREST_H_
 #define DSPS_INTEREST_INTEREST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -9,6 +10,23 @@
 #include "interest/interval.h"
 
 namespace dsps::interest {
+
+/// The simplification kernel behind InterestSet::Simplify and every
+/// dissemination-subtree aggregate. Sets (*keep)[i] to 1 if boxes[i]
+/// survives and 0 if it is dropped, and returns the number kept. A box is
+/// dropped when another box covers it (BoxCovers), except that of several
+/// identical boxes the first stays. The survivors, read in input order,
+/// are the simplified list.
+///
+/// Non-empty boxes are swept in (lo ascending, hi descending) order per
+/// dimension, so every box that could cover a box is visited before it,
+/// while the surviving visited boxes stay sorted by their leading upper
+/// bound: each box is tested only against survivors whose leading
+/// interval covers its own, not against all m boxes. Covering is
+/// transitive, so testing against survivors alone decides exactly what
+/// the pairwise rule decides. Bounds must not be NaN.
+size_t SimplifyKeep(const std::vector<const Box*>& boxes,
+                    std::vector<uint8_t>* keep);
 
 /// A query's interest in one stream: a conjunctive box predicate over the
 /// stream's numeric attributes ("price in [10, 20] AND volume >= 1000").
@@ -37,10 +55,12 @@ class InterestSet {
   /// bitwise-identical afterwards. Because Simplify() treats streams
   /// independently and is idempotent, this is bit-identical to
   /// MergeFrom(other) followed by Simplify() whenever this set is already
-  /// simplified — but costs O(other's streams), not O(all streams). The
-  /// changed list is what lets install paths skip republishing unchanged
-  /// streams (itself a no-op by the subscribers' change-detection
-  /// cutoffs).
+  /// simplified. Streams `other` lacks are not visited; each touched
+  /// stream costs one SimplifyKeep over its merged boxes, and a stream
+  /// whose keep flags keep exactly its old boxes is reported unchanged
+  /// without being rewritten. The changed list is what lets install paths
+  /// skip republishing unchanged streams (itself a no-op by the
+  /// subscribers' change-detection cutoffs).
   void MergeSimplifyFrom(const InterestSet& other,
                          std::vector<common::StreamId>* changed);
 
@@ -69,8 +89,9 @@ class InterestSet {
     return boxes_;
   }
 
-  /// Drops boxes fully covered by another box of the same stream. Keeps
-  /// Matches() semantics; shrinks the representation shipped to ancestors.
+  /// Drops boxes fully covered by another box of the same stream (see
+  /// SimplifyKeep). Keeps Matches() semantics; shrinks the representation
+  /// shipped to ancestors.
   void Simplify();
 
   /// Total number of boxes across all streams (the size of the

@@ -73,9 +73,13 @@ inline double BoxVolume(const Box& box) {
   return BoxEmpty(box) ? 0.0 : v;
 }
 
-/// True if box `a` covers box `b` in every dimension.
+/// True if box `a` covers box `b` in every dimension. A box constrains
+/// only its own dimensions: `b` is unbounded in any dimension it lacks,
+/// so a box with more dimensions than a non-empty `b` is taken not to
+/// cover it.
 inline bool BoxCovers(const Box& a, const Box& b) {
   if (BoxEmpty(b)) return true;
+  if (a.size() > b.size()) return false;
   for (size_t d = 0; d < a.size(); ++d) {
     if (!a[d].Covers(b[d])) return false;
   }

@@ -54,8 +54,8 @@ class System;
 ///                   and per tenant, submitted == admitted + degraded +
 ///                   rejected + evicted + queued.
 ///
-/// Every check is read-only (apart from deterministically pre-building
-/// routing caches the hot path would build anyway), consumes no RNG, and
+/// Every check is read-only (a routing cache the dissemination check has
+/// to build is dropped again afterwards), consumes no RNG, and
 /// sends no messages — enabling the auditor cannot change a simulation's
 /// results, only observe them. Violations bump `audit.*` counters and,
 /// when `fatal`, abort: in debug builds CI's fault-seed matrix dies at

@@ -954,13 +954,18 @@ void System::RecomputeEntityInterest(common::EntityId entity) {
     coordinator_->SetEntityInterest(entity, entity_interest_[entity]);
   }
   // Refresh every stream's registration (empty boxes clear stale ones).
+  // Most streams come out as the tree already has them; those are
+  // skipped.
+  const std::vector<interest::Box> no_boxes;
   for (common::StreamId s : catalog_.streams()) {
     const std::vector<interest::Box>* boxes =
         entity_interest_[entity].boxes_for(s);
-    common::Status st = disseminator_->SetEntityInterest(
-        entity, s, boxes == nullptr ? std::vector<interest::Box>() : *boxes);
+    const std::vector<interest::Box>& next =
+        boxes == nullptr ? no_boxes : *boxes;
+    const dissemination::DisseminationTree* tree = disseminator_->tree(s);
+    if (tree != nullptr && tree->LocalInterest(entity) == next) continue;
     // The entity may have been removed from the trees (failure path).
-    (void)st;
+    (void)disseminator_->SetEntityInterest(entity, s, next);
   }
 }
 

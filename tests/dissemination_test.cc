@@ -6,9 +6,11 @@
 #include "common/rng.h"
 #include "dissemination/disseminator.h"
 #include "dissemination/tree.h"
+#include "interest/summarize.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "simplify_reference.h"
 
 namespace dsps::dissemination {
 namespace {
@@ -221,6 +223,128 @@ TEST(DisseminationTreeTest, RouteCacheSeesInterestShrink) {
   tree.SetLocalInterest(0, {});
   tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
   EXPECT_TRUE(targets.empty());
+}
+
+/// The audit's routing check builds a cache where none exists and drops
+/// it again; a cache the hot path built survives the audit.
+TEST(DisseminationTreeTest, CheckInvariantsLeavesRouteCachesAsFound) {
+  DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kSourceDirect));
+  for (common::EntityId e = 0; e < 40; ++e) {
+    ASSERT_TRUE(tree.AddEntity(e, {1.0 + e, 0}).ok());
+    tree.SetLocalInterest(e, {Box{Interval{1.0 * e, 1.0 * e + 5}}});
+  }
+  auto cache_count = [&tree] {
+    interest::IndexStats stats;
+    tree.CollectIndexStats(&stats);
+    return stats.indexes;
+  };
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(cache_count(), 0);
+  double p = 7;
+  std::vector<common::EntityId> targets;
+  tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
+  EXPECT_EQ(cache_count(), 1);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(cache_count(), 1);
+}
+
+/// Every node's subtree aggregate as the original code computed it, from
+/// the local interests and the tree shape alone: own non-empty boxes, then
+/// each child's aggregate in child order, simplified with the pairwise
+/// reference and coarsened to the budget. Independent of the kernel the
+/// tree (and its own CheckInvariants) uses.
+void ReferenceAggregates(const DisseminationTree& tree, common::EntityId id,
+                         int budget,
+                         std::map<common::EntityId, std::vector<Box>>* out) {
+  std::vector<Box> all;
+  for (const Box& b : tree.LocalInterest(id)) {
+    if (!interest::BoxEmpty(b)) all.push_back(b);
+  }
+  for (common::EntityId child : tree.Children(id)) {
+    ReferenceAggregates(tree, child, budget, out);
+    for (const Box& b : (*out)[child]) {
+      if (!interest::BoxEmpty(b)) all.push_back(b);
+    }
+  }
+  interest::reference::ReferenceSimplifyBoxes(&all);
+  if (budget > 0 && static_cast<int>(all.size()) > budget) {
+    all = interest::CoarsenBoxes(std::move(all), budget);
+  }
+  (*out)[id] = std::move(all);
+}
+
+/// A random local interest on a 2-d stream: up to four boxes on a coarse
+/// grid (so entities often share, nest or repeat boxes), sometimes with an
+/// empty box, and sometimes the entity's current interest unchanged.
+std::vector<Box> RandomLocal(common::Rng& rng, const std::vector<Box>& now) {
+  if (rng.Bernoulli(0.15)) return now;
+  std::vector<Box> out;
+  const int n = static_cast<int>(rng.NextUint64(5));
+  for (int i = 0; i < n; ++i) {
+    Box b(2);
+    for (Interval& iv : b) {
+      iv.lo = static_cast<double>(rng.UniformInt(0, 8));
+      iv.hi = iv.lo + static_cast<double>(rng.UniformInt(0, 8));
+    }
+    if (rng.Bernoulli(0.1)) b[1] = Interval{b[1].hi + 1, b[1].lo};
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+/// Property: after any script of interest updates, reattaches, leaves and
+/// re-joins on a 32-node tree, every subtree aggregate equals the
+/// pairwise-reference recompute, with and without an interest budget.
+TEST(DisseminationTreeTest, AggregatesMatchPairwiseReferenceUnderRandomScripts) {
+  constexpr int kNodes = 32;
+  for (int budget : {0, 2}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      DisseminationTree::Config cfg =
+          TreeConfig(TreePolicy::kClosestParent, 3);
+      cfg.interest_budget = budget;
+      DisseminationTree tree(0, {50, 50}, cfg);
+      common::Rng rng(seed);
+      std::vector<Point> positions;
+      for (common::EntityId e = 0; e < kNodes; ++e) {
+        positions.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
+        ASSERT_TRUE(tree.AddEntity(e, positions.back()).ok());
+      }
+      for (int step = 0; step < 300; ++step) {
+        const auto e = static_cast<common::EntityId>(rng.NextUint64(kNodes));
+        const double r = rng.NextDouble();
+        if (!tree.Contains(e)) {
+          ASSERT_TRUE(tree.AddEntity(e, positions[e]).ok());
+        } else if (r < 0.6) {
+          const std::vector<Box> before = tree.LocalInterest(e);
+          const std::vector<Box> next = RandomLocal(rng, before);
+          const int updates = tree.SetLocalInterest(e, next);
+          if (next == before) {
+            EXPECT_EQ(updates, 0);
+          }
+        } else if (r < 0.9) {
+          // kInvalidEntity (the source) included; cycles and full
+          // fanouts are refused and leave the tree as it was.
+          const auto parent =
+              static_cast<common::EntityId>(rng.NextUint64(kNodes + 1)) - 1;
+          (void)tree.Reattach(e, parent);
+        } else {
+          ASSERT_TRUE(tree.RemoveEntity(e).ok());
+        }
+        ASSERT_TRUE(tree.CheckInvariants().ok())
+            << "budget " << budget << " seed " << seed << " step " << step;
+        std::map<common::EntityId, std::vector<Box>> expect;
+        for (common::EntityId root : tree.Children(common::kInvalidEntity)) {
+          ReferenceAggregates(tree, root, budget, &expect);
+        }
+        ASSERT_EQ(expect.size(), tree.size());
+        for (const auto& [id, boxes] : expect) {
+          ASSERT_TRUE(tree.SubtreeInterest(id) == boxes)
+              << "budget " << budget << " seed " << seed << " step " << step
+              << " node " << id;
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- End-to-end

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
 #include "interest/interest.h"
 #include "interest/interval.h"
 #include "interest/measure.h"
+#include "simplify_reference.h"
 
 namespace dsps::interest {
 namespace {
@@ -219,6 +221,183 @@ TEST(InterestSetTest, MergeSimplifyFromMatchesMergeThenSimplify) {
           std::find(changed.begin(), changed.end(), s) != changed.end();
       EXPECT_EQ(listed, moved) << "round " << round << " stream " << s;
     }
+  }
+}
+
+// ------------------------------------------------- SimplifyKeep vs reference
+
+using reference::ReferenceSimplifyBoxes;
+
+/// A random box list aimed at the sweep's tie and edge cases. Bounds come
+/// from a small integer grid, so equal endpoints and equal leading
+/// intervals are common. Later boxes are often copies of earlier ones,
+/// boxes nested inside them, or boxes sharing their leading interval; some
+/// boxes are empty. One list in five mixes dimensionalities, 0 included.
+std::vector<Box> RandomBoxList(common::Rng& rng) {
+  const bool mixed = rng.Bernoulli(0.2);
+  const int dims = 1 + static_cast<int>(rng.NextUint64(3));
+  const int64_t grid = rng.Bernoulli(0.5) ? 4 : 12;
+  const int n = static_cast<int>(rng.NextUint64(40));
+  std::vector<Box> out;
+  for (int i = 0; i < n; ++i) {
+    const double r = rng.NextDouble();
+    if (!out.empty() && r < 0.15) {
+      out.push_back(out[rng.NextUint64(out.size())]);
+      continue;
+    }
+    if (!out.empty() && r < 0.35) {
+      Box b = out[rng.NextUint64(out.size())];
+      for (Interval& iv : b) {
+        if (iv.empty()) continue;
+        const auto slack = static_cast<int64_t>((iv.hi - iv.lo) / 2);
+        iv.lo += static_cast<double>(rng.UniformInt(0, slack));
+        iv.hi -= static_cast<double>(rng.UniformInt(0, slack));
+      }
+      out.push_back(std::move(b));
+      continue;
+    }
+    const int d = mixed ? static_cast<int>(rng.NextUint64(4)) : dims;
+    Box b(static_cast<size_t>(d));
+    for (Interval& iv : b) {
+      iv.lo = static_cast<double>(rng.UniformInt(0, grid));
+      iv.hi = iv.lo + static_cast<double>(rng.UniformInt(0, grid));
+    }
+    if (d > 0 && !out.empty() && r < 0.55) {
+      const Box& other = out[rng.NextUint64(out.size())];
+      if (!other.empty()) b[0] = other[0];
+    }
+    if (d > 0 && r > 0.92) {
+      Interval& iv = b[rng.NextUint64(static_cast<uint64_t>(d))];
+      iv = Interval{iv.hi + 1, iv.lo};
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+std::vector<const Box*> Pointers(const std::vector<Box>& boxes) {
+  std::vector<const Box*> out;
+  for (const Box& b : boxes) out.push_back(&b);
+  return out;
+}
+
+std::vector<Box> Kept(const std::vector<Box>& boxes,
+                      const std::vector<uint8_t>& keep) {
+  std::vector<Box> out;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    if (keep[i]) out.push_back(boxes[i]);
+  }
+  return out;
+}
+
+/// Differential property: the sweep keeps exactly the boxes the pairwise
+/// rule keeps, in input order.
+TEST(SimplifyKeepTest, MatchesPairwiseReference) {
+  common::Rng rng(13);
+  std::vector<uint8_t> keep;
+  for (int round = 0; round < 20000; ++round) {
+    const std::vector<Box> boxes = RandomBoxList(rng);
+    std::vector<Box> expect = boxes;
+    ReferenceSimplifyBoxes(&expect);
+    const size_t kept = SimplifyKeep(Pointers(boxes), &keep);
+    ASSERT_EQ(keep.size(), boxes.size()) << "round " << round;
+    ASSERT_EQ(kept, expect.size()) << "round " << round;
+    ASSERT_TRUE(Kept(boxes, keep) == expect) << "round " << round;
+  }
+}
+
+TEST(SimplifyKeepTest, EdgeCases) {
+  std::vector<uint8_t> keep;
+  EXPECT_EQ(SimplifyKeep({}, &keep), 0u);
+  EXPECT_TRUE(keep.empty());
+  // Of identical boxes the first stays.
+  const std::vector<Box> same = {Box{{0, 1}}, Box{{0, 1}}, Box{{0, 1}}};
+  EXPECT_EQ(SimplifyKeep(Pointers(same), &keep), 1u);
+  EXPECT_EQ(keep, (std::vector<uint8_t>{1, 0, 0}));
+  // Empty boxes go whenever a non-empty one exists; otherwise the first
+  // empty one stays.
+  const std::vector<Box> empties = {Box{{3, 2}}, Box{{1, 0}}};
+  EXPECT_EQ(SimplifyKeep(Pointers(empties), &keep), 1u);
+  EXPECT_EQ(keep, (std::vector<uint8_t>{1, 0}));
+  const std::vector<Box> mixed_empty = {Box{{3, 2}}, Box{{5, 6}}};
+  EXPECT_EQ(SimplifyKeep(Pointers(mixed_empty), &keep), 1u);
+  EXPECT_EQ(keep, (std::vector<uint8_t>{0, 1}));
+  // Equal leading intervals: the later box covers the earlier one on the
+  // second dimension, and the box covering both arrives last.
+  const std::vector<Box> tied = {Box{{0, 4}, {1, 2}}, Box{{0, 4}, {0, 3}},
+                                 Box{{0, 4}, {5, 6}}, Box{{0, 9}, {0, 9}}};
+  EXPECT_EQ(SimplifyKeep(Pointers(tied), &keep), 1u);
+  EXPECT_EQ(keep, (std::vector<uint8_t>{0, 0, 0, 1}));
+  // Partial overlaps survive; kept boxes keep their input order.
+  const std::vector<Box> chain = {Box{{5, 9}}, Box{{0, 6}}, Box{{2, 3}}};
+  EXPECT_EQ(SimplifyKeep(Pointers(chain), &keep), 2u);
+  EXPECT_EQ(keep, (std::vector<uint8_t>{1, 1, 0}));
+}
+
+TEST(BoxTest, CoversAcrossDimensionalities) {
+  // A box constrains only its own dimensions: fewer dimensions can cover
+  // more, never the other way round.
+  EXPECT_TRUE(BoxCovers(Box{{0, 10}}, Box{{1, 2}, {50, 60}}));
+  EXPECT_FALSE(BoxCovers(Box{{0, 10}, {0, 100}}, Box{{1, 2}}));
+  EXPECT_TRUE(BoxCovers(Box{}, Box{{1, 2}}));
+  EXPECT_FALSE(BoxCovers(Box{{0, 10}}, Box{}));
+  EXPECT_TRUE(BoxCovers(Box{{0, 10}, {0, 100}}, Box{{2, 1}}));
+}
+
+/// The incremental merge against merge-then-simplify built on the
+/// reference: every stream `add` names becomes the pairwise
+/// simplification of the old boxes followed by the new ones, the rest
+/// stay, and the changed list names exactly the streams that moved — also
+/// when the destination was not simplified and when streams differ in
+/// dimensionality.
+TEST(InterestSetTest, MergeSimplifyFromMatchesPairwiseReference) {
+  common::Rng rng(29);
+  auto random_set = [&rng](bool simplified) {
+    InterestSet s;
+    const int streams = static_cast<int>(rng.NextUint64(4));
+    for (int k = 0; k < streams; ++k) {
+      auto stream = static_cast<common::StreamId>(rng.NextUint64(4));
+      std::vector<Box> boxes = RandomBoxList(rng);
+      if (simplified) ReferenceSimplifyBoxes(&boxes);
+      for (Box& b : boxes) s.Add(stream, std::move(b));
+    }
+    return s;
+  };
+  for (int round = 0; round < 5000; ++round) {
+    const InterestSet base = random_set(rng.Bernoulli(0.8));
+    const InterestSet add = random_set(false);
+    std::map<common::StreamId, std::vector<Box>> expect =
+        base.boxes_by_stream();
+    std::vector<common::StreamId> expect_changed;
+    for (const auto& [stream, boxes] : add.boxes_by_stream()) {
+      std::vector<Box>& merged = expect[stream];
+      const std::vector<Box> before = merged;
+      merged.insert(merged.end(), boxes.begin(), boxes.end());
+      ReferenceSimplifyBoxes(&merged);
+      if (merged != before) expect_changed.push_back(stream);
+    }
+    InterestSet got = base;
+    std::vector<common::StreamId> changed;
+    got.MergeSimplifyFrom(add, &changed);
+    ASSERT_TRUE(got.boxes_by_stream() == expect) << "round " << round;
+    ASSERT_EQ(changed, expect_changed) << "round " << round;
+  }
+}
+
+TEST(InterestSetTest, SimplifyMatchesPairwiseReference) {
+  common::Rng rng(31);
+  for (int round = 0; round < 2000; ++round) {
+    InterestSet set;
+    std::map<common::StreamId, std::vector<Box>> expect;
+    for (common::StreamId stream = 0; stream < 3; ++stream) {
+      for (Box& b : RandomBoxList(rng)) {
+        if (!BoxEmpty(b)) expect[stream].push_back(b);
+        set.Add(stream, std::move(b));
+      }
+    }
+    for (auto& [stream, boxes] : expect) ReferenceSimplifyBoxes(&boxes);
+    set.Simplify();
+    ASSERT_TRUE(set.boxes_by_stream() == expect) << "round " << round;
   }
 }
 

@@ -223,6 +223,24 @@ TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
   EXPECT_EQ(stats.spline_rebuilds, 0);  // linear scan, nothing built
 }
 
+/// The linear scan below the build threshold reads a lazily built copy
+/// of the bounds; a removal between two lookups must not leave the
+/// removed subscriber in it.
+TEST(SplineIndexTest, LinearScanForgetsRemovedSubscribers) {
+  const Box domain = Domain3();
+  BoxIndex index(domain, SplineConfig());
+  index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
+  index.Insert(2, Box{{15, 30}, {0, 100}, {0, 1000}});
+  double p[3] = {18, 50, 500};
+  std::vector<int64_t> out;
+  index.Match(p, &out);
+  EXPECT_EQ(out, (std::vector<int64_t>{1, 2}));
+  index.Remove(1);
+  out.clear();
+  index.Match(p, &out);
+  EXPECT_EQ(out, (std::vector<int64_t>{2}));
+}
+
 /// Removing and re-inserting the same subscriber across a built spline
 /// must not let the tombstone shadow the re-inserted boxes.
 TEST(SplineIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
