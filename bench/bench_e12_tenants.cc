@@ -212,8 +212,8 @@ E12Run Run(Scenario scenario,
   auto outcome = [&sys](dsps::tenant::TenantId t) {
     TenantOutcome o;
     o.counters = sys.admission()->counters(t);
-    const dsps::common::Histogram* lat = sys.TenantLatency(t);
-    o.p95_ms = lat != nullptr && lat->count() > 0 ? lat->p95() * 1e3 : 0.0;
+    const dsps::telemetry::Sketch* lat = sys.TenantLatency(t);
+    o.p95_ms = lat != nullptr ? lat->p95() * 1e3 : 0.0;
     o.slo_attainment = sys.TenantSloAttainment(t);
     o.results = sys.TenantResults(t);
     return o;

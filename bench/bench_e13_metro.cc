@@ -42,8 +42,8 @@
 //                               indexes, the live system indexes, and a
 //                               deterministic lookup probe;
 //  - headline.latency_p*_ms     result-latency p50/p95/p99 read from the
-//                               bounded sketches (cfg.bounded_stats —
-//                               no exact sample vectors at tier scale);
+//                               bounded sketches (no exact sample
+//                               vectors at tier scale);
 //  - trace.stage_s{stage=...}   per-stage delay decomposition from the
 //                               full-sampling, stage-aggregated trace
 //                               (retain_spans off: zero span drops in
@@ -115,8 +115,8 @@ struct E13Run {
   double run_wall_s = 0.0;
   dsps::system::System::InstallProfile install_profile;
   dsps::interest::IndexStats index_stats;
-  /// Result-latency summary off the bounded sketches (never the exact
-  /// sample vectors — the tier's whole point is O(buckets) telemetry).
+  /// Result-latency summary off the bounded sketches (the tier's whole
+  /// point is O(buckets) telemetry).
   int64_t latency_count = 0;
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
@@ -140,12 +140,10 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   cfg.allocation = dsps::system::AllocationMode::kCoordinatorTree;
   cfg.seed = 13;
   // Online health layer at tier scale: result latency, per-tenant
-  // latency, and entity processing time all land in bounded DDSketch-
-  // style sketches instead of exact sample vectors, and the trace log
-  // aggregates per-stage sketches without retaining spans — so even the
-  // full 10k-entity / 1M-query tier reports p50/p95/p99 in O(buckets)
-  // memory.
-  cfg.bounded_stats = true;
+  // latency, and entity PR land in bounded DDSketch-style sketches, and
+  // the trace log aggregates per-stage sketches without retaining spans
+  // — so even the full 10k-entity / 1M-query tier reports p50/p95/p99 in
+  // O(buckets) memory.
   cfg.trace = trace;
   // Four equal tenants, admission ON: every submission crosses the
   // admission gate (the tier streams *through* it, per the experiment),
@@ -233,13 +231,13 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   }
 
   dsps::system::SystemMetrics m = sys.Collect();
-  run.latency_count = m.latency_count();
+  run.latency_count = m.latency.count();
   run.latency_p50_ms = m.latency_quantile(0.50) * 1e3;
   run.latency_p95_ms = m.latency_quantile(0.95) * 1e3;
   run.latency_p99_ms = m.latency_quantile(0.99) * 1e3;
-  run.latency_sketch_buckets = m.latency_sketch.num_buckets();
+  run.latency_sketch_buckets = m.latency.num_buckets();
   for (int t = 1; t <= kTenants; ++t) {
-    const dsps::telemetry::Sketch* sk = sys.TenantLatencySketch(t);
+    const dsps::telemetry::Sketch* sk = sys.TenantLatency(t);
     run.tenant_p95_ms.push_back(sk != nullptr && sk->count() > 0
                                     ? sk->p95() * 1e3
                                     : 0.0);
@@ -436,8 +434,8 @@ void PrintE13() {
   report.SetHeadline("sim_us_per_event", us_per_event);
   report.SetHeadline("install_us_per_query", install_us_per_query);
   report.SetHeadline("peak_rss_mb", peak_rss_mb);
-  // Result-latency quantiles off the bounded sketches (identical API to
-  // the exact path; E1 pins the rank error at <= 1%).
+  // Result-latency quantiles off the bounded sketches (E1 pins the rank
+  // error at <= 1%).
   report.SetHeadline("latency_p50_ms", run.latency_p50_ms);
   report.SetHeadline("latency_p95_ms", run.latency_p95_ms);
   report.SetHeadline("latency_p99_ms", run.latency_p99_ms);

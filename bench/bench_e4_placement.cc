@@ -99,9 +99,9 @@ PlacementRunResult Run(dsps::placement::PlacementPolicy* policy, int limit,
   sim.RunUntil(duration + 2.0);
 
   PlacementRunResult r;
-  r.pr_max = ent.pr_histogram().max();
-  r.pr_p99 = ent.pr_histogram().p99();
-  r.pr_mean = ent.pr_histogram().mean();
+  r.pr_max = ent.pr().max();
+  r.pr_p99 = ent.pr().p99();
+  r.pr_mean = ent.pr().mean();
   r.lan_bytes = net.total_bytes();
   r.max_util = ent.MaxUtilization();
   r.mean_util = ent.MeanUtilization();

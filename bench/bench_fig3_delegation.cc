@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "engine/operators.h"
 #include "entity/entity.h"

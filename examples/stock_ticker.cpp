@@ -62,7 +62,7 @@ int main() {
     dsps::entity::Entity* ent = sys.entity_at(e);
     std::printf("%-8d %-8d %-10lld %-12.0f %-12.4f\n", e, per_entity[e],
                 static_cast<long long>(ent->results_count()),
-                ent->pr_histogram().p50(), ent->MaxUtilization());
+                ent->pr().p50(), ent->MaxUtilization());
   }
   dsps::system::SystemMetrics m = sys.Collect();
   std::printf(

@@ -17,8 +17,7 @@ Entity::Entity(common::EntityId id, sim::Network* network,
       network_(network),
       config_(config),
       engine_factory_(std::move(engine_factory)),
-      policy_(policy),
-      pr_sketch_(config.stats_sketch) {
+      policy_(policy) {
   DSPS_CHECK(network != nullptr);
   DSPS_CHECK(policy != nullptr);
   DSPS_CHECK(!processor_nodes.empty());
@@ -317,11 +316,7 @@ void Entity::OnEmission(common::ProcessorId proc,
     record.query = qid_it->second;
     record.latency = std::max(0.0, em.completion_time - out.tuple.timestamp);
     record.pr = record.latency / state.p_k;
-    if (config_.bounded_stats) {
-      pr_sketch_.Add(record.pr);
-    } else {
-      pr_hist_.Add(record.pr);
-    }
+    pr_.Add(record.pr);
     ++results_;
     if (result_handler_) result_handler_(record, out.tuple);
     return;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "engine/engine.h"
 #include "interest/box_index.h"
@@ -83,13 +82,6 @@ class Entity {
     /// migrations count into entity.fragment_migrations.
     telemetry::MetricsRegistry* metrics = nullptr;
     telemetry::TraceLog* trace = nullptr;
-    /// Bounded PR statistics: per-result PR goes into a mergeable
-    /// quantile sketch built from `stats_sketch` instead of the exact
-    /// sample-storing pr_histogram() — O(buckets) memory regardless of
-    /// result count (metro scale). pr_count()/pr_p95() read whichever
-    /// backing is active.
-    bool bounded_stats = false;
-    telemetry::Sketch::Config stats_sketch;
   };
 
   /// `network`, `policy` must outlive the entity. One processor is created
@@ -159,19 +151,8 @@ class Entity {
   void SetResultHandler(ResultHandler handler);
 
   int64_t results_count() const { return results_; }
-  /// Distribution of Performance Ratios over all results so far (empty
-  /// in bounded_stats mode — see pr_sketch()).
-  const common::Histogram& pr_histogram() const { return pr_hist_; }
-  /// Sketch-backed PR distribution (bounded_stats mode).
-  const telemetry::Sketch& pr_sketch() const { return pr_sketch_; }
-  /// PR sample count / p95 regardless of the stats backing.
-  int64_t pr_count() const {
-    return config_.bounded_stats ? pr_sketch_.count()
-                                 : static_cast<int64_t>(pr_hist_.count());
-  }
-  double pr_p95() const {
-    return config_.bounded_stats ? pr_sketch_.p95() : pr_hist_.p95();
-  }
+  /// Distribution of Performance Ratios over all results so far.
+  const telemetry::Sketch& pr() const { return pr_; }
   /// Max/mean processor utilization (busy seconds / elapsed).
   double MaxUtilization() const;
   double MeanUtilization() const;
@@ -262,8 +243,7 @@ class Entity {
   mutable std::vector<int64_t> match_scratch_;
   common::FragmentId next_fragment_id_ = 1;
   ResultHandler result_handler_;
-  common::Histogram pr_hist_;
-  telemetry::Sketch pr_sketch_;
+  telemetry::Sketch pr_;
   int64_t results_ = 0;
   double start_time_ = 0.0;
   telemetry::Counter* migrations_counter_ = nullptr;

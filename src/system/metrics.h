@@ -2,9 +2,7 @@
 #define DSPS_SYSTEM_METRICS_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "common/stats.h"
 #include "telemetry/sketch.h"
 
 namespace dsps::system {
@@ -15,9 +13,9 @@ struct SystemMetrics {
   /// Query results produced.
   int64_t results = 0;
   /// Result delays d_k (seconds).
-  common::Histogram latency;
+  telemetry::Sketch latency;
   /// Performance Ratios PR_k = d_k / p_k (Section 4.1's metric).
-  common::Histogram pr;
+  telemetry::Sketch pr;
   /// Bytes on inter-entity (WAN) links, including source->entity.
   int64_t wan_bytes = 0;
   /// Bytes on intra-entity (LAN) links.
@@ -36,7 +34,7 @@ struct SystemMetrics {
   double mean_processor_utilization = 0.0;
   /// Client-perceived result latency (only when clients are modeled):
   /// result timestamp -> arrival at the client's node over the WAN.
-  common::Histogram client_latency;
+  telemetry::Sketch client_latency;
   int64_t client_results = 0;
   /// Queries currently without a home because re-home or admission
   /// failed (kept queued and retried — reported, never silently lost).
@@ -44,49 +42,11 @@ struct SystemMetrics {
   /// Messages the network dropped (injected faults + deliveries to nodes
   /// with no handler). Zero in fault-free runs.
   int64_t dropped_messages = 0;
-  /// Bounded-stats mode (System Config::bounded_stats): the exact
-  /// histograms above stay empty and these mergeable sketches hold the
-  /// same distributions in O(buckets) memory. The uniform accessors
-  /// below read whichever backing is active, so metro-scale benches can
-  /// report quantiles without knowing the mode.
-  bool bounded_stats = false;
-  telemetry::Sketch latency_sketch;
-  telemetry::Sketch pr_sketch;
-  telemetry::Sketch client_latency_sketch;
 
-  int64_t latency_count() const {
-    return bounded_stats ? latency_sketch.count()
-                         : static_cast<int64_t>(latency.count());
-  }
-  double latency_mean() const {
-    return bounded_stats ? latency_sketch.mean() : latency.mean();
-  }
-  double latency_quantile(double q) const {
-    return bounded_stats ? latency_sketch.Percentile(q)
-                         : latency.Percentile(q);
-  }
-  int64_t pr_count() const {
-    return bounded_stats ? pr_sketch.count()
-                         : static_cast<int64_t>(pr.count());
-  }
-  double pr_mean() const {
-    return bounded_stats ? pr_sketch.mean() : pr.mean();
-  }
-  double pr_quantile(double q) const {
-    return bounded_stats ? pr_sketch.Percentile(q) : pr.Percentile(q);
-  }
-  int64_t client_latency_count() const {
-    return bounded_stats ? client_latency_sketch.count()
-                         : static_cast<int64_t>(client_latency.count());
-  }
-  double client_latency_mean() const {
-    return bounded_stats ? client_latency_sketch.mean()
-                         : client_latency.mean();
-  }
-  double client_latency_quantile(double q) const {
-    return bounded_stats ? client_latency_sketch.Percentile(q)
-                         : client_latency.Percentile(q);
-  }
+  /// Kept as one-line forwards for callers that read quantiles this way
+  /// (perfbench/).
+  double latency_quantile(double q) const { return latency.Percentile(q); }
+  double pr_quantile(double q) const { return pr.Percentile(q); }
 };
 
 }  // namespace dsps::system

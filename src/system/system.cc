@@ -48,12 +48,6 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
     }
     network_->SetFlightRecorder(config.flight);
   }
-  if (config.bounded_stats) {
-    metrics_.bounded_stats = true;
-    metrics_.latency_sketch = telemetry::Sketch(config.stats_sketch);
-    metrics_.pr_sketch = telemetry::Sketch(config.stats_sketch);
-    metrics_.client_latency_sketch = telemetry::Sketch(config.stats_sketch);
-  }
   if (config.trace != nullptr) {
     network_->SetTraceLog(config.trace);
     config.trace->MapMessageType(dissemination::kMsgTupleForward,
@@ -70,8 +64,6 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
   // fills in at AddStreams time.
   entity::Entity::Config entity_config = config.entity;
   entity_config.catalog = &catalog_;
-  entity_config.bounded_stats = config.bounded_stats;
-  entity_config.stats_sketch = config.stats_sketch;
   if (entity_config.metrics == nullptr) entity_config.metrics = config.metrics;
   if (entity_config.trace == nullptr) entity_config.trace = config.trace;
   for (int e = 0; e < config.topology.num_entities; ++e) {
@@ -85,13 +77,8 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
         [this, eid](const entity::Entity::ResultRecord& record,
                     const engine::Tuple& tuple) {
           metrics_.results += 1;
-          if (metrics_.bounded_stats) {
-            metrics_.latency_sketch.Add(record.latency);
-            metrics_.pr_sketch.Add(record.pr);
-          } else {
-            metrics_.latency.Add(record.latency);
-            metrics_.pr.Add(record.pr);
-          }
+          metrics_.latency.Add(record.latency);
+          metrics_.pr.Add(record.pr);
           if (results_counter_ != nullptr) {
             results_counter_->Increment();
             latency_hist_->Observe(record.latency);
@@ -154,13 +141,8 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
           if (!seen_result_seqs_.insert(env->seq).second) return;
         }
         metrics_.client_results += 1;
-        double client_latency =
-            std::max(0.0, simulator_->now() - env->result_timestamp);
-        if (metrics_.bounded_stats) {
-          metrics_.client_latency_sketch.Add(client_latency);
-        } else {
-          metrics_.client_latency.Add(client_latency);
-        }
+        metrics_.client_latency.Add(
+            std::max(0.0, simulator_->now() - env->result_timestamp));
       });
       client_nodes_.push_back(node);
       client_positions_.push_back(pos);
@@ -507,10 +489,7 @@ common::Status System::InstallOn(common::EntityId entity,
     if (boxes.empty() || !catalog_.Contains(s)) continue;
     tps = std::max(tps, catalog_.stats(s).tuples_per_s);
   }
-  // Tenant-enabled runs take their load factor from the controller's
-  // config; the scalar gate keeps its pre-tenant meaning otherwise.
-  double load_factor = admission_ != nullptr ? config_.admission.load_factor
-                                             : config_.admission_load_factor;
+  const double load_factor = config_.admission.load_factor;
   if (load_factor > 0.0) {
     double capacity = config_.entity.processor_capacity *
                       entities_[entity]->num_processors();
@@ -753,17 +732,9 @@ void System::RecordTenantResult(common::QueryId query, double latency) {
   const engine::Query* q = query_state_.Find(query);
   if (q == nullptr) return;
   tenant::TenantId t = q->tenant;
-  auto [rt_it, inserted] = tenant_runtime_.try_emplace(t);
-  TenantRuntime& rt = rt_it->second;
-  if (inserted && config_.bounded_stats) {
-    rt.latency_sketch = telemetry::Sketch(config_.stats_sketch);
-  }
+  TenantRuntime& rt = tenant_runtime_[t];
   rt.results += 1;
-  if (config_.bounded_stats) {
-    rt.latency_sketch.Add(latency);
-  } else {
-    rt.latency.Add(latency);
-  }
+  rt.latency.Add(latency);
   const tenant::TenantSpec& spec = tenant_registry_->SpecOrDefault(t);
   if (spec.latency_slo_s <= 0.0 || latency <= spec.latency_slo_s) {
     rt.within_slo += 1;
@@ -792,15 +763,9 @@ int64_t System::TenantResults(tenant::TenantId tenant) const {
   return it != tenant_runtime_.end() ? it->second.results : 0;
 }
 
-const common::Histogram* System::TenantLatency(tenant::TenantId tenant) const {
+const telemetry::Sketch* System::TenantLatency(tenant::TenantId tenant) const {
   auto it = tenant_runtime_.find(tenant);
   return it != tenant_runtime_.end() ? &it->second.latency : nullptr;
-}
-
-const telemetry::Sketch* System::TenantLatencySketch(
-    tenant::TenantId tenant) const {
-  auto it = tenant_runtime_.find(tenant);
-  return it != tenant_runtime_.end() ? &it->second.latency_sketch : nullptr;
 }
 
 double System::TenantRecentP95(tenant::TenantId tenant) const {
@@ -1872,7 +1837,7 @@ int System::ElasticityRound() {
     obs.entity = e;
     obs.committed_load = ent->TotalCommittedLoad();
     obs.capacity = config_.entity.processor_capacity * ent->num_processors();
-    obs.pr_p95 = ent->pr_count() > 0 ? ent->pr_p95() : 0.0;
+    obs.pr_p95 = ent->pr().p95();
     obs.processors = ent->num_processors();
     switch (elasticity_->Evaluate(obs)) {
       case tenant::ElasticityManager::Action::kGrow:

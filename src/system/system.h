@@ -144,13 +144,6 @@ class System {
     AllocationMode allocation = AllocationMode::kCoordinatorTree;
     /// Balance tolerance for graph-partition allocation.
     double balance_tolerance = 1.2;
-    /// Admission control: when positive, InstallOn rejects a query whose
-    /// declared load — added to the entity's committed CPU load and the
-    /// declared loads of its resident queries — would exceed this factor
-    /// times its total processor capacity (ResourceExhausted — the query
-    /// is reported, never silently dropped). 0 disables it (the seed
-    /// behavior: entities over-commit freely).
-    double admission_load_factor = 0.0;
     /// Engine family per entity: "basic", "batch", or "mixed" (entities
     /// alternate — the heterogeneity the loose coupling must tolerate).
     const char* engine_family = "mixed";
@@ -180,14 +173,6 @@ class System {
     /// violation or failed fatal check. Read-only with respect to the
     /// simulation. Must outlive the System.
     telemetry::FlightRecorder* flight = nullptr;
-    /// Bounded result statistics: result latency / PR / client latency
-    /// (and per-entity PR, per-tenant latency) go into mergeable quantile
-    /// sketches built from `stats_sketch` instead of the exact
-    /// sample-storing histograms — O(buckets) memory at metro scale
-    /// instead of 8 bytes per result. Off by default (exact histograms,
-    /// bit-identical to the seed behavior).
-    bool bounded_stats = false;
-    telemetry::Sketch::Config stats_sketch;
     /// Also export per-directed-link net.link.* counters (high
     /// cardinality; off by default even when `metrics` is set).
     bool per_link_metrics = false;
@@ -240,12 +225,18 @@ class System {
     /// more tenant specs activates the AdmissionController: submissions
     /// are arbitrated per tenant (admit / queue with bounded wait /
     /// degrade to a coarser interest box / reject) under `admission`'s
-    /// knobs, with `admission.load_factor` taking over the scalar
-    /// admission_load_factor's role. Left empty (the default), everything
-    /// runs as the single implicit tenant: no controller is allocated, no
-    /// RNG is drawn, no node is created — simulations are bit-identical
-    /// to a tenant-free build.
+    /// knobs. Left empty (the default), everything runs as the single
+    /// implicit tenant: no controller is allocated, no RNG is drawn, no
+    /// node is created — simulations are bit-identical to a tenant-free
+    /// build.
     std::vector<tenant::TenantSpec> tenants;
+    /// Admission knobs. `admission.load_factor` is the capacity gate of
+    /// InstallOn with or without tenants: when positive, a query whose
+    /// declared load — added to the entity's committed CPU load and the
+    /// declared loads of its resident queries — would exceed this factor
+    /// times the entity's total processor capacity is rejected
+    /// (ResourceExhausted — reported, never silently dropped). 0 (the
+    /// default) disables it: entities over-commit freely.
     tenant::AdmissionController::Config admission;
   };
 
@@ -560,12 +551,9 @@ class System {
   /// Per-tenant result-latency accounting (only populated while the
   /// admission controller is active).
   int64_t TenantResults(tenant::TenantId tenant) const;
-  /// Latency histogram over all of the tenant's results so far (null if
-  /// none yet; empty in bounded_stats mode — see TenantLatencySketch).
-  const common::Histogram* TenantLatency(tenant::TenantId tenant) const;
-  /// Sketch over all of the tenant's result latencies (bounded_stats
-  /// mode; null if the tenant has no results yet).
-  const telemetry::Sketch* TenantLatencySketch(tenant::TenantId tenant) const;
+  /// Latency distribution over all of the tenant's results so far (null
+  /// if none yet).
+  const telemetry::Sketch* TenantLatency(tenant::TenantId tenant) const;
   /// p95 latency over the trailing admission.slo_window_s window (0 when
   /// no recent results).
   double TenantRecentP95(tenant::TenantId tenant) const;
@@ -770,9 +758,7 @@ class System {
   /// sites that its own installs can reach again.
   bool draining_admissions_ = false;
   struct TenantRuntime {
-    common::Histogram latency;
-    /// Bounded-stats backing for `latency` (bounded_stats mode only).
-    telemetry::Sketch latency_sketch;
+    telemetry::Sketch latency;
     int64_t results = 0;
     int64_t within_slo = 0;
     /// (completion time, latency) of recent results, trimmed to the

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <utility>
 
+#include "common/stats.h"
 #include "telemetry/json.h"
 
 namespace dsps::telemetry {

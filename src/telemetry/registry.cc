@@ -49,26 +49,12 @@ HistogramMetric* MetricsRegistry::histogram(std::string_view name,
                                             Labels labels) {
   auto [it, inserted] =
       histograms_.try_emplace(MakeKey(name, std::move(labels)), nullptr);
-  if (inserted) {
-    it->second = sketch_mode_
-                     ? std::make_unique<HistogramMetric>(sketch_config_)
-                     : std::make_unique<HistogramMetric>();
-  }
+  if (inserted) it->second = std::make_unique<HistogramMetric>(sketch_config_);
   return it->second.get();
 }
 
 void MetricsRegistry::UseSketches(const Sketch::Config& config) {
-  sketch_mode_ = true;
   sketch_config_ = config;
-}
-
-void HistogramMetric::MergeSketch(const Sketch& other) {
-  if (sketch_ == nullptr) {
-    sketch_ = std::make_unique<Sketch>(other.config());
-    for (double x : data_.samples()) sketch_->Add(x);
-    data_ = common::Histogram();
-  }
-  sketch_->Merge(other);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -120,12 +106,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
     gauge(key.first, key.second)->Set(metric->value());
   }
   for (const auto& [key, metric] : other.histograms_) {
-    HistogramMetric* mine = histogram(key.first, key.second);
-    if (metric->sketch_backed()) {
-      mine->MergeSketch(*metric->sketch());
-    } else {
-      mine->Merge(metric->data());
-    }
+    histogram(key.first, key.second)->MergeSketch(*metric->sketch());
   }
 }
 

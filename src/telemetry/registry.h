@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "telemetry/sketch.h"
 
 namespace dsps::telemetry {
@@ -43,56 +42,30 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Distribution metric. Exact by default (common::Histogram, every sample
-/// kept); a registry in sketch mode backs it with a bounded
-/// telemetry::Sketch instead, so unbounded hot-path streams export the
-/// same count/mean/p50/p95/p99/max summary in O(buckets) memory. Call
-/// sites are identical either way.
+/// Distribution metric backed by a telemetry::Sketch: bounded memory,
+/// exact merges, and count/mean/max exact while p50/p95/p99 stay within
+/// the sketch's relative_accuracy.
 class HistogramMetric {
  public:
-  HistogramMetric() = default;
-  explicit HistogramMetric(const Sketch::Config& config)
-      : sketch_(std::make_unique<Sketch>(config)) {}
+  explicit HistogramMetric(const Sketch::Config& config) : sketch_(config) {}
 
-  void Observe(double x) {
-    if (sketch_ != nullptr) {
-      sketch_->Add(x);
-    } else {
-      data_.Add(x);
-    }
-  }
-  /// Folds exact samples in (replayed one by one when sketch-backed).
-  void Merge(const common::Histogram& other) {
-    if (sketch_ != nullptr) {
-      for (double x : other.samples()) sketch_->Add(x);
-    } else {
-      data_.Merge(other);
-    }
-  }
-  /// Folds a sketch in. An exact-backed metric is promoted to sketch
-  /// backing first (exact samples replayed into the sketch) — the only
-  /// lossless direction.
-  void MergeSketch(const Sketch& other);
+  void Observe(double x) { sketch_.Add(x); }
+  /// Folds a sketch in; bucket counts add exactly.
+  void MergeSketch(const Sketch& other) { sketch_.Merge(other); }
 
-  bool sketch_backed() const { return sketch_ != nullptr; }
-  /// Exact backing store; empty when sketch-backed.
-  const common::Histogram& data() const { return data_; }
-  /// Sketch backing store; nullptr when exact.
-  const Sketch* sketch() const { return sketch_.get(); }
+  /// The backing sketch. Returned as a pointer, never null, because
+  /// perfbench/ reads it that way.
+  const Sketch* sketch() const { return &sketch_; }
 
-  /// Uniform summary surface used by snapshots regardless of backing.
-  int64_t count() const {
-    return sketch_ ? sketch_->count() : static_cast<int64_t>(data_.count());
-  }
-  double mean() const { return sketch_ ? sketch_->mean() : data_.mean(); }
-  double p50() const { return sketch_ ? sketch_->p50() : data_.p50(); }
-  double p95() const { return sketch_ ? sketch_->p95() : data_.p95(); }
-  double p99() const { return sketch_ ? sketch_->p99() : data_.p99(); }
-  double max() const { return sketch_ ? sketch_->max() : data_.max(); }
+  int64_t count() const { return sketch_.count(); }
+  double mean() const { return sketch_.mean(); }
+  double p50() const { return sketch_.p50(); }
+  double p95() const { return sketch_.p95(); }
+  double p99() const { return sketch_.p99(); }
+  double max() const { return sketch_.max(); }
 
  private:
-  common::Histogram data_;
-  std::unique_ptr<Sketch> sketch_;
+  Sketch sketch_;
 };
 
 /// One exported sample: the point-in-time value of a metric series.
@@ -146,12 +119,10 @@ class MetricsRegistry {
   Gauge* gauge(std::string_view name, Labels labels = {});
   HistogramMetric* histogram(std::string_view name, Labels labels = {});
 
-  /// Switches histogram series interned *after* this call to bounded
-  /// sketch backing (existing series keep their backing, so flip the
-  /// mode before components intern). Snapshot output keeps the exact
-  /// same shape — only the memory/accuracy trade changes.
+  /// Sets the sketch config of histogram series interned after this
+  /// call (existing series keep theirs). Every series is sketch-backed
+  /// already; the name stays because perfbench/ calls it.
   void UseSketches(const Sketch::Config& config = {});
-  bool sketch_mode() const { return sketch_mode_; }
 
   /// Number of interned series across all kinds.
   size_t size() const {
@@ -162,7 +133,7 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
   /// Folds another registry in: counters add, gauges take the other's
-  /// value, histograms merge their samples.
+  /// value, histograms merge their sketches.
   void MergeFrom(const MetricsRegistry& other);
 
  private:
@@ -173,7 +144,6 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<HistogramMetric>> histograms_;
-  bool sketch_mode_ = false;
   Sketch::Config sketch_config_;
 };
 

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/stats.h"
 #include "common/table.h"
 #include "telemetry/json.h"
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,6 +16,10 @@ Sketch::Sketch(const Config& config) : config_(config) {
   gamma_ = (1.0 + config_.relative_accuracy) /
            (1.0 - config_.relative_accuracy);
   inv_log_gamma_ = 1.0 / std::log(gamma_);
+  // Every finite magnitude's key (and the store's slack around it) must
+  // fit in an int.
+  DSPS_CHECK(std::log(std::numeric_limits<double>::max()) * inv_log_gamma_ <
+             std::numeric_limits<int>::max() / 4);
 }
 
 int Sketch::KeyFor(double magnitude) const {
@@ -28,37 +33,65 @@ double Sketch::ValueFor(int key) const {
   return 2.0 * std::pow(gamma_, key) / (gamma_ + 1.0);
 }
 
-void Sketch::Collapse(std::map<int, int64_t>& buckets) {
-  // Fold the lowest-magnitude bucket into its neighbor. High quantiles
-  // keep the error bound; only the collapsed low tail coarsens.
-  while (buckets.size() > config_.max_buckets) {
-    auto first = buckets.begin();
-    auto second = std::next(first);
-    second->second += first->second;
-    buckets.erase(first);
+void Sketch::Store::Cover(int key) {
+  if (counts.empty()) {
+    offset = key;
+    counts.assign(1, 0);
+    return;
+  }
+  if (key < offset) {
+    // Grow the front with slack proportional to the array, so keys
+    // arriving in descending order cost amortized O(1) each.
+    const size_t grow = static_cast<size_t>(offset - key) + counts.size() / 2;
+    counts.insert(counts.begin(), grow, 0);
+    offset -= static_cast<int>(grow);
+  } else if (static_cast<size_t>(key - offset) >= counts.size()) {
+    counts.resize(static_cast<size_t>(key - offset) + 1, 0);
+  }
+}
+
+void Sketch::Store::Add(int key, int64_t n) {
+  Cover(key);
+  int64_t& c = counts[static_cast<size_t>(key - offset)];
+  if (c == 0) {
+    ++nonempty;
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+  }
+  c += n;
+  total += n;
+}
+
+void Sketch::Collapse(Store& store) {
+  // Fold the lowest-magnitude non-empty bucket into the next non-empty
+  // one. High quantiles keep the error bound; only the collapsed low
+  // tail coarsens.
+  while (store.nonempty > config_.max_buckets) {
+    size_t first = static_cast<size_t>(store.lo - store.offset);
+    size_t second = first + 1;
+    while (store.counts[second] == 0) ++second;
+    store.counts[second] += store.counts[first];
+    store.counts[first] = 0;
+    store.lo = store.offset + static_cast<int>(second);
+    --store.nonempty;
     collapsed_ = true;
   }
 }
 
 void Sketch::Add(double x, int64_t n) {
   if (n <= 0) return;
-  if (std::isnan(x)) {
-    count_ += n;  // Counted so totals reconcile; excluded from quantiles.
-    return;
-  }
+  count_ += n;  // Non-finite values are counted so totals reconcile.
+  if (!std::isfinite(x)) return;
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-  count_ += n;
   sum_ += x * static_cast<double>(n);
   double mag = std::fabs(x);
   if (mag < kMinIndexable) {
     zero_count_ += n;
-  } else if (x > 0.0) {
-    pos_[KeyFor(mag)] += n;
-    Collapse(pos_);
   } else {
-    neg_[KeyFor(mag)] += n;
-    Collapse(neg_);
+    Store& store = x > 0.0 ? pos_ : neg_;
+    store.Add(KeyFor(mag), n);
+    Collapse(store);
   }
 }
 
@@ -70,8 +103,18 @@ void Sketch::Merge(const Sketch& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   zero_count_ += other.zero_count_;
-  for (const auto& [key, n] : other.pos_) pos_[key] += n;
-  for (const auto& [key, n] : other.neg_) neg_[key] += n;
+  for (auto [mine, theirs] : {std::pair{&pos_, &other.pos_},
+                              std::pair{&neg_, &other.neg_}}) {
+    if (theirs->nonempty == 0) continue;
+    mine->Cover(theirs->lo);
+    mine->Cover(theirs->hi);
+    // Read the bounds first: `other` may be this sketch.
+    const int lo = theirs->lo, hi = theirs->hi, offset = theirs->offset;
+    for (int k = lo; k <= hi; ++k) {
+      const int64_t n = theirs->counts[static_cast<size_t>(k - offset)];
+      if (n > 0) mine->Add(k, n);
+    }
+  }
   collapsed_ = collapsed_ || other.collapsed_;
   Collapse(pos_);
   Collapse(neg_);
@@ -81,9 +124,7 @@ double Sketch::min() const { return min_ <= max_ ? min_ : 0.0; }
 double Sketch::max() const { return min_ <= max_ ? max_ : 0.0; }
 
 double Sketch::Percentile(double q) const {
-  int64_t indexed = zero_count_;
-  for (const auto& [key, n] : pos_) indexed += n;
-  for (const auto& [key, n] : neg_) indexed += n;
+  const int64_t indexed = zero_count_ + pos_.total + neg_.total;
   if (indexed == 0) return 0.0;
   if (q <= 0.0) return min();
   if (q >= 1.0) return max();
@@ -93,37 +134,26 @@ double Sketch::Percentile(double q) const {
   rank = std::max<int64_t>(1, std::min(rank, indexed));
   int64_t cum = 0;
   // Ascending value order: negatives from largest magnitude down, the
-  // zero bucket, then positives from smallest magnitude up.
-  for (auto it = neg_.rbegin(); it != neg_.rend(); ++it) {
-    cum += it->second;
-    if (cum >= rank) {
-      return std::clamp(-ValueFor(it->first), min_, max_);
-    }
+  // zero bucket, then positives from smallest magnitude up. Empty slots
+  // never change `cum`, so they can never be the answer.
+  for (int k = neg_.hi; k >= neg_.lo; --k) {
+    cum += neg_.counts[static_cast<size_t>(k - neg_.offset)];
+    if (cum >= rank) return std::clamp(-ValueFor(k), min_, max_);
   }
   cum += zero_count_;
   if (cum >= rank) return std::clamp(0.0, min_, max_);
-  for (const auto& [key, n] : pos_) {
-    cum += n;
-    if (cum >= rank) return std::clamp(ValueFor(key), min_, max_);
+  for (int k = pos_.lo; k <= pos_.hi; ++k) {
+    cum += pos_.counts[static_cast<size_t>(k - pos_.offset)];
+    if (cum >= rank) return std::clamp(ValueFor(k), min_, max_);
   }
   return max();
 }
 
 size_t Sketch::MemoryBytes() const {
-  // std::map node: key + count + three pointers + color, rounded up.
-  constexpr size_t kNodeBytes = 48;
-  return sizeof(Sketch) + num_buckets() * kNodeBytes;
+  return sizeof(Sketch) +
+         (pos_.counts.capacity() + neg_.counts.capacity()) * sizeof(int64_t);
 }
 
-void Sketch::Clear() {
-  pos_.clear();
-  neg_.clear();
-  zero_count_ = 0;
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-  collapsed_ = false;
-}
+void Sketch::Clear() { *this = Sketch(config_); }
 
 }  // namespace dsps::telemetry

@@ -11,10 +11,10 @@
 
 namespace dsps::tenant {
 
-/// Per-tenant weighted-fair admission control, replacing the scalar
-/// admission_load_factor gate. The controller is pure decision and
-/// accounting logic — the System owns the actual pending queue, its
-/// deadline timers, and the install/retry machinery — so it consumes no
+/// Per-tenant weighted-fair admission control. The controller is pure
+/// decision and accounting logic — the System owns the actual pending
+/// queue, its deadline timers, the install/retry machinery and the
+/// per-entity capacity gate (`Config::load_factor`) — so it consumes no
 /// randomness and schedules nothing, keeping tenant-enabled runs
 /// deterministic and tenant-free runs untouched.
 ///
@@ -31,9 +31,9 @@ namespace dsps::tenant {
 class AdmissionController {
  public:
   struct Config {
-    /// Fraction of per-entity capacity admissible (the scalar gate's
-    /// meaning, now applied under per-tenant arbitration).
-    double load_factor = 1.0;
+    /// Fraction of per-entity processor capacity admissible, enforced by
+    /// System::InstallOn with or without tenants. 0 turns the gate off.
+    double load_factor = 0.0;
     /// Bounded wait: a queued submission that finds no capacity within
     /// this window is evicted from the queue.
     double max_queue_wait_s = 2.0;

@@ -108,7 +108,7 @@ TEST_F(EntityTest, FilterQueryProducesResults) {
   }
   EXPECT_EQ(results, 11);  // values 0,5,...,50
   EXPECT_EQ(ent.results_count(), 11);
-  EXPECT_EQ(ent.pr_histogram().count(), 11u);
+  EXPECT_EQ(ent.pr().count(), 11);
 }
 
 TEST_F(EntityTest, DuplicateQueryRejected) {

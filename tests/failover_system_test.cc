@@ -121,7 +121,7 @@ TEST(FailoverSystemTest, SurvivorAtCapacityKeepsOrphansQueuedNotLost) {
   cfg.inject_faults = false;  // oracle failure path, no injected faults
   // Each entity: 2 processors x capacity 1.0, factor 1.1 -> admitted load
   // limit 2.2: exactly two load-1.0 queries fit, a third does not.
-  cfg.admission_load_factor = 1.1;
+  cfg.admission.load_factor = 1.1;
   System sys(cfg);
   sys.AddStreams(SmallStreams(1));
   for (int i = 1; i <= 4; ++i) {

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "sketch_reference.h"
 
 namespace dsps::telemetry {
 namespace {
@@ -145,6 +147,170 @@ TEST(SketchTest, NanCountedButExcludedFromQuantiles) {
   EXPECT_NEAR(s.Percentile(0.99), 5.0, 0.06);
   EXPECT_EQ(s.min(), 5.0);
   EXPECT_EQ(s.max(), 5.0);
+}
+
+TEST(SketchTest, InfinitiesCountedButKeptOutOfBuckets) {
+  // Treated like NaN: counted so totals reconcile, but never indexed
+  // (a logarithm of inf has no int key) and never in sum, min or max.
+  const double inf = std::numeric_limits<double>::infinity();
+  Sketch s;
+  s.Add(1.0);
+  s.Add(inf);
+  s.Add(-inf, 3);
+  EXPECT_EQ(s.count(), 5);
+  EXPECT_EQ(s.num_buckets(), 1u);
+  EXPECT_EQ(s.sum(), 1.0);
+  EXPECT_EQ(s.min(), 1.0);
+  EXPECT_EQ(s.max(), 1.0);
+  EXPECT_NEAR(s.Percentile(0.99), 1.0, 0.01);
+  EXPECT_NEAR(s.Percentile(0.01), 1.0, 0.01);
+  Sketch only_inf;
+  only_inf.Add(inf);
+  EXPECT_EQ(only_inf.count(), 1);
+  EXPECT_EQ(only_inf.num_buckets(), 0u);
+  EXPECT_EQ(only_inf.Percentile(0.5), 0.0);
+  EXPECT_EQ(only_inf.max(), 0.0);
+}
+
+// --- Differential test: dense bucket store vs the original map store. ---
+
+// Equal as stored doubles (NaN equals NaN).
+bool SameDouble(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+// Every answer of the dense sketch must equal the map reference's bit for
+// bit.
+void ExpectSameAnswers(const Sketch& dense,
+                       const reference::MapSketch& ref,
+                       const std::string& where) {
+  EXPECT_EQ(dense.count(), ref.count()) << where;
+  EXPECT_TRUE(SameDouble(dense.sum(), ref.sum()))
+      << where << ": " << dense.sum() << " vs " << ref.sum();
+  EXPECT_TRUE(SameDouble(dense.min(), ref.min())) << where;
+  EXPECT_TRUE(SameDouble(dense.max(), ref.max())) << where;
+  EXPECT_EQ(dense.num_buckets(), ref.num_buckets()) << where;
+  EXPECT_EQ(dense.collapsed(), ref.collapsed()) << where;
+  for (int i = 0; i <= 100; ++i) {
+    const double q = i / 100.0;
+    ASSERT_TRUE(SameDouble(dense.Percentile(q), ref.Percentile(q)))
+        << where << " q=" << q << ": " << dense.Percentile(q) << " vs "
+        << ref.Percentile(q);
+  }
+  for (double q : {-0.5, 1e-9, 0.001, 0.0005, 0.995, 0.999, 0.9995,
+                   1.0 - 1e-12, 1.5}) {
+    ASSERT_TRUE(SameDouble(dense.Percentile(q), ref.Percentile(q)))
+        << where << " q=" << q;
+  }
+}
+
+// One stream value: lognormal magnitudes over many decades with either
+// sign, plus zeros, magnitudes below the indexable floor, +/-1e300 and
+// NaN.
+double DrawValue(common::Rng& rng, double sigma) {
+  const int64_t kind = rng.UniformInt(0, 99);
+  const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+  if (kind < 4) return 0.0;
+  if (kind < 8) return sign * std::pow(10.0, rng.Uniform(-20.0, -12.0));
+  if (kind < 9) return sign * 1e300;
+  if (kind < 10) return std::numeric_limits<double>::quiet_NaN();
+  const double mag = std::exp(rng.Gaussian(0.0, sigma));
+  return kind < 40 ? -mag : mag;
+}
+
+struct Pair {
+  explicit Pair(const Sketch::Config& cfg) : dense(cfg), ref(cfg) {}
+  void Add(double x, int64_t n) {
+    dense.Add(x, n);
+    ref.Add(x, n);
+  }
+  void Merge(const Pair& other) {
+    dense.Merge(other.dense);
+    ref.Merge(other.ref);
+  }
+  Sketch dense;
+  reference::MapSketch ref;
+};
+
+// Fills `p` with a random stream; one in three streams arrives sorted by
+// descending magnitude, so keys keep landing below the store's front.
+void FillRandom(common::Rng& rng, Pair* p) {
+  const int n = static_cast<int>(rng.UniformInt(0, 3000));
+  const double sigma = rng.Uniform(0.1, 12.0);
+  std::vector<double> xs;
+  for (int i = 0; i < n; ++i) xs.push_back(DrawValue(rng, sigma));
+  if (rng.UniformInt(0, 2) == 0) {
+    std::stable_sort(xs.begin(), xs.end(), [](double a, double b) {
+      return std::fabs(a) > std::fabs(b);
+    });
+  }
+  for (double x : xs) {
+    const int64_t weight = rng.Bernoulli(0.2) ? rng.UniformInt(-1, 50) : 1;
+    p->Add(x, weight);
+  }
+}
+
+Sketch::Config RandomConfig(common::Rng& rng) {
+  Sketch::Config cfg;
+  cfg.max_buckets = static_cast<size_t>(rng.UniformInt(8, 128));
+  if (rng.Bernoulli(0.2)) cfg.max_buckets = 1024;
+  return cfg;
+}
+
+TEST(SketchDenseStoreTest, MatchesMapReferenceOnRandomStreams) {
+  common::Rng rng(101);
+  for (int trial = 0; trial < 200; ++trial) {
+    Pair p(RandomConfig(rng));
+    FillRandom(rng, &p);
+    ExpectSameAnswers(p.dense, p.ref, "trial " + std::to_string(trial));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SketchDenseStoreTest, MatchesMapReferenceUnderMerges) {
+  common::Rng rng(103);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Sketch::Config cfg = RandomConfig(rng);
+    std::vector<Pair> parts;
+    const int k = static_cast<int>(rng.UniformInt(2, 4));
+    for (int i = 0; i < k; ++i) {
+      parts.emplace_back(cfg);
+      FillRandom(rng, &parts.back());
+    }
+    const std::string where = "trial " + std::to_string(trial);
+    // Left fold in input order, left fold in reverse, and a balanced
+    // tree; each merge adds every bucket and then collapses once.
+    Pair forward(cfg), backward(cfg);
+    for (int i = 0; i < k; ++i) forward.Merge(parts[i]);
+    for (int i = k - 1; i >= 0; --i) backward.Merge(parts[i]);
+    ExpectSameAnswers(forward.dense, forward.ref, where + " forward");
+    ExpectSameAnswers(backward.dense, backward.ref, where + " backward");
+    Pair left(cfg), right(cfg);
+    for (int i = 0; i < k; ++i) (i < k / 2 ? left : right).Merge(parts[i]);
+    left.Merge(right);
+    ExpectSameAnswers(left.dense, left.ref, where + " tree");
+    // Merging a sketch into itself doubles every count.
+    left.Merge(left);
+    ExpectSameAnswers(left.dense, left.ref, where + " self");
+    // Keep adding after merges: the merged store must keep growing
+    // correctly at both ends.
+    FillRandom(rng, &left);
+    ExpectSameAnswers(left.dense, left.ref, where + " refill");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SketchDenseStoreTest, MatchesMapReferenceOnDescendingKeys) {
+  // Strictly descending magnitudes: every key lands below the store's
+  // front, the growth direction the dense array pays for.
+  for (size_t budget : {size_t{8}, size_t{64}, size_t{1024}}) {
+    Sketch::Config cfg;
+    cfg.max_buckets = budget;
+    Pair p(cfg);
+    for (double x = 1e6; x > 1e-6; x /= 1.013) p.Add(x, 1);
+    for (double x = -1e6; x < -1e-6; x /= 1.013) p.Add(x, 2);
+    ExpectSameAnswers(p.dense, p.ref, "budget " + std::to_string(budget));
+  }
 }
 
 TEST(SketchTest, MergeIsExact) {

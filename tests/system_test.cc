@@ -335,7 +335,7 @@ TEST(SystemTest, SubmitQueriesMatchesSerialUnderAdmissionRefusals) {
   // match the serial loop exactly, refusals included.
   auto make = [] {
     System::Config cfg = SmallConfig(AllocationMode::kRoundRobin);
-    cfg.admission_load_factor = 1.0;  // limit 2.0 per entity, unit loads
+    cfg.admission.load_factor = 1.0;  // limit 2.0 per entity, unit loads
     return cfg;
   };
   System serial(make());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -100,6 +102,40 @@ TEST(TelemetrySystemTest, StageSpansSumToEndToEndLatency) {
   EXPECT_GT(total[telemetry::Stage::kQueueWait], 0);
   EXPECT_GT(total[telemetry::Stage::kExecute], 0);
   EXPECT_GT(total[telemetry::Stage::kResult], 0);
+}
+
+TEST(TelemetrySystemTest, CollectedLatencyQuantilesMatchResultSpans) {
+  // Every result records one kResult span whose duration is that result's
+  // latency, so the spans are the exact reference for the sketch-backed
+  // SystemMetrics::latency.
+  telemetry::TraceLog::Config tcfg;
+  tcfg.sample_every_n = 1;
+  telemetry::TraceLog trace(tcfg);
+  System::Config cfg = BaseConfig();
+  cfg.trace = &trace;
+  System sys(cfg);
+  RunWorkload(&sys);
+  ASSERT_EQ(trace.dropped_spans(), 0);
+
+  std::vector<double> exact;
+  for (const telemetry::Span& span : trace.spans()) {
+    if (span.stage == telemetry::Stage::kResult) {
+      exact.push_back(span.duration());
+    }
+  }
+  ASSERT_GT(exact.size(), 10u);
+  std::sort(exact.begin(), exact.end());
+  const SystemMetrics m = sys.Collect();
+  EXPECT_EQ(m.latency.count(), static_cast<int64_t>(exact.size()));
+  const double alpha = m.latency.config().relative_accuracy;
+  for (double q : {0.50, 0.95, 0.99}) {
+    // Exact nearest rank in [1, n].
+    const size_t rank = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(q * static_cast<double>(exact.size()))),
+        1, exact.size());
+    const double truth = exact[rank - 1];
+    EXPECT_NEAR(m.latency.Percentile(q), truth, alpha * truth) << "q=" << q;
+  }
 }
 
 TEST(TelemetrySystemTest, MetricsAgreeWithSystemCounters) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -15,6 +16,19 @@
 
 namespace dsps::telemetry {
 namespace {
+
+// Exact nearest-rank quantile of 1..n (the reference a registry
+// histogram's sketch-backed quantile is checked against).
+double RankOfOneToN(int n, double q) {
+  return std::max(1.0, std::ceil(q * n));
+}
+
+// A sketch-backed quantile must land within relative_accuracy of the
+// exact one.
+void ExpectWithinAccuracy(double est, double exact) {
+  const double alpha = Sketch::Config{}.relative_accuracy;
+  EXPECT_NEAR(est, exact, alpha * std::fabs(exact)) << "exact " << exact;
+}
 
 TEST(MetricsRegistryTest, CounterInterningIsStable) {
   MetricsRegistry reg;
@@ -93,8 +107,15 @@ TEST(MetricsRegistryTest, MergeFromAddsCountersAndMergesHistograms) {
 
   a.MergeFrom(b);
   EXPECT_EQ(a.counter("n")->value(), 5);
-  EXPECT_EQ(a.histogram("lat")->data().count(), 2u);
-  EXPECT_DOUBLE_EQ(a.histogram("lat")->data().mean(), 2.0);
+  const Sketch* lat = a.histogram("lat")->sketch();
+  EXPECT_EQ(lat->count(), 2);
+  EXPECT_DOUBLE_EQ(lat->sum(), 4.0);
+  EXPECT_DOUBLE_EQ(lat->min(), 1.0);
+  EXPECT_DOUBLE_EQ(lat->max(), 3.0);
+  EXPECT_DOUBLE_EQ(a.histogram("lat")->mean(), 2.0);
+  // Nearest rank over {1, 3}: the median is 1, the p99 is 3.
+  ExpectWithinAccuracy(a.histogram("lat")->p50(), 1.0);
+  ExpectWithinAccuracy(a.histogram("lat")->p99(), 3.0);
   // Gauges take the merged-in value (last write wins).
   EXPECT_DOUBLE_EQ(a.gauge("g")->value(), 2.0);
 }
@@ -109,8 +130,12 @@ TEST(MetricsRegistryTest, HistogramSnapshotCarriesPercentiles) {
   EXPECT_EQ(s->kind, MetricSample::Kind::kHistogram);
   EXPECT_EQ(s->count, 100);
   EXPECT_DOUBLE_EQ(s->mean, 50.5);
-  EXPECT_GE(s->p99, 99.0);
   EXPECT_DOUBLE_EQ(s->max, 100.0);
+  EXPECT_DOUBLE_EQ(h->sketch()->sum(), 5050.0);
+  EXPECT_DOUBLE_EQ(h->sketch()->min(), 1.0);
+  ExpectWithinAccuracy(s->p50, RankOfOneToN(100, 0.50));
+  ExpectWithinAccuracy(s->p95, RankOfOneToN(100, 0.95));
+  ExpectWithinAccuracy(s->p99, RankOfOneToN(100, 0.99));
 }
 
 TEST(JsonTest, SnapshotJsonRoundTrips) {
@@ -289,10 +314,7 @@ TEST(MetricsRegistryTest, ShardedHistogramMergeEqualsUnion) {
   shard_b.counter("n")->Increment(3);
   whole.counter("n")->Increment(5);
   shard_a.MergeFrom(shard_b);
-  EXPECT_EQ(shard_a.histogram("lat", MakeLabels({{"op", "x"}}))
-                ->data()
-                .count(),
-            100u);
+  EXPECT_EQ(shard_a.histogram("lat", MakeLabels({{"op", "x"}}))->count(), 100);
   EXPECT_EQ(shard_a.Snapshot().ToJson(), whole.Snapshot().ToJson());
 }
 

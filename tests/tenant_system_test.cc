@@ -96,9 +96,9 @@ TEST(TenantSystemTest, PassthroughWithoutTenantsAllocatesNothing) {
 // depending on rounding mode and optimization level.
 TEST(TenantSystemTest, AtCapacityRejectionIsDeterministicScalarPath) {
   System::Config cfg = TightConfig();
-  cfg.tenants.clear();                // scalar gate, pre-tenant semantics
+  cfg.tenants.clear();  // the capacity gate without tenants
   cfg.topology.num_entities = 1;
-  cfg.admission_load_factor = 1.0;
+  cfg.admission.load_factor = 1.0;
   System sys(cfg);
   sys.AddStreams(SmallStreams(1));
   ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(1, 0, 0, 1.0)).ok());
