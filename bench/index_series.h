@@ -37,8 +37,6 @@ inline void ExportIndexStats(const interest::IndexStats& s,
     metrics->gauge(name, labels)->Set(v);
   };
   set("index.indexes", static_cast<double>(s.indexes));
-  set("index.grid_indexes", static_cast<double>(s.grid_indexes));
-  set("index.spline_indexes", static_cast<double>(s.spline_indexes));
   set("index.boxes", static_cast<double>(s.boxes));
   set("index.mem_bytes", static_cast<double>(s.mem_bytes));
   set("index.build_us", s.build_us);
@@ -56,12 +54,12 @@ inline void ExportIndexStats(const interest::IndexStats& s,
 struct IndexProbeConfig {
   int lookups = 2000;
   uint64_t seed = 97;
-  interest::BoxIndex::Config index;
 };
 
-/// Builds a BoxIndex over `boxes` (subscriber i holds boxes[i]) inside
-/// `domain`, forces the lazy spline build with one warm-up stab, then
-/// times `config.lookups` uniform point stabs. Emits under `labels`:
+/// Builds a BoxIndex over `boxes` (subscriber i holds boxes[i]), forces
+/// the lazy spline build with one warm-up stab, then times
+/// `config.lookups` point stabs drawn uniformly from `domain`. Emits
+/// under `labels`:
 /// index.build_us (gauge: wall clock of inserts + first build),
 /// index.lookup_us (histogram: per-stab latency), and the probe index's
 /// full stats via ExportIndexStats. The RNG is seeded, so the probed
@@ -76,7 +74,7 @@ inline void RunIndexLookupProbe(const std::vector<interest::Box>& boxes,
     return std::chrono::duration<double, std::micro>(Clock::now() - start)
         .count();
   };
-  interest::BoxIndex index(domain, config.index);
+  interest::BoxIndex index(domain.size());
   std::vector<double> point(domain.size(), 0.0);
   std::vector<int64_t> out;
   auto build_start = Clock::now();

@@ -135,7 +135,7 @@ class Disseminator {
   size_t pending_reliable_count() const { return pending_.size(); }
 
   /// Aggregated routing-cache index statistics across every stream tree
-  /// (strategy mix, memory, spline health); feeds bench JSON and
+  /// (boxes, memory, spline health); feeds bench JSON and
   /// dsps_doctor.
   interest::IndexStats RouteIndexStats() const;
 

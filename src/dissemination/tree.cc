@@ -276,9 +276,10 @@ const std::vector<Box>& DisseminationTree::LocalInterest(
 }
 
 namespace {
-/// Below this many child subtree boxes the per-tuple linear scan is
-/// already cheaper than building and probing a grid, so no index is kept.
-constexpr size_t kRouteIndexMinBoxes = 32;
+/// Below this many child subtree boxes a BoxIndex would only scan a copy
+/// of them linearly, so no index is kept and ForwardTargets scans the
+/// children's boxes in place.
+constexpr size_t kRouteIndexMinBoxes = interest::BoxIndex::kSplineBuildMin;
 }  // namespace
 
 void DisseminationTree::InvalidateRouteCache(common::EntityId parent) const {
@@ -296,33 +297,19 @@ void DisseminationTree::InvalidateRouteCache(common::EntityId parent) const {
 
 std::unique_ptr<interest::BoxIndex> DisseminationTree::BuildRouteIndex(
     const std::vector<common::EntityId>& children) const {
-  // Domain: bounding box of every child's non-empty subtree box. All
-  // boxes of one stream share dimensionality (see interest/interval.h),
-  // so the bounding box is well-formed.
-  Box domain;
+  // All boxes of one stream share dimensionality (see
+  // interest/interval.h), so the first non-empty box fixes the index's.
+  size_t dims = 0;
   size_t total_boxes = 0;
   for (common::EntityId child : children) {
     for (const Box& b : nodes_.at(child).subtree) {
       if (interest::BoxEmpty(b)) continue;
       ++total_boxes;
-      if (domain.empty()) {
-        domain = b;
-        continue;
-      }
-      for (size_t d = 0; d < domain.size(); ++d) {
-        domain[d].lo = std::min(domain[d].lo, b[d].lo);
-        domain[d].hi = std::max(domain[d].hi, b[d].hi);
-      }
+      dims = b.size();
     }
   }
   if (total_boxes < kRouteIndexMinBoxes) return nullptr;
-  // Subtree aggregates are unions of many query boxes, so they tend to
-  // span the full range of non-leading dimensions; indexing those only
-  // multiplies cell registrations without adding selectivity. Grid the
-  // leading dimension alone.
-  interest::BoxIndex::Config cfg;
-  cfg.index_dims = 1;
-  auto index = std::make_unique<interest::BoxIndex>(domain, cfg);
+  auto index = std::make_unique<interest::BoxIndex>(dims);
   for (common::EntityId child : children) {
     for (const Box& b : nodes_.at(child).subtree) {
       if (interest::BoxEmpty(b)) continue;

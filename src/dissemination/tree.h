@@ -99,9 +99,9 @@ class DisseminationTree {
   /// children are included (forward-everything baseline). The per-child
   /// matching runs against a cached interest::BoxIndex over the children's
   /// subtree aggregates (rebuilt lazily after joins/leaves/reattaches and
-  /// aggregate changes), so the per-tuple cost is a grid-cell probe rather
-  /// than a scan of every child's box list; results keep child-list order,
-  /// bit-identical to the linear scan.
+  /// aggregate changes), so the per-tuple cost is one spline-bucket probe
+  /// rather than a scan of every child's box list; results keep
+  /// child-list order, bit-identical to the linear scan.
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
                       std::vector<common::EntityId>* out) const;

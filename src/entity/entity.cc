@@ -165,13 +165,8 @@ common::Status Entity::InstallQuery(const engine::Query& query,
     }
     auto [it, inserted] = stream_index_.try_emplace(stream, nullptr);
     if (inserted) {
-      // Per-entity indexes hold a handful of boxes each, so they take the
-      // spline strategy: a linear scan below its build threshold and no
-      // grid cells allocated up front.
-      interest::BoxIndex::Config cfg;
-      cfg.strategy = interest::IndexStrategy::kSpline;
       it->second = std::make_unique<interest::BoxIndex>(
-          config_.catalog->stats(stream).domain, cfg);
+          config_.catalog->stats(stream).domain.size());
     }
     for (const interest::Box& b : *boxes) {
       it->second->Insert(query.id, b);

@@ -73,7 +73,8 @@ class Entity {
     int fault_domain = 0;
     /// When set, delegates use a per-stream BoxIndex over the queries'
     /// interests to fan tuples out only to queries whose filter can
-    /// match — the delegate's hot loop goes from O(queries) to O(cell).
+    /// match — the delegate's hot loop goes from O(queries) to the boxes
+    /// of one spline bucket.
     /// Queries without interest boxes on a stream still get everything.
     const interest::StreamCatalog* catalog = nullptr;
     /// Optional telemetry (null = disabled, zero overhead). Processors
@@ -177,7 +178,7 @@ class Entity {
   double TotalCommittedLoad() const;
 
   /// Accumulates the per-stream tuple-matching indexes' statistics into
-  /// `stats` (strategy mix, memory, spline health).
+  /// `stats` (boxes, memory, spline health).
   void CollectIndexStats(interest::IndexStats* stats) const;
 
   /// Elastic capacity: adds one processor hosted on `node` (a member of

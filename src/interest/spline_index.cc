@@ -8,11 +8,8 @@
 
 namespace dsps::interest {
 
-SplineIndex::SplineIndex(std::vector<Entry> entries, const Config& config)
-    : config_(config), entries_(std::move(entries)) {
-  DSPS_CHECK(config_.max_error >= 1);
-  DSPS_CHECK(config_.target_bucket_boxes >= 1);
-  DSPS_CHECK(config_.radix_bits >= 1 && config_.radix_bits <= 24);
+SplineIndex::SplineIndex(std::vector<Entry> entries)
+    : entries_(std::move(entries)) {
   DSPS_CHECK(entries_.size() < std::numeric_limits<uint32_t>::max());
   BuildSeparators();
   BuildSpline();
@@ -43,7 +40,7 @@ void SplineIndex::BuildSeparators() {
         std::upper_bound(endpoints.begin(), endpoints.end(), e.box[0].hi) -
         std::lower_bound(endpoints.begin(), endpoints.end(), e.box[0].lo));
   }
-  size_t buckets = n / static_cast<size_t>(config_.target_bucket_boxes);
+  size_t buckets = n / kTargetBucketBoxes;
   if (covered > 0) {
     buckets = std::min(buckets, 2 * n * n / covered);
   }
@@ -66,9 +63,9 @@ void SplineIndex::BuildSpline() {
   }
   // Greedy bounded-error corridor (GreedySplineCorridor): keep extending
   // the current segment while the line from the last knot to the incoming
-  // point stays inside the intersection of all +/-max_error slope
+  // point stays inside the intersection of all +/-kMaxError slope
   // corridors; when it exits, the previous point becomes a knot.
-  const double eps = static_cast<double>(config_.max_error);
+  const double eps = static_cast<double>(kMaxError);
   spline_.push_back(Knot{seps_[0], 0.0});
   Knot last = spline_.back();
   Knot prev = last;
@@ -110,7 +107,7 @@ void SplineIndex::BuildRadix() {
   const double lo = spline_.front().x;
   const double hi = spline_.back().x;
   if (!std::isfinite(lo) || !std::isfinite(hi) || hi <= lo) return;
-  const auto slots = static_cast<size_t>(1) << config_.radix_bits;
+  const auto slots = static_cast<size_t>(1) << kRadixBits;
   radix_min_ = lo;
   radix_scale_ = static_cast<double>(slots) / (hi - lo);
   if (!std::isfinite(radix_scale_) || radix_scale_ <= 0.0) return;
@@ -184,11 +181,11 @@ size_t SplineIndex::Rank(double x) const {
   double pred = a.y;
   if (b.x > a.x) pred += (x - a.x) / (b.x - a.x) * (b.y - a.y);
   // Correct within the certified window. The corridor bounds the fit
-  // error at the boundaries to max_error, and interpolation between two
-  // boundaries adds at most one rank — so the window is +/-(max_error+1).
+  // error at the boundaries to kMaxError, and interpolation between two
+  // boundaries adds at most one rank — so the window is +/-(kMaxError+1).
   // The result is certified against the neighbors; an uncertifiable
   // window (floating-point edge) falls back to the full search.
-  const double w = static_cast<double>(config_.max_error + 1);
+  const double w = static_cast<double>(kMaxError + 1);
   const auto lo = static_cast<size_t>(
       std::clamp(pred - w, 0.0, static_cast<double>(seps_.size())));
   const auto hi = static_cast<size_t>(

@@ -20,32 +20,30 @@ namespace dsps::interest {
 /// only the boxes registered there. Locating the bucket is the learned
 /// part: a greedy bounded-error spline is fit over the boundary values, a
 /// radix table narrows the spline segment, and the prediction is corrected
-/// within a +/-(max_error + 1) window. A correction that cannot be
+/// within a +/-(kMaxError + 1) window. A correction that cannot be
 /// certified inside the window falls back to a full binary search and is
 /// counted — the fallback rate is the index's self-reported health signal.
 ///
 /// The index is immutable once built; `BoxIndex` layers churn on top
-/// (pending inserts, tombstones, periodic rebuild). Unlike the uniform
-/// grid it replaces, bucket boundaries adapt to the data: a skewed
-/// subscriber population gets fine buckets where boxes crowd and coarse
-/// buckets where they don't, and the bucket count itself is capped by a
-/// registration budget so fat boxes cannot blow up memory.
+/// (pending inserts, tombstones, periodic rebuild). Bucket boundaries
+/// adapt to the data: a skewed subscriber population gets fine buckets
+/// where boxes crowd and coarse buckets where they don't, and the bucket
+/// count itself is capped by a registration budget so fat boxes cannot
+/// blow up memory.
 class SplineIndex {
  public:
-  struct Config {
-    /// Spline corridor half-width, in boundary-rank units. Larger values
-    /// mean fewer knots (less memory) but a wider correction window.
-    int max_error = 16;
-    /// Aim for about this many boxes per bucket.
-    int target_bucket_boxes = 8;
-    /// Radix table resolution (2^bits slots); the table is skipped for
-    /// small splines or degenerate key spans.
-    int radix_bits = 10;
-    /// The spline's promised fallback rate: lookups that escape the
-    /// bounded correction window, as a fraction of all spline-path
-    /// lookups. dsps_doctor flags the index unhealthy above this.
-    double declared_fallback_bound = 0.01;
-  };
+  /// Spline corridor half-width, in boundary-rank units. Larger values
+  /// mean fewer knots (less memory) but a wider correction window.
+  static constexpr int kMaxError = 16;
+  /// Aim for about this many boxes per bucket.
+  static constexpr size_t kTargetBucketBoxes = 8;
+  /// Radix table resolution (2^bits slots); the table is skipped for
+  /// small splines or degenerate key spans.
+  static constexpr int kRadixBits = 10;
+  /// The spline's promised fallback rate: lookups that escape the
+  /// bounded correction window, as a fraction of all spline-path
+  /// lookups. dsps_doctor flags the index unhealthy above this.
+  static constexpr double kDeclaredFallbackBound = 0.01;
 
   struct Entry {
     int64_t subscriber;
@@ -55,11 +53,11 @@ class SplineIndex {
   /// Builds the index over `entries` (all boxes non-empty, all with the
   /// same dimensionality >= 1). `entries` order is preserved verbatim;
   /// callers that need deterministic iteration must pre-sort.
-  SplineIndex(std::vector<Entry> entries, const Config& config);
+  explicit SplineIndex(std::vector<Entry> entries);
 
   /// Appends the subscriber of every box containing `point`. Raw
   /// candidates: no deduplication or ordering — the caller owns the final
-  /// sort+unique (`BoxIndex` already does this for every strategy).
+  /// sort+unique (`BoxIndex` already does this).
   void Match(const double* point, std::vector<int64_t>* out) const;
 
   /// Appends the subscriber of every box overlapping `query` in all
@@ -70,10 +68,7 @@ class SplineIndex {
   size_t size() const { return entries_.size(); }
   size_t bucket_count() const { return bucket_offsets_.size() - 1; }
   size_t knot_count() const { return spline_.size(); }
-  int max_error() const { return config_.max_error; }
-  double declared_fallback_bound() const {
-    return config_.declared_fallback_bound;
-  }
+  double declared_fallback_bound() const { return kDeclaredFallbackBound; }
   /// Spline-path bucket locations performed so far / how many escaped the
   /// bounded correction window into a full binary search.
   uint64_t lookups() const { return lookups_; }
@@ -96,7 +91,6 @@ class SplineIndex {
   void BuildRadix();
   void BuildBuckets();
 
-  Config config_;
   std::vector<Entry> entries_;
   /// Sorted distinct bucket boundaries; bucket b holds keys x with
   /// rank(x) == b, where rank counts separators <= x. Buckets number

@@ -50,9 +50,8 @@ void QueryGraphIndex::AddQuery(const engine::Query& query) {
     if (!catalog_->Contains(s)) continue;
     auto it = stream_index_.find(s);
     if (it == stream_index_.end()) {
-      it = stream_index_
-               .emplace(s, interest::BoxIndex(catalog_->stats(s).domain))
-               .first;
+      const size_t dims = catalog_->stats(s).domain.size();
+      it = stream_index_.emplace(s, interest::BoxIndex(dims)).first;
     }
     const std::vector<interest::Box>* boxes = query.interest.boxes_for(s);
     for (const interest::Box& b : *boxes) it->second.Insert(query.id, b);

@@ -104,8 +104,8 @@ QueryGraph QueryGraph::Build(const std::vector<engine::Query>& queries,
       if (!catalog.Contains(s)) continue;
       auto it = index_of.find(s);
       if (it == index_of.end()) {
-        it = index_of.emplace(s, interest::BoxIndex(catalog.stats(s).domain))
-                 .first;
+        const size_t dims = catalog.stats(s).domain.size();
+        it = index_of.emplace(s, interest::BoxIndex(dims)).first;
       }
       const std::vector<interest::Box>* boxes = queries[i].interest.boxes_for(s);
       for (const interest::Box& b : *boxes) it->second.Insert(i, b);

@@ -60,7 +60,7 @@ class QueryGraph {
   /// emitted ordered by (first shared stream, a, b) — the order the
   /// historical all-pairs scan produced — so adjacency lists and every
   /// downstream partition are bit-identical to it. When `index_stats` is
-  /// non-null, the per-stream box indexes' statistics (strategy mix,
+  /// non-null, the per-stream box indexes' statistics (boxes,
   /// memory, spline health) are accumulated into it before they are torn
   /// down.
   static QueryGraph Build(const std::vector<engine::Query>& queries,

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
@@ -14,21 +13,8 @@ namespace {
 
 Box Domain3() { return Box{{0, 100}, {0, 100}, {0, 1000}}; }
 
-BoxIndex::Config GridConfig() {
-  BoxIndex::Config cfg;
-  cfg.strategy = IndexStrategy::kGrid;
-  return cfg;
-}
-
-BoxIndex::Config SplineConfig() {
-  BoxIndex::Config cfg;
-  cfg.strategy = IndexStrategy::kSpline;
-  return cfg;
-}
-
 /// Reference model: the naive linear scan over live (subscriber, box)
-/// pairs, deduplicated ascending — the exact output contract of every
-/// BoxIndex strategy.
+/// pairs, deduplicated ascending — the exact output contract of BoxIndex.
 class NaiveModel {
  public:
   void Insert(int64_t sub, const Box& box) {
@@ -105,14 +91,13 @@ Box RandomBox(common::Rng& rng, const Box& domain) {
 }
 
 /// Property: under randomized insert/remove churn with degenerate boxes,
-/// grid, spline, and the naive scan agree exactly — content and order —
-/// on Match and MatchOverlap, including probes outside the domain.
-TEST(SplineIndexProperty, ChurnMatchesGridAndNaiveExactly) {
+/// the index and the naive scan agree exactly — content and order — on
+/// Match and MatchOverlap, including probes outside the domain.
+TEST(SplineIndexProperty, ChurnMatchesNaiveExactly) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     common::Rng rng(seed * 7919);
     const Box domain = Domain3();
-    BoxIndex grid(domain, GridConfig());
-    BoxIndex spline(domain, SplineConfig());
+    BoxIndex index(domain.size());
     NaiveModel naive;
     int64_t next_sub = 0;
     for (int op = 0; op < 600; ++op) {
@@ -120,8 +105,7 @@ TEST(SplineIndexProperty, ChurnMatchesGridAndNaiveExactly) {
         // Remove a (possibly unknown) subscriber.
         int64_t sub = static_cast<int64_t>(rng.NextUint64(
             static_cast<uint64_t>(next_sub) + 4));
-        grid.Remove(sub);
-        spline.Remove(sub);
+        index.Remove(sub);
         naive.Remove(sub);
       } else {
         // Insert, sometimes onto an existing subscriber (duplicates).
@@ -130,40 +114,33 @@ TEST(SplineIndexProperty, ChurnMatchesGridAndNaiveExactly) {
                                 rng.NextUint64(static_cast<uint64_t>(next_sub)))
                           : next_sub++;
         Box box = RandomBox(rng, domain);
-        grid.Insert(sub, box);
-        spline.Insert(sub, box);
+        index.Insert(sub, box);
         naive.Insert(sub, box);
       }
       if (op % 7 != 0) continue;
-      EXPECT_EQ(grid.size(), spline.size());
       for (int probe = 0; probe < 8; ++probe) {
         double p[3] = {rng.Uniform(-50, 150), rng.Uniform(-50, 150),
                        rng.Uniform(-500, 1500)};
-        std::vector<int64_t> got_grid, got_spline;
-        grid.Match(p, &got_grid);
-        spline.Match(p, &got_spline);
-        const std::vector<int64_t> want = naive.Match(p);
-        EXPECT_EQ(got_grid, want) << "seed " << seed << " op " << op;
-        EXPECT_EQ(got_spline, want) << "seed " << seed << " op " << op;
+        std::vector<int64_t> got;
+        index.Match(p, &got);
+        EXPECT_EQ(got, naive.Match(p)) << "seed " << seed << " op " << op;
       }
       for (int probe = 0; probe < 4; ++probe) {
         Box q = RandomBox(rng, domain);
-        std::vector<int64_t> got_grid, got_spline;
-        grid.MatchOverlap(q, &got_grid);
-        spline.MatchOverlap(q, &got_spline);
-        const std::vector<int64_t> want = naive.MatchOverlap(q);
-        EXPECT_EQ(got_grid, want) << "seed " << seed << " op " << op;
-        EXPECT_EQ(got_spline, want) << "seed " << seed << " op " << op;
+        std::vector<int64_t> got;
+        index.MatchOverlap(q, &got);
+        EXPECT_EQ(got, naive.MatchOverlap(q))
+            << "seed " << seed << " op " << op;
       }
     }
   }
 }
 
 /// The match contract appends to a non-empty vector without touching
-/// what was already there, for both strategies.
+/// what was already there.
 TEST(SplineIndexProperty, AppendsAfterExistingElements) {
   const Box domain = Domain3();
-  BoxIndex spline(domain, SplineConfig());
+  BoxIndex spline(domain.size());
   for (int64_t s = 0; s < 64; ++s) {
     spline.Insert(s, Box{{0, 100}, {0, 100}, {0, 1000}});
   }
@@ -176,41 +153,9 @@ TEST(SplineIndexProperty, AppendsAfterExistingElements) {
   EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()));
 }
 
-TEST(SplineIndexTest, AutoSwitchesToSplineAtThreshold) {
-  // DSPS_INDEX pins every auto index process-wide, so the policy this
-  // test asserts is deliberately not in effect under the override legs.
-  if (std::getenv("DSPS_INDEX") != nullptr &&
-      *std::getenv("DSPS_INDEX") != '\0') {
-    GTEST_SKIP() << "auto-selection policy overridden by DSPS_INDEX";
-  }
-  BoxIndex::Config cfg;
-  cfg.strategy = IndexStrategy::kAuto;
-  cfg.spline_min_boxes = 64;
-  const Box domain = Domain3();
-  BoxIndex index(domain, cfg);
-  common::Rng rng(11);
-  NaiveModel naive;
-  for (int64_t s = 0; s < 100; ++s) {
-    if (s == 40) {
-      EXPECT_STREQ(index.strategy_name(), "grid");
-    }
-    Box box = RandomBox(rng, domain);
-    index.Insert(s, box);
-    naive.Insert(s, box);
-  }
-  EXPECT_STREQ(index.strategy_name(), "spline");
-  for (int probe = 0; probe < 64; ++probe) {
-    double p[3] = {rng.Uniform(-50, 150), rng.Uniform(-50, 150),
-                   rng.Uniform(-500, 1500)};
-    std::vector<int64_t> got;
-    index.Match(p, &got);
-    EXPECT_EQ(got, naive.Match(p));
-  }
-}
-
 TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
   const Box domain = Domain3();
-  BoxIndex index(domain, SplineConfig());
+  BoxIndex index(domain.size());
   index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
   index.Insert(2, Box{{15, 30}, {0, 100}, {0, 1000}});
   std::vector<int64_t> out;
@@ -219,7 +164,7 @@ TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
   EXPECT_EQ(out, (std::vector<int64_t>{1, 2}));
   IndexStats stats;
   index.AddStatsTo(&stats);
-  EXPECT_EQ(stats.spline_indexes, 1);
+  EXPECT_EQ(stats.indexes, 1);
   EXPECT_EQ(stats.spline_rebuilds, 0);  // linear scan, nothing built
 }
 
@@ -228,7 +173,7 @@ TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
 /// removed subscriber in it.
 TEST(SplineIndexTest, LinearScanForgetsRemovedSubscribers) {
   const Box domain = Domain3();
-  BoxIndex index(domain, SplineConfig());
+  BoxIndex index(domain.size());
   index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
   index.Insert(2, Box{{15, 30}, {0, 100}, {0, 1000}});
   double p[3] = {18, 50, 500};
@@ -245,7 +190,7 @@ TEST(SplineIndexTest, LinearScanForgetsRemovedSubscribers) {
 /// must not let the tombstone shadow the re-inserted boxes.
 TEST(SplineIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
   const Box domain = Domain3();
-  BoxIndex index(domain, SplineConfig());
+  BoxIndex index(domain.size());
   for (int64_t s = 0; s < 64; ++s) {
     index.Insert(s, Box{{0, 100}, {0, 100}, {0, 1000}});
   }
@@ -268,7 +213,7 @@ TEST(SplineIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
 
 TEST(SplineIndexTest, ChurnTriggersRebuildAndStaysExact) {
   const Box domain = Domain3();
-  BoxIndex index(domain, SplineConfig());
+  BoxIndex index(domain.size());
   NaiveModel naive;
   common::Rng rng(23);
   for (int64_t s = 0; s < 256; ++s) {
@@ -310,7 +255,7 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   for (int64_t s = 5000; s < 5500; ++s) {  // duplicate endpoints
     entries.push_back(SplineIndex::Entry{s, Box{{50, 50}, Interval::All()}});
   }
-  SplineIndex index(entries, SplineIndex::Config());
+  SplineIndex index(entries);
   EXPECT_GT(index.bucket_count(), 1u);
   EXPECT_GT(index.knot_count(), 0u);
   EXPECT_GT(index.mem_bytes(), 0u);
@@ -335,7 +280,7 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   for (int64_t s = 0; s < 100; ++s) {
     flat.push_back(SplineIndex::Entry{s, Box{{42, 42}, Interval::All()}});
   }
-  SplineIndex one_bucket(flat, SplineIndex::Config());
+  SplineIndex one_bucket(flat);
   EXPECT_EQ(one_bucket.bucket_count(), 1u);
   double at[2] = {42, 0};
   std::vector<int64_t> got;
@@ -347,28 +292,28 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   EXPECT_TRUE(got.empty());
 }
 
+/// One index below the build threshold (linear scan) and one above it
+/// (built spline) aggregate into one IndexStats.
 TEST(SplineIndexTest, StatsAggregateAcrossIndexes) {
   const Box domain = Domain3();
-  BoxIndex grid(domain, GridConfig());
-  BoxIndex spline(domain, SplineConfig());
+  BoxIndex small(domain.size());
+  BoxIndex large(domain.size());
   common::Rng rng(41);
   for (int64_t s = 0; s < 300; ++s) {
     Box box = RandomBox(rng, domain);
-    grid.Insert(s, box);
-    spline.Insert(s, box);
+    if (s < 20) small.Insert(s, box);
+    large.Insert(s, box);
   }
   double p[3] = {50, 50, 500};
   std::vector<int64_t> out;
-  grid.Match(p, &out);
+  small.Match(p, &out);
   out.clear();
-  spline.Match(p, &out);
+  large.Match(p, &out);
   IndexStats stats;
-  grid.AddStatsTo(&stats);
-  spline.AddStatsTo(&stats);
+  small.AddStatsTo(&stats);
+  large.AddStatsTo(&stats);
   EXPECT_EQ(stats.indexes, 2);
-  EXPECT_EQ(stats.grid_indexes, 1);
-  EXPECT_EQ(stats.spline_indexes, 1);
-  EXPECT_EQ(stats.boxes, 600);
+  EXPECT_EQ(stats.boxes, 320);
   EXPECT_EQ(stats.lookups, 2);
   EXPECT_EQ(stats.spline_rebuilds, 1);
   EXPECT_GT(stats.mem_bytes, 0);

@@ -23,7 +23,7 @@
 //     bench_diff gate;
 //   - reports carrying index.* gauges (the learned-interest-index series
 //     the index-bearing benches export per label scope) get a per-scope
-//     index table: strategy mix, box count, spline error bound, lookup
+//     index table: box count, memory, spline error bound, lookup
 //     p95 (from the index.lookup_us histogram when present), and the
 //     spline fallback rate. A scope whose fallback rate exceeds its
 //     declared bound (index.declared_fallback_bound) marks the file
@@ -72,8 +72,6 @@ struct TenantHealth {
 
 struct IndexHealth {
   double indexes = 0.0;
-  double grid_indexes = 0.0;
-  double spline_indexes = 0.0;
   double boxes = 0.0;
   double mem_bytes = 0.0;
   double spline_max_error = 0.0;
@@ -217,10 +215,6 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
         double value = sample.NumberOr("value", 0.0);
         if (name == "index.indexes") {
           ix.indexes = value;
-        } else if (name == "index.grid_indexes") {
-          ix.grid_indexes = value;
-        } else if (name == "index.spline_indexes") {
-          ix.spline_indexes = value;
         } else if (name == "index.boxes") {
           ix.boxes = value;
         } else if (name == "index.mem_bytes") {
@@ -319,22 +313,11 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
 }
 
 void PrintIndexTable(const FileHealth& h) {
-  Table table({"scope", "strategy", "boxes", "mem MB", "max err",
-               "lookup p95 us", "fallback rate", "bound"});
+  Table table({"scope", "boxes", "mem MB", "max err", "lookup p95 us",
+               "fallback rate", "bound"});
   for (const auto& [scope, ix] : h.indexes) {
-    std::string strategy;
-    if (ix.spline_indexes > 0 && ix.grid_indexes > 0) {
-      strategy = "mixed (" + Table::Num(ix.grid_indexes, 0) + " grid / " +
-                 Table::Num(ix.spline_indexes, 0) + " spline)";
-    } else if (ix.spline_indexes > 0) {
-      strategy = "spline";
-    } else if (ix.grid_indexes > 0) {
-      strategy = "grid";
-    } else {
-      strategy = "-";
-    }
     table.AddRow(
-        {scope, strategy, Table::Num(ix.boxes, 0),
+        {scope, Table::Num(ix.boxes, 0),
          Table::Num(ix.mem_bytes / 1e6, 2), Table::Num(ix.spline_max_error, 0),
          ix.lookup_p95_us < 0 ? "-" : Table::Num(ix.lookup_p95_us, 3),
          ix.fallback_rate < 0 ? "-" : Table::Num(ix.fallback_rate, 4),
