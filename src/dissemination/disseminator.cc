@@ -8,24 +8,21 @@
 namespace dsps::dissemination {
 
 Disseminator::Disseminator(sim::Network* network, const Config& config)
-    : network_(network), config_(config) {
-  DSPS_CHECK(network != nullptr);
+    : network_(network),
+      config_(config),
+      hops_(network, kMsgTupleAck, config.retry_timeout_s) {
   if (config_.metrics != nullptr) {
     route_lookup_us_ = config_.metrics->histogram("dissem.route_lookup_us");
   }
-  if (config_.reliable) {
-    DSPS_CHECK(config_.retry_timeout_s > 0);
-    DSPS_CHECK(config_.retry_backoff >= 1.0);
-    DSPS_CHECK(config_.max_retries >= 0);
-    if (config_.metrics != nullptr) {
-      retries_counter_ = config_.metrics->counter("dissemination.retries");
-      delivery_failed_counter_ =
-          config_.metrics->counter("dissemination.delivery_failed");
-      duplicates_counter_ =
-          config_.metrics->counter("dissemination.duplicates_suppressed");
-      retries_cancelled_counter_ =
-          config_.metrics->counter("dissemination.retries_cancelled");
-    }
+  if (config_.reliable && config_.metrics != nullptr) {
+    sim::ReliableChannel::Counters counters;
+    counters.retries = config_.metrics->counter("dissemination.retries");
+    counters.failed = config_.metrics->counter("dissemination.delivery_failed");
+    counters.cancelled =
+        config_.metrics->counter("dissemination.retries_cancelled");
+    counters.duplicates =
+        config_.metrics->counter("dissemination.duplicates_suppressed");
+    hops_.SetCounters(counters);
   }
 }
 
@@ -71,34 +68,10 @@ common::Status Disseminator::RemoveEntity(common::EntityId id) {
       DSPS_RETURN_IF_ERROR(tree->RemoveEntity(id));
     }
   }
-  // Abandon reliable sends addressed to the removed entity (it will never
-  // ack — counted as delivery failures) and cancel sends *from* its
-  // gateway (the sender process is gone; its retransmissions would only
-  // burn simulated bandwidth on a peer known dead, running to max_retries
-  // for nothing — counted as cancelled). Each settled send's retry timer
-  // is cancelled too, reclaiming its event-heap slot immediately.
-  if (config_.reliable) {
-    common::SimNodeId gone = it->second;
-    for (auto p = pending_.begin(); p != pending_.end();) {
-      if (p->second.msg.to == gone) {
-        delivery_failures_ += 1;
-        if (delivery_failed_counter_ != nullptr) {
-          delivery_failed_counter_->Increment();
-        }
-        network_->simulator()->Cancel(p->second.timer);
-        p = pending_.erase(p);
-      } else if (p->second.msg.from == gone) {
-        retries_cancelled_ += 1;
-        if (retries_cancelled_counter_ != nullptr) {
-          retries_cancelled_counter_->Increment();
-        }
-        network_->simulator()->Cancel(p->second.timer);
-        p = pending_.erase(p);
-      } else {
-        ++p;
-      }
-    }
-  }
+  // The removed entity will never ack hops sent to it (delivery
+  // failures), and its gateway's own sends must not be retransmitted by a
+  // process that is gone (cancelled).
+  (void)hops_.Abandon(it->second);
   by_node_.erase(it->second);
   gateways_.erase(it);
   return common::Status::OK();
@@ -180,10 +153,11 @@ void Disseminator::Forward(const DisseminationTree& tree,
     msg.size_bytes = size_bytes;
     msg.trace_id = trace_id;
     if (config_.reliable) {
+      const int64_t seq = hops_.NextSeq();
       TupleEnvelope reliable_env = env;
-      reliable_env.seq = next_seq_++;
+      reliable_env.seq = seq;
       msg.payload = std::move(reliable_env);
-      SendReliable(std::move(msg));
+      hops_.Send(std::move(msg), seq);
     } else {
       msg.payload = env;
       common::Status s = network_->Send(std::move(msg));
@@ -191,58 +165,6 @@ void Disseminator::Forward(const DisseminationTree& tree,
     }
     ++forwards_;
   }
-}
-
-void Disseminator::SendReliable(sim::Message msg) {
-  int64_t seq = std::any_cast<const TupleEnvelope&>(msg.payload).seq;
-  PendingSend pending;
-  pending.msg = msg;
-  pending.retries_left = config_.max_retries;
-  pending.timeout_s = config_.retry_timeout_s;
-  pending_[seq] = std::move(pending);
-  common::Status s = network_->Send(std::move(msg));
-  DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-  ScheduleRetry(seq, config_.retry_timeout_s);
-}
-
-void Disseminator::ScheduleRetry(int64_t seq, double timeout_s) {
-  sim::TimerId timer =
-      network_->simulator()->ScheduleCancellable(timeout_s, [this, seq]() {
-    auto it = pending_.find(seq);
-    if (it == pending_.end()) return;  // settled in the meantime
-    PendingSend& p = it->second;
-    if (p.retries_left <= 0) {
-      // Bounded retries exhausted: the hop failed for good. Counted so
-      // the loss is observable; the tuple is gone for this subtree.
-      delivery_failures_ += 1;
-      if (delivery_failed_counter_ != nullptr) {
-        delivery_failed_counter_->Increment();
-      }
-      pending_.erase(it);
-      return;
-    }
-    p.retries_left -= 1;
-    p.timeout_s *= config_.retry_backoff;
-    retries_ += 1;
-    if (retries_counter_ != nullptr) retries_counter_->Increment();
-    common::Status s = network_->Send(p.msg);
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleRetry(seq, p.timeout_s);
-  });
-  auto it = pending_.find(seq);
-  if (it != pending_.end()) it->second.timer = timer;
-}
-
-void Disseminator::SendAck(common::SimNodeId from_node,
-                           common::SimNodeId to_node, int64_t seq) {
-  sim::Message ack;
-  ack.from = from_node;
-  ack.to = to_node;
-  ack.type = kMsgTupleAck;
-  ack.size_bytes = config_.ack_bytes;
-  ack.payload = TupleAckEnvelope{seq};
-  common::Status s = network_->Send(std::move(ack));
-  DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
 }
 
 common::Status Disseminator::Publish(const engine::Tuple& tuple) {
@@ -275,33 +197,16 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
 }
 
 bool Disseminator::HandleMessage(const sim::Message& msg) {
-  if (msg.type == kMsgTupleAck) {
-    const auto* ack = std::any_cast<TupleAckEnvelope>(&msg.payload);
-    DSPS_CHECK(ack != nullptr);
-    auto it = pending_.find(ack->seq);
-    if (it != pending_.end()) {
-      network_->simulator()->Cancel(it->second.timer);
-      pending_.erase(it);
-    }
-    return true;
-  }
+  if (hops_.HandleAck(msg)) return true;
   if (msg.type != kMsgTupleForward) return false;
   auto node_it = by_node_.find(msg.to);
   if (node_it == by_node_.end()) return false;
   common::EntityId entity = node_it->second;
   const auto* env = std::any_cast<TupleEnvelope>(&msg.payload);
   DSPS_CHECK(env != nullptr);
-  if (env->seq != 0) {
-    // Reliable hop: always ack (the sender may be retrying because our
-    // previous ack was lost), then suppress re-deliveries so retries and
-    // network duplicates never double-process or double-forward.
-    SendAck(msg.to, msg.from, env->seq);
-    if (!seen_seqs_.insert(env->seq).second) {
-      duplicates_suppressed_ += 1;
-      if (duplicates_counter_ != nullptr) duplicates_counter_->Increment();
-      return true;
-    }
-  }
+  // Reliable hop: retries and network duplicates must never
+  // double-process or double-forward.
+  if (env->seq != 0 && !hops_.Accept(msg, env->seq)) return true;
   const DisseminationTree* tree = trees_.at(env->tuple->stream).get();
   if (tree->LocalMatch(entity, env->point->data())) {
     ++delivered_;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"
@@ -13,6 +12,7 @@
 #include "dissemination/tree.h"
 #include "engine/tuple.h"
 #include "sim/network.h"
+#include "sim/reliable_channel.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
 
@@ -20,7 +20,8 @@ namespace dsps::dissemination {
 
 /// Message type used on the simulated network for tuple forwarding.
 inline constexpr int kMsgTupleForward = 101;
-/// Hop-level acknowledgment of a reliable kMsgTupleForward.
+/// Hop-level acknowledgment (a sim::AckEnvelope) of a reliable
+/// kMsgTupleForward.
 inline constexpr int kMsgTupleAck = 102;
 
 /// Payload of a kMsgTupleForward message.
@@ -30,11 +31,6 @@ struct TupleEnvelope {
   std::shared_ptr<const std::vector<double>> point;
   /// Reliable-mode sequence number (0 = fire-and-forget). Unique per
   /// Disseminator; the receiver acks it and suppresses re-deliveries.
-  int64_t seq = 0;
-};
-
-/// Payload of a kMsgTupleAck message.
-struct TupleAckEnvelope {
   int64_t seq = 0;
 };
 
@@ -50,22 +46,15 @@ class Disseminator {
     /// forward-everything-to-children baseline.
     bool early_filter = true;
     /// Reliable forwarding for lossy networks (fault-injection runs):
-    /// every tuple-forward hop carries a sequence number, the receiver
-    /// acks it, and unacked sends are retried with bounded exponential
-    /// backoff; re-deliveries are suppressed by sequence number, so each
-    /// hop is exactly-once under loss and duplication. Off by default —
-    /// when false no acks, sequence numbers, or timers exist and the wire
-    /// traffic is bit-identical to the fire-and-forget build.
+    /// every tuple-forward hop goes over a sim::ReliableChannel, so each
+    /// hop is exactly-once under loss and duplication, and a hop out of
+    /// retries is counted in dissemination.delivery_failed — never
+    /// silent. Off by default — when false no acks, sequence numbers, or
+    /// timers exist and the wire traffic is bit-identical to the
+    /// fire-and-forget build.
     bool reliable = false;
-    /// First retransmission fires this long after an unacked send...
-    double retry_timeout_s = 0.05;
-    /// ...and each further one waits `retry_backoff` times longer.
-    double retry_backoff = 2.0;
-    /// Retransmissions per message before the hop is declared failed
-    /// (counted in dissemination.delivery_failed — never silent).
-    int max_retries = 4;
-    /// Bytes of a kMsgTupleAck on the wire.
-    int64_t ack_bytes = 16;
+    /// First retransmission fires this long after an unacked send.
+    double retry_timeout_s = sim::ReliableChannel::kDefaultTimeoutS;
     /// Optional telemetry (null = disabled, zero overhead). With metrics,
     /// each tree node exports dissemination.forwarded / .filtered /
     /// .delivered counters labeled {stream, node}. With a trace log,
@@ -122,17 +111,15 @@ class Disseminator {
   int64_t forward_count() const { return forwards_; }
 
   /// Reliable-mode statistics (all zero when Config::reliable is false).
-  int64_t retries_count() const { return retries_; }
-  int64_t delivery_failures_count() const { return delivery_failures_; }
-  int64_t duplicates_suppressed_count() const {
-    return duplicates_suppressed_;
-  }
+  int64_t retries_count() const { return hops_.retries(); }
+  int64_t delivery_failures_count() const { return hops_.failed(); }
+  int64_t duplicates_suppressed_count() const { return hops_.duplicates(); }
   /// Pending sends abandoned because their *sender* gateway was removed
   /// (RemoveEntity): a dead process cannot retransmit, so its ack/retry
-  /// timers are cancelled instead of running to max_retries.
-  int64_t retries_cancelled_count() const { return retries_cancelled_; }
+  /// timers are cancelled instead of running out of retries.
+  int64_t retries_cancelled_count() const { return hops_.cancelled(); }
   /// Sends awaiting an ack right now.
-  size_t pending_reliable_count() const { return pending_.size(); }
+  size_t pending_reliable_count() const { return hops_.pending(); }
 
   /// Aggregated routing-cache index statistics across every stream tree
   /// (boxes, memory, spline health); feeds bench JSON and
@@ -142,10 +129,6 @@ class Disseminator {
  private:
   void Forward(const DisseminationTree& tree, common::EntityId from,
                common::SimNodeId from_node, const TupleEnvelope& env);
-  void SendReliable(sim::Message msg);
-  void ScheduleRetry(int64_t seq, double timeout_s);
-  void SendAck(common::SimNodeId from_node, common::SimNodeId to_node,
-               int64_t seq);
 
   /// Cached per-(stream, tree-node) counters; node = kInvalidEntity is
   /// the source. Interned lazily on first traffic through the node.
@@ -174,27 +157,8 @@ class Disseminator {
   /// delivery is always scheduled, never synchronous, so Forward cannot
   /// re-enter while the list is being walked.
   std::vector<common::EntityId> targets_scratch_;
-
-  /// Reliable-mode state (untouched when Config::reliable is false).
-  struct PendingSend {
-    sim::Message msg;
-    int retries_left = 0;
-    double timeout_s = 0.0;
-    /// The armed retry timer. Acks and RemoveEntity cancel it, so a
-    /// settled send frees its heap slot instead of leaving a dud event.
-    sim::TimerId timer = sim::kInvalidTimer;
-  };
-  std::map<int64_t, PendingSend> pending_;
-  std::set<int64_t> seen_seqs_;
-  int64_t next_seq_ = 1;
-  int64_t retries_ = 0;
-  int64_t delivery_failures_ = 0;
-  int64_t duplicates_suppressed_ = 0;
-  int64_t retries_cancelled_ = 0;
-  telemetry::Counter* retries_counter_ = nullptr;
-  telemetry::Counter* delivery_failed_counter_ = nullptr;
-  telemetry::Counter* duplicates_counter_ = nullptr;
-  telemetry::Counter* retries_cancelled_counter_ = nullptr;
+  /// Reliable-mode tuple hops (unused when Config::reliable is false).
+  sim::ReliableChannel hops_;
 };
 
 }  // namespace dsps::dissemination

@@ -32,7 +32,7 @@ std::vector<int> ByDescendingWeight(const QueryGraph& graph) {
 // -------------------------------------------------------- LoadOnlyPartitioner
 
 common::Result<std::vector<int>> LoadOnlyPartitioner::Partition(
-    const QueryGraph& graph, int k, double /*balance_tolerance*/) {
+    const QueryGraph& graph, int k, double /*tolerance*/) {
   DSPS_RETURN_IF_ERROR(ValidateArgs(graph, k));
   std::vector<int> assignment(graph.num_vertices(), 0);
   std::vector<double> part_weight(k, 0.0);
@@ -49,14 +49,14 @@ common::Result<std::vector<int>> LoadOnlyPartitioner::Partition(
 // ----------------------------------------------------------- GreedyGrow init
 
 std::vector<int> GreedyGrowPartition(const QueryGraph& graph, int k,
-                                     double balance_tolerance,
+                                     double tolerance,
                                      common::Rng* rng) {
   // Classic greedy graph growing (GGP): grow one part at a time from a
   // random seed, always absorbing the unassigned vertex with the highest
   // affinity (edge weight) to the growing part, until the part reaches its
   // ideal weight. This keeps natural clusters contiguous, unlike per-vertex
   // round-robin placement which shreds them across parts.
-  (void)balance_tolerance;  // growth targets the ideal weight directly
+  (void)tolerance;  // growth targets the ideal weight directly
   const int n = graph.num_vertices();
   const double ideal = graph.total_vertex_weight() / std::max(1, k);
   std::vector<int> assignment(n, -1);
@@ -111,12 +111,12 @@ std::vector<int> GreedyGrowPartition(const QueryGraph& graph, int k,
 // ---------------------------------------------------------------- FM refine
 
 int FmRefine(const QueryGraph& graph, std::vector<int>* assignment, int k,
-             double balance_tolerance, int passes) {
+             double tolerance, int passes) {
   DSPS_CHECK(assignment != nullptr);
   const int n = graph.num_vertices();
   DSPS_CHECK(static_cast<int>(assignment->size()) == n);
   const double cap =
-      balance_tolerance * graph.total_vertex_weight() / std::max(1, k);
+      tolerance * graph.total_vertex_weight() / std::max(1, k);
   std::vector<double> part_weight = graph.PartWeights(*assignment, k);
   int total_moves = 0;
   std::vector<double> affinity(k, 0.0);
@@ -226,7 +226,7 @@ MultilevelPartitioner::MultilevelPartitioner(const Config& config)
     : config_(config) {}
 
 common::Result<std::vector<int>> MultilevelPartitioner::Partition(
-    const QueryGraph& graph, int k, double balance_tolerance) {
+    const QueryGraph& graph, int k, double tolerance) {
   DSPS_RETURN_IF_ERROR(ValidateArgs(graph, k));
   common::Rng rng(config_.seed);
   // Coarsening phase.
@@ -246,13 +246,13 @@ common::Result<std::vector<int>> MultilevelPartitioner::Partition(
   for (int restart = 0; restart < std::max(1, config_.init_restarts);
        ++restart) {
     std::vector<int> candidate =
-        GreedyGrowPartition(*current, k, balance_tolerance, &rng);
-    FmRefine(*current, &candidate, k, balance_tolerance,
+        GreedyGrowPartition(*current, k, tolerance, &rng);
+    FmRefine(*current, &candidate, k, tolerance,
              config_.refine_passes);
     double cut = current->EdgeCut(candidate);
     double imb = current->Imbalance(candidate, k);
-    bool feasible = imb <= balance_tolerance + 1e-9;
-    bool best_feasible = !assignment.empty() && best_imb <= balance_tolerance + 1e-9;
+    bool feasible = imb <= tolerance + 1e-9;
+    bool best_feasible = !assignment.empty() && best_imb <= tolerance + 1e-9;
     bool better = assignment.empty() ||
                   (feasible && !best_feasible) ||
                   (feasible == best_feasible &&
@@ -273,7 +273,7 @@ common::Result<std::vector<int>> MultilevelPartitioner::Partition(
       fine_assignment[v] = assignment[it->fine_to_coarse[v]];
     }
     assignment = std::move(fine_assignment);
-    FmRefine(finer, &assignment, k, balance_tolerance, config_.refine_passes);
+    FmRefine(finer, &assignment, k, tolerance, config_.refine_passes);
   }
   return assignment;
 }

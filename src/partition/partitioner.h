@@ -18,11 +18,11 @@ class Partitioner {
 
   virtual const char* name() const = 0;
 
-  /// Returns one part id in [0, k) per vertex. `balance_tolerance` bounds
+  /// Returns one part id in [0, k) per vertex. `tolerance` bounds
   /// each part's weight to tolerance * (total/k), best effort: a single
   /// overweight vertex can exceed it.
   virtual common::Result<std::vector<int>> Partition(
-      const QueryGraph& graph, int k, double balance_tolerance) = 0;
+      const QueryGraph& graph, int k, double tolerance) = 0;
 };
 
 /// Baseline: longest-processing-time greedy load balancing that ignores
@@ -32,7 +32,7 @@ class LoadOnlyPartitioner : public Partitioner {
  public:
   const char* name() const override { return "load-only"; }
   common::Result<std::vector<int>> Partition(const QueryGraph& graph, int k,
-                                             double balance_tolerance) override;
+                                             double tolerance) override;
 };
 
 /// Multilevel heuristic (METIS-style): heavy-edge-matching coarsening,
@@ -58,7 +58,7 @@ class MultilevelPartitioner : public Partitioner {
 
   const char* name() const override { return "multilevel"; }
   common::Result<std::vector<int>> Partition(const QueryGraph& graph, int k,
-                                             double balance_tolerance) override;
+                                             double tolerance) override;
 
  private:
   Config config_;
@@ -68,14 +68,14 @@ class MultilevelPartitioner : public Partitioner {
 /// order, each placed on the part it has the most edge weight to, among
 /// parts that stay within the balance bound (lightest part as fallback).
 std::vector<int> GreedyGrowPartition(const QueryGraph& graph, int k,
-                                     double balance_tolerance,
+                                     double tolerance,
                                      common::Rng* rng);
 
 /// Boundary refinement (simplified Fiduccia-Mattheyses): repeatedly moves
 /// the vertex with the best cut gain to a neighboring part, subject to the
 /// balance bound. Returns the number of moves applied.
 int FmRefine(const QueryGraph& graph, std::vector<int>* assignment, int k,
-             double balance_tolerance, int passes);
+             double tolerance, int passes);
 
 }  // namespace dsps::partition
 

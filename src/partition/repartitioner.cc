@@ -151,10 +151,10 @@ ScratchRepartitioner::ScratchRepartitioner(MultilevelPartitioner::Config config)
 
 RepartitionResult ScratchRepartitioner::Repartition(
     const QueryGraph& graph, const std::vector<int>& old_assignment, int k,
-    double balance_tolerance) {
+    double tolerance) {
   auto start = std::chrono::steady_clock::now();
   std::vector<int> old_padded = PadOld(old_assignment, graph.num_vertices());
-  auto result = partitioner_.Partition(graph, k, balance_tolerance);
+  auto result = partitioner_.Partition(graph, k, tolerance);
   DSPS_CHECK(result.ok());
   std::vector<int> assignment = std::move(result).value();
   RelabelToMinimizeMigrations(graph, old_padded, &assignment, k);
@@ -167,10 +167,10 @@ RepartitionResult ScratchRepartitioner::Repartition(
 
 RepartitionResult IncrementalRepartitioner::Repartition(
     const QueryGraph& graph, const std::vector<int>& old_assignment, int k,
-    double balance_tolerance) {
+    double tolerance) {
   auto start = std::chrono::steady_clock::now();
   const int n = graph.num_vertices();
-  const double cap = balance_tolerance * graph.total_vertex_weight() / k;
+  const double cap = tolerance * graph.total_vertex_weight() / k;
   std::vector<int> old_padded = PadOld(old_assignment, n);
   std::vector<int> assignment = old_padded;
   // New queries go to the lightest part (no overlap awareness here).
@@ -229,10 +229,10 @@ HybridRepartitioner::HybridRepartitioner(const Config& config)
 
 RepartitionResult HybridRepartitioner::Repartition(
     const QueryGraph& graph, const std::vector<int>& old_assignment, int k,
-    double balance_tolerance) {
+    double tolerance) {
   auto start = std::chrono::steady_clock::now();
   const int n = graph.num_vertices();
-  const double cap = balance_tolerance * graph.total_vertex_weight() / k;
+  const double cap = tolerance * graph.total_vertex_weight() / k;
   std::vector<int> old_padded = PadOld(old_assignment, n);
   std::vector<int> assignment = old_padded;
   // New queries placed by interest affinity.
@@ -275,7 +275,7 @@ RepartitionResult HybridRepartitioner::Repartition(
     assignment[best_v] = best_p;
   }
   // Bounded local refinement to recover cut quality.
-  FmRefine(graph, &assignment, k, balance_tolerance, config_.refine_passes);
+  FmRefine(graph, &assignment, k, tolerance, config_.refine_passes);
   RepartitionResult r = Finish(graph, old_padded, std::move(assignment), k, start);
   RecordMetrics(r);
   return r;

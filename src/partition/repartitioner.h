@@ -34,7 +34,7 @@ class Repartitioner {
   virtual const char* name() const = 0;
   virtual RepartitionResult Repartition(const QueryGraph& graph,
                                         const std::vector<int>& old_assignment,
-                                        int k, double balance_tolerance) = 0;
+                                        int k, double tolerance) = 0;
 
   /// Attaches a metrics registry (null = detach; default off, zero cost).
   /// Every Repartition then records, labeled {strategy=name()}:
@@ -59,7 +59,7 @@ class ScratchRepartitioner : public Repartitioner {
   const char* name() const override { return "scratch"; }
   RepartitionResult Repartition(const QueryGraph& graph,
                                 const std::vector<int>& old_assignment, int k,
-                                double balance_tolerance) override;
+                                double tolerance) override;
 
  private:
   MultilevelPartitioner partitioner_;
@@ -73,7 +73,7 @@ class IncrementalRepartitioner : public Repartitioner {
   const char* name() const override { return "incremental"; }
   RepartitionResult Repartition(const QueryGraph& graph,
                                 const std::vector<int>& old_assignment, int k,
-                                double balance_tolerance) override;
+                                double tolerance) override;
 };
 
 /// The desirable middle ground the paper calls for: restore balance by
@@ -90,7 +90,7 @@ class HybridRepartitioner : public Repartitioner {
   const char* name() const override { return "hybrid"; }
   RepartitionResult Repartition(const QueryGraph& graph,
                                 const std::vector<int>& old_assignment, int k,
-                                double balance_tolerance) override;
+                                double tolerance) override;
 
  private:
   Config config_;

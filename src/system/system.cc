@@ -14,9 +14,28 @@
 
 namespace dsps::system {
 
-System::System(const Config& config) : config_(config), rng_(config.seed) {
-  simulator_ = std::make_unique<sim::Simulator>();
-  network_ = std::make_unique<sim::Network>(simulator_.get());
+namespace {
+
+/// Imbalance (heaviest part / ideal part weight) graph-partition
+/// allocation and repartitioning may accept.
+constexpr double kBalanceTolerance = 1.2;
+/// Simulated per-query re-install time at a survivor receiving a re-home
+/// batch (state re-initialization; queries of one batch serialize).
+constexpr double kRehomeInstallLatencyS = 0.02;
+/// Wire size of a re-home batch: a 64-byte header plus this per query.
+constexpr int64_t kRehomeBatchBytesPerQuery = 96;
+
+}  // namespace
+
+System::System(const Config& config)
+    : config_(config),
+      rng_(config.seed),
+      simulator_(std::make_unique<sim::Simulator>()),
+      network_(std::make_unique<sim::Network>(simulator_.get())),
+      result_channel_(network_.get(), kMsgClientResultAck,
+                      config.result_retry_timeout_s,
+                      config.result_max_retries),
+      rehome_channel_(network_.get(), kMsgRehomeAck) {
   common::Rng topo_rng = rng_.Fork(1);
   topology_ = sim::BuildTopology(network_.get(), config.topology, &topo_rng);
   placement_policy_ = std::make_unique<placement::PrAwarePlacement>();
@@ -125,21 +144,7 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
         const auto* env =
             std::any_cast<ClientResultEnvelope>(&msg.payload);
         if (env == nullptr) return;
-        if (env->seq != 0) {
-          // Reliable result: always ack (the gateway may be retrying
-          // because our previous ack was lost), then deliver each
-          // sequence number at most once — with the gateway's retries
-          // this makes result delivery exactly-once per result.
-          sim::Message ack;
-          ack.from = msg.to;
-          ack.to = msg.from;
-          ack.type = kMsgClientResultAck;
-          ack.size_bytes = 16;
-          ack.payload = ClientResultAckEnvelope{env->seq};
-          common::Status s = network_->Send(std::move(ack));
-          DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-          if (!seen_result_seqs_.insert(env->seq).second) return;
-        }
+        if (env->seq != 0 && !result_channel_.Accept(msg, env->seq)) return;
         metrics_.client_results += 1;
         metrics_.client_latency.Add(
             std::max(0.0, simulator_->now() - env->result_timestamp));
@@ -163,14 +168,7 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
     double center = config_.topology.world_size / 2.0;
     rehome_node_ = network_->AddNode({center, center});
     network_->SetHandler(rehome_node_, [this](const sim::Message& msg) {
-      if (msg.type != kMsgRehomeAck) return;
-      const auto* ack = std::any_cast<RehomeAckEnvelope>(&msg.payload);
-      DSPS_CHECK(ack != nullptr);
-      auto it = pending_rehomes_.find(ack->seq);
-      if (it != pending_rehomes_.end()) {
-        simulator_->Cancel(it->second.timer);
-        pending_rehomes_.erase(it);
-      }
+      (void)rehome_channel_.HandleAck(msg);
     });
   }
 
@@ -232,16 +230,7 @@ void System::InstallGatewayDispatcher(common::EntityId entity) {
 }
 
 bool System::HandleSystemMessage(const sim::Message& msg) {
-  if (msg.type == kMsgClientResultAck) {
-    const auto* ack = std::any_cast<ClientResultAckEnvelope>(&msg.payload);
-    DSPS_CHECK(ack != nullptr);
-    auto it = pending_results_.find(ack->seq);
-    if (it != pending_results_.end()) {
-      simulator_->Cancel(it->second.timer);
-      pending_results_.erase(it);
-    }
-    return true;
-  }
+  if (result_channel_.HandleAck(msg)) return true;
   if (msg.type == kMsgRehomeBatch) {
     const auto* env = std::any_cast<RehomeBatchEnvelope>(&msg.payload);
     DSPS_CHECK(env != nullptr);
@@ -250,25 +239,15 @@ bool System::HandleSystemMessage(const sim::Message& msg) {
     // control plane cancels the pending send; the queries stay
     // unplaced for re-dispatch to the next standby).
     if (!IsAlive(env->target)) return true;
-    // Always ack (the control plane may be retrying because our previous
-    // ack was lost), then install each sequence number at most once.
-    sim::Message ack;
-    ack.from = msg.to;
-    ack.to = msg.from;
-    ack.type = kMsgRehomeAck;
-    ack.size_bytes = 16;
-    ack.payload = RehomeAckEnvelope{env->seq};
-    common::Status s = network_->Send(std::move(ack));
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    if (!seen_rehome_seqs_.insert(env->seq).second) return true;
+    if (!rehome_channel_.Accept(msg, env->seq)) return true;
     // The survivor re-initializes one query's state at a time: installs
-    // within a batch serialize at install_latency_s, while different
+    // within a batch serialize at kRehomeInstallLatencyS, while different
     // survivors work concurrently — recovery time scales with the
     // largest per-survivor share, not the total orphan count.
     common::EntityId target = env->target;
     double delay = 0.0;
     for (common::QueryId qid : env->queries) {
-      delay += config_.recovery.install_latency_s;
+      delay += kRehomeInstallLatencyS;
       simulator_->Schedule(delay, [this, target, qid]() {
         (void)InstallFromUnplaced(target, qid);
       });
@@ -287,7 +266,7 @@ void System::ShipResultToClient(common::EntityId entity,
   ClientResultEnvelope env;
   env.result_timestamp = tuple.timestamp;
   env.query = query;
-  if (config_.reliable_results) env.seq = next_result_seq_++;
+  if (config_.reliable_results) env.seq = result_channel_.NextSeq();
   sim::Message msg;
   msg.from = entities_[entity]->gateway_node();
   msg.to = client_nodes_[it->second];
@@ -296,41 +275,11 @@ void System::ShipResultToClient(common::EntityId entity,
   msg.trace_id = tuple.trace_id;
   msg.payload = env;
   if (config_.reliable_results) {
-    PendingResult pending;
-    pending.msg = msg;
-    pending.retries_left = config_.result_max_retries;
-    pending.timeout_s = config_.result_retry_timeout_s;
-    pending_results_[env.seq] = std::move(pending);
-    ScheduleResultRetry(env.seq, config_.result_retry_timeout_s);
+    result_channel_.Send(std::move(msg), env.seq);
+    return;
   }
   common::Status s = network_->Send(std::move(msg));
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-}
-
-void System::ScheduleResultRetry(int64_t seq, double timeout_s) {
-  // Cancellable: the ack path reclaims the timer's heap slot instead of
-  // letting a dead retry fire (at metro scale those dead timers dominated
-  // the event heap). The find() is kept as a backstop for entries erased
-  // without cancellation.
-  sim::TimerId timer = simulator_->ScheduleCancellable(timeout_s, [this,
-                                                                   seq]() {
-    auto it = pending_results_.find(seq);
-    if (it == pending_results_.end()) return;  // acked in the meantime
-    PendingResult& p = it->second;
-    if (p.retries_left <= 0) {
-      result_delivery_failures_ += 1;
-      pending_results_.erase(it);
-      return;
-    }
-    p.retries_left -= 1;
-    p.timeout_s *= config_.result_retry_backoff;
-    result_retries_ += 1;
-    common::Status s = network_->Send(p.msg);
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleResultRetry(seq, p.timeout_s);
-  });
-  auto it = pending_results_.find(seq);
-  if (it != pending_results_.end()) it->second.timer = timer;
 }
 
 entity::Entity::EngineFactory System::MakeEngineFactory(
@@ -804,7 +753,7 @@ common::Status System::SubmitBatch(const std::vector<engine::Query>& queries) {
   partition::QueryGraph graph = partition::QueryGraph::Build(queries, catalog_);
   partition::MultilevelPartitioner partitioner;
   auto assignment = partitioner.Partition(
-      graph, static_cast<int>(alive_ids.size()), config_.balance_tolerance);
+      graph, static_cast<int>(alive_ids.size()), kBalanceTolerance);
   if (!assignment.ok()) return assignment.status();
   for (size_t i = 0; i < queries.size(); ++i) {
     DSPS_RETURN_IF_ERROR(
@@ -1002,10 +951,21 @@ int System::EvictEntity(common::EntityId entity) {
   if (disseminator_ != nullptr) {
     (void)disseminator_->RemoveEntity(entity);
   }
-  // Timer hygiene: the evicted process cannot retransmit, and batches
-  // addressed to it will never be acked — cancel both instead of letting
-  // their retry timers run to max_retries against a known-dead peer.
-  CancelPendingFor(entity);
+  // Timer hygiene: the evicted process cannot retransmit its results, and
+  // re-home batches addressed to it will never be acked. A stranded
+  // batch's uninstalled queries are still in unplaced_, so they
+  // re-dispatch to their next standby target, which no longer includes
+  // `entity`.
+  const common::SimNodeId gateway = entities_[entity]->gateway_node();
+  (void)result_channel_.Abandon(gateway);
+  std::vector<common::QueryId> stranded;
+  for (const sim::Message& batch : rehome_channel_.Abandon(gateway)) {
+    for (common::QueryId qid :
+         std::any_cast<const RehomeBatchEnvelope&>(batch.payload).queries) {
+      if (unplaced_.count(qid) > 0) stranded.push_back(qid);
+    }
+  }
+  if (!stranded.empty()) DispatchDeclusteredRehomes(std::move(stranded));
   // Re-home its queries on the survivors. Re-homes that fail are kept in
   // the unplaced queue and counted — a failed SubmitQuery used to drop
   // the query with no error and no metric.
@@ -1054,38 +1014,6 @@ int System::EvictEntity(common::EntityId entity) {
   return rehomed;
 }
 
-void System::CancelPendingFor(common::EntityId entity) {
-  common::SimNodeId gw = entities_[entity]->gateway_node();
-  for (auto it = pending_results_.begin(); it != pending_results_.end();) {
-    if (it->second.msg.from == gw) {
-      result_retries_cancelled_ += 1;
-      simulator_->Cancel(it->second.timer);
-      it = pending_results_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (placement_map_ == nullptr) return;
-  // Re-home batches in flight to the dead entity: their queries are still
-  // in unplaced_ (installs remove them one by one), so cancelling loses
-  // nothing — re-dispatch the uninstalled remainder to the next standby
-  // target, which no longer includes `entity`.
-  std::vector<common::QueryId> stranded;
-  for (auto it = pending_rehomes_.begin(); it != pending_rehomes_.end();) {
-    if (it->second.target == entity) {
-      for (common::QueryId qid : it->second.queries) {
-        if (unplaced_.count(qid) > 0) stranded.push_back(qid);
-      }
-      failure_stats_.rehome_batches_cancelled += 1;
-      simulator_->Cancel(it->second.timer);
-      it = pending_rehomes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!stranded.empty()) DispatchDeclusteredRehomes(std::move(stranded));
-}
-
 void System::DispatchDeclusteredRehomes(std::vector<common::QueryId> orphans) {
   DSPS_CHECK(placement_map_ != nullptr);
   // Group by first alive standby target. Queries with no alive target
@@ -1107,7 +1035,7 @@ void System::DispatchDeclusteredRehomes(std::vector<common::QueryId> orphans) {
     double start = std::max(simulator_->now(), serial_rehome_free_at_);
     for (auto& [target, qids] : by_target) {
       for (common::QueryId qid : qids) {
-        start += config_.recovery.install_latency_s;
+        start += kRehomeInstallLatencyS;
         simulator_->ScheduleAt(start, [this, target = target, qid]() {
           (void)InstallFromUnplaced(target, qid);
         });
@@ -1126,52 +1054,20 @@ void System::SendRehomeBatch(common::EntityId target,
   RehomeBatchEnvelope env;
   env.target = target;
   env.queries = std::move(queries);
-  env.seq = next_rehome_seq_++;
+  env.seq = rehome_channel_.NextSeq();
   sim::Message msg;
   msg.from = rehome_node_;
   msg.to = entities_[target]->gateway_node();
   msg.type = kMsgRehomeBatch;
-  msg.size_bytes = 64 + config_.recovery.batch_bytes_per_query *
-                            static_cast<int64_t>(env.queries.size());
-  msg.payload = env;
-  PendingRehome pending;
-  pending.msg = msg;
-  pending.target = target;
-  pending.queries = env.queries;
-  pending.retries_left = config_.recovery.max_retries;
-  pending.timeout_s = config_.recovery.retry_timeout_s;
-  pending_rehomes_[env.seq] = std::move(pending);
+  msg.size_bytes =
+      64 + kRehomeBatchBytesPerQuery * static_cast<int64_t>(env.queries.size());
+  const int64_t seq = env.seq;
+  msg.payload = std::move(env);
   failure_stats_.rehome_batches += 1;
-  common::Status s = network_->Send(std::move(msg));
-  DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-  ScheduleRehomeRetry(env.seq, config_.recovery.retry_timeout_s);
-}
-
-void System::ScheduleRehomeRetry(int64_t seq, double timeout_s) {
-  // Cancellable so acks and CancelPendingFor reclaim the heap slot.
-  sim::TimerId timer = simulator_->ScheduleCancellable(timeout_s, [this,
-                                                                   seq]() {
-    auto it = pending_rehomes_.find(seq);
-    if (it == pending_rehomes_.end()) return;  // acked or cancelled
-    PendingRehome& p = it->second;
-    if (p.retries_left <= 0) {
-      // Retries exhausted (target unreachable but not evicted): abandon
-      // the batch. Its uninstalled queries are still in unplaced_, which
-      // TryRehomeUnplaced and every maintenance round retry — a lost
-      // batch is never a lost query.
-      failure_stats_.rehome_batches_cancelled += 1;
-      pending_rehomes_.erase(it);
-      return;
-    }
-    p.retries_left -= 1;
-    p.timeout_s *= config_.recovery.retry_backoff;
-    failure_stats_.rehome_batch_retries += 1;
-    common::Status s = network_->Send(p.msg);
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleRehomeRetry(seq, p.timeout_s);
-  });
-  auto it = pending_rehomes_.find(seq);
-  if (it != pending_rehomes_.end()) it->second.timer = timer;
+  // A batch out of retries (target unreachable but not evicted) leaves
+  // its uninstalled queries in unplaced_, which TryRehomeUnplaced and
+  // every maintenance round retry — a lost batch is never a lost query.
+  rehome_channel_.Send(std::move(msg), seq);
 }
 
 bool System::InstallFromUnplaced(common::EntityId target,
@@ -1188,6 +1084,12 @@ bool System::InstallFromUnplaced(common::EntityId target,
   unplaced_.erase(query);
   failure_stats_.queries_rehomed += 1;
   return true;
+}
+
+const System::FailureStats& System::failure_stats() const {
+  failure_stats_.rehome_batch_retries = rehome_channel_.retries();
+  failure_stats_.rehome_batches_cancelled = rehome_channel_.failed();
+  return failure_stats_;
 }
 
 std::vector<common::QueryId> System::UnplacedQueries() const {
@@ -1552,7 +1454,7 @@ common::Result<System::RepartitionReport> System::RepartitionQueries(
   repartitioner->SetMetrics(config_.metrics);
   partition::RepartitionResult result = repartitioner->Repartition(
       graph, old_assignment, static_cast<int>(alive_ids.size()),
-      config_.balance_tolerance);
+      kBalanceTolerance);
   RepartitionReport report;
   report.edge_cut = result.edge_cut;
   report.imbalance = result.imbalance;
@@ -1646,14 +1548,14 @@ telemetry::Watchdog* System::EnableWatchdog(
     watchdog_->AddIncreaseDetector(
         "entity_loss",
         [this] { return static_cast<double>(evictions_total_); }, tuning);
-    // Retry storm: the three retransmission paths (client results,
-    // re-home batches, dissemination) summed into one cumulative count.
+    // Retry storm: the three reliable channels (client results, re-home
+    // batches, dissemination) summed into one cumulative count.
     watchdog_->AddRateDetector(
         "retry_storm",
         [this] {
           double retries =
-              static_cast<double>(result_retries_) +
-              static_cast<double>(failure_stats_.rehome_batch_retries);
+              static_cast<double>(result_channel_.retries()) +
+              static_cast<double>(rehome_channel_.retries());
           if (disseminator_ != nullptr) {
             retries += static_cast<double>(disseminator_->retries_count());
           }

@@ -27,6 +27,7 @@
 #include "placement/placement.h"
 #include "placement/placement_map.h"
 #include "sim/fault_injector.h"
+#include "sim/reliable_channel.h"
 #include "sim/topology.h"
 #include "system/auditor.h"
 #include "system/metrics.h"
@@ -44,14 +45,15 @@ namespace dsps::system {
 
 /// Message type for entity->client result delivery.
 inline constexpr int kMsgClientResult = 401;
-/// Client->entity ack of a reliable kMsgClientResult.
+/// Client->entity ack (a sim::AckEnvelope) of a reliable kMsgClientResult.
 inline constexpr int kMsgClientResultAck = 402;
 /// Entity gateway -> failure monitor liveness beacon.
 inline constexpr int kMsgHeartbeat = 403;
 /// Control plane -> survivor gateway: batch of orphaned queries to
 /// re-install (declustered parallel recovery).
 inline constexpr int kMsgRehomeBatch = 404;
-/// Survivor gateway -> control plane ack of a kMsgRehomeBatch.
+/// Survivor gateway -> control plane ack (a sim::AckEnvelope) of a
+/// kMsgRehomeBatch.
 inline constexpr int kMsgRehomeAck = 405;
 
 /// Payload of kMsgClientResult.
@@ -59,11 +61,6 @@ struct ClientResultEnvelope {
   double result_timestamp = 0.0;
   common::QueryId query = common::kInvalidQuery;
   /// Reliable-mode sequence number (0 = fire-and-forget).
-  int64_t seq = 0;
-};
-
-/// Payload of kMsgClientResultAck.
-struct ClientResultAckEnvelope {
   int64_t seq = 0;
 };
 
@@ -77,11 +74,6 @@ struct RehomeBatchEnvelope {
   common::EntityId target = common::kInvalidEntity;
   std::vector<common::QueryId> queries;
   /// Reliable sequence number (batches are acked, retried, deduplicated).
-  int64_t seq = 0;
-};
-
-/// Payload of kMsgRehomeAck.
-struct RehomeAckEnvelope {
   int64_t seq = 0;
 };
 
@@ -142,8 +134,6 @@ class System {
     dissemination::Disseminator::Config dissemination;
     entity::Entity::Config entity;
     AllocationMode allocation = AllocationMode::kCoordinatorTree;
-    /// Balance tolerance for graph-partition allocation.
-    double balance_tolerance = 1.2;
     /// Engine family per entity: "basic", "batch", or "mixed" (entities
     /// alternate — the heterogeneity the loose coupling must tolerate).
     const char* engine_family = "mixed";
@@ -185,15 +175,13 @@ class System {
     /// bit-identical to a build without the fault layer.
     bool inject_faults = false;
     sim::FaultInjector::Config faults;
-    /// Reliable client-result delivery: results carry sequence numbers,
-    /// clients ack them, unacked results are retried with bounded
-    /// exponential backoff, and clients suppress duplicates — so each
-    /// query result reaches its client exactly once under loss. Off by
-    /// default (no acks, no timers, bit-identical traffic).
+    /// Reliable client-result delivery: results go over a
+    /// sim::ReliableChannel, so each query result reaches its client
+    /// exactly once under loss, or is counted as a delivery failure. Off
+    /// by default (no acks, no timers, bit-identical traffic).
     bool reliable_results = false;
-    double result_retry_timeout_s = 0.05;
-    double result_retry_backoff = 2.0;
-    int result_max_retries = 4;
+    double result_retry_timeout_s = sim::ReliableChannel::kDefaultTimeoutS;
+    int result_max_retries = sim::ReliableChannel::kDefaultMaxRetries;
     /// Declustered placement (only read when allocation ==
     /// AllocationMode::kPlacementMap): ring/replica parameters of the
     /// placement map built over the topology's fault domains.
@@ -207,18 +195,6 @@ class System {
       /// global serial re-home chain — the old single-queue behavior,
       /// but costed in simulated time so the two are comparable.
       bool parallel = true;
-      /// Simulated per-query re-install time at the receiving entity
-      /// (state re-initialization; queries of one batch serialize).
-      double install_latency_s = 0.02;
-      /// Wire size of one batch: 64 header bytes + this per query.
-      int64_t batch_bytes_per_query = 96;
-      /// Reliable batch delivery: unacked batches are retried with
-      /// bounded exponential backoff and deduplicated by sequence
-      /// number; exhausted retries leave the queries in the unplaced
-      /// queue for the maintenance retry path — never lost.
-      double retry_timeout_s = 0.05;
-      double retry_backoff = 2.0;
-      int max_retries = 4;
     };
     RecoveryConfig recovery;
     /// Multi-tenant admission control (src/tenant/). Registering one or
@@ -412,15 +388,19 @@ class System {
     /// Coordinator protocol messages spent on Leave/Join repairs.
     int64_t repair_messages = 0;
     /// Declustered recovery (placement-map mode): re-home batches sent to
-    /// survivors, their retransmissions, and batches cancelled because
-    /// their target died before acking (queries stay unplaced, retried).
+    /// survivors, their retransmissions, and batches given up — out of
+    /// retries or addressed to an evicted target (their queries stay
+    /// unplaced and are retried).
     int64_t rehome_batches = 0;
     int64_t rehome_batch_retries = 0;
     int64_t rehome_batches_cancelled = 0;
     /// Crash-to-sweep delay of every detected (real) crash.
     common::Histogram detection_latency;
   };
-  const FailureStats& failure_stats() const { return failure_stats_; }
+  /// The live counters. The re-home batch retry and give-up counts live
+  /// in the re-home channel and are copied in at each call, so read them
+  /// through a fresh call.
+  const FailureStats& failure_stats() const;
 
   /// The failure monitor's network node (kInvalidSimNode until
   /// EnableFailureDetection ran). Exposed so fault scenarios can target
@@ -445,15 +425,15 @@ class System {
 
   /// Reliable client-result delivery statistics (zero unless
   /// Config::reliable_results).
-  int64_t result_retries() const { return result_retries_; }
+  int64_t result_retries() const { return result_channel_.retries(); }
   int64_t result_delivery_failures() const {
-    return result_delivery_failures_;
+    return result_channel_.failed();
   }
   /// Pending result retries cancelled because their sending entity was
-  /// evicted (the process is gone; its timers must not run to
-  /// max_retries against a client that already saw the failure).
+  /// evicted (the process is gone; its timers must not run out their
+  /// retries against a client that already saw the failure).
   int64_t result_retries_cancelled() const {
-    return result_retries_cancelled_;
+    return result_channel_.cancelled();
   }
 
   /// Moves a live query to another entity. Because entities may run
@@ -626,24 +606,18 @@ class System {
   void WatchdogTick(double period_s, double until);
   void SampleTick(telemetry::TimeSeriesRecorder* recorder, double period_s,
                   double until);
-  void ScheduleResultRetry(int64_t seq, double timeout_s);
   /// Declustered recovery pipeline (placement-map mode). Orphans are
   /// already in unplaced_ when these run; DispatchDeclusteredRehomes
   /// groups them by first alive standby target and either fans batches
-  /// out to survivor gateways in parallel (reliable: acked, retried,
-  /// deduplicated) or schedules one global serial install chain.
+  /// out to survivor gateways in parallel over rehome_channel_, or
+  /// schedules one global serial install chain.
   void DispatchDeclusteredRehomes(std::vector<common::QueryId> orphans);
   void SendRehomeBatch(common::EntityId target,
                        std::vector<common::QueryId> queries);
-  void ScheduleRehomeRetry(int64_t seq, double timeout_s);
   /// Installs one unplaced query on `target` if both still qualify (the
   /// query may have been removed or re-homed, the target evicted, while
   /// the batch was in flight). Returns true if it landed.
   bool InstallFromUnplaced(common::EntityId target, common::QueryId query);
-  /// Eviction-time timer hygiene: drops pending result retries whose
-  /// sender gateway died and pending re-home batches addressed to the
-  /// dead entity (their queries remain in unplaced_ for re-dispatch).
-  void CancelPendingFor(common::EntityId entity);
 
   Config config_;
   common::Rng rng_;
@@ -697,39 +671,17 @@ class System {
   bool detection_active_ = false;
   FailureDetectionConfig detection_config_;
   common::SimNodeId monitor_node_ = common::kInvalidSimNode;
-  FailureStats failure_stats_;
-  /// Reliable client-result state (untouched unless reliable_results).
-  struct PendingResult {
-    sim::Message msg;
-    int retries_left = 0;
-    double timeout_s = 0.0;
-    /// Outstanding retry timer, cancelled on ack so the heap slot is
-    /// reclaimed instead of firing into a dead entry.
-    sim::TimerId timer = sim::kInvalidTimer;
-  };
-  std::map<int64_t, PendingResult> pending_results_;
-  std::unordered_set<int64_t> seen_result_seqs_;
-  int64_t next_result_seq_ = 1;
-  int64_t result_retries_ = 0;
-  int64_t result_delivery_failures_ = 0;
-  int64_t result_retries_cancelled_ = 0;
+  mutable FailureStats failure_stats_;
+  /// Entity -> client results (unused unless reliable_results).
+  sim::ReliableChannel result_channel_;
+  /// Control plane -> survivor re-home batches (unused outside
+  /// placement-map mode).
+  sim::ReliableChannel rehome_channel_;
   /// Declustered placement state (null / untouched unless allocation ==
   /// kPlacementMap). The map mirrors the System's alive set; rehome_node_
   /// is the control-plane node batches originate from.
   std::unique_ptr<placement::PlacementMap> placement_map_;
   common::SimNodeId rehome_node_ = common::kInvalidSimNode;
-  struct PendingRehome {
-    sim::Message msg;
-    common::EntityId target = common::kInvalidEntity;
-    std::vector<common::QueryId> queries;
-    int retries_left = 0;
-    double timeout_s = 0.0;
-    /// Outstanding retry timer, cancelled on ack / CancelPendingFor.
-    sim::TimerId timer = sim::kInvalidTimer;
-  };
-  std::map<int64_t, PendingRehome> pending_rehomes_;
-  std::unordered_set<int64_t> seen_rehome_seqs_;
-  int64_t next_rehome_seq_ = 1;
   /// When one global serial chain is used (recovery.parallel == false),
   /// installs queue behind this simulated-time watermark.
   double serial_rehome_free_at_ = 0.0;

@@ -358,6 +358,45 @@ TEST(FailoverSystemTest, PlacementMapFailoverFansOutToStandbysInParallel) {
   EXPECT_EQ(auditor->violations(), 0);
 }
 
+TEST(FailoverSystemTest, PlacementMapRehomeBatchesSurviveLossAndDuplication) {
+  System::Config cfg = MapConfig(/*num_entities=*/8, /*num_domains=*/4,
+                                 /*inject=*/true);
+  cfg.faults.loss_probability = 0.2;
+  cfg.faults.duplication_probability = 0.1;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  const int kQueries = 48;
+  for (int i = 1; i <= kQueries; ++i) {
+    ASSERT_TRUE(sys.SubmitQuery(WideQuery(i, i % 2, /*load=*/0.1)).ok());
+  }
+  Auditor* auditor = sys.EnableAudit(/*period_s=*/0.01, /*until=*/5.0);
+  int orphans = 0;
+  for (int i = 1; i <= kQueries; ++i) {
+    if (sys.EntityOf(i) == 0) ++orphans;
+  }
+  ASSERT_GT(orphans, 0);
+
+  ASSERT_TRUE(sys.FailEntity(0).ok());
+  RecoveryCompletionTime(&sys, /*limit=*/5.0);
+  // Lost batches and lost acks were retransmitted, and duplicate batches
+  // installed nothing twice: every orphan landed exactly once.
+  EXPECT_EQ(sys.unplaced_count(), 0);
+  const System::FailureStats& fs = sys.failure_stats();
+  EXPECT_GT(fs.rehome_batch_retries, 0);
+  EXPECT_EQ(fs.queries_rehomed, orphans);
+  int hosted = 0;
+  for (int e = 0; e < sys.num_entities(); ++e) {
+    hosted += static_cast<int>(sys.entity_at(e)->query_count());
+  }
+  EXPECT_EQ(hosted, kQueries);
+  // Past the longest retry chain (31 first timeouts), survivors' acks
+  // have settled the batches: not every batch ran out of retries.
+  sys.RunUntil(sys.now() + 2.0);
+  EXPECT_LT(sys.failure_stats().rehome_batches_cancelled, fs.rehome_batches);
+  EXPECT_GT(auditor->sweeps(), 0);
+  EXPECT_EQ(auditor->violations(), 0);
+}
+
 TEST(FailoverSystemTest, PlacementMapParallelRecoveryBeatsSerialChain) {
   auto recover = [](bool parallel) {
     System::Config cfg = MapConfig(/*num_entities=*/8, /*num_domains=*/4);
@@ -472,7 +511,7 @@ TEST(FailoverSystemTest, PlacementMapRecoverySurvivesConcurrentChurn) {
   ExpectCleanAudit(&sys);
 }
 
-TEST(FailoverSystemTest, EvictionCancelsPendingResultRetries) {
+TEST(FailoverSystemTest, EvictionCancelsResultRetries) {
   // Satellite of the declustered-recovery work: an evicted entity's
   // reliable-result retry timers must be cancelled at eviction instead of
   // retransmitting from a dead process until max_retries.
