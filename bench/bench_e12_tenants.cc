@@ -164,7 +164,6 @@ E12Run Run(Scenario scenario,
     // the queued demand it exists to absorb.
     ecfg.high_watermark = 0.3;
     ecfg.low_watermark = 0.05;
-    ecfg.sustain_rounds = 2;
     ecfg.max_processors = 4;
     sys.EnableElasticity(ecfg, /*period_s=*/0.5, /*until=*/kDuration);
   }

@@ -178,7 +178,7 @@ void PrintE1() {
   // Replays one representative row's exact delivery-latency samples into
   // a default telemetry::Sketch and verifies the mergeable-sketch error
   // contract against ground truth: at each pinned quantile, the estimate
-  // must be within the sketch's relative_accuracy of the exact nearest-
+  // must be within the sketch's kRelativeAccuracy of the exact nearest-
   // rank sample, and the target rank must fall inside the rank interval
   // of samples within that error band (the guarantee E13 leans on when
   // it swaps exact histograms for sketches at metro scale).
@@ -190,7 +190,7 @@ void PrintE1() {
     std::sort(sorted.begin(), sorted.end());
     dsps::telemetry::Sketch sketch;
     for (double x : sorted) sketch.Add(x);
-    const double alpha = sketch.config().relative_accuracy;
+    const double alpha = dsps::telemetry::Sketch::kRelativeAccuracy;
     const double n = static_cast<double>(sorted.size());
     double max_rel_err = 0.0;
     double max_rank_err = 0.0;

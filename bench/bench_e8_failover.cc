@@ -460,7 +460,7 @@ std::vector<StrategyRow> CompareStrategies() {
 
   // Placement map: same queries, same failure. Survivor homes are
   // untouched by construction — only the dead entity's targets change.
-  dsps::placement::PlacementMap map(BlockDomains(kEntities, kDomains), {});
+  dsps::placement::PlacementMap map(BlockDomains(kEntities, kDomains));
   std::vector<int> map_before(queries.size());
   for (size_t v = 0; v < queries.size(); ++v) {
     map_before[v] = static_cast<int>(map.Primary(queries[v].id));

@@ -4,17 +4,31 @@
 #include <vector>
 
 #include "common/check.h"
+#include "sim/topology.h"
 
 namespace dsps::dissemination {
 
 using sim::Distance;
 using sim::Point;
 
-TreeReorganizer::TreeReorganizer() : TreeReorganizer(Config()) {}
-TreeReorganizer::TreeReorganizer(const Config& config) : config_(config) {}
+namespace {
 
-double TreeReorganizer::TreeCost(const DisseminationTree& tree,
-                                 double depth_penalty_units) {
+/// A move must reduce the entity's attachment cost by at least this
+/// fraction to be applied (hysteresis against oscillation).
+constexpr double kMinGainFrac = 0.10;
+/// Max re-attachments per round.
+constexpr int kMaxMovesPerRound = 8;
+/// Every tree level costs this many distance units (the per-hop base
+/// latency expressed in distance): attaching to a *deep* nearby parent
+/// can be worse than a shallow distant one. With the WAN model (2 ms
+/// base, 50 us per unit) one hop is 40 units.
+constexpr double kDepthPenaltyUnits =
+    sim::kWanBaseLatencyS / sim::kWanLatencyPerUnitS;
+static_assert(kDepthPenaltyUnits == 40.0);
+
+}  // namespace
+
+double TreeReorganizer::TreeCost(const DisseminationTree& tree) {
   double cost = 0.0;
   // Children of the source (depth 1, parent depth 0).
   for (common::EntityId id : tree.Children(common::kInvalidEntity)) {
@@ -34,7 +48,7 @@ double TreeReorganizer::TreeCost(const DisseminationTree& tree,
     stack.pop_back();
     for (common::EntityId child : tree.Children(item.id)) {
       cost += Distance(tree.position(item.id), tree.position(child)) +
-              depth_penalty_units * item.depth;
+              kDepthPenaltyUnits * item.depth;
       stack.push_back(Item{child, item.depth + 1});
     }
   }
@@ -53,8 +67,7 @@ TreeReorganizer::RoundStats TreeReorganizer::Round(
     double gain;
   };
 
-  for (int move_count = 0; move_count < config_.max_moves_per_round;
-       ++move_count) {
+  for (int move_count = 0; move_count < kMaxMovesPerRound; ++move_count) {
     // Collect all entities (BFS from the source).
     std::vector<common::EntityId> entities;
     std::vector<common::EntityId> stack =
@@ -98,7 +111,7 @@ TreeReorganizer::RoundStats TreeReorganizer::Round(
           (parent.value() == common::kInvalidEntity
                ? Distance(tree->source_position(), my_pos)
                : Distance(tree->position(parent.value()), my_pos)) +
-          config_.depth_penalty_units * old_parent_depth;
+          kDepthPenaltyUnits * old_parent_depth;
       auto consider = [&](common::EntityId candidate, const Point& pos) {
         if (candidate == id || candidate == parent.value()) return;
         if (tree->IsDescendant(id, candidate)) return;
@@ -108,11 +121,11 @@ TreeReorganizer::RoundStats TreeReorganizer::Round(
         }
         int depth_delta = depth_of(candidate) - old_parent_depth;
         double cost = Distance(pos, my_pos) +
-                      config_.depth_penalty_units * depth_of(candidate) +
-                      config_.depth_penalty_units * depth_delta *
+                      kDepthPenaltyUnits * depth_of(candidate) +
+                      kDepthPenaltyUnits * depth_delta *
                           static_cast<double>(members - 1);
         double gain = current - cost;
-        if (gain > best.gain && gain >= config_.min_gain_frac * current) {
+        if (gain > best.gain && gain >= kMinGainFrac * current) {
           best = Move{id, candidate, gain};
         }
       };

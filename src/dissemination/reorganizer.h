@@ -18,19 +18,6 @@ namespace dsps::dissemination {
 /// round so churn stays incremental.
 class TreeReorganizer {
  public:
-  struct Config {
-    /// A move must reduce the entity's attachment cost by at least this
-    /// fraction to be applied (hysteresis against oscillation).
-    double min_gain_frac = 0.10;
-    /// Max re-attachments per round.
-    int max_moves_per_round = 8;
-    /// Every tree level costs this many distance units (the per-hop base
-    /// latency expressed in distance): attaching to a *deep* nearby
-    /// parent can be worse than a shallow distant one. With the default
-    /// WAN model (2 ms base, 50 us per unit) one hop ≈ 40 units.
-    double depth_penalty_units = 40.0;
-  };
-
   struct RoundStats {
     int moves = 0;
     /// Sum of entity->parent distances before/after the round.
@@ -38,20 +25,13 @@ class TreeReorganizer {
     double cost_after = 0.0;
   };
 
-  TreeReorganizer();
-  explicit TreeReorganizer(const Config& config);
-
   /// Runs one improvement round on `tree`.
   RoundStats Round(DisseminationTree* tree) const;
 
   /// The objective Round reduces: sum over entities of the distance to
-  /// their parent plus `depth_penalty_units` per level of depth (the
-  /// distance-equivalent of per-hop base latency).
-  static double TreeCost(const DisseminationTree& tree,
-                         double depth_penalty_units = 40.0);
-
- private:
-  Config config_;
+  /// their parent plus a per-level depth penalty (the distance-equivalent
+  /// of per-hop base latency).
+  static double TreeCost(const DisseminationTree& tree);
 };
 
 }  // namespace dsps::dissemination

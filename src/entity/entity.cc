@@ -9,6 +9,13 @@
 
 namespace dsps::entity {
 
+namespace {
+
+/// Bytes per tuple used in placement traffic estimates.
+constexpr double kBytesPerTuple = 64.0;
+
+}  // namespace
+
 Entity::Entity(common::EntityId id, sim::Network* network,
                std::vector<common::SimNodeId> processor_nodes,
                EngineFactory engine_factory, placement::PlacementPolicy* policy,
@@ -26,7 +33,7 @@ Entity::Entity(common::EntityId id, sim::Network* network,
   for (size_t i = 0; i < processor_nodes.size(); ++i) {
     auto proc = std::make_unique<Processor>(
         static_cast<common::ProcessorId>(i), network_, processor_nodes[i],
-        engine_factory_(), config.processor_capacity);
+        engine_factory_());
     common::ProcessorId pid = proc->id();
     proc->SetEmissionHandler([this, pid](const Processor::Emission& em) {
       OnEmission(pid, em);
@@ -95,14 +102,14 @@ common::Status Entity::InstallQuery(const engine::Query& query,
   state.p_k = std::max(1e-12, query.plan->EstimateInherentCostPerTuple());
   state.fragments = placement::FragmentQuery(
       *query.plan, query.id, config_.distribution_limit, expected_input_tps,
-      config_.bytes_per_tuple, &next_fragment_id_);
+      kBytesPerTuple, &next_fragment_id_);
 
   // Build the placement problem: fragments holding a stream-bound operator
   // are anchored at that stream's delegate.
   placement::PlacementInput input;
   for (const auto& proc : processors_) {
     input.processors.push_back(placement::ProcessorSpec{
-        proc->id(), proc->capacity(), proc->committed_load()});
+        proc->id(), kProcessorCapacity, proc->committed_load()});
   }
   input.fragments = state.fragments;
   input.distribution_limit = config_.distribution_limit;
@@ -424,7 +431,7 @@ int Entity::Rebalance(const placement::Rebalancer& rebalancer) {
   for (const auto& proc : processors_) {
     // base_load excludes the fragments being re-planned.
     input.processors.push_back(
-        placement::ProcessorSpec{proc->id(), proc->capacity(), 0.0});
+        placement::ProcessorSpec{proc->id(), kProcessorCapacity, 0.0});
   }
   input.distribution_limit = config_.distribution_limit;
   placement::Placement current;
@@ -457,9 +464,8 @@ void Entity::CollectIndexStats(interest::IndexStats* stats) const {
 
 common::ProcessorId Entity::AddProcessor(common::SimNodeId node) {
   auto pid = static_cast<common::ProcessorId>(processors_.size());
-  auto proc = std::make_unique<Processor>(pid, network_, node,
-                                          engine_factory_(),
-                                          config_.processor_capacity);
+  auto proc =
+      std::make_unique<Processor>(pid, network_, node, engine_factory_());
   proc->SetEmissionHandler([this, pid](const Processor::Emission& em) {
     OnEmission(pid, em);
   });

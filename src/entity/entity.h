@@ -59,10 +59,6 @@ class Entity {
   struct Config {
     /// Max processors one query may touch (Section 4.1's heuristic 2).
     int distribution_limit = 2;
-    /// CPU capacity per processor (CPU seconds per second).
-    double processor_capacity = 1.0;
-    /// Bytes per tuple used in placement traffic estimates.
-    double bytes_per_tuple = 64.0;
     /// Baseline knob (Figure 3 ablation): route every stream through
     /// processor 0 instead of per-stream delegates.
     bool single_receiver = false;

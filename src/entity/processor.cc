@@ -9,16 +9,11 @@ namespace dsps::entity {
 
 Processor::Processor(common::ProcessorId id, sim::Network* network,
                      common::SimNodeId node,
-                     std::unique_ptr<engine::ExecutionEngine> engine,
-                     double capacity)
-    : id_(id),
-      network_(network),
-      node_(node),
-      engine_(std::move(engine)),
-      capacity_(capacity) {
+                     std::unique_ptr<engine::ExecutionEngine> engine)
+    : id_(id), network_(network), node_(node), engine_(std::move(engine)) {
+  static_assert(kProcessorCapacity > 0);
   DSPS_CHECK(network != nullptr);
   DSPS_CHECK(engine_ != nullptr);
-  DSPS_CHECK(capacity > 0);
 }
 
 common::Status Processor::InstallFragment(
@@ -48,7 +43,7 @@ common::Status Processor::Submit(common::FragmentId fragment,
                                  const engine::Tuple& tuple) {
   std::vector<engine::TaggedOutput> outputs;
   DSPS_RETURN_IF_ERROR(engine_->Inject(fragment, op, port, tuple, &outputs));
-  double cost = engine_->DrainCpuCost() / capacity_;
+  double cost = engine_->DrainCpuCost() / kProcessorCapacity;
   sim::Simulator* sim = network_->simulator();
   double start = std::max(sim->now(), busy_until_);
   busy_until_ = start + cost;

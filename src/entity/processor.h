@@ -14,6 +14,9 @@
 
 namespace dsps::entity {
 
+/// CPU capacity of every processor (CPU seconds per second: one core).
+inline constexpr double kProcessorCapacity = 1.0;
+
 /// A simulated processor: one machine of an entity's cluster. It hosts an
 /// ExecutionEngine with the fragments placed on it and charges simulated
 /// CPU time for every tuple, so queueing delay (the "time waiting for
@@ -29,15 +32,14 @@ class Processor {
   };
   using EmissionHandler = std::function<void(const Emission&)>;
 
-  /// `network` and `engine` define where and how this processor runs;
-  /// `capacity` is CPU seconds available per second (1.0 = one core).
+  /// `network` and `engine` define where and how this processor runs; it
+  /// has kProcessorCapacity CPU seconds available per second.
   Processor(common::ProcessorId id, sim::Network* network,
-            common::SimNodeId node, std::unique_ptr<engine::ExecutionEngine> engine,
-            double capacity = 1.0);
+            common::SimNodeId node,
+            std::unique_ptr<engine::ExecutionEngine> engine);
 
   common::ProcessorId id() const { return id_; }
   common::SimNodeId node() const { return node_; }
-  double capacity() const { return capacity_; }
   engine::ExecutionEngine* engine() { return engine_.get(); }
 
   /// Installs / removes fragments on the hosted engine.
@@ -80,7 +82,6 @@ class Processor {
   sim::Network* network_;
   common::SimNodeId node_;
   std::unique_ptr<engine::ExecutionEngine> engine_;
-  double capacity_;
   double busy_until_ = 0.0;
   double busy_seconds_ = 0.0;
   double committed_load_ = 0.0;

@@ -7,6 +7,18 @@
 
 namespace dsps::ordering {
 
+namespace {
+
+/// How strongly a processor's backlog (seconds of queued work) inflates
+/// its candidates' ranks.
+constexpr double kLoadWeight = 1.0;
+/// Selectivity prior used before any observation.
+constexpr double kPriorSelectivity = 0.5;
+/// Cost prior (seconds/tuple) used before any observation.
+constexpr double kPriorCost = 1e-6;
+
+}  // namespace
+
 AdaptationModule::AdaptationModule() : AdaptationModule(Config()) {}
 AdaptationModule::AdaptationModule(const Config& config) : config_(config) {
   DSPS_CHECK(config.ema_alpha > 0 && config.ema_alpha <= 1.0);
@@ -27,8 +39,7 @@ void AdaptationModule::ReportSelectivity(common::QueryId query,
                                          common::OperatorId op,
                                          double observed) {
   auto [it, inserted] = stats_.try_emplace(
-      {query, op},
-      OpStats{config_.prior_selectivity, config_.prior_cost, false});
+      {query, op}, OpStats{kPriorSelectivity, kPriorCost, false});
   OpStats& s = it->second;
   if (!s.seen) {
     s.selectivity = observed;
@@ -42,8 +53,7 @@ void AdaptationModule::ReportSelectivity(common::QueryId query,
 void AdaptationModule::ReportCost(common::QueryId query,
                                   common::OperatorId op, double cost_seconds) {
   auto [it, inserted] = stats_.try_emplace(
-      {query, op},
-      OpStats{config_.prior_selectivity, config_.prior_cost, false});
+      {query, op}, OpStats{kPriorSelectivity, kPriorCost, false});
   OpStats& s = it->second;
   s.cost =
       (1 - config_.ema_alpha) * s.cost + config_.ema_alpha * cost_seconds;
@@ -57,14 +67,13 @@ void AdaptationModule::ReportBacklog(common::ProcessorId proc,
 double AdaptationModule::EstimatedSelectivity(common::QueryId query,
                                               common::OperatorId op) const {
   auto it = stats_.find({query, op});
-  return it == stats_.end() ? config_.prior_selectivity
-                            : it->second.selectivity;
+  return it == stats_.end() ? kPriorSelectivity : it->second.selectivity;
 }
 
 double AdaptationModule::EstimatedCost(common::QueryId query,
                                        common::OperatorId op) const {
   auto it = stats_.find({query, op});
-  return it == stats_.end() ? config_.prior_cost : it->second.cost;
+  return it == stats_.end() ? kPriorCost : it->second.cost;
 }
 
 double AdaptationModule::Backlog(common::ProcessorId proc) const {
@@ -82,7 +91,7 @@ double AdaptationModule::Rank(common::QueryId query, const Candidate& c,
   double drop = std::max(1e-6, 1.0 - std::min(sel, 1.0 - 1e-6));
   double rank = cost / drop;
   if (include_load) {
-    rank *= 1.0 + config_.load_weight * Backlog(c.proc);
+    rank *= 1.0 + kLoadWeight * Backlog(c.proc);
   }
   return rank;
 }

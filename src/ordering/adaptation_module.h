@@ -33,13 +33,6 @@ class AdaptationModule {
   struct Config {
     /// EWMA weight of a new observation.
     double ema_alpha = 0.2;
-    /// How strongly a processor's backlog (seconds of queued work)
-    /// inflates its candidates' ranks.
-    double load_weight = 1.0;
-    /// Selectivity prior used before any observation.
-    double prior_selectivity = 0.5;
-    /// Cost prior (seconds/tuple) used before any observation.
-    double prior_cost = 1e-6;
   };
 
   AdaptationModule();

@@ -10,7 +10,7 @@ DistributedChain::DistributedChain(sim::Network* network,
                                    common::QueryId query,
                                    std::vector<FilterSite> sites,
                                    const Config& config)
-    : network_(network), query_(query), config_(config), am_(config.am) {
+    : network_(network), query_(query), config_(config) {
   DSPS_CHECK(network != nullptr);
   DSPS_CHECK(!sites.empty());
   std::vector<Candidate> candidates;

@@ -44,7 +44,6 @@ class DistributedChain {
     /// false = fix the visit order once from the AM's initial estimates
     /// (static baseline); true = per-tuple adaptive routing.
     bool adaptive = true;
-    AdaptationModule::Config am;
   };
 
   /// `network` must outlive the chain. Sites may share nodes.

@@ -9,6 +9,19 @@ namespace dsps::partition {
 
 namespace {
 
+/// Multilevel coarsening stops when at most this many vertices remain (or
+/// no further matching progress is possible).
+constexpr int kCoarsenTo = 64;
+/// Refinement sweeps per level.
+constexpr int kRefinePasses = 4;
+/// Independent greedy-growing restarts at the coarsest level; the best
+/// (balance, cut) result wins. Growth is seed-sensitive on small graphs,
+/// so a few restarts buy a lot of robustness.
+constexpr int kInitRestarts = 4;
+static_assert(kInitRestarts >= 1);
+/// Seed of the matching and growing draws.
+constexpr uint64_t kSeed = 1;
+
 common::Status ValidateArgs(const QueryGraph& graph, int k) {
   if (k <= 0) return common::Status::InvalidArgument("k must be positive");
   if (graph.num_vertices() == 0) {
@@ -219,20 +232,14 @@ bool Coarsen(const QueryGraph& fine, common::Rng* rng, Level* out) {
 
 }  // namespace
 
-MultilevelPartitioner::MultilevelPartitioner()
-    : MultilevelPartitioner(Config()) {}
-
-MultilevelPartitioner::MultilevelPartitioner(const Config& config)
-    : config_(config) {}
-
 common::Result<std::vector<int>> MultilevelPartitioner::Partition(
     const QueryGraph& graph, int k, double tolerance) {
   DSPS_RETURN_IF_ERROR(ValidateArgs(graph, k));
-  common::Rng rng(config_.seed);
+  common::Rng rng(kSeed);
   // Coarsening phase.
   std::vector<Level> levels;
   const QueryGraph* current = &graph;
-  while (current->num_vertices() > std::max(config_.coarsen_to, k)) {
+  while (current->num_vertices() > std::max(kCoarsenTo, k)) {
     Level level;
     if (!Coarsen(*current, &rng, &level)) break;
     levels.push_back(std::move(level));
@@ -243,12 +250,10 @@ common::Result<std::vector<int>> MultilevelPartitioner::Partition(
   std::vector<int> assignment;
   double best_cut = 0.0;
   double best_imb = 0.0;
-  for (int restart = 0; restart < std::max(1, config_.init_restarts);
-       ++restart) {
+  for (int restart = 0; restart < kInitRestarts; ++restart) {
     std::vector<int> candidate =
         GreedyGrowPartition(*current, k, tolerance, &rng);
-    FmRefine(*current, &candidate, k, tolerance,
-             config_.refine_passes);
+    FmRefine(*current, &candidate, k, tolerance, kRefinePasses);
     double cut = current->EdgeCut(candidate);
     double imb = current->Imbalance(candidate, k);
     bool feasible = imb <= tolerance + 1e-9;
@@ -273,7 +278,7 @@ common::Result<std::vector<int>> MultilevelPartitioner::Partition(
       fine_assignment[v] = assignment[it->fine_to_coarse[v]];
     }
     assignment = std::move(fine_assignment);
-    FmRefine(finer, &assignment, k, tolerance, config_.refine_passes);
+    FmRefine(finer, &assignment, k, tolerance, kRefinePasses);
   }
   return assignment;
 }

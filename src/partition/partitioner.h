@@ -40,28 +40,9 @@ class LoadOnlyPartitioner : public Partitioner {
 /// projection with boundary refinement at every level.
 class MultilevelPartitioner : public Partitioner {
  public:
-  struct Config {
-    /// Stop coarsening when at most this many vertices remain (or no
-    /// further matching progress is possible).
-    int coarsen_to = 64;
-    /// Refinement sweeps per level.
-    int refine_passes = 4;
-    /// Independent greedy-growing restarts at the coarsest level; the
-    /// best (balance, cut) result wins. Growth is seed-sensitive on small
-    /// graphs, so a few restarts buy a lot of robustness.
-    int init_restarts = 4;
-    uint64_t seed = 1;
-  };
-
-  MultilevelPartitioner();
-  explicit MultilevelPartitioner(const Config& config);
-
   const char* name() const override { return "multilevel"; }
   common::Result<std::vector<int>> Partition(const QueryGraph& graph, int k,
                                              double tolerance) override;
-
- private:
-  Config config_;
 };
 
 /// Greedy edge-aware initial partitioning: vertices in descending weight

@@ -10,6 +10,10 @@ namespace dsps::partition {
 
 namespace {
 
+/// Refinement sweeps after the hybrid's balance moves: bounded, so its
+/// decision time stays near the incremental extreme.
+constexpr int kHybridRefinePasses = 2;
+
 double WallSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -146,9 +150,6 @@ void RelabelToMinimizeMigrations(const QueryGraph& graph,
 
 // ------------------------------------------------------ ScratchRepartitioner
 
-ScratchRepartitioner::ScratchRepartitioner(MultilevelPartitioner::Config config)
-    : partitioner_(config) {}
-
 RepartitionResult ScratchRepartitioner::Repartition(
     const QueryGraph& graph, const std::vector<int>& old_assignment, int k,
     double tolerance) {
@@ -221,12 +222,6 @@ RepartitionResult IncrementalRepartitioner::Repartition(
 
 // ------------------------------------------------------- HybridRepartitioner
 
-HybridRepartitioner::HybridRepartitioner()
-    : HybridRepartitioner(Config()) {}
-
-HybridRepartitioner::HybridRepartitioner(const Config& config)
-    : config_(config) {}
-
 RepartitionResult HybridRepartitioner::Repartition(
     const QueryGraph& graph, const std::vector<int>& old_assignment, int k,
     double tolerance) {
@@ -275,7 +270,7 @@ RepartitionResult HybridRepartitioner::Repartition(
     assignment[best_v] = best_p;
   }
   // Bounded local refinement to recover cut quality.
-  FmRefine(graph, &assignment, k, tolerance, config_.refine_passes);
+  FmRefine(graph, &assignment, k, tolerance, kHybridRefinePasses);
   RepartitionResult r = Finish(graph, old_padded, std::move(assignment), k, start);
   RecordMetrics(r);
   return r;

@@ -55,7 +55,6 @@ class Repartitioner {
 /// cut, long decision time, many query movements.
 class ScratchRepartitioner : public Repartitioner {
  public:
-  explicit ScratchRepartitioner(MultilevelPartitioner::Config config = {});
   const char* name() const override { return "scratch"; }
   RepartitionResult Repartition(const QueryGraph& graph,
                                 const std::vector<int>& old_assignment, int k,
@@ -82,18 +81,10 @@ class IncrementalRepartitioner : public Repartitioner {
 /// near the incremental extreme while the cut stays near the scratch one.
 class HybridRepartitioner : public Repartitioner {
  public:
-  struct Config {
-    int refine_passes = 2;
-  };
-  HybridRepartitioner();
-  explicit HybridRepartitioner(const Config& config);
   const char* name() const override { return "hybrid"; }
   RepartitionResult Repartition(const QueryGraph& graph,
                                 const std::vector<int>& old_assignment, int k,
                                 double tolerance) override;
-
- private:
-  Config config_;
 };
 
 /// Cut/imbalance of an arbitrary assignment — the common yardstick for

@@ -10,6 +10,12 @@ namespace dsps::placement {
 
 namespace {
 
+/// Utilization slack of PR-aware placement: among processors whose
+/// post-placement utilization is within this of the best, the
+/// lowest-traffic one wins. Keeps heuristic 1 (balance) primary and
+/// heuristic 3 (traffic) subordinate, per Section 4.1.
+constexpr double kBalanceSlack = 0.10;
+
 common::Status ValidateInput(const PlacementInput& input) {
   if (input.processors.empty()) {
     return common::Status::InvalidArgument("no processors");
@@ -31,9 +37,6 @@ int ProcIndex(const PlacementInput& input, common::ProcessorId proc) {
 }  // namespace
 
 // ------------------------------------------------------------- PrAware
-
-PrAwarePlacement::PrAwarePlacement() : PrAwarePlacement(Config()) {}
-PrAwarePlacement::PrAwarePlacement(const Config& config) : config_(config) {}
 
 common::Result<Placement> PrAwarePlacement::Place(const PlacementInput& input) {
   DSPS_RETURN_IF_ERROR(ValidateInput(input));
@@ -87,7 +90,7 @@ common::Result<Placement> PrAwarePlacement::Place(const PlacementInput& input) {
       if (restricted && used.count(static_cast<int>(i)) == 0) continue;
       const ProcessorSpec& proc = input.processors[i];
       double util_after = (load[i] + frag.cpu_load) / proc.capacity;
-      if (util_after > best_util + config_.balance_slack) continue;
+      if (util_after > best_util + kBalanceSlack) continue;
       double traffic = 0.0;
       if (home >= 0 && home != static_cast<int>(i)) {
         traffic += frag.input_rate_bytes_s / mean_rate;

@@ -56,21 +56,8 @@ class PlacementPolicy {
 /// uses).
 class PrAwarePlacement : public PlacementPolicy {
  public:
-  struct Config {
-    /// Utilization slack: among processors whose post-placement
-    /// utilization is within this of the best, the lowest-traffic one
-    /// wins. Keeps heuristic 1 (balance) primary and heuristic 3
-    /// (traffic) subordinate, per Section 4.1.
-    double balance_slack = 0.10;
-  };
-  PrAwarePlacement();
-  explicit PrAwarePlacement(const Config& config);
-
   const char* name() const override { return "pr-aware"; }
   common::Result<Placement> Place(const PlacementInput& input) override;
-
- private:
-  Config config_;
 };
 
 /// Baseline: balance CPU load only; ignores the distribution limit and all

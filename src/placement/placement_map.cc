@@ -6,6 +6,21 @@
 
 namespace dsps::placement {
 
+namespace {
+
+/// Independent rings; more rings → better declustering of co-resident
+/// queries at map-build cost.
+constexpr int kRings = 4;
+/// Virtual points per entity per ring.
+constexpr int kVnodes = 16;
+/// Salt of the ring-point and query hashes.
+constexpr uint64_t kSeed = 0x9E3779B97F4A7C15ull;
+static_assert(PlacementMap::kReplicas >= 0);
+static_assert(kRings >= 1);
+static_assert(kVnodes >= 1);
+
+}  // namespace
+
 int32_t JumpConsistentHash(uint64_t key, int32_t num_buckets) {
   DSPS_CHECK(num_buckets > 0);
   int64_t b = -1;
@@ -28,28 +43,24 @@ uint64_t HashMix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-PlacementMap::PlacementMap(std::vector<int> domain_of, const Config& config)
-    : config_(config), domain_of_(std::move(domain_of)) {
+PlacementMap::PlacementMap(std::vector<int> domain_of)
+    : domain_of_(std::move(domain_of)) {
   DSPS_CHECK(!domain_of_.empty());
-  DSPS_CHECK(config_.replicas >= 0);
-  DSPS_CHECK(config_.rings >= 1);
-  DSPS_CHECK(config_.vnodes >= 1);
   alive_.assign(domain_of_.size(), true);
   for (int d : domain_of_) {
     DSPS_CHECK(d >= 0);
     num_domains_ = std::max(num_domains_, d + 1);
   }
-  rings_.resize(config_.rings);
-  for (int r = 0; r < config_.rings; ++r) {
+  rings_.resize(kRings);
+  for (int r = 0; r < kRings; ++r) {
     std::vector<RingPoint>& ring = rings_[r];
-    ring.reserve(domain_of_.size() * static_cast<size_t>(config_.vnodes));
+    ring.reserve(domain_of_.size() * static_cast<size_t>(kVnodes));
     for (common::EntityId e = 0; e < num_entities(); ++e) {
-      for (int v = 0; v < config_.vnodes; ++v) {
+      for (int v = 0; v < kVnodes; ++v) {
         RingPoint p;
-        p.pos = HashMix(config_.seed ^
-                        HashMix((static_cast<uint64_t>(r) << 40) ^
-                                (static_cast<uint64_t>(e) << 16) ^
-                                static_cast<uint64_t>(v)));
+        p.pos = HashMix(kSeed ^ HashMix((static_cast<uint64_t>(r) << 40) ^
+                                        (static_cast<uint64_t>(e) << 16) ^
+                                        static_cast<uint64_t>(v)));
         p.entity = e;
         ring.push_back(p);
       }
@@ -81,13 +92,11 @@ std::vector<common::EntityId> PlacementMap::Targets(
   std::vector<common::EntityId> out;
   int alive = num_alive();
   if (alive == 0) return out;
-  int want = std::min(config_.replicas + 1, alive);
+  int want = std::min(kReplicas + 1, alive);
   out.reserve(static_cast<size_t>(want));
 
-  uint64_t h = HashMix(static_cast<uint64_t>(query) ^ config_.seed);
-  int ring_index =
-      config_.rings > 1 ? JumpConsistentHash(h, config_.rings) : 0;
-  const std::vector<RingPoint>& ring = rings_[ring_index];
+  uint64_t h = HashMix(static_cast<uint64_t>(query) ^ kSeed);
+  const std::vector<RingPoint>& ring = rings_[JumpConsistentHash(h, kRings)];
   uint64_t start = HashMix(h + 0x6A09E667F3BCC909ull);
   size_t begin = std::lower_bound(ring.begin(), ring.end(), start,
                                   [](const RingPoint& p, uint64_t pos) {

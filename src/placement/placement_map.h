@@ -20,11 +20,12 @@ uint64_t HashMix(uint64_t x);
 ///
 /// Entities (dense ids [0, n)) are assigned to fault domains (racks /
 /// sites — components that fail together). The map builds several
-/// independent consistent-hash rings, each holding `vnodes` pseudo-random
-/// virtual points per entity; a query is routed by jump-hashing onto one
-/// ring and walking it clockwise from its hashed start position,
-/// collecting a primary plus `replicas` warm-standby targets that straddle
-/// distinct fault domains for as long as distinct domains remain.
+/// independent consistent-hash rings, each holding a fixed number of
+/// pseudo-random virtual points per entity; a query is routed by
+/// jump-hashing onto one ring and walking it clockwise from its hashed
+/// start position, collecting a primary plus kReplicas warm-standby
+/// targets that straddle distinct fault domains for as long as distinct
+/// domains remain.
 ///
 /// The payoff is declustering: two queries co-resident on one entity walk
 /// different rings from different offsets, so when that entity fails their
@@ -35,33 +36,24 @@ uint64_t HashMix(uint64_t x);
 /// only changes the target lists that contained it.
 class PlacementMap {
  public:
-  struct Config {
-    /// Warm standbys per query (k). Targets() returns up to replicas + 1
-    /// entities: primary first, standbys after.
-    int replicas = 2;
-    /// Independent rings; more rings → better declustering of co-resident
-    /// queries at map-build cost.
-    int rings = 4;
-    /// Virtual points per entity per ring.
-    int vnodes = 16;
-    uint64_t seed = 0x9E3779B97F4A7C15ull;
-  };
+  /// Warm standbys per query (k). Targets() returns up to kReplicas + 1
+  /// entities: primary first, standbys after.
+  static constexpr int kReplicas = 2;
 
   /// `domain_of[e]` is the fault domain of entity id `e`; every entity in
   /// [0, domain_of.size()) starts alive.
-  PlacementMap(std::vector<int> domain_of, const Config& config);
+  explicit PlacementMap(std::vector<int> domain_of);
 
   int num_entities() const { return static_cast<int>(domain_of_.size()); }
   int num_domains() const { return num_domains_; }
   int domain_of(common::EntityId entity) const { return domain_of_[entity]; }
-  const Config& config() const { return config_; }
 
   /// Membership: dead entities are transparently skipped by Targets.
   void SetAlive(common::EntityId entity, bool alive);
   bool IsAlive(common::EntityId entity) const;
   int num_alive() const;
 
-  /// The query's primary plus up to Config::replicas standbys — all
+  /// The query's primary plus up to kReplicas standbys — all
   /// alive, all distinct, and in pairwise-distinct fault domains while
   /// unused domains remain (the declustering walk relaxes the domain
   /// constraint only once every alive domain is represented). Empty iff
@@ -77,7 +69,6 @@ class PlacementMap {
     common::EntityId entity = common::kInvalidEntity;
   };
 
-  Config config_;
   std::vector<int> domain_of_;
   std::vector<bool> alive_;
   int num_domains_ = 0;

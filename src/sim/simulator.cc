@@ -39,6 +39,16 @@ TimerId Simulator::ScheduleCancellableAt(SimTime t, Callback fn) {
   return timer;
 }
 
+void Simulator::Every(SimTime period, SimTime until, Callback fn) {
+  DSPS_CHECK(period > 0);
+  SimTime next = now_ + period;
+  if (next > until) return;
+  ScheduleAt(next, [this, period, until, fn = std::move(fn)]() mutable {
+    fn();
+    Every(period, until, std::move(fn));
+  });
+}
+
 bool Simulator::Cancel(TimerId timer) {
   if (timer == kInvalidTimer) return false;
   auto it = timer_pos_.find(timer);

@@ -54,6 +54,13 @@ class Simulator {
   TimerId ScheduleCancellable(SimTime delay, Callback fn);
   TimerId ScheduleCancellableAt(SimTime t, Callback fn);
 
+  /// Runs `fn` periodically: first at now() + `period`, then `period`
+  /// after each previous run, never after `until` (a run at exactly
+  /// `until` happens). Each next run is scheduled only after `fn`
+  /// returns, so events `fn` schedules for the same instant run before
+  /// the next tick. Schedules nothing when now() + `period` > `until`.
+  void Every(SimTime period, SimTime until, Callback fn);
+
   /// Cancels a timer scheduled with ScheduleCancellable[At]. Returns true
   /// if the event was still pending (and is now removed), false if it
   /// already fired, was already cancelled, or the handle is invalid.

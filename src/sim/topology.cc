@@ -15,21 +15,14 @@ Topology BuildTopology(Network* network, const TopologyConfig& config,
   DSPS_CHECK(config.num_entities > 0);
   DSPS_CHECK(config.processors_per_entity > 0);
 
-  const double lan_cutoff = 2.0 * config.lan_radius;
-  LinkParams lan = config.lan;
-  double wan_base = config.wan_base_latency_s;
-  double wan_per_unit = config.wan_latency_per_unit_s;
-  double wan_bw = config.wan_bandwidth_bps;
-  network->SetDefaultLinkModel(
-      [lan_cutoff, lan, wan_base, wan_per_unit, wan_bw](const Point& a,
-                                                        const Point& b) {
-        double d = Distance(a, b);
-        if (d <= lan_cutoff) return lan;
-        LinkParams p;
-        p.latency_s = wan_base + wan_per_unit * d;
-        p.bandwidth_bps = wan_bw;
-        return p;
-      });
+  network->SetDefaultLinkModel([](const Point& a, const Point& b) {
+    double d = Distance(a, b);
+    if (d <= 2.0 * kLanRadius) return kLan;
+    LinkParams p;
+    p.latency_s = kWanBaseLatencyS + kWanLatencyPerUnitS * d;
+    p.bandwidth_bps = kWanBandwidthBps;
+    return p;
+  });
 
   Topology topo;
   topo.entities.reserve(config.num_entities);
@@ -45,12 +38,12 @@ Topology BuildTopology(Network* network, const TopologyConfig& config,
     // num_fault_domains settings.
     site.fault_domain = static_cast<int>(
         static_cast<int64_t>(e) * domains / config.num_entities);
-    site.center = Point{rng->Uniform(0, config.world_size),
-                        rng->Uniform(0, config.world_size)};
+    site.center = Point{rng->Uniform(0, kWorldSize),
+                        rng->Uniform(0, kWorldSize)};
     site.processors.reserve(config.processors_per_entity);
     for (int p = 0; p < config.processors_per_entity; ++p) {
       double angle = rng->Uniform(0, 2.0 * M_PI);
-      double r = config.lan_radius * std::sqrt(rng->NextDouble());
+      double r = kLanRadius * std::sqrt(rng->NextDouble());
       Point pos{site.center.x + r * std::cos(angle),
                 site.center.y + r * std::sin(angle)};
       site.processors.push_back(network->AddNode(pos));
@@ -61,8 +54,8 @@ Topology BuildTopology(Network* network, const TopologyConfig& config,
   for (int s = 0; s < config.num_sources; ++s) {
     SourceSite src;
     src.stream = s;
-    src.position = Point{rng->Uniform(0, config.world_size),
-                         rng->Uniform(0, config.world_size)};
+    src.position = Point{rng->Uniform(0, kWorldSize),
+                         rng->Uniform(0, kWorldSize)};
     src.node = network->AddNode(src.position);
     topo.sources.push_back(src);
   }

@@ -9,6 +9,17 @@
 
 namespace dsps::sim {
 
+/// Entities and sources are placed uniformly in [0, kWorldSize]^2.
+inline constexpr double kWorldSize = 1000.0;
+/// Processors of one entity are placed within this radius of its center.
+inline constexpr double kLanRadius = 1.0;
+/// LAN link parameters (intra-entity).
+inline constexpr LinkParams kLan{0.0001, 1e9};
+/// WAN link parameters; latency grows with distance (see BuildTopology).
+inline constexpr double kWanBaseLatencyS = 0.002;
+inline constexpr double kWanLatencyPerUnitS = 5e-5;
+inline constexpr double kWanBandwidthBps = 1e8;
+
 /// Parameters of the two-layer world: entities scattered on a WAN plane,
 /// each with a cluster of processors on a fast LAN, plus stream sources.
 struct TopologyConfig {
@@ -21,16 +32,6 @@ struct TopologyConfig {
   /// default) gives every entity its own domain — independent failures,
   /// the pre-fault-domain behavior.
   int num_fault_domains = 0;
-  /// Entities and sources are placed uniformly in [0, world_size]^2.
-  double world_size = 1000.0;
-  /// Processors of one entity are placed within this radius of its center.
-  double lan_radius = 1.0;
-  /// LAN link parameters (intra-entity).
-  LinkParams lan{0.0001, 1e9};
-  /// WAN link parameters; latency grows with distance (see BuildTopology).
-  double wan_base_latency_s = 0.002;
-  double wan_latency_per_unit_s = 5e-5;
-  double wan_bandwidth_bps = 1e8;
 };
 
 /// One entity's footprint in the simulator.
@@ -59,7 +60,7 @@ struct Topology {
 
 /// Creates nodes for every entity processor and every source in `network`,
 /// and installs a distance-based link model: node pairs within
-/// 2*lan_radius of each other use LAN parameters, all other pairs use WAN
+/// 2*kLanRadius of each other use LAN parameters, all other pairs use WAN
 /// parameters with distance-proportional latency.
 Topology BuildTopology(Network* network, const TopologyConfig& config,
                        common::Rng* rng);

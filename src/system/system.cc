@@ -24,6 +24,19 @@ constexpr double kBalanceTolerance = 1.2;
 constexpr double kRehomeInstallLatencyS = 0.02;
 /// Wire size of a re-home batch: a 64-byte header plus this per query.
 constexpr int64_t kRehomeBatchBytesPerQuery = 96;
+/// Wire size of one failure-detection heartbeat.
+constexpr int64_t kHeartbeatBytes = 32;
+/// Watchdog retry storm: combined result / re-home-batch / dissemination
+/// retries per simulated second that count as a storm.
+constexpr double kRetryStormRatePerS = 50.0;
+/// Watchdog repartition thrash: repartition rounds per simulated second.
+constexpr double kRepartitionThrashRatePerS = 1.0;
+/// Watchdog admission-queue growth: depth the queue must reach (while
+/// strictly growing) before buildup counts.
+constexpr double kAdmissionQueueFloor = 4.0;
+/// Watchdog SLO burn: trailing-window p95 / SLO ratio held for the
+/// threshold detector's sustain ticks that counts as burn.
+constexpr double kSloBurnRatio = 1.0;
 
 }  // namespace
 
@@ -136,8 +149,8 @@ System::System(const Config& config)
   if (config.num_clients > 0) {
     common::Rng client_rng = rng_.Fork(2);
     for (int c = 0; c < config.num_clients; ++c) {
-      sim::Point pos{client_rng.Uniform(0, config.topology.world_size),
-                     client_rng.Uniform(0, config.topology.world_size)};
+      sim::Point pos{client_rng.Uniform(0, sim::kWorldSize),
+                     client_rng.Uniform(0, sim::kWorldSize)};
       common::SimNodeId node = network_->AddNode(pos);
       network_->SetHandler(node, [this](const sim::Message& msg) {
         if (msg.type != kMsgClientResult) return;
@@ -163,9 +176,9 @@ System::System(const Config& config)
     for (size_t e = 0; e < entities_.size(); ++e) {
       domain_of[e] = topology_.entities[e].fault_domain;
     }
-    placement_map_ = std::make_unique<placement::PlacementMap>(
-        std::move(domain_of), config.placement_map);
-    double center = config_.topology.world_size / 2.0;
+    placement_map_ =
+        std::make_unique<placement::PlacementMap>(std::move(domain_of));
+    double center = sim::kWorldSize / 2.0;
     rehome_node_ = network_->AddNode({center, center});
     network_->SetHandler(rehome_node_, [this](const sim::Message& msg) {
       (void)rehome_channel_.HandleAck(msg);
@@ -440,8 +453,8 @@ common::Status System::InstallOn(common::EntityId entity,
   }
   const double load_factor = config_.admission.load_factor;
   if (load_factor > 0.0) {
-    double capacity = config_.entity.processor_capacity *
-                      entities_[entity]->num_processors();
+    double capacity =
+        entity::kProcessorCapacity * entities_[entity]->num_processors();
     // Cached ascending-qid member sum (see QueryStateTable): equal to the
     // old per-install member walk, but O(1) under the append-heavy id
     // order that batch submission produces.
@@ -579,7 +592,7 @@ common::Status System::SubmitTenantQuery(const engine::Query& query) {
   // tenants whose degraded form still finds no room — waits in the
   // bounded admission queue for capacity to free up.
   if (config_.admission.allow_degrade && admission_->OverFairShare(t, query.load)) {
-    engine::Query coarse = tenant::DegradeForAdmission(query, config_.admission);
+    engine::Query coarse = tenant::DegradeForAdmission(query);
     if (SubmitDirect(coarse).ok()) {
       admission_->OnDegraded(t, coarse.load);
       return common::Status::OK();
@@ -623,7 +636,7 @@ void System::OnAdmissionDeadline(common::QueryId qid) {
     return;
   }
   if (config_.admission.allow_degrade) {
-    engine::Query coarse = tenant::DegradeForAdmission(query, config_.admission);
+    engine::Query coarse = tenant::DegradeForAdmission(query);
     if (SubmitDirect(coarse).ok()) {
       admission_->OnDequeuedAdmit(t, coarse.load, /*degraded=*/true);
       return;
@@ -1184,54 +1197,18 @@ void System::HandleSuspect(common::EntityId entity) {
   EvictEntity(entity);
 }
 
-void System::HeartbeatTick(double until) {
-  double next = simulator_->now() + detection_config_.heartbeat_period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, until]() {
-    for (int e = 0; e < num_entities(); ++e) {
-      if (departed_[e]) continue;
-      common::SimNodeId gw = entities_[e]->gateway_node();
-      // A crashed process sends nothing (distinct from sent-but-lost,
-      // which the injector drops and counts on the wire).
-      if (faults_ != nullptr && !faults_->IsNodeUp(gw)) continue;
-      sim::Message msg;
-      msg.from = gw;
-      msg.to = monitor_node_;
-      msg.type = kMsgHeartbeat;
-      msg.size_bytes = detection_config_.heartbeat_bytes;
-      msg.payload = HeartbeatEnvelope{static_cast<common::EntityId>(e)};
-      common::Status s = network_->Send(std::move(msg));
-      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-      failure_stats_.heartbeat_messages += 1;
-    }
-    HeartbeatTick(until);
-  });
-}
-
-void System::SweepTick(double until) {
-  double next = simulator_->now() + detection_config_.sweep_period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, until]() {
-    for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
-      HandleSuspect(suspect);
-    }
-    SweepTick(until);
-  });
-}
-
 void System::EnableFailureDetection(const FailureDetectionConfig& config,
                                     double until) {
   DSPS_CHECK(config.heartbeat_period_s > 0);
   DSPS_CHECK(config.sweep_period_s > 0);
   DSPS_CHECK(config.timeout_s > config.heartbeat_period_s);
-  detection_config_ = config;
   coordinator::HeartbeatMonitor::Config monitor_config;
   monitor_config.timeout_s = config.timeout_s;
   monitor_ = coordinator::HeartbeatMonitor(monitor_config);
   if (monitor_node_ == common::kInvalidSimNode) {
     // Lazily created so node-id assignment is untouched when detection is
     // off (client node ids — and thus whole simulations — stay identical).
-    double center = config_.topology.world_size / 2.0;
+    double center = sim::kWorldSize / 2.0;
     monitor_node_ = network_->AddNode({center, center});
     network_->SetHandler(monitor_node_, [this](const sim::Message& msg) {
       if (msg.type != kMsgHeartbeat) return;
@@ -1245,8 +1222,29 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
     if (alive_[e] && !departed_[e]) monitor_.Register(e, now);
   }
   detection_active_ = true;
-  HeartbeatTick(until);
-  SweepTick(until);
+  simulator_->Every(config.heartbeat_period_s, until, [this] {
+    for (int e = 0; e < num_entities(); ++e) {
+      if (departed_[e]) continue;
+      common::SimNodeId gw = entities_[e]->gateway_node();
+      // A crashed process sends nothing (distinct from sent-but-lost,
+      // which the injector drops and counts on the wire).
+      if (faults_ != nullptr && !faults_->IsNodeUp(gw)) continue;
+      sim::Message msg;
+      msg.from = gw;
+      msg.to = monitor_node_;
+      msg.type = kMsgHeartbeat;
+      msg.size_bytes = kHeartbeatBytes;
+      msg.payload = HeartbeatEnvelope{static_cast<common::EntityId>(e)};
+      common::Status s = network_->Send(std::move(msg));
+      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
+      failure_stats_.heartbeat_messages += 1;
+    }
+  });
+  simulator_->Every(config.sweep_period_s, until, [this] {
+    for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
+      HandleSuspect(suspect);
+    }
+  });
 }
 
 void System::ScheduleCrash(common::EntityId entity, double crash_at,
@@ -1503,12 +1501,7 @@ void System::MaintenanceRound() {
 
 void System::EnableMaintenance(double period_s, double until) {
   DSPS_CHECK(period_s > 0);
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    MaintenanceRound();
-    EnableMaintenance(period_s, until);
-  });
+  simulator_->Every(period_s, until, [this] { MaintenanceRound(); });
 }
 
 Auditor* System::EnableAudit(double period_s, double until, bool fatal) {
@@ -1520,21 +1513,11 @@ Auditor* System::EnableAudit(double period_s, double until, bool fatal) {
     cfg.flight = config_.flight;
     auditor_ = std::make_unique<Auditor>(this, cfg);
   }
-  AuditTick(period_s, until);
+  simulator_->Every(period_s, until, [this] { auditor_->RunOnce(); });
   return auditor_.get();
 }
 
-void System::AuditTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    auditor_->RunOnce();
-    AuditTick(period_s, until);
-  });
-}
-
-telemetry::Watchdog* System::EnableWatchdog(
-    double period_s, double until, const SystemWatchdogConfig& wconfig) {
+telemetry::Watchdog* System::EnableWatchdog(double period_s, double until) {
   DSPS_CHECK(period_s > 0);
   if (watchdog_ == nullptr) {
     telemetry::Watchdog::Config cfg;
@@ -1542,12 +1525,11 @@ telemetry::Watchdog* System::EnableWatchdog(
     cfg.trace = config_.trace;
     cfg.flight = config_.flight;
     watchdog_ = std::make_unique<telemetry::Watchdog>(cfg);
-    const telemetry::WatchdogTuning& tuning = wconfig.tuning;
     // Entity loss is always an anomaly: the counter is zero on healthy
     // runs, so any strict increase fires.
     watchdog_->AddIncreaseDetector(
         "entity_loss",
-        [this] { return static_cast<double>(evictions_total_); }, tuning);
+        [this] { return static_cast<double>(evictions_total_); });
     // Retry storm: the three reliable channels (client results, re-home
     // batches, dissemination) summed into one cumulative count.
     watchdog_->AddRateDetector(
@@ -1561,15 +1543,15 @@ telemetry::Watchdog* System::EnableWatchdog(
           }
           return retries;
         },
-        wconfig.retry_storm_rate_per_s, tuning);
+        kRetryStormRatePerS);
     watchdog_->AddRateDetector(
         "repartition_thrash",
         [this] { return static_cast<double>(repartition_rounds_); },
-        wconfig.repartition_thrash_rate_per_s, tuning);
+        kRepartitionThrashRatePerS);
     watchdog_->AddGrowthDetector(
         "admission_queue",
         [this] { return static_cast<double>(admission_queue_.size()); },
-        wconfig.admission_queue_floor, tuning);
+        kAdmissionQueueFloor);
     if (tenant_registry_ != nullptr) {
       for (tenant::TenantId t : tenant_registry_->ids()) {
         double slo = tenant_registry_->SpecOrDefault(t).latency_slo_s;
@@ -1577,7 +1559,7 @@ telemetry::Watchdog* System::EnableWatchdog(
         watchdog_->AddThresholdDetector(
             "slo_burn." + tenant_registry_->NameOf(t),
             [this, t, slo] { return TenantRecentP95(t) / slo; },
-            wconfig.slo_burn_ratio, tuning);
+            kSloBurnRatio);
       }
     }
     // Total committed load across alive entities: constant on steady
@@ -1590,20 +1572,11 @@ telemetry::Watchdog* System::EnableWatchdog(
             if (alive_[e]) total += entities_[e]->TotalCommittedLoad();
           }
           return total;
-        },
-        tuning);
+        });
   }
-  WatchdogTick(period_s, until);
+  simulator_->Every(period_s, until,
+                    [this] { watchdog_->Tick(simulator_->now()); });
   return watchdog_.get();
-}
-
-void System::WatchdogTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    watchdog_->Tick(simulator_->now());
-    WatchdogTick(period_s, until);
-  });
 }
 
 void System::RegisterSeriesProbes(telemetry::TimeSeriesRecorder* recorder) {
@@ -1623,25 +1596,10 @@ void System::RegisterSeriesProbes(telemetry::TimeSeriesRecorder* recorder) {
     double mean = total / std::max<size_t>(1, entities_.size());
     return mean > 0 ? max_load / mean : 1.0;
   });
-  // WAN classification mirrors Collect(): a link is LAN iff both
-  // endpoints sit inside one entity's processor set. Rebuilt per sample
-  // (not captured once) because elastic growth adds processor nodes.
+  // Classified per sample (not once) because elastic growth adds
+  // processor nodes.
   recorder->AddRateProbe("series.wan_bytes_per_s", {}, [this] {
-    std::map<common::SimNodeId, int> entity_of_node;
-    for (const sim::EntitySite& site : topology_.entities) {
-      for (common::SimNodeId node : site.processors) {
-        entity_of_node[node] = site.entity;
-      }
-    }
-    double wan = 0.0;
-    for (const sim::Network::LinkRecord& link : network_->AllLinkStats()) {
-      auto a = entity_of_node.find(link.from);
-      auto b = entity_of_node.find(link.to);
-      bool lan = a != entity_of_node.end() && b != entity_of_node.end() &&
-                 a->second == b->second;
-      if (!lan) wan += static_cast<double>(link.stats.bytes);
-    }
-    return wan;
+    return static_cast<double>(LinkBytes().wan_bytes);
   });
   recorder->AddGaugeProbe("series.unplaced_queries", {}, [this] {
     return static_cast<double>(unplaced_.size());
@@ -1697,33 +1655,15 @@ void System::EnableTimeSeries(telemetry::TimeSeriesRecorder* recorder,
   DSPS_CHECK(period_s > 0);
   RegisterSeriesProbes(recorder);
   recorder->Sample(simulator_->now());
-  SampleTick(recorder, period_s, until);
-}
-
-void System::SampleTick(telemetry::TimeSeriesRecorder* recorder,
-                        double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, recorder, period_s, until]() {
-    recorder->Sample(simulator_->now());
-    SampleTick(recorder, period_s, until);
-  });
+  simulator_->Every(period_s, until,
+                    [this, recorder] { recorder->Sample(simulator_->now()); });
 }
 
 void System::EnableElasticity(const tenant::ElasticityManager::Config& config,
                               double period_s, double until) {
   DSPS_CHECK(period_s > 0);
   elasticity_ = std::make_unique<tenant::ElasticityManager>(config);
-  ElasticityTick(period_s, until);
-}
-
-void System::ElasticityTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    ElasticityRound();
-    ElasticityTick(period_s, until);
-  });
+  simulator_->Every(period_s, until, [this] { ElasticityRound(); });
 }
 
 int System::ElasticityRound() {
@@ -1738,7 +1678,7 @@ int System::ElasticityRound() {
     tenant::ElasticityManager::Observation obs;
     obs.entity = e;
     obs.committed_load = ent->TotalCommittedLoad();
-    obs.capacity = config_.entity.processor_capacity * ent->num_processors();
+    obs.capacity = entity::kProcessorCapacity * ent->num_processors();
     obs.pr_p95 = ent->pr().p95();
     obs.processors = ent->num_processors();
     switch (elasticity_->Evaluate(obs)) {
@@ -1767,7 +1707,7 @@ bool System::GrowEntity(common::EntityId entity) {
       {0.75, 0.75},  {-0.75, 0.75},  {-0.75, -0.75}, {0.75, -0.75}};
   int k = static_cast<int>(site.processors.size());
   const double* off = kOffsets[k % 8];
-  double r = config_.topology.lan_radius * 0.5;
+  double r = sim::kLanRadius * 0.5;
   sim::Point pos{site.center.x + off[0] * r, site.center.y + off[1] * r};
   common::SimNodeId node = network_->AddNode(pos);
   ent->AddProcessor(node);
@@ -1792,11 +1732,8 @@ bool System::GrowEntity(common::EntityId entity) {
 bool System::ShrinkEntity(common::EntityId entity) {
   if (entity < 0 || entity >= num_entities() || !alive_[entity]) return false;
   entity::Entity* ent = entities_[entity].get();
-  int floor = 1;
-  if (elasticity_ != nullptr) {
-    floor = std::max(1, elasticity_->config().min_processors);
-  }
-  if (ent->num_processors() <= floor) return false;
+  // Shrink never removes the gateway.
+  if (ent->num_processors() <= 1) return false;
   auto removed = ent->RemoveLastProcessor();
   if (!removed.ok()) return false;
   sim::EntitySite& site = topology_.entities[entity];
@@ -1844,27 +1781,29 @@ common::EntityId System::EntityOf(common::QueryId query) const {
   return query_state_.HomeOf(query);
 }
 
-SystemMetrics System::Collect() const {
-  SystemMetrics m = metrics_;
-  // Classify link traffic: a link is LAN iff both endpoints belong to the
-  // same entity's processor set.
+System::LinkByteTotals System::LinkBytes() const {
   std::map<common::SimNodeId, int> entity_of_node;
   for (const sim::EntitySite& site : topology_.entities) {
     for (common::SimNodeId node : site.processors) {
       entity_of_node[node] = site.entity;
     }
   }
+  LinkByteTotals totals;
   for (const sim::Network::LinkRecord& link : network_->AllLinkStats()) {
     auto a = entity_of_node.find(link.from);
     auto b = entity_of_node.find(link.to);
     bool lan = a != entity_of_node.end() && b != entity_of_node.end() &&
                a->second == b->second;
-    if (lan) {
-      m.lan_bytes += link.stats.bytes;
-    } else {
-      m.wan_bytes += link.stats.bytes;
-    }
+    (lan ? totals.lan_bytes : totals.wan_bytes) += link.stats.bytes;
   }
+  return totals;
+}
+
+SystemMetrics System::Collect() const {
+  SystemMetrics m = metrics_;
+  LinkByteTotals bytes = LinkBytes();
+  m.lan_bytes = bytes.lan_bytes;
+  m.wan_bytes = bytes.wan_bytes;
   for (const sim::SourceSite& src : topology_.sources) {
     m.source_egress_bytes += network_->egress_bytes(src.node);
     if (disseminator_ != nullptr) {

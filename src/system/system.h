@@ -77,24 +77,6 @@ struct RehomeBatchEnvelope {
   int64_t seq = 0;
 };
 
-/// Knobs of System::EnableWatchdog's standard detector set (namespace
-/// scope so it can be a default argument inside System's definition).
-struct SystemWatchdogConfig {
-  /// Retry storm: combined result / re-home-batch / dissemination
-  /// retries per simulated second that count as a storm.
-  double retry_storm_rate_per_s = 50.0;
-  /// Repartition thrash: repartition rounds per simulated second.
-  double repartition_thrash_rate_per_s = 1.0;
-  /// Admission-queue growth: depth the queue must reach (while strictly
-  /// growing) before buildup counts.
-  double admission_queue_floor = 4.0;
-  /// SLO burn: trailing-window p95 / SLO ratio held for `tuning.sustain`
-  /// ticks that counts as burn.
-  double slo_burn_ratio = 1.0;
-  /// Shared per-detector tuning (window, warmup, cooldown, sustain...).
-  telemetry::WatchdogTuning tuning;
-};
-
 /// How arriving queries are allocated to entities (Section 3.2).
 enum class AllocationMode {
   /// Level-by-level routing down the hierarchical coordinator tree
@@ -182,10 +164,6 @@ class System {
     bool reliable_results = false;
     double result_retry_timeout_s = sim::ReliableChannel::kDefaultTimeoutS;
     int result_max_retries = sim::ReliableChannel::kDefaultMaxRetries;
-    /// Declustered placement (only read when allocation ==
-    /// AllocationMode::kPlacementMap): ring/replica parameters of the
-    /// placement map built over the topology's fault domains.
-    placement::PlacementMap::Config placement_map;
     /// Crash-recovery pipeline parameters (placement-map mode only; the
     /// other allocation modes keep the synchronous re-home of PR 3).
     struct RecoveryConfig {
@@ -365,7 +343,6 @@ class System {
     /// An entity is suspected after this long without a heartbeat.
     double timeout_s = 1.5;
     double sweep_period_s = 0.5;
-    int64_t heartbeat_bytes = 32;
   };
   void EnableFailureDetection(const FailureDetectionConfig& config,
                               double until);
@@ -491,9 +468,7 @@ class System {
   /// send no messages — enabling them cannot change a simulation's
   /// results. Returns the watchdog (owned by the System) so callers can
   /// read trigger counts; repeated calls reuse the existing watchdog.
-  telemetry::Watchdog* EnableWatchdog(
-      double period_s, double until,
-      const SystemWatchdogConfig& config = {});
+  telemetry::Watchdog* EnableWatchdog(double period_s, double until);
 
   /// The watchdog, or null before EnableWatchdog.
   telemetry::Watchdog* watchdog() { return watchdog_.get(); }
@@ -579,7 +554,6 @@ class System {
   void OnAdmissionDeadline(common::QueryId query);
   /// Per-tenant result-latency accounting (admission controller active).
   void RecordTenantResult(common::QueryId query, double latency);
-  void ElasticityTick(double period_s, double until);
   bool GrowEntity(common::EntityId entity);
   bool ShrinkEntity(common::EntityId entity);
   common::EntityId AllocateOne(const engine::Query& query);
@@ -600,12 +574,13 @@ class System {
   void OnHeartbeat(common::EntityId entity);
   /// Sweep-detected suspect: record detection, evict, re-home.
   void HandleSuspect(common::EntityId entity);
-  void HeartbeatTick(double until);
-  void SweepTick(double until);
-  void AuditTick(double period_s, double until);
-  void WatchdogTick(double period_s, double until);
-  void SampleTick(telemetry::TimeSeriesRecorder* recorder, double period_s,
-                  double until);
+  /// Link bytes so far, split by the topology: a link is LAN iff both
+  /// endpoints sit inside one entity's processor set.
+  struct LinkByteTotals {
+    int64_t lan_bytes = 0;
+    int64_t wan_bytes = 0;
+  };
+  LinkByteTotals LinkBytes() const;
   /// Declustered recovery pipeline (placement-map mode). Orphans are
   /// already in unplaced_ when these run; DispatchDeclusteredRehomes
   /// groups them by first alive standby target and either fans batches
@@ -669,7 +644,6 @@ class System {
   /// Failure detection (active once EnableFailureDetection ran).
   coordinator::HeartbeatMonitor monitor_;
   bool detection_active_ = false;
-  FailureDetectionConfig detection_config_;
   common::SimNodeId monitor_node_ = common::kInvalidSimNode;
   mutable FailureStats failure_stats_;
   /// Entity -> client results (unused unless reliable_results).

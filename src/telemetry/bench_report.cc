@@ -74,6 +74,13 @@ std::string BenchReport::ToJson() {
   };
   sync("trace.dropped_spans", dropped_spans);
   sync("trace.dropped_instants", dropped_instants);
+  // Samples a capped recorder refused; like the histogram overflow below,
+  // a zero total interns nothing, keeping clean reports byte-identical.
+  int64_t series_dropped = 0;
+  for (const auto& [recorder, labels] : series_) {
+    series_dropped += recorder->dropped_samples();
+  }
+  if (series_dropped > 0) sync("telemetry.series_dropped", series_dropped);
   if (!stage_sketches_folded_) {
     stage_sketches_folded_ = true;
     for (const auto& [trace, labels] : traces_) {

@@ -60,8 +60,9 @@ class BenchReport {
   /// recorder is attached. Non-const: folds the process-wide non-finite
   /// JSON value count (see JsonNumber) into a `telemetry.nonfinite_values`
   /// counter, the process-wide Histogram sample-cap overflow into
-  /// `common.histogram_overflow` (zero folds nothing, keeping clean
-  /// reports byte-identical), and always exports trace.dropped_spans /
+  /// `common.histogram_overflow` and the attached recorders' dropped
+  /// samples into `telemetry.series_dropped` (zero folds nothing, keeping
+  /// clean reports byte-identical), and always exports trace.dropped_spans /
   /// trace.dropped_instants counters so span loss is a headline signal
   /// in every report.
   std::string ToJson();

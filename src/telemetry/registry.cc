@@ -49,12 +49,8 @@ HistogramMetric* MetricsRegistry::histogram(std::string_view name,
                                             Labels labels) {
   auto [it, inserted] =
       histograms_.try_emplace(MakeKey(name, std::move(labels)), nullptr);
-  if (inserted) it->second = std::make_unique<HistogramMetric>(sketch_config_);
+  if (inserted) it->second = std::make_unique<HistogramMetric>();
   return it->second.get();
-}
-
-void MetricsRegistry::UseSketches(const Sketch::Config& config) {
-  sketch_config_ = config;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

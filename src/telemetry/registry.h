@@ -44,11 +44,9 @@ class Gauge {
 
 /// Distribution metric backed by a telemetry::Sketch: bounded memory,
 /// exact merges, and count/mean/max exact while p50/p95/p99 stay within
-/// the sketch's relative_accuracy.
+/// Sketch::kRelativeAccuracy.
 class HistogramMetric {
  public:
-  explicit HistogramMetric(const Sketch::Config& config) : sketch_(config) {}
-
   void Observe(double x) { sketch_.Add(x); }
   /// Folds a sketch in; bucket counts add exactly.
   void MergeSketch(const Sketch& other) { sketch_.Merge(other); }
@@ -119,10 +117,9 @@ class MetricsRegistry {
   Gauge* gauge(std::string_view name, Labels labels = {});
   HistogramMetric* histogram(std::string_view name, Labels labels = {});
 
-  /// Sets the sketch config of histogram series interned after this
-  /// call (existing series keep theirs). Every series is sketch-backed
-  /// already; the name stays because perfbench/ calls it.
-  void UseSketches(const Sketch::Config& config = {});
+  /// No-op: every histogram series is sketch-backed already. It stays
+  /// because perfbench/ calls it.
+  void UseSketches() {}
 
   /// Number of interned series across all kinds.
   size_t size() const {
@@ -144,7 +141,6 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<HistogramMetric>> histograms_;
-  Sketch::Config sketch_config_;
 };
 
 }  // namespace dsps::telemetry

@@ -9,12 +9,12 @@
 
 namespace dsps::telemetry {
 
+static_assert(Sketch::kRelativeAccuracy > 0.0 &&
+              Sketch::kRelativeAccuracy < 1.0);
+
 Sketch::Sketch(const Config& config) : config_(config) {
-  DSPS_CHECK(config_.relative_accuracy > 0.0 &&
-             config_.relative_accuracy < 1.0);
   DSPS_CHECK(config_.max_buckets >= 8);
-  gamma_ = (1.0 + config_.relative_accuracy) /
-           (1.0 - config_.relative_accuracy);
+  gamma_ = (1.0 + kRelativeAccuracy) / (1.0 - kRelativeAccuracy);
   inv_log_gamma_ = 1.0 / std::log(gamma_);
   // Every finite magnitude's key (and the store's slack around it) must
   // fit in an int.
@@ -29,7 +29,7 @@ int Sketch::KeyFor(double magnitude) const {
 
 double Sketch::ValueFor(int key) const {
   // Midpoint (in relative terms) of (gamma^(k-1), gamma^k]: every value in
-  // the bucket is within relative_accuracy of this estimate.
+  // the bucket is within kRelativeAccuracy of this estimate.
   return 2.0 * std::pow(gamma_, key) / (gamma_ + 1.0);
 }
 
@@ -96,7 +96,6 @@ void Sketch::Add(double x, int64_t n) {
 }
 
 void Sketch::Merge(const Sketch& other) {
-  DSPS_CHECK(config_.relative_accuracy == other.config_.relative_accuracy);
   if (other.count_ == 0) return;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);

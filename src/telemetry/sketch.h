@@ -12,13 +12,13 @@ namespace dsps::telemetry {
 /// log-gamma bucketing over a dense bucket store).
 ///
 /// Every observation is quantized to a geometric bucket whose estimate is
-/// at most `relative_accuracy` away from the true value, so any quantile
+/// at most kRelativeAccuracy away from the true value, so any quantile
 /// query answers within that relative error of the exact sample quantile
 /// regardless of stream length. Each sign keeps its bucket counts in one
 /// contiguous array spanning its occupied keys, so memory is O(key
-/// range): with the default 1% accuracy, values spanning six orders of
-/// magnitude fit in ~700 buckets (~5.5 KB), versus 8 bytes *per sample*
-/// for common::Histogram.
+/// range): at 1% accuracy, values spanning six orders of magnitude fit
+/// in ~700 buckets (~5.5 KB), versus 8 bytes *per sample* for
+/// common::Histogram.
 ///
 /// This is the distribution type of every runtime statistic (result
 /// latency, PR, client latency, registry histograms). common::Histogram
@@ -32,9 +32,10 @@ namespace dsps::telemetry {
 /// quantiles keep their error bound even then).
 class Sketch {
  public:
+  /// Bound on the relative error of quantile estimates (alpha).
+  static constexpr double kRelativeAccuracy = 0.01;
+
   struct Config {
-    /// Bound on the relative error of quantile estimates (alpha).
-    double relative_accuracy = 0.01;
     /// Bucket budget per sign. When exceeded, the lowest-magnitude
     /// buckets collapse together: high quantiles stay accurate, the far
     /// low tail degrades. 1024 buckets cover ~9 decades at alpha=0.01.
@@ -48,8 +49,7 @@ class Sketch {
   /// count() but kept out of the buckets, sum, min and max.
   void Add(double x, int64_t n = 1);
 
-  /// Folds another sketch in. Both sketches must share the same
-  /// relative_accuracy (checked); bucket counts add exactly.
+  /// Folds another sketch in; bucket counts add exactly.
   void Merge(const Sketch& other);
 
   int64_t count() const { return count_; }
@@ -62,7 +62,7 @@ class Sketch {
   double max() const;
 
   /// The q-quantile (q in [0,1]) by nearest rank over the buckets; the
-  /// returned value is within relative_accuracy of the exact sample at
+  /// returned value is within kRelativeAccuracy of the exact sample at
   /// that rank. 0 when empty.
   double Percentile(double q) const;
   double p50() const { return Percentile(0.50); }

@@ -27,7 +27,10 @@ void TimeSeriesRecorder::AddRateProbe(std::string name, Labels labels,
 }
 
 void TimeSeriesRecorder::Sample(double now) {
-  if (times_.size() >= config_.max_samples) return;
+  if (times_.size() >= kMaxSamples) {
+    ++dropped_samples_;
+    return;
+  }
   for (Series& s : series_) {
     double v = s.probe();
     if (s.rate) {

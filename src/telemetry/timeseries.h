@@ -1,6 +1,7 @@
 #ifndef DSPS_TELEMETRY_TIMESERIES_H_
 #define DSPS_TELEMETRY_TIMESERIES_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -32,14 +33,15 @@ class JsonWriter;
 /// byte-identical to a recorder-free build.
 class TimeSeriesRecorder {
  public:
+  /// Hard cap on retained samples; beyond it Sample() only counts the
+  /// drop (a runaway loop should not OOM the bench).
+  static constexpr size_t kMaxSamples = 1u << 16;
+
   struct Config {
     /// Sampling period in simulated seconds (informational — the caller
     /// drives Sample(); this is recorded into the JSON so readers know
     /// the intended spacing).
     double interval_s = 1.0;
-    /// Hard cap on retained samples; Sample() becomes a no-op beyond it
-    /// (a runaway loop should not OOM the bench).
-    size_t max_samples = 1u << 16;
   };
 
   TimeSeriesRecorder() = default;
@@ -64,6 +66,8 @@ class TimeSeriesRecorder {
   void Sample(double now);
 
   size_t num_samples() const { return times_.size(); }
+  /// Samples refused because kMaxSamples were already retained.
+  int64_t dropped_samples() const { return dropped_samples_; }
   size_t num_series() const { return series_.size(); }
   bool empty() const { return times_.empty() || series_.empty(); }
   const std::vector<double>& times() const { return times_; }
@@ -96,6 +100,7 @@ class TimeSeriesRecorder {
   std::vector<double> times_;
   std::vector<Series> series_;
   double last_time_ = 0.0;
+  int64_t dropped_samples_ = 0;
 };
 
 }  // namespace dsps::telemetry

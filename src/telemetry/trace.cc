@@ -52,9 +52,7 @@ void TraceLog::Record(int64_t trace, Stage stage, double start, double end,
   Span span{trace, stage, start, end, from, to, query, tenant};
   if (flight_ != nullptr) flight_->RecordSpan(span);
   if (config_.aggregate_stages) {
-    auto [it, inserted] =
-        stage_sketches_.try_emplace(stage, config_.stage_sketch);
-    it->second.Add(span.duration());
+    stage_sketches_[stage].Add(span.duration());
   }
   if (!config_.retain_spans) return;  // Aggregated by design, not dropped.
   if (spans_.size() >= config_.max_spans) {
@@ -82,7 +80,7 @@ void TraceLog::RecordInstant(std::string_view name, double t, int32_t node,
                              double value) {
   if (!enabled()) return;
   if (flight_ != nullptr) flight_->RecordInstant(name, t, node, value);
-  if (instants_.size() >= config_.max_instants) {
+  if (instants_.size() >= kMaxInstants) {
     ++dropped_instants_;
     return;
   }

@@ -89,16 +89,18 @@ struct Instant {
 /// instrumentation sites check one pointer and one integer).
 class TraceLog {
  public:
+  /// Instants get their own budget: control-plane markers (crash,
+  /// repartition, evict) are rare and must survive span-budget
+  /// exhaustion in long runs. Once reached, further instants are counted
+  /// (dropped_instants) but not stored.
+  static constexpr size_t kMaxInstants = 1u << 16;
+
   struct Config {
     /// Trace every Nth published tuple; 0 disables tracing.
     int sample_every_n = 0;
     /// Hard cap on retained spans; once reached, further spans are
     /// counted (dropped_spans) but not stored.
     size_t max_spans = 1u << 20;
-    /// Instants get their own budget: control-plane markers (crash,
-    /// repartition, evict) are rare and must survive span-budget
-    /// exhaustion in long runs.
-    size_t max_instants = 1u << 16;
     /// Aggregate span durations into bounded per-stage quantile
     /// sketches as they are recorded.
     bool aggregate_stages = false;
@@ -107,8 +109,6 @@ class TraceLog {
     /// the per-stage latency decomposition survives in O(buckets)
     /// memory while raw spans are not stored (and not counted dropped).
     bool retain_spans = true;
-    /// Bucketing for the stage sketches.
-    Sketch::Config stage_sketch;
   };
 
   TraceLog() = default;
@@ -139,7 +139,7 @@ class TraceLog {
                      int32_t from, int32_t to);
 
   /// Records a system instant event (no-op when the log is disabled).
-  /// Instants have their own max_instants budget.
+  /// Instants have their own kMaxInstants budget.
   void RecordInstant(std::string_view name, double t, int32_t node = -1,
                      double value = 0.0);
 

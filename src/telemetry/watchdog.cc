@@ -11,6 +11,27 @@ namespace dsps::telemetry {
 
 namespace {
 
+/// Sliding-window length (spike detectors).
+constexpr int kWindow = 16;
+/// Ticks observed before a detector may fire.
+constexpr int kWarmup = 8;
+/// EWMA smoothing factor.
+constexpr double kEwmaAlpha = 0.3;
+/// Spike: deviations-from-median multiplier.
+constexpr double kMadK = 8.0;
+/// Spike: sample must also exceed kRelFactor * EWMA.
+constexpr double kRelFactor = 2.0;
+/// Spike: absolute floor a sample must reach (suppresses "spikes" within
+/// noise of zero).
+constexpr double kMinAbs = 1.0;
+/// Spike: MAD lower bound so an all-constant window (MAD = 0) does not
+/// make every deviation infinite sigmas.
+constexpr double kMadFloor = 1e-9;
+/// Ticks a detector stays quiet after firing.
+constexpr int kCooldown = 8;
+/// Threshold / growth: consecutive ticks required.
+constexpr int kSustain = 3;
+
 // Median of a small window (copy + sort: deterministic, O(w log w) on a
 // watchdog cadence, not a hot path).
 double Median(std::vector<double> v) {
@@ -24,52 +45,45 @@ double Median(std::vector<double> v) {
 }  // namespace
 
 void Watchdog::AddDetector(std::string name, Kind kind, Probe probe,
-                           double limit, Tuning tuning) {
+                           double limit) {
   DSPS_CHECK(probe != nullptr);
   Detector d;
   d.state.name = std::move(name);
   d.state.kind = kind;
   d.probe = std::move(probe);
-  d.tuning = tuning;
   d.limit = limit;
   detectors_.push_back(std::move(d));
   states_.push_back(detectors_.back().state);
 }
 
-void Watchdog::AddSpikeDetector(std::string name, Probe probe,
-                                Tuning tuning) {
-  AddDetector(std::move(name), Kind::kSpike, std::move(probe), 0.0, tuning);
+void Watchdog::AddSpikeDetector(std::string name, Probe probe) {
+  AddDetector(std::move(name), Kind::kSpike, std::move(probe), 0.0);
 }
 
 void Watchdog::AddRateDetector(std::string name, Probe cumulative,
-                               double max_rate_per_s, Tuning tuning) {
+                               double max_rate_per_s) {
   AddDetector(std::move(name), Kind::kRate, std::move(cumulative),
-              max_rate_per_s, tuning);
+              max_rate_per_s);
 }
 
 void Watchdog::AddThresholdDetector(std::string name, Probe probe,
-                                    double limit, Tuning tuning) {
-  AddDetector(std::move(name), Kind::kThreshold, std::move(probe), limit,
-              tuning);
+                                    double limit) {
+  AddDetector(std::move(name), Kind::kThreshold, std::move(probe), limit);
 }
 
-void Watchdog::AddGrowthDetector(std::string name, Probe probe, double floor,
-                                 Tuning tuning) {
-  AddDetector(std::move(name), Kind::kGrowth, std::move(probe), floor,
-              tuning);
+void Watchdog::AddGrowthDetector(std::string name, Probe probe, double floor) {
+  AddDetector(std::move(name), Kind::kGrowth, std::move(probe), floor);
 }
 
-void Watchdog::AddIncreaseDetector(std::string name, Probe cumulative,
-                                   Tuning tuning) {
-  AddDetector(std::move(name), Kind::kIncrease, std::move(cumulative), 0.0,
-              tuning);
+void Watchdog::AddIncreaseDetector(std::string name, Probe cumulative) {
+  AddDetector(std::move(name), Kind::kIncrease, std::move(cumulative), 0.0);
 }
 
 void Watchdog::Trigger(Detector& d, double now, double value) {
   d.state.triggers += 1;
   d.state.last_trigger_t = now;
   anomalies_ += 1;
-  d.cooldown_left = d.tuning.cooldown;
+  d.cooldown_left = kCooldown;
   if (config_.metrics != nullptr) {
     if (total_counter_ == nullptr) {
       // Interned lazily so anomaly-free runs export no anomaly series at
@@ -95,7 +109,6 @@ void Watchdog::Tick(double now) {
   ticks_ += 1;
   for (size_t i = 0; i < detectors_.size(); ++i) {
     Detector& d = detectors_[i];
-    const Tuning& t = d.tuning;
     double x = d.probe();
     d.state.last_value = x;
     d.samples_seen += 1;
@@ -103,18 +116,17 @@ void Watchdog::Tick(double now) {
     if (d.cooldown_left > 0) d.cooldown_left -= 1;
     switch (d.state.kind) {
       case Kind::kSpike: {
-        bool warm = d.samples_seen > t.warmup &&
-                    static_cast<int>(d.window.size()) >= t.warmup;
+        bool warm = d.samples_seen > kWarmup &&
+                    static_cast<int>(d.window.size()) >= kWarmup;
         if (warm && armed) {
           double med = Median({d.window.begin(), d.window.end()});
           std::vector<double> dev;
           dev.reserve(d.window.size());
           for (double w : d.window) dev.push_back(std::fabs(w - med));
-          double mad = std::max(Median(std::move(dev)), t.mad_floor);
-          bool robust_outlier = x - med > t.mad_k * mad;
-          bool ewma_outlier =
-              x > t.rel_factor * std::max(d.ewma, t.mad_floor);
-          if (robust_outlier && ewma_outlier && x >= t.min_abs) {
+          double mad = std::max(Median(std::move(dev)), kMadFloor);
+          bool robust_outlier = x - med > kMadK * mad;
+          bool ewma_outlier = x > kRelFactor * std::max(d.ewma, kMadFloor);
+          if (robust_outlier && ewma_outlier && x >= kMinAbs) {
             Trigger(d, now, x);
           }
         }
@@ -122,10 +134,10 @@ void Watchdog::Tick(double now) {
           d.ewma = x;
           d.ewma_init = true;
         } else {
-          d.ewma = t.ewma_alpha * x + (1.0 - t.ewma_alpha) * d.ewma;
+          d.ewma = kEwmaAlpha * x + (1.0 - kEwmaAlpha) * d.ewma;
         }
         d.window.push_back(x);
-        while (static_cast<int>(d.window.size()) > t.window) {
+        while (static_cast<int>(d.window.size()) > kWindow) {
           d.window.pop_front();
         }
         break;
@@ -142,7 +154,7 @@ void Watchdog::Tick(double now) {
       }
       case Kind::kThreshold: {
         d.streak = x >= d.limit ? d.streak + 1 : 0;
-        if (d.streak >= t.sustain && armed) {
+        if (d.streak >= kSustain && armed) {
           Trigger(d, now, x);
           d.streak = 0;
         }
@@ -152,7 +164,7 @@ void Watchdog::Tick(double now) {
         d.streak = d.has_prev && x > d.prev ? d.streak + 1 : 0;
         d.prev = x;
         d.has_prev = true;
-        if (d.streak >= t.sustain && x >= d.limit && armed) {
+        if (d.streak >= kSustain && x >= d.limit && armed) {
           Trigger(d, now, x);
           d.streak = 0;
         }

@@ -15,31 +15,6 @@ namespace dsps::telemetry {
 
 class FlightRecorder;
 
-/// Detector tuning knobs (namespace-scope so it can appear as a default
-/// argument inside Watchdog's own definition).
-struct WatchdogTuning {
-  /// Sliding-window length (spike detectors).
-  int window = 16;
-  /// Ticks observed before a detector may fire.
-  int warmup = 8;
-  /// EWMA smoothing factor.
-  double ewma_alpha = 0.3;
-  /// Spike: deviations-from-median multiplier.
-  double mad_k = 8.0;
-  /// Spike: sample must also exceed rel_factor * EWMA.
-  double rel_factor = 2.0;
-  /// Spike: absolute floor a sample must reach (suppresses "spikes"
-  /// within noise of zero).
-  double min_abs = 1.0;
-  /// Spike: MAD lower bound so an all-constant window (MAD = 0) does
-  /// not make every deviation infinite sigmas.
-  double mad_floor = 1e-9;
-  /// Ticks a detector stays quiet after firing.
-  int cooldown = 8;
-  /// Threshold / growth: consecutive ticks required.
-  int sustain = 3;
-};
-
 /// Online anomaly watchdog: a set of deterministic detectors evaluated
 /// against read-only probes on a fixed simulated-time cadence (the owner
 /// schedules Tick), flagging pathologies — repartition thrash, retry
@@ -47,29 +22,27 @@ struct WatchdogTuning {
 /// instead of in a post-hoc trawl.
 ///
 /// Detector kinds:
-///  - Spike: robust outlier test over a sliding window — fires when the
-///    probe exceeds the window median by `mad_k` median-absolute-
-///    deviations AND `rel_factor`x the EWMA. The MAD floor and warmup
+///  - Spike: robust outlier test over a 16-tick sliding window — fires
+///    when the probe exceeds the window median by 8 median-absolute-
+///    deviations AND 2x the EWMA. The MAD floor and the 8-tick warmup
 ///    guarantee zero triggers on quiet, steady runs.
 ///  - Rate: fires when a cumulative counter's per-second rate between
 ///    ticks exceeds a limit (retry storms).
-///  - Threshold: fires when the probe holds at/above a limit for
-///    `sustain` consecutive ticks (SLO burn).
-///  - Growth: fires when the probe strictly grows for `sustain`
-///    consecutive ticks and sits at/above a floor (queue buildup).
+///  - Threshold: fires when the probe holds at/above a limit for 3
+///    consecutive ticks (SLO burn).
+///  - Growth: fires when the probe strictly grows for 3 consecutive
+///    ticks and sits at/above a floor (queue buildup).
 ///  - Increase: fires on any strict increase of a cumulative counter
 ///    that is zero on healthy runs (evictions, lost queries).
 ///
 /// Every trigger increments anomaly counters (anomaly.total plus
 /// anomaly.events{detector=...} when a registry is attached), records an
 /// "anomaly.<name>" trace instant, and mirrors the event into the flight
-/// recorder; a per-detector cooldown stops one sustained incident from
-/// flooding the log. All state is a pure function of the probe values,
+/// recorder; a per-detector 8-tick cooldown stops one sustained incident
+/// from flooding the log. All state is a pure function of the probe values,
 /// so fixed-seed runs produce identical anomaly streams.
 class Watchdog {
  public:
-  using Tuning = WatchdogTuning;
-
   struct Config {
     MetricsRegistry* metrics = nullptr;
     TraceLog* trace = nullptr;
@@ -95,17 +68,14 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void AddSpikeDetector(std::string name, Probe probe, Tuning tuning = {});
+  void AddSpikeDetector(std::string name, Probe probe);
   /// `cumulative` must be non-decreasing; fires when its rate exceeds
   /// `max_rate_per_s`.
   void AddRateDetector(std::string name, Probe cumulative,
-                       double max_rate_per_s, Tuning tuning = {});
-  void AddThresholdDetector(std::string name, Probe probe, double limit,
-                            Tuning tuning = {});
-  void AddGrowthDetector(std::string name, Probe probe, double floor,
-                         Tuning tuning = {});
-  void AddIncreaseDetector(std::string name, Probe cumulative,
-                           Tuning tuning = {});
+                       double max_rate_per_s);
+  void AddThresholdDetector(std::string name, Probe probe, double limit);
+  void AddGrowthDetector(std::string name, Probe probe, double floor);
+  void AddIncreaseDetector(std::string name, Probe cumulative);
 
   /// Evaluates every detector at simulated time `now`.
   void Tick(double now);
@@ -121,7 +91,6 @@ class Watchdog {
   struct Detector {
     DetectorState state;
     Probe probe;
-    Tuning tuning;
     // Spike state.
     std::deque<double> window;
     double ewma = 0.0;
@@ -138,8 +107,7 @@ class Watchdog {
     int samples_seen = 0;
   };
 
-  void AddDetector(std::string name, Kind kind, Probe probe, double limit,
-                   Tuning tuning);
+  void AddDetector(std::string name, Kind kind, Probe probe, double limit);
   void Trigger(Detector& d, double now, double value);
 
   Config config_;

@@ -9,6 +9,17 @@
 
 namespace dsps::tenant {
 
+namespace {
+
+/// Declared-load multiplier for a degraded query.
+constexpr double kDegradeLoadFactor = 0.5;
+/// Fraction of the interest bounding box's volume a degraded query
+/// retains (shrunk about the box center).
+constexpr double kDegradeCoverage = 0.25;
+static_assert(kDegradeCoverage >= 1e-6 && kDegradeCoverage <= 1.0);
+
+}  // namespace
+
 AdmissionController::AdmissionController(const TenantRegistry* registry,
                                          const Config& config)
     : registry_(registry), config_(config) {
@@ -172,8 +183,7 @@ AdmissionController::TenantMetrics* AdmissionController::MetricsFor(
   return &it->second;
 }
 
-engine::Query DegradeForAdmission(const engine::Query& query,
-                                  const AdmissionController::Config& config) {
+engine::Query DegradeForAdmission(const engine::Query& query) {
   engine::Query coarse = query;
   interest::InterestSet shed;
   for (common::StreamId stream : query.interest.streams()) {
@@ -181,7 +191,7 @@ engine::Query DegradeForAdmission(const engine::Query& query,
         query.interest.boxes_for(stream);
     if (boxes == nullptr || boxes->empty()) continue;
     // Bounding box over the stream's interest, then shrink each dimension
-    // about its center so the retained volume is degrade_coverage of the
+    // about its center so the retained volume is kDegradeCoverage of the
     // bounding box's.
     interest::Box bound = (*boxes)[0];
     for (size_t b = 1; b < boxes->size(); ++b) {
@@ -191,11 +201,10 @@ engine::Query DegradeForAdmission(const engine::Query& query,
         bound[d].hi = std::max(bound[d].hi, box[d].hi);
       }
     }
-    double coverage = std::clamp(config.degrade_coverage, 1e-6, 1.0);
     double scale =
         bound.empty() ? 1.0
-                      : std::pow(coverage, 1.0 / static_cast<double>(
-                                               bound.size()));
+                      : std::pow(kDegradeCoverage, 1.0 / static_cast<double>(
+                                                       bound.size()));
     for (interest::Interval& iv : bound) {
       if (iv.empty()) continue;
       double center = 0.5 * (iv.lo + iv.hi);
@@ -206,7 +215,7 @@ engine::Query DegradeForAdmission(const engine::Query& query,
     shed.Add(stream, bound);
   }
   coarse.interest = std::move(shed);
-  coarse.load = query.load * config.degrade_load_factor;
+  coarse.load = query.load * kDegradeLoadFactor;
   return coarse;
 }
 

@@ -42,11 +42,6 @@ class AdmissionController {
     /// Shed over-fair-share tenants to a coarser interest box instead of
     /// queueing them.
     bool allow_degrade = true;
-    /// Declared-load multiplier for a degraded query.
-    double degrade_load_factor = 0.5;
-    /// Fraction of the interest bounding box's volume a degraded query
-    /// retains (shrunk about the box center).
-    double degrade_coverage = 0.25;
     /// Window for the per-tenant recent-p95 latency probes.
     double slo_window_s = 2.0;
   };
@@ -132,12 +127,10 @@ class AdmissionController {
 };
 
 /// A degraded copy of `query`: each stream's interest collapses to one
-/// bounding box shrunk about its center to config.degrade_coverage of the
-/// bounding box's volume, and the declared load scales by
-/// config.degrade_load_factor. The plan is untouched (its filters simply
-/// see fewer tuples), so results remain a correct subset.
-engine::Query DegradeForAdmission(const engine::Query& query,
-                                  const AdmissionController::Config& config);
+/// bounding box shrunk about its center to a quarter of the bounding
+/// box's volume, and the declared load halves. The plan is untouched (its
+/// filters simply see fewer tuples), so results remain a correct subset.
+engine::Query DegradeForAdmission(const engine::Query& query);
 
 }  // namespace dsps::tenant
 

@@ -1,8 +1,17 @@
 #include "tenant/elasticity.h"
 
-#include <algorithm>
-
 namespace dsps::tenant {
+
+namespace {
+
+/// Consecutive observations a watermark must hold before acting.
+constexpr int kSustainRounds = 2;
+static_assert(kSustainRounds >= 1);
+/// Per-entity processor-count floor: shrink never removes the gateway.
+constexpr int kMinProcessors = 1;
+static_assert(kMinProcessors >= 1);
+
+}  // namespace
 
 ElasticityManager::Action ElasticityManager::Evaluate(const Observation& obs) {
   double utilization =
@@ -16,14 +25,13 @@ ElasticityManager::Action ElasticityManager::Evaluate(const Observation& obs) {
   high = hot ? high + 1 : 0;
   low = cold ? low + 1 : 0;
 
-  int sustain = std::max(1, config_.sustain_rounds);
-  if (high >= sustain && obs.processors < config_.max_processors) {
+  if (high >= kSustainRounds && obs.processors < config_.max_processors) {
     high = 0;
     low = 0;
     stats_.grow_decisions += 1;
     return Action::kGrow;
   }
-  if (low >= sustain && obs.processors > std::max(1, config_.min_processors)) {
+  if (low >= kSustainRounds && obs.processors > kMinProcessors) {
     high = 0;
     low = 0;
     stats_.shrink_decisions += 1;

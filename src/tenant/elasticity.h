@@ -12,8 +12,8 @@ namespace dsps::tenant {
 /// observations (committed load, capacity, and the operator-placement
 /// PR_k accounting of Section 4.1) and executes its decisions. Hysteresis
 /// comes from watermark separation plus a sustain requirement — a
-/// watermark must hold for `sustain_rounds` consecutive observations
-/// before the manager acts, so transient spikes do not thrash capacity.
+/// watermark must hold for two consecutive observations before the
+/// manager acts, so transient spikes do not thrash capacity.
 class ElasticityManager {
  public:
   struct Config {
@@ -21,11 +21,8 @@ class ElasticityManager {
     double high_watermark = 0.85;
     /// ...shrink when it sustains below this.
     double low_watermark = 0.30;
-    /// Consecutive observations a watermark must hold before acting.
-    int sustain_rounds = 2;
-    /// Per-entity processor-count bounds. Shrink never removes the
-    /// gateway, so the effective floor is max(1, min_processors).
-    int min_processors = 1;
+    /// Per-entity processor-count ceiling. Shrink never removes the
+    /// gateway, so the floor is one processor.
     int max_processors = 8;
     /// Optional second trigger: also grow when the entity's result
     /// Performance Ratio p95 sustains above this (0 disables). Reuses the

@@ -47,9 +47,7 @@ TEST(JumpConsistentHashTest, UniformAndMinimallyDisruptive) {
 }
 
 TEST(PlacementMapTest, TargetsAreDistinctAliveAndDomainStraddling) {
-  PlacementMap::Config cfg;
-  cfg.replicas = 2;
-  PlacementMap map(BlockDomains(12, 4), cfg);
+  PlacementMap map(BlockDomains(12, 4));
   for (common::QueryId q = 1; q <= 500; ++q) {
     std::vector<common::EntityId> targets = map.Targets(q);
     ASSERT_EQ(targets.size(), 3u);
@@ -67,15 +65,15 @@ TEST(PlacementMapTest, TargetsAreDistinctAliveAndDomainStraddling) {
 }
 
 TEST(PlacementMapTest, DeterministicAcrossInstances) {
-  PlacementMap a(BlockDomains(8, 4), {});
-  PlacementMap b(BlockDomains(8, 4), {});
+  PlacementMap a(BlockDomains(8, 4));
+  PlacementMap b(BlockDomains(8, 4));
   for (common::QueryId q = 1; q <= 100; ++q) {
     EXPECT_EQ(a.Targets(q), b.Targets(q));
   }
 }
 
 TEST(PlacementMapTest, PrimariesSpreadAcrossEntities) {
-  PlacementMap map(BlockDomains(8, 4), {});
+  PlacementMap map(BlockDomains(8, 4));
   std::map<common::EntityId, int> load;
   for (common::QueryId q = 1; q <= 800; ++q) load[map.Primary(q)] += 1;
   EXPECT_EQ(load.size(), 8u);
@@ -86,7 +84,7 @@ TEST(PlacementMapTest, PrimariesSpreadAcrossEntities) {
 }
 
 TEST(PlacementMapTest, FailureOnlyDisturbsTargetListsContainingTheDead) {
-  PlacementMap map(BlockDomains(12, 4), {});
+  PlacementMap map(BlockDomains(12, 4));
   std::map<common::QueryId, std::vector<common::EntityId>> before;
   for (common::QueryId q = 1; q <= 400; ++q) before[q] = map.Targets(q);
   const common::EntityId dead = 5;
@@ -108,7 +106,7 @@ TEST(PlacementMapTest, FailureOnlyDisturbsTargetListsContainingTheDead) {
 TEST(PlacementMapTest, OrphansDeclusterAcrossSurvivors) {
   // The DAOS payoff: queries whose primary was entity 0 must scatter
   // their first standby across many survivors, not pile on one neighbor.
-  PlacementMap map(BlockDomains(12, 4), {});
+  PlacementMap map(BlockDomains(12, 4));
   std::map<common::EntityId, int> fallback;
   int orphans = 0;
   for (common::QueryId q = 1; q <= 3000; ++q) {
@@ -126,7 +124,7 @@ TEST(PlacementMapTest, OrphansDeclusterAcrossSurvivors) {
 }
 
 TEST(PlacementMapTest, SurvivesAllButOneEntity) {
-  PlacementMap map(BlockDomains(6, 3), {});
+  PlacementMap map(BlockDomains(6, 3));
   for (common::EntityId e = 0; e < 5; ++e) map.SetAlive(e, false);
   for (common::QueryId q = 1; q <= 50; ++q) {
     std::vector<common::EntityId> targets = map.Targets(q);
@@ -138,7 +136,7 @@ TEST(PlacementMapTest, SurvivesAllButOneEntity) {
   EXPECT_EQ(map.Primary(7), common::kInvalidEntity);
   // Revival restores stateless answers identical to a fresh map.
   for (common::EntityId e = 0; e < 6; ++e) map.SetAlive(e, true);
-  PlacementMap fresh(BlockDomains(6, 3), {});
+  PlacementMap fresh(BlockDomains(6, 3));
   for (common::QueryId q = 1; q <= 50; ++q) {
     EXPECT_EQ(map.Targets(q), fresh.Targets(q));
   }
@@ -147,10 +145,8 @@ TEST(PlacementMapTest, SurvivesAllButOneEntity) {
 TEST(PlacementMapTest, WholeDomainFailureLeavesAliveTargets) {
   // Correlated rack crash: kill every entity of domain 0. Every query
   // must still resolve to alive targets in the surviving domains only.
-  PlacementMap::Config cfg;
-  cfg.replicas = 2;
   std::vector<int> domains = BlockDomains(8, 4);
-  PlacementMap map(domains, cfg);
+  PlacementMap map(domains);
   for (int e = 0; e < 8; ++e) {
     if (domains[e] == 0) map.SetAlive(e, false);
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -211,6 +212,32 @@ TEST(SimulatorTest, CancelFromEventDisarmsSameTimeLaterTimer) {
   sim.Run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(SimulatorTest, EveryRunsThroughUntilAfterSameInstantEvents) {
+  Simulator sim;
+  sim.RunUntil(1.0);
+  std::vector<std::pair<char, double>> log;
+  sim.Every(0.5, 3.0, [&] {
+    log.emplace_back('t', sim.now());
+    // Scheduled for the next tick's instant: the next tick is scheduled
+    // only after this callback returns, so this event runs first.
+    sim.Schedule(0.5, [&] { log.emplace_back('f', sim.now()); });
+  });
+  sim.Run();
+  std::vector<std::pair<char, double>> want;
+  for (double t : {1.5, 2.0, 2.5, 3.0}) {
+    if (t > 1.5) want.emplace_back('f', t);
+    want.emplace_back('t', t);
+  }
+  want.emplace_back('f', 3.5);
+  EXPECT_EQ(log, want);
+
+  // A first run past `until` schedules nothing, including until == now().
+  sim.Every(1.0, sim.now() + 0.5, [] { ADD_FAILURE(); });
+  sim.Every(1.0, sim.now(), [] { ADD_FAILURE(); });
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.Run();
 }
 
 // ----------------------------------------------------------------- Network
@@ -443,11 +470,10 @@ TEST(TopologyTest, ProcessorsNearTheirCenter) {
   TopologyConfig cfg;
   cfg.num_entities = 4;
   cfg.processors_per_entity = 8;
-  cfg.lan_radius = 1.0;
   Topology topo = BuildTopology(&net, cfg, &rng);
   for (const auto& e : topo.entities) {
     for (auto p : e.processors) {
-      EXPECT_LE(Distance(net.position(p), e.center), cfg.lan_radius + 1e-9);
+      EXPECT_LE(Distance(net.position(p), e.center), kLanRadius + 1e-9);
     }
   }
 }

@@ -24,11 +24,9 @@ class MapSketch {
  public:
   MapSketch() : MapSketch(Sketch::Config{}) {}
   explicit MapSketch(const Sketch::Config& config) : config_(config) {
-    DSPS_CHECK(config_.relative_accuracy > 0.0 &&
-               config_.relative_accuracy < 1.0);
     DSPS_CHECK(config_.max_buckets >= 8);
-    gamma_ = (1.0 + config_.relative_accuracy) /
-             (1.0 - config_.relative_accuracy);
+    gamma_ = (1.0 + Sketch::kRelativeAccuracy) /
+             (1.0 - Sketch::kRelativeAccuracy);
     inv_log_gamma_ = 1.0 / std::log(gamma_);
   }
 
@@ -55,7 +53,6 @@ class MapSketch {
   }
 
   void Merge(const MapSketch& other) {
-    DSPS_CHECK(config_.relative_accuracy == other.config_.relative_accuracy);
     if (other.count_ == 0) return;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);

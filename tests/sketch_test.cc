@@ -25,7 +25,7 @@ double ExactQuantile(const std::vector<double>& sorted, double q) {
 }
 
 // Asserts the DDSketch error contract on one sample set: at every probed
-// quantile the estimate is within relative_accuracy of the exact
+// quantile the estimate is within kRelativeAccuracy of the exact
 // nearest-rank sample, and the target rank falls inside the rank
 // interval of samples within that error band of the estimate.
 void CheckErrorContract(std::vector<double> samples) {
@@ -33,7 +33,7 @@ void CheckErrorContract(std::vector<double> samples) {
   Sketch sketch;
   for (double x : samples) sketch.Add(x);
   std::sort(samples.begin(), samples.end());
-  const double alpha = sketch.config().relative_accuracy;
+  const double alpha = Sketch::kRelativeAccuracy;
   const double n = static_cast<double>(samples.size());
   for (double q : {0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}) {
     const double truth = ExactQuantile(samples, q);
@@ -382,7 +382,7 @@ TEST(SketchTest, BucketBudgetCollapsesLowTailOnly) {
   for (double q : {0.90, 0.95, 0.99}) {
     double truth = ExactQuantile(xs, q);
     EXPECT_NEAR(s.Percentile(q), truth,
-                s.config().relative_accuracy * truth + 1e-12)
+                Sketch::kRelativeAccuracy * truth + 1e-12)
         << q;
   }
   // The low tail coarsened: the median's answer may be far off, but it

@@ -127,7 +127,7 @@ TEST(TelemetrySystemTest, CollectedLatencyQuantilesMatchResultSpans) {
   std::sort(exact.begin(), exact.end());
   const SystemMetrics m = sys.Collect();
   EXPECT_EQ(m.latency.count(), static_cast<int64_t>(exact.size()));
-  const double alpha = m.latency.config().relative_accuracy;
+  const double alpha = telemetry::Sketch::kRelativeAccuracy;
   for (double q : {0.50, 0.95, 0.99}) {
     // Exact nearest rank in [1, n].
     const size_t rank = std::clamp<size_t>(

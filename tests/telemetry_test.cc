@@ -8,6 +8,7 @@
 
 #include "telemetry/bench_report.h"
 #include "telemetry/chrome_trace.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/json.h"
 #include "telemetry/registry.h"
 #include "telemetry/sinks.h"
@@ -23,10 +24,21 @@ double RankOfOneToN(int n, double q) {
   return std::max(1.0, std::ceil(q * n));
 }
 
-// A sketch-backed quantile must land within relative_accuracy of the
+// Value of the metric `name` in the report's JSON, -1 when absent.
+double ReportMetric(BenchReport& report, const std::string& name) {
+  auto parsed = ParseJson(report.ToJson());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().message();
+  if (!parsed.ok()) return -1.0;
+  for (const JsonValue& item : parsed.value().Find("metrics")->items) {
+    if (item.StringOr("name", "") == name) return item.NumberOr("value", -1.0);
+  }
+  return -1.0;
+}
+
+// A sketch-backed quantile must land within kRelativeAccuracy of the
 // exact one.
 void ExpectWithinAccuracy(double est, double exact) {
-  const double alpha = Sketch::Config{}.relative_accuracy;
+  const double alpha = Sketch::kRelativeAccuracy;
   EXPECT_NEAR(est, exact, alpha * std::fabs(exact)) << "exact " << exact;
 }
 
@@ -196,6 +208,25 @@ TEST(TraceLogTest, MaxSpansCapCountsDrops) {
   for (int i = 0; i < 5; ++i) log.Record(t, Stage::kExecute, i, i + 1);
   EXPECT_EQ(log.spans().size(), 2u);
   EXPECT_EQ(log.dropped_spans(), 3);
+}
+
+TEST(TraceLogTest, InstantsPastTheCapAreCountedReportedAndMirrored) {
+  TraceLog::Config cfg;
+  cfg.sample_every_n = 1;
+  TraceLog log(cfg);
+  FlightRecorder flight;
+  log.AttachFlightRecorder(&flight);
+  const size_t n = TraceLog::kMaxInstants + 5;
+  for (size_t i = 0; i < n; ++i) {
+    log.RecordInstant("tick", static_cast<double>(i));
+  }
+  EXPECT_EQ(log.instants().size(), TraceLog::kMaxInstants);
+  EXPECT_EQ(log.dropped_instants(), 5);
+  // The flight recorder sees every instant, dropped ones included.
+  EXPECT_EQ(flight.recorded(), static_cast<int64_t>(n));
+  BenchReport report("instant_cap");
+  report.AttachTrace(&log);
+  EXPECT_EQ(ReportMetric(report, "trace.dropped_instants"), 5.0);
 }
 
 TEST(TraceLogTest, MessageTypeMappingAttributesStages) {
@@ -371,6 +402,23 @@ TEST(TimeSeriesRecorderTest, GaugeAndRateProbes) {
   ASSERT_EQ(rec.num_series(), 2u);
   EXPECT_EQ(rec.values(0), (std::vector<double>{10.0, 20.0, 15.0}));
   EXPECT_EQ(rec.values(1), (std::vector<double>{0.0, 100.0, 20.0}));
+}
+
+TEST(TimeSeriesRecorderTest, SamplesPastTheCapAreCountedAndReported) {
+  TimeSeriesRecorder rec;
+  rec.AddGaugeProbe("g", {}, [] { return 1.0; });
+  BenchReport report("series_cap");
+  report.AttachSeries(&rec);
+  rec.Sample(0.0);
+  // Below the cap nothing dropped, and no counter is interned.
+  EXPECT_EQ(ReportMetric(report, "telemetry.series_dropped"), -1.0);
+  for (size_t i = 1; i < TimeSeriesRecorder::kMaxSamples + 3; ++i) {
+    rec.Sample(static_cast<double>(i));
+  }
+  EXPECT_EQ(rec.num_samples(), TimeSeriesRecorder::kMaxSamples);
+  EXPECT_EQ(rec.values(0).size(), TimeSeriesRecorder::kMaxSamples);
+  EXPECT_EQ(rec.dropped_samples(), 3);
+  EXPECT_EQ(ReportMetric(report, "telemetry.series_dropped"), 3.0);
 }
 
 TEST(TimeSeriesRecorderTest, SeriesSectionOnlyWhenNonEmpty) {

@@ -218,8 +218,6 @@ TEST(TenantSystemTest, QueuedSubmissionEvictedAtDeadline) {
 
 TEST(TenantSystemTest, OverFairShareTenantDegradesToCoarserBox) {
   System::Config cfg = TightConfig();
-  cfg.admission.degrade_load_factor = 0.5;
-  cfg.admission.degrade_coverage = 0.25;
   System sys(cfg);
   sys.AddStreams(SmallStreams(1));
   // Bronze hogs both entities at 0.6 load each (remaining room: 0.4).
@@ -343,7 +341,6 @@ TEST(TenantSystemTest, ElasticityGrowsAndShrinksUnderPlacementMapAudit) {
   tenant::ElasticityManager::Config ecfg;
   ecfg.high_watermark = committed / before * 0.5;  // currently hot
   ecfg.low_watermark = ecfg.high_watermark * 0.05;
-  ecfg.sustain_rounds = 2;
   ecfg.max_processors = before + 1;
   // until=0: no periodic ticks — rounds are driven manually so the test
   // controls exactly how many observations each entity accumulates.

@@ -172,11 +172,8 @@ engine::Query BoxQuery(double lo0, double hi0, double lo1, double hi1) {
 }
 
 TEST(DegradeForAdmissionTest, ShrinksBoxAboutCenterToCoverageVolume) {
-  AdmissionController::Config cfg;
-  cfg.degrade_coverage = 0.25;
-  cfg.degrade_load_factor = 0.5;
   engine::Query q = BoxQuery(0, 100, -50, 50);
-  engine::Query coarse = DegradeForAdmission(q, cfg);
+  engine::Query coarse = DegradeForAdmission(q);
   EXPECT_EQ(coarse.id, q.id);
   EXPECT_EQ(coarse.tenant, q.tenant);
   EXPECT_DOUBLE_EQ(coarse.load, 1.0);
@@ -203,7 +200,6 @@ TEST(DegradeForAdmissionTest, ShrinksBoxAboutCenterToCoverageVolume) {
 
 TEST(ElasticityManagerTest, SustainedHighLoadGrows) {
   ElasticityManager::Config cfg;
-  cfg.sustain_rounds = 2;
   ElasticityManager mgr(cfg);
   ElasticityManager::Observation hot{/*entity=*/0, /*committed_load=*/1.8,
                                      /*capacity=*/2.0, /*pr_p95=*/0.0,
@@ -218,8 +214,6 @@ TEST(ElasticityManagerTest, SustainedHighLoadGrows) {
 
 TEST(ElasticityManagerTest, HysteresisAndBounds) {
   ElasticityManager::Config cfg;
-  cfg.sustain_rounds = 2;
-  cfg.min_processors = 1;
   cfg.max_processors = 2;
   ElasticityManager mgr(cfg);
   // Mid-band utilization (between watermarks) resets both streaks.
@@ -245,7 +239,6 @@ TEST(ElasticityManagerTest, HysteresisAndBounds) {
 
 TEST(ElasticityManagerTest, PrP95TriggerFiresWhenLoadLooksFine) {
   ElasticityManager::Config cfg;
-  cfg.sustain_rounds = 2;
   cfg.pr_p95_limit = 1.5;
   ElasticityManager mgr(cfg);
   // Declared load says 50% — but measured PR p95 says results are taking

@@ -37,8 +37,9 @@
 //     exhausted — the decomposition silently under-counts; raise
 //     max_spans or switch to stage aggregation) and non-zero
 //     common.histogram_overflow (an exact histogram hit its sample cap)
-//     mark the file unhealthy: truncated telemetry must never pass for
-//     complete.
+//     and non-zero telemetry.series_dropped (a time-series recorder hit
+//     its sample cap) mark the file unhealthy: truncated telemetry must
+//     never pass for complete.
 //
 // Usage: dsps_doctor <report.json>...
 // Exit status: 0 = healthy, 1 = violations found, 2 = usage/parse error.
@@ -137,6 +138,7 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
   double dropped_spans = 0.0;
   double dropped_instants = 0.0;
   double histogram_overflow = 0.0;
+  double series_dropped = 0.0;
   double recovery_min = 0.0, recovery_max = 0.0;
   int recovery_samples = 0;
   double events_per_sec = -1.0;
@@ -165,6 +167,8 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
         dropped_instants += sample.NumberOr("value", 0.0);
       } else if (name == "common.histogram_overflow") {
         histogram_overflow += sample.NumberOr("value", 0.0);
+      } else if (name == "telemetry.series_dropped") {
+        series_dropped += sample.NumberOr("value", 0.0);
       } else if (name.rfind("headline.tenant_", 0) == 0) {
         const JsonValue* labels = sample.Find("labels");
         std::string who =
@@ -282,14 +286,19 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
     h.healthy = false;
     os << "; trace dropped " << dropped_spans << " spans / "
        << dropped_instants
-       << " instants (budget exhausted — raise max_spans/max_instants or "
-          "aggregate stages)";
+       << " instants (budget exhausted — raise max_spans or aggregate "
+          "stages)";
   }
   if (histogram_overflow > 0) {
     h.healthy = false;
     os << "; " << histogram_overflow
        << " histogram samples dropped at the cap (use telemetry::Sketch "
           "for unbounded streams)";
+  }
+  if (series_dropped > 0) {
+    h.healthy = false;
+    os << "; " << series_dropped
+       << " time-series samples dropped at the cap";
   }
   for (const auto& [who, t] : h.tenants) {
     if (t.quota_headroom >= 0 && t.rejected > t.quota_headroom) {
