@@ -58,8 +58,9 @@ DissemResult Run(int entities, double coverage, TreePolicy policy,
   if (!dissem.AddSource(0, src).ok()) std::abort();
   dsps::common::Histogram latency;
   dissem.SetDeliveryHandler(
-      [&](dsps::common::EntityId, const dsps::engine::Tuple& t) {
-        latency.Add(sim.now() - t.timestamp);
+      [&](dsps::common::EntityId,
+          const dsps::dissemination::TupleEnvelope& env) {
+        latency.Add(sim.now() - env.tuple->timestamp);
       });
   for (int e = 0; e < entities; ++e) {
     auto gw = net.AddNode({rng.Uniform(0, 1000), rng.Uniform(0, 1000)});

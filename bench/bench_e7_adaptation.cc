@@ -47,7 +47,8 @@ BudgetResult RunBudget(int budget, int entities, int boxes_per_entity,
   Disseminator dissem(&net, cfg);
   if (!dissem.AddSource(0, src).ok()) std::abort();
   dissem.SetDeliveryHandler(
-      [](dsps::common::EntityId, const dsps::engine::Tuple&) {});
+      [](dsps::common::EntityId, const dsps::dissemination::TupleEnvelope&) {
+      });
   for (int e = 0; e < entities; ++e) {
     auto gw = net.AddNode({rng.Uniform(0, 1000), rng.Uniform(0, 1000)});
     if (!dissem.AddEntity(e, gw).ok()) std::abort();
@@ -132,8 +133,9 @@ ReorgResult RunReorg(int entities, uint64_t seed,
   dsps::common::Histogram* sink = nullptr;
   dsps::common::Histogram lat_before, lat_after;
   dissem.SetDeliveryHandler(
-      [&](dsps::common::EntityId, const dsps::engine::Tuple& t) {
-        if (sink != nullptr) sink->Add(sim.now() - t.timestamp);
+      [&](dsps::common::EntityId,
+          const dsps::dissemination::TupleEnvelope& env) {
+        if (sink != nullptr) sink->Add(sim.now() - env.tuple->timestamp);
       });
   for (int e = 0; e < entities; ++e) {
     auto gw = net.AddNode({rng.Uniform(0, 1000), rng.Uniform(0, 1000)});

@@ -96,6 +96,7 @@ DelegationResult Run(int processors, int streams, bool single_receiver,
       dsps::engine::Tuple tuple = gens[s]->Next(sim.now());
       dsps::entity::StreamTupleEnvelope env;
       env.tuple = std::make_shared<const dsps::engine::Tuple>(tuple);
+      env.point = dsps::engine::ProjectPoint(tuple);
       dsps::sim::Message msg;
       msg.from = upstream;
       msg.to = ent.processor(ent.DelegateFor(s))->node();

@@ -131,8 +131,8 @@ RegimeResult RunFusedRegime(const RegimeWorkload& wl) {
   }
   DSPS_CHECK(dissem.AddEntity(0, fused.gateway_node()).ok());
   dissem.SetDeliveryHandler(
-      [&fused](common::EntityId, const engine::Tuple& tuple) {
-        fused.OnStreamTuple(tuple);
+      [&fused](common::EntityId, const dissemination::TupleEnvelope& env) {
+        fused.OnStreamTuple(env.tuple, env.point);
       });
   for (common::SimNodeId node : all_nodes) {
     network.SetHandler(node, [&fused, &dissem](const sim::Message& msg) {

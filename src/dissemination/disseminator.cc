@@ -185,12 +185,7 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
   } else {
     env.tuple = std::make_shared<const engine::Tuple>(tuple);
   }
-  auto point = std::make_shared<std::vector<double>>();
-  point->reserve(tuple.values.size());
-  for (const engine::Value& v : tuple.values) {
-    point->push_back(engine::AsDouble(v));
-  }
-  env.point = std::move(point);
+  env.point = engine::ProjectPoint(tuple);
   Forward(*it->second, common::kInvalidEntity, source_nodes_.at(tuple.stream),
           env);
   return common::Status::OK();
@@ -213,7 +208,7 @@ bool Disseminator::HandleMessage(const sim::Message& msg) {
     if (config_.metrics != nullptr) {
       CountersFor(env->tuple->stream, entity).delivered->Increment();
     }
-    if (delivery_) delivery_(entity, *env->tuple);
+    if (delivery_) delivery_(entity, *env);
   }
   // Forward down the tree.
   Forward(*tree, entity, msg.to, *env);

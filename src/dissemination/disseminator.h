@@ -27,7 +27,8 @@ inline constexpr int kMsgTupleAck = 102;
 /// Payload of a kMsgTupleForward message.
 struct TupleEnvelope {
   std::shared_ptr<const engine::Tuple> tuple;
-  /// Numeric projection of the tuple, precomputed once at the source.
+  /// The tuple's projection (engine::ProjectPoint), computed once at the
+  /// source and shared by every hop and the entities it reaches.
   std::shared_ptr<const std::vector<double>> point;
   /// Reliable-mode sequence number (0 = fire-and-forget). Unique per
   /// Disseminator; the receiver acks it and suppresses re-deliveries.
@@ -87,9 +88,10 @@ class Disseminator {
                                    const std::vector<interest::Box>& boxes);
 
   /// Called whenever a tuple matching the entity's local interest arrives
-  /// at its gateway.
+  /// at its gateway, with the envelope it arrived in: the shared tuple and
+  /// its projection can be handed on without a copy.
   using DeliveryHandler =
-      std::function<void(common::EntityId, const engine::Tuple&)>;
+      std::function<void(common::EntityId, const TupleEnvelope&)>;
   void SetDeliveryHandler(DeliveryHandler handler);
 
   /// Publishes a tuple at its stream's source: sends it to the (filtered)
@@ -121,9 +123,9 @@ class Disseminator {
   /// Sends awaiting an ack right now.
   size_t pending_reliable_count() const { return hops_.pending(); }
 
-  /// Aggregated routing-cache index statistics across every stream tree
-  /// (boxes, memory, spline health); feeds bench JSON and
-  /// dsps_doctor.
+  /// Aggregated statistics of the spline-backed match tables across
+  /// every stream tree (boxes, memory, spline health); feeds bench JSON
+  /// and dsps_doctor.
   interest::IndexStats RouteIndexStats() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "dissemination/tree.h"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "common/check.h"
@@ -90,7 +91,7 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
   } else {
     nodes_[parent].children.push_back(id);
   }
-  InvalidateRouteCache(parent);
+  DropTable(parent);
   return common::Status::OK();
 }
 
@@ -118,7 +119,7 @@ common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
     }
   }
   // The parent's child list changed even if its aggregate did not.
-  InvalidateRouteCache(node.parent);
+  DropTable(node.parent);
   // Aggregates above the removal point change.
   int updates = 0;
   if (node.parent != common::kInvalidEntity) {
@@ -198,8 +199,8 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
     if (!changed) break;
     ++*updates;
     cur = nodes_.at(cur).parent;
-    // `cur`'s routing cache indexes the changed child aggregate.
-    InvalidateRouteCache(cur);
+    // `cur`'s table holds the changed child aggregate.
+    DropTable(cur);
   }
 }
 
@@ -211,6 +212,7 @@ int DisseminationTree::SetLocalInterest(common::EntityId id,
   // from an unchanged local interest would change nothing.
   if (it->second.local == boxes) return 0;
   it->second.local = boxes;
+  it->second.table.reset();
   int updates = 0;
   PropagateUp(id, &updates);
   return updates;
@@ -275,109 +277,160 @@ const std::vector<Box>& DisseminationTree::LocalInterest(
   return it->second.local;
 }
 
-namespace {
-/// Below this many child subtree boxes a BoxIndex would only scan a copy
-/// of them linearly, so no index is kept and ForwardTargets scans the
-/// children's boxes in place.
-constexpr size_t kRouteIndexMinBoxes = interest::BoxIndex::kSplineBuildMin;
-}  // namespace
-
-void DisseminationTree::InvalidateRouteCache(common::EntityId parent) const {
-  if (parent == common::kInvalidEntity) {
-    source_route_index_.reset();
-    source_route_cache_valid_ = false;
-    return;
-  }
-  auto it = nodes_.find(parent);
-  if (it != nodes_.end()) {
-    it->second.route_index.reset();
-    it->second.route_cache_valid = false;
-  }
+std::unique_ptr<DisseminationTree::Table>* DisseminationTree::TableSlot(
+    common::EntityId id) const {
+  if (id == common::kInvalidEntity) return &source_table_;
+  auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second.table;
 }
 
-std::unique_ptr<interest::BoxIndex> DisseminationTree::BuildRouteIndex(
+void DisseminationTree::DropTable(common::EntityId id) const {
+  std::unique_ptr<Table>* slot = TableSlot(id);
+  if (slot != nullptr) slot->reset();
+}
+
+const DisseminationTree::Table& DisseminationTree::EnsureTable(
+    std::unique_ptr<Table>* slot, const Node* node) const {
+  if (*slot == nullptr) {
+    *slot = node == nullptr ? BuildTable(nullptr, source_children_)
+                            : BuildTable(&node->local, node->children);
+  }
+  return **slot;
+}
+
+std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
+    const std::vector<Box>* local,
     const std::vector<common::EntityId>& children) const {
+  // Gather the non-empty boxes first so every array is sized exactly:
+  // tables live until the next change, and growth slack would stay.
+  std::vector<const Box*> own;
+  std::vector<const Box*> below;
+  std::vector<int64_t> positions;
+  std::vector<uint32_t> child_end;
+  child_end.reserve(children.size());
+  if (local != nullptr) {
+    for (const Box& b : *local) {
+      if (!interest::BoxEmpty(b)) own.push_back(&b);
+    }
+  }
+  for (size_t i = 0; i < children.size(); ++i) {
+    for (const Box& b : nodes_.at(children[i]).subtree) {
+      if (interest::BoxEmpty(b)) continue;
+      below.push_back(&b);
+      positions.push_back(static_cast<int64_t>(i));
+    }
+    child_end.push_back(static_cast<uint32_t>(below.size()));
+  }
+  auto table = std::make_unique<Table>();
   // All boxes of one stream share dimensionality (see
-  // interest/interval.h), so the first non-empty box fixes the index's.
-  size_t dims = 0;
-  size_t total_boxes = 0;
-  for (common::EntityId child : children) {
-    for (const Box& b : nodes_.at(child).subtree) {
-      if (interest::BoxEmpty(b)) continue;
-      ++total_boxes;
-      dims = b.size();
-    }
+  // interest/interval.h).
+  if (!own.empty() || !below.empty()) {
+    table->dims = (own.empty() ? below : own).front()->size();
   }
-  if (total_boxes < kRouteIndexMinBoxes) return nullptr;
-  auto index = std::make_unique<interest::BoxIndex>(dims);
-  for (common::EntityId child : children) {
-    for (const Box& b : nodes_.at(child).subtree) {
-      if (interest::BoxEmpty(b)) continue;
-      index->Insert(child, b);
+  auto flatten = [&table, this](const std::vector<const Box*>& boxes) {
+    std::vector<double> bounds;
+    bounds.reserve(boxes.size() * 2 * table->dims);
+    for (const Box* b : boxes) {
+      DSPS_CHECK_MSG(!b->empty() && b->size() == table->dims,
+                     "stream %d mixes box dimensionalities", stream_);
+      interest::AppendBounds(*b, &bounds);
     }
+    return bounds;
+  };
+  table->local = flatten(own);
+  if (below.size() < interest::BoxIndex::kSplineBuildMin) {
+    table->child_bounds = flatten(below);
+    table->child_end = std::move(child_end);
+    return table;
   }
-  return index;
+  const std::vector<double> bounds = flatten(below);
+  const auto start = std::chrono::steady_clock::now();
+  table->spline =
+      std::make_unique<interest::SplineIndex>(table->dims, bounds, positions);
+  table->build_us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  return table;
 }
 
 void DisseminationTree::ForwardTargets(common::EntityId from,
                                        const double* point, bool early_filter,
                                        std::vector<common::EntityId>* out) const {
   out->clear();
-  const std::vector<common::EntityId>* children = nullptr;
-  std::unique_ptr<interest::BoxIndex>* cache = nullptr;
-  bool* valid = nullptr;
-  if (from == common::kInvalidEntity) {
-    children = &source_children_;
-    cache = &source_route_index_;
-    valid = &source_route_cache_valid_;
-  } else {
+  const Node* node = nullptr;
+  std::unique_ptr<Table>* slot = &source_table_;
+  const std::vector<common::EntityId>* children = &source_children_;
+  if (from != common::kInvalidEntity) {
     auto it = nodes_.find(from);
     DSPS_DCHECK(it != nodes_.end());
     if (it == nodes_.end()) return;
+    node = &it->second;
+    slot = &it->second.table;
     children = &it->second.children;
-    cache = &it->second.route_index;
-    valid = &it->second.route_cache_valid;
   }
   if (!early_filter) {
     *out = *children;
     return;
   }
   if (children->empty()) return;
-  if (!*valid) {
-    *cache = BuildRouteIndex(*children);
-    *valid = true;
-  }
-  if (*cache == nullptr) {
-    // Too few subtree boxes to be worth indexing: scan them directly.
-    for (common::EntityId child : *children) {
-      for (const Box& b : nodes_.at(child).subtree) {
-        if (interest::BoxContains(b, point)) {
-          out->push_back(child);
-          break;
-        }
-      }
+  const Table& table = EnsureTable(slot, node);
+  if (table.spline != nullptr) {
+    ++table.lookups;
+    match_scratch_.clear();
+    table.spline->Match(point, &match_scratch_);
+    // Child positions, ascending and deduplicated, are child-list order.
+    std::sort(match_scratch_.begin(), match_scratch_.end());
+    match_scratch_.erase(
+        std::unique(match_scratch_.begin(), match_scratch_.end()),
+        match_scratch_.end());
+    for (int64_t i : match_scratch_) {
+      out->push_back((*children)[static_cast<size_t>(i)]);
     }
     return;
   }
-  match_scratch_.clear();
-  (*cache)->Match(point, &match_scratch_);
-  // Match yields ascending entity ids; re-emit in child-list order so the
-  // output is bit-identical to the old per-child linear scan.
-  for (common::EntityId child : *children) {
-    if (std::binary_search(match_scratch_.begin(), match_scratch_.end(),
-                           static_cast<int64_t>(child))) {
-      out->push_back(child);
+  const size_t stride = 2 * table.dims;
+  size_t box = 0;
+  for (size_t i = 0; i < children->size(); ++i) {
+    const size_t end = table.child_end[i];
+    for (; box < end; ++box) {
+      if (interest::BoundsContain(&table.child_bounds[box * stride], point,
+                                  table.dims)) {
+        out->push_back((*children)[i]);
+        box = end;
+        break;
+      }
     }
   }
 }
 
+bool DisseminationTree::LocalMatch(common::EntityId id,
+                                   const double* point) const {
+  auto it = nodes_.find(id);
+  if (it == nodes_.end()) return false;
+  const Table& table = EnsureTable(&it->second.table, &it->second);
+  const size_t stride = 2 * table.dims;
+  for (size_t i = 0; i < table.local.size(); i += stride) {
+    if (interest::BoundsContain(&table.local[i], point, table.dims)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
-  if (source_route_index_ != nullptr) {
-    source_route_index_->AddStatsTo(stats);
-  }
-  for (const auto& [id, node] : nodes_) {
-    if (node.route_index != nullptr) node.route_index->AddStatsTo(stats);
-  }
+  auto add = [stats](const std::unique_ptr<Table>& table) {
+    if (table == nullptr || table->spline == nullptr) return;
+    ++stats->indexes;
+    stats->boxes += static_cast<int64_t>(table->spline->size());
+    stats->lookups += table->lookups;
+    ++stats->spline_rebuilds;
+    stats->build_us += table->build_us;
+    stats->mem_bytes +=
+        static_cast<int64_t>(table->local.size() * sizeof(double));
+    interest::AddSplineStats(*table->spline, stats);
+  };
+  add(source_table_);
+  for (const auto& [id, node] : nodes_) add(node.table);
 }
 
 const sim::Point& DisseminationTree::position(common::EntityId id) const {
@@ -429,8 +482,8 @@ common::Status DisseminationTree::Reattach(common::EntityId id,
     nodes_.at(new_parent).children.push_back(id);
   }
   // Both parents' child lists changed even if no aggregate does.
-  InvalidateRouteCache(old_parent);
-  InvalidateRouteCache(new_parent);
+  DropTable(old_parent);
+  DropTable(new_parent);
   int updates = 0;
   if (old_parent != common::kInvalidEntity) PropagateUp(old_parent, &updates);
   if (new_parent != common::kInvalidEntity) PropagateUp(new_parent, &updates);
@@ -509,23 +562,28 @@ common::Status DisseminationTree::CheckInvariants() const {
       }
     }
   }
-  // (4) Routing cache vs linear scan, probed at child subtree box centers
-  // (where mismatches from a stale index are most likely to show). The
-  // ForwardTargets call lazily builds a cache that is not there yet; such
-  // a cache is dropped again afterwards, since routing output never
-  // depends on it and on a system without traffic it would only hold
-  // memory.
+  // (4) Match tables vs linear scans, probed at child subtree box centers
+  // (where mismatches from a stale table are most likely to show): the
+  // routing targets against a scan of the children's aggregates, and the
+  // LocalMatch of the parent and of each child against a scan of its
+  // LocalInterest(). A child's own boxes are part of its aggregate, so
+  // every node's local interest gets probed. Tables these calls build are
+  // dropped again parent by parent: output never depends on them, and on
+  // a system without traffic they would only hold memory.
   std::vector<common::EntityId> parents(1, common::kInvalidEntity);
   for (const auto& [id, node] : nodes_) parents.push_back(id);
   std::vector<common::EntityId> cached;
   constexpr size_t kMaxProbesPerParent = 16;
   for (common::EntityId parent : parents) {
-    const bool had_cache = parent == common::kInvalidEntity
-                               ? source_route_cache_valid_
-                               : nodes_.at(parent).route_cache_valid;
     const std::vector<common::EntityId>& children =
         parent == common::kInvalidEntity ? source_children_
                                          : nodes_.at(parent).children;
+    std::vector<common::EntityId> probed(1, parent);
+    probed.insert(probed.end(), children.begin(), children.end());
+    std::vector<common::EntityId> unbuilt;
+    for (common::EntityId id : probed) {
+      if (*TableSlot(id) == nullptr) unbuilt.push_back(id);
+    }
     std::vector<std::vector<double>> probes;
     for (common::EntityId child : children) {
       for (const Box& b : nodes_.at(child).subtree) {
@@ -551,22 +609,23 @@ common::Status DisseminationTree::CheckInvariants() const {
         }
       }
       if (cached != scanned) {
-        return violation("routing cache disagrees with linear scan");
+        return violation("routing table disagrees with linear scan");
+      }
+      for (common::EntityId id : probed) {
+        if (id == common::kInvalidEntity) continue;
+        const std::vector<Box>& local = nodes_.at(id).local;
+        const bool scan =
+            std::any_of(local.begin(), local.end(), [&point](const Box& b) {
+              return interest::BoxContains(b, point.data());
+            });
+        if (LocalMatch(id, point.data()) != scan) {
+          return violation("local match table disagrees with linear scan");
+        }
       }
     }
-    if (!had_cache) InvalidateRouteCache(parent);
+    for (common::EntityId id : unbuilt) DropTable(id);
   }
   return common::Status::OK();
-}
-
-bool DisseminationTree::LocalMatch(common::EntityId id,
-                                   const double* point) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return false;
-  for (const Box& b : it->second.local) {
-    if (interest::BoxContains(b, point)) return true;
-  }
-  return false;
 }
 
 }  // namespace dsps::dissemination

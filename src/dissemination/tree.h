@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "interest/box_index.h"
 #include "interest/interest.h"
+#include "interest/spline_index.h"
 #include "sim/network.h"
 
 namespace dsps::dissemination {
@@ -97,16 +98,16 @@ class DisseminationTree {
   /// tuple with numeric values `point`. With early_filter, a child is
   /// included only if its subtree aggregate matches; otherwise all
   /// children are included (forward-everything baseline). The per-child
-  /// matching runs against a cached interest::BoxIndex over the children's
-  /// subtree aggregates (rebuilt lazily after joins/leaves/reattaches and
-  /// aggregate changes), so the per-tuple cost is one spline-bucket probe
-  /// rather than a scan of every child's box list; results keep
-  /// child-list order, bit-identical to the linear scan.
+  /// matching reads `from`'s match table (see Table): a scan of the
+  /// children's contiguous bounds, or one spline-bucket probe once they
+  /// hold interest::BoxIndex::kSplineBuildMin boxes. Results keep
+  /// child-list order, bit-identical to a scan of every child's box list.
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
                       std::vector<common::EntityId>* out) const;
 
   /// True if the entity's own interest matches the point (local delivery).
+  /// Reads the entity's match table, stopping at the first matching box.
   bool LocalMatch(common::EntityId id, const double* point) const;
 
   /// The entity's registered position.
@@ -133,28 +134,50 @@ class DisseminationTree {
   /// node's cached subtree aggregate equals a fresh recomputation from
   /// local + children (interval-exact, including coarsening); (4) cached
   /// early-filter routing equals a plain linear scan over child subtree
-  /// boxes at probe points. Internal error naming the first violation.
-  /// Read-only: a routing cache check (4) has to build is dropped again.
+  /// boxes at probe points, and each probed node's LocalMatch equals a
+  /// scan of its LocalInterest() there. Internal error naming the first
+  /// violation. Read-only: a match table check (4) has to build is
+  /// dropped again.
   common::Status CheckInvariants() const;
 
-  /// Accumulates the statistics of every live routing cache (per-node and
-  /// source) into `stats`.
+  /// Accumulates the statistics of every live spline-backed match table
+  /// (per-node and source) into `stats`; smaller tables are plain scans
+  /// and are not counted as indexes.
   void CollectIndexStats(interest::IndexStats* stats) const;
 
  private:
+  /// A node's match table: every bound a tuple stab at the node reads,
+  /// copied contiguously in the interest::AppendBounds layout so each
+  /// candidate box costs one branch (interest::BoundsContain). Built
+  /// lazily by the first LocalMatch or early-filtered ForwardTargets after
+  /// a change and rebuilt whole on the next one after DropTable, so it
+  /// needs no insert or removal path.
+  struct Table {
+    /// Dimensionality of every box in the table.
+    size_t dims = 0;
+    /// The node's own non-empty boxes (LocalMatch).
+    std::vector<double> local;
+    /// Below interest::BoxIndex::kSplineBuildMin child boxes: the
+    /// children's non-empty subtree boxes, child after child in
+    /// child-list order; child i's boxes end at box child_end[i].
+    std::vector<double> child_bounds;
+    std::vector<uint32_t> child_end;
+    /// From kSplineBuildMin child boxes: a spline over them (subscriber =
+    /// the child's position in the child list) in place of child_bounds.
+    std::unique_ptr<interest::SplineIndex> spline;
+    /// Spline build time and early-filtered stabs served by it.
+    double build_us = 0.0;
+    mutable int64_t lookups = 0;
+  };
+
   struct Node {
     common::EntityId parent = common::kInvalidEntity;  // invalid = source
     std::vector<common::EntityId> children;
     sim::Point position;
     std::vector<interest::Box> local;
     std::vector<interest::Box> subtree;
-    /// Routing cache: point index over the children's subtree aggregates
-    /// (subscriber = child id), rebuilt lazily on the next early-filtered
-    /// ForwardTargets through this node. Stays null below the box-count
-    /// threshold where the linear scan is already cheaper than a rebuild;
-    /// route_cache_valid distinguishes that from "invalidated".
-    mutable std::unique_ptr<interest::BoxIndex> route_index;
-    mutable bool route_cache_valid = false;
+    /// The node's match table; null until built and after DropTable.
+    mutable std::unique_ptr<Table> table;
   };
 
   /// Recomputes `id`'s subtree aggregate from local + children; returns
@@ -176,14 +199,21 @@ class DisseminationTree {
   }
   void PropagateUp(common::EntityId id, int* updates);
   int FanoutOf(common::EntityId id) const;
-  /// Drops `parent`'s routing cache (kInvalidEntity = the source's). Must
-  /// be called whenever `parent`'s child list or any child's subtree
-  /// aggregate changes. Const because the caches are mutable.
-  void InvalidateRouteCache(common::EntityId parent) const;
-  /// Builds a fresh routing index over `children`'s subtree aggregates.
-  /// Returns null when the children hold too few boxes for an index to
-  /// beat the plain linear scan.
-  std::unique_ptr<interest::BoxIndex> BuildRouteIndex(
+  /// The table slot of `id` (kInvalidEntity = the source); null for
+  /// unknown entities.
+  std::unique_ptr<Table>* TableSlot(common::EntityId id) const;
+  /// The table in `slot`, built first if it is not there: `node`'s, or
+  /// the source's when `node` is null.
+  const Table& EnsureTable(std::unique_ptr<Table>* slot,
+                           const Node* node) const;
+  /// Drops `id`'s match table (kInvalidEntity = the source's). Must be
+  /// called whenever `id`'s own interest, its child list or any child's
+  /// subtree aggregate changes. Const because the tables are mutable.
+  void DropTable(common::EntityId id) const;
+  /// Builds a table over `local` (null for the source) and `children`'s
+  /// subtree aggregates.
+  std::unique_ptr<Table> BuildTable(
+      const std::vector<interest::Box>* local,
       const std::vector<common::EntityId>& children) const;
 
   common::StreamId stream_;
@@ -192,10 +222,9 @@ class DisseminationTree {
   common::Rng rng_;
   std::map<common::EntityId, Node> nodes_;
   std::vector<common::EntityId> source_children_;
-  /// Routing cache for the source's children (see Node::route_index).
-  mutable std::unique_ptr<interest::BoxIndex> source_route_index_;
-  mutable bool source_route_cache_valid_ = false;
-  /// Scratch for ForwardTargets' cache lookups (avoids a per-tuple
+  /// The source's match table (children only; see Table).
+  mutable std::unique_ptr<Table> source_table_;
+  /// Scratch for ForwardTargets' spline lookups (avoids a per-tuple
   /// allocation on the hot path).
   mutable std::vector<int64_t> match_scratch_;
   /// Scratch for RecomputeSubtree's MarkAggregate call.

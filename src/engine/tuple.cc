@@ -46,6 +46,13 @@ int64_t Tuple::SizeBytes() const {
   return size;
 }
 
+std::shared_ptr<const std::vector<double>> ProjectPoint(const Tuple& tuple) {
+  auto point = std::make_shared<std::vector<double>>();
+  point->reserve(tuple.values.size());
+  for (const Value& v : tuple.values) point->push_back(AsDouble(v));
+  return point;
+}
+
 void ExtractNumeric(const Tuple& tuple, const std::vector<int>& numeric_indices,
                     std::vector<double>* out) {
   out->resize(numeric_indices.size());

@@ -2,6 +2,7 @@
 #define DSPS_ENGINE_TUPLE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -66,6 +67,11 @@ struct Tuple {
   /// Approximate wire size in bytes (drives bandwidth costs).
   int64_t SizeBytes() const;
 };
+
+/// Every value of `tuple` as a double (AsDouble), in field order: the point
+/// the dissemination and entity layers stab their interest indexes with.
+/// Projected once per published tuple and shared by every hop after.
+std::shared_ptr<const std::vector<double>> ProjectPoint(const Tuple& tuple);
 
 /// Copies the numeric fields of `tuple` (per `numeric_indices`, as returned
 /// by Schema::NumericFieldIndices) into `out`, resizing it. Used to match

@@ -208,20 +208,24 @@ common::Status Entity::RemoveQuery(common::QueryId query) {
 }
 
 void Entity::OnStreamTuple(const engine::Tuple& tuple) {
+  OnStreamTuple(std::make_shared<const engine::Tuple>(tuple),
+                engine::ProjectPoint(tuple));
+}
+
+void Entity::OnStreamTuple(std::shared_ptr<const engine::Tuple> tuple,
+                           std::shared_ptr<const std::vector<double>> point) {
   // Gateway -> delegate hop (Figure 3: the delegation processor routes
   // the stream inside the entity).
-  common::ProcessorId delegate = DelegateFor(tuple.stream);
+  common::ProcessorId delegate = DelegateFor(tuple->stream);
   int idx = ProcIndexOf(delegate);
   DSPS_CHECK(idx >= 0);
-  StreamTupleEnvelope env;
-  env.tuple = std::make_shared<const engine::Tuple>(tuple);
   sim::Message msg;
   msg.from = gateway_node();
   msg.to = processors_[idx]->node();
   msg.type = kMsgStreamTuple;
-  msg.size_bytes = tuple.SizeBytes();
-  msg.trace_id = tuple.trace_id;
-  msg.payload = std::move(env);
+  msg.size_bytes = tuple->SizeBytes();
+  msg.trace_id = tuple->trace_id;
+  msg.payload = StreamTupleEnvelope{std::move(tuple), std::move(point)};
   common::Status s = network_->Send(std::move(msg));
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
 }
@@ -251,12 +255,9 @@ bool Entity::HandleMessage(const sim::Message& msg) {
     auto idx = stream_index_.find(stream);
     if (idx != stream_index_.end()) {
       // Indexed fan-out: only queries whose interest matches the tuple.
-      point_scratch_.clear();
-      for (const engine::Value& v : env->tuple->values) {
-        point_scratch_.push_back(engine::AsDouble(v));
-      }
+      DSPS_CHECK_MSG(env->point != nullptr, "stream tuple without its point");
       match_scratch_.clear();
-      idx->second->Match(point_scratch_.data(), &match_scratch_);
+      idx->second->Match(env->point->data(), &match_scratch_);
       for (int64_t qid : match_scratch_) {
         auto q_it = queries_.find(qid);
         if (q_it != queries_.end()) route_to_query(q_it->second);

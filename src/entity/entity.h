@@ -29,6 +29,9 @@ inline constexpr int kMsgMigration = 203;      // fragment state transfer
 /// Payload of kMsgStreamTuple.
 struct StreamTupleEnvelope {
   std::shared_ptr<const engine::Tuple> tuple;
+  /// The tuple's projection (engine::ProjectPoint); the delegate stabs
+  /// its stream index with it.
+  std::shared_ptr<const std::vector<double>> point;
 };
 
 /// Payload of kMsgFragmentTuple.
@@ -133,6 +136,11 @@ class Entity {
 
   /// Entry point: a stream tuple reached this entity (delivered by the
   /// dissemination layer at the gateway, at the current simulated time).
+  /// `point` is its projection (engine::ProjectPoint); the delegate hop
+  /// shares both instead of copying them.
+  void OnStreamTuple(std::shared_ptr<const engine::Tuple> tuple,
+                     std::shared_ptr<const std::vector<double>> point);
+  /// The same for a tuple that is not shared yet: copies and projects it.
   void OnStreamTuple(const engine::Tuple& tuple);
 
   /// A produced query result with its delay accounting.
@@ -236,7 +244,6 @@ class Entity {
   std::map<common::StreamId, std::unique_ptr<interest::BoxIndex>> stream_index_;
   /// Queries bound to a stream without index coverage: always delivered.
   std::map<common::StreamId, std::set<common::QueryId>> always_deliver_;
-  mutable std::vector<double> point_scratch_;
   mutable std::vector<int64_t> match_scratch_;
   common::FragmentId next_fragment_id_ = 1;
   ResultHandler result_handler_;

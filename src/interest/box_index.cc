@@ -23,6 +23,18 @@ void IndexStats::MergeFrom(const IndexStats& other) {
   build_us += other.build_us;
 }
 
+void AddSplineStats(const SplineIndex& spline, IndexStats* stats) {
+  stats->spline_lookups += static_cast<int64_t>(spline.lookups());
+  stats->spline_fallbacks += static_cast<int64_t>(spline.fallback_lookups());
+  stats->spline_knots += static_cast<int64_t>(spline.knot_count());
+  stats->spline_buckets += static_cast<int64_t>(spline.bucket_count());
+  stats->spline_max_error =
+      std::max<int64_t>(stats->spline_max_error, SplineIndex::kMaxError);
+  stats->declared_fallback_bound = std::max(
+      stats->declared_fallback_bound, SplineIndex::kDeclaredFallbackBound);
+  stats->mem_bytes += static_cast<int64_t>(spline.mem_bytes());
+}
+
 BoxIndex::BoxIndex(size_t dims) : dims_(dims) {
   DSPS_CHECK_MSG(dims >= 1, "boxes must have >= 1 dimension");
 }
@@ -30,45 +42,50 @@ BoxIndex::BoxIndex(size_t dims) : dims_(dims) {
 void BoxIndex::Insert(int64_t subscriber, const Box& box) {
   DSPS_CHECK(box.size() == dims_);
   if (BoxEmpty(box)) return;
-  boxes_of_[subscriber].push_back(box);
+  std::vector<double>& bounds = bounds_of_[subscriber];
+  bounds.reserve(bounds.size() + 2 * dims_);
+  AppendBounds(box, &bounds);
   ++total_boxes_;
-  DropScan();
-  // Before the first build, boxes_of_ alone feeds the (lazy) build and
-  // the linear fallback; a pending overlay would only duplicate it.
-  if (spline_ != nullptr) {
-    pending_.push_back(SplineIndex::Entry{subscriber, box});
+  if (flat_live_) {
+    AppendBounds(box, &flat_bounds_);
+    flat_subs_.push_back(subscriber);
   }
 }
 
 void BoxIndex::Remove(int64_t subscriber) {
-  auto it = boxes_of_.find(subscriber);
-  if (it == boxes_of_.end()) return;
-  DropScan();
-  if (spline_ != nullptr) {
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [subscriber](const SplineIndex::Entry& e) {
-                                    return e.subscriber == subscriber;
-                                  }),
-                   pending_.end());
-    erased_.insert(subscriber);
+  auto it = bounds_of_.find(subscriber);
+  if (it == bounds_of_.end()) return;
+  if (flat_live_) {
+    const size_t stride = 2 * dims_;
+    size_t kept = 0;
+    for (size_t r = 0; r < flat_subs_.size(); ++r) {
+      if (flat_subs_[r] == subscriber) continue;
+      if (kept != r) {
+        flat_subs_[kept] = flat_subs_[r];
+        std::copy_n(flat_bounds_.begin() + static_cast<long>(r * stride),
+                    stride,
+                    flat_bounds_.begin() + static_cast<long>(kept * stride));
+      }
+      ++kept;
+    }
+    flat_subs_.resize(kept);
+    flat_bounds_.resize(kept * stride);
   }
-  total_boxes_ -= it->second.size();
-  boxes_of_.erase(it);
+  if (spline_ != nullptr) erased_.insert(subscriber);
+  total_boxes_ -= it->second.size() / (2 * dims_);
+  bounds_of_.erase(it);
 }
 
-void BoxIndex::BuildScan() const {
-  scan_bounds_.clear();
-  scan_subs_.clear();
-  for (const auto& [sub, boxes] : boxes_of_) {
-    for (const Box& box : boxes) {
-      scan_subs_.push_back(sub);
-      for (const Interval& iv : box) {
-        scan_bounds_.push_back(iv.lo);
-        scan_bounds_.push_back(iv.hi);
-      }
-    }
+void BoxIndex::BuildFlat() const {
+  flat_bounds_.clear();
+  flat_subs_.clear();
+  flat_bounds_.reserve(total_boxes_ * 2 * dims_);
+  flat_subs_.reserve(total_boxes_);
+  for (const auto& [sub, bounds] : bounds_of_) {
+    flat_bounds_.insert(flat_bounds_.end(), bounds.begin(), bounds.end());
+    flat_subs_.insert(flat_subs_.end(), bounds.size() / (2 * dims_), sub);
   }
-  scan_valid_ = true;
+  flat_live_ = true;
 }
 
 void BoxIndex::MaybeRebuildSpline() const {
@@ -76,39 +93,45 @@ void BoxIndex::MaybeRebuildSpline() const {
     if (total_boxes_ >= kSplineBuildMin) RebuildSpline();
     return;
   }
-  if (pending_.size() * 4 > spline_->size() ||
+  if (flat_subs_.size() * 4 > spline_->size() ||
       erased_.size() * 4 > spline_->size()) {
     RebuildSpline();
   }
 }
 
 void BoxIndex::RebuildSpline() const {
-  pending_.clear();
-  pending_.shrink_to_fit();
   erased_.clear();
+  flat_bounds_.clear();
+  flat_bounds_.shrink_to_fit();
+  flat_subs_.clear();
+  flat_subs_.shrink_to_fit();
   if (total_boxes_ < kSplineBuildMin) {
-    spline_.reset();  // back to the linear fallback
+    spline_.reset();  // back to the linear scan, copied at the next lookup
+    flat_live_ = false;
     return;
   }
   // Collect subscribers in ascending order: the hash map's iteration
   // order must never reach a data structure a lookup could observe.
   std::vector<int64_t> subs;
-  subs.reserve(boxes_of_.size());
-  for (const auto& kv : boxes_of_) subs.push_back(kv.first);
+  subs.reserve(bounds_of_.size());
+  for (const auto& kv : bounds_of_) subs.push_back(kv.first);
   std::sort(subs.begin(), subs.end());
-  std::vector<SplineIndex::Entry> entries;
-  entries.reserve(total_boxes_);
+  std::vector<double> bounds;
+  std::vector<int64_t> box_subs;
+  bounds.reserve(total_boxes_ * 2 * dims_);
+  box_subs.reserve(total_boxes_);
   for (int64_t sub : subs) {
-    for (const Box& box : boxes_of_.at(sub)) {
-      entries.push_back(SplineIndex::Entry{sub, box});
-    }
+    const std::vector<double>& own = bounds_of_.at(sub);
+    bounds.insert(bounds.end(), own.begin(), own.end());
+    box_subs.insert(box_subs.end(), own.size() / (2 * dims_), sub);
   }
   const auto start = std::chrono::steady_clock::now();
-  spline_ = std::make_unique<SplineIndex>(std::move(entries));
+  spline_ = std::make_unique<SplineIndex>(dims_, bounds, box_subs);
   build_us_ += std::chrono::duration<double, std::micro>(
                    std::chrono::steady_clock::now() - start)
                    .count();
   ++rebuilds_;
+  flat_live_ = true;  // the overlay now holds the (no) boxes inserted since
 }
 
 void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
@@ -116,17 +139,8 @@ void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
   size_t before = out->size();
   MaybeRebuildSpline();
   if (spline_ == nullptr) {
-    // Linear fallback below the build threshold.
-    if (!scan_valid_) BuildScan();
-    const double* b = scan_bounds_.data();
-    for (size_t r = 0; r < scan_subs_.size(); ++r, b += 2 * dims_) {
-      bool in = true;
-      for (size_t d = 0; d < dims_ && in; ++d) {
-        in = point[d] >= b[2 * d] && point[d] <= b[2 * d + 1];
-      }
-      if (in) out->push_back(scan_subs_[r]);
-    }
-  } else if (pending_.empty() && erased_.empty()) {
+    if (!flat_live_) BuildFlat();
+  } else if (erased_.empty()) {
     spline_->Match(point, out);
   } else {
     spline_scratch_.clear();
@@ -134,9 +148,11 @@ void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
     for (int64_t sub : spline_scratch_) {
       if (erased_.count(sub) == 0) out->push_back(sub);
     }
-    for (const SplineIndex::Entry& e : pending_) {
-      if (BoxContains(e.box, point)) out->push_back(e.subscriber);
-    }
+  }
+  const size_t stride = 2 * dims_;
+  const double* b = flat_bounds_.data();
+  for (size_t r = 0; r < flat_subs_.size(); ++r, b += stride) {
+    if (BoundsContain(b, point, dims_)) out->push_back(flat_subs_[r]);
   }
   // Dedupe (a subscriber may have several boxes matching the point).
   std::sort(out->begin() + static_cast<long>(before), out->end());
@@ -149,20 +165,10 @@ void BoxIndex::MatchOverlap(const Box& query, std::vector<int64_t>* out) const {
   if (BoxEmpty(query)) return;
   ++lookups_;
   size_t before = out->size();
-  auto overlaps_all = [&query](const Box& box) {
-    for (size_t d = 0; d < query.size(); ++d) {
-      if (!box[d].Overlaps(query[d])) return false;
-    }
-    return true;
-  };
   MaybeRebuildSpline();
   if (spline_ == nullptr) {
-    for (const auto& [sub, boxes] : boxes_of_) {
-      for (const Box& box : boxes) {
-        if (overlaps_all(box)) out->push_back(sub);
-      }
-    }
-  } else if (pending_.empty() && erased_.empty()) {
+    if (!flat_live_) BuildFlat();
+  } else if (erased_.empty()) {
     spline_->MatchOverlap(query, out);
   } else {
     spline_scratch_.clear();
@@ -170,9 +176,11 @@ void BoxIndex::MatchOverlap(const Box& query, std::vector<int64_t>* out) const {
     for (int64_t sub : spline_scratch_) {
       if (erased_.count(sub) == 0) out->push_back(sub);
     }
-    for (const SplineIndex::Entry& e : pending_) {
-      if (overlaps_all(e.box)) out->push_back(e.subscriber);
-    }
+  }
+  const size_t stride = 2 * dims_;
+  const double* b = flat_bounds_.data();
+  for (size_t r = 0; r < flat_subs_.size(); ++r, b += stride) {
+    if (BoundsOverlap(b, query)) out->push_back(flat_subs_[r]);
   }
   // Dedupe (a box may register in several scanned buckets, and a
   // subscriber may hold several overlapping boxes).
@@ -191,31 +199,16 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
       stats->declared_fallback_bound, SplineIndex::kDeclaredFallbackBound);
   // Structure size from element counts, not capacities: deterministic
   // across runs so bench baselines can pin it exactly.
-  const auto dims = static_cast<int64_t>(dims_);
   int64_t mem = 0;
-  for (const auto& [sub, boxes] : boxes_of_) {
-    mem += static_cast<int64_t>(sizeof(sub) + sizeof(boxes)) +
-           static_cast<int64_t>(boxes.size()) *
-               (static_cast<int64_t>(sizeof(Box)) +
-                dims * static_cast<int64_t>(sizeof(Interval)));
+  for (const auto& [sub, bounds] : bounds_of_) {
+    mem += static_cast<int64_t>(sizeof(sub) + sizeof(bounds) +
+                                bounds.size() * sizeof(double));
   }
-  if (spline_ != nullptr) {
-    stats->spline_lookups += static_cast<int64_t>(spline_->lookups());
-    stats->spline_fallbacks +=
-        static_cast<int64_t>(spline_->fallback_lookups());
-    stats->spline_knots += static_cast<int64_t>(spline_->knot_count());
-    stats->spline_buckets += static_cast<int64_t>(spline_->bucket_count());
-    stats->spline_max_error = std::max<int64_t>(stats->spline_max_error,
-                                                SplineIndex::kMaxError);
-    mem += static_cast<int64_t>(spline_->mem_bytes());
-  }
-  mem += static_cast<int64_t>(pending_.size()) *
-         (static_cast<int64_t>(sizeof(SplineIndex::Entry)) +
-          dims * static_cast<int64_t>(sizeof(Interval)));
+  if (spline_ != nullptr) AddSplineStats(*spline_, stats);
   mem += static_cast<int64_t>(erased_.size()) *
          static_cast<int64_t>(sizeof(int64_t));
-  mem += static_cast<int64_t>(scan_subs_.size() * sizeof(int64_t) +
-                              scan_bounds_.size() * sizeof(double));
+  mem += static_cast<int64_t>(flat_subs_.size() * sizeof(int64_t) +
+                              flat_bounds_.size() * sizeof(double));
   stats->mem_bytes += mem;
 }
 

@@ -42,6 +42,12 @@ struct IndexStats {
   }
 };
 
+/// Adds one built spline's health and structure size to `stats` (spline
+/// lookups and fallbacks, knots, buckets, error and fallback bounds,
+/// mem_bytes). Its owner adds the index itself: index, box and lookup
+/// counts, rebuilds and build time.
+void AddSplineStats(const SplineIndex& spline, IndexStats* stats);
+
 /// Point-stabbing index over subscriber boxes: given a tuple's numeric
 /// values, returns every subscriber with a box containing them.
 ///
@@ -52,8 +58,9 @@ struct IndexStats {
 /// endpoints. Inserts land in a pending overlay and removals in a
 /// tombstone set; the immutable spline is rebuilt lazily when either
 /// overlay grows past a quarter of the built size. Below kSplineBuildMin
-/// boxes no spline is built at all and point lookups scan a flat copy of
-/// the boxes' bounds.
+/// boxes no spline is built at all and lookups scan a flat copy of the
+/// boxes' bounds. Every scan, in the spline's buckets or in the flat
+/// overlay, tests a box with BoundsContain / BoundsOverlap.
 class BoxIndex {
  public:
   /// Indexes smaller than this use a plain linear scan.
@@ -82,44 +89,39 @@ class BoxIndex {
 
   /// Registered (subscriber, box) pairs.
   size_t size() const { return total_boxes_; }
-  size_t subscriber_count() const { return boxes_of_.size(); }
+  size_t subscriber_count() const { return bounds_of_.size(); }
 
   /// Accumulates this index's statistics into `stats`.
   void AddStatsTo(IndexStats* stats) const;
 
  private:
   /// Lazily (re)builds the spline at lookup time; const because lookups
-  /// are, with the overlay state mutable (same pattern as the lazy
-  /// routing caches in dissemination/tree.h).
+  /// are, with the overlay state mutable (same pattern as the lazy match
+  /// tables in dissemination/tree.h).
   void MaybeRebuildSpline() const;
   void RebuildSpline() const;
-  void BuildScan() const;
-  void DropScan() {
-    scan_bounds_.clear();
-    scan_subs_.clear();
-    scan_valid_ = false;
-  }
+  /// Fills the flat overlay with every box (used while no spline exists).
+  void BuildFlat() const;
 
   size_t dims_;
-  /// Ground truth for rebuilds, linear fallback, and Remove.
-  std::unordered_map<int64_t, std::vector<Box>> boxes_of_;
+  /// Ground truth for rebuilds and Remove: each subscriber's boxes as flat
+  /// bounds (AppendBounds layout), box after box.
+  std::unordered_map<int64_t, std::vector<double>> bounds_of_;
   size_t total_boxes_ = 0;
-  /// The immutable built spline plus churn overlays. pending_ holds boxes
-  /// inserted since the last build; erased_ tombstones subscribers
-  /// removed since (filtering built candidates only — re-inserted
-  /// subscribers live in pending_ and bypass it).
+  /// The immutable built spline. erased_ tombstones subscribers removed
+  /// since its build (filtering built candidates only — re-inserted
+  /// subscribers live in the flat overlay and bypass it).
   mutable std::unique_ptr<SplineIndex> spline_;
-  mutable std::vector<SplineIndex::Entry> pending_;
   mutable std::unordered_set<int64_t> erased_;
   mutable std::vector<int64_t> spline_scratch_;
-  /// The linear scan below kSplineBuildMin reads these instead of
-  /// boxes_of_: every box's bounds (lo, hi per dimension, box after box)
-  /// and its subscriber, so a stab walks one contiguous array rather than
-  /// a hash node and a heap box per subscriber. Built lazily at lookup;
-  /// Insert and Remove drop it.
-  mutable std::vector<double> scan_bounds_;
-  mutable std::vector<int64_t> scan_subs_;
-  mutable bool scan_valid_ = false;
+  /// The boxes a lookup scans besides the spline, as flat bounds
+  /// (AppendBounds layout) and their subscribers: with a spline, the boxes
+  /// inserted since its build; without one, every box, copied at the first
+  /// lookup so an index nobody queries keeps no copy. While flat_live_,
+  /// Insert and Remove keep the overlay in step.
+  mutable std::vector<double> flat_bounds_;
+  mutable std::vector<int64_t> flat_subs_;
+  mutable bool flat_live_ = false;
   mutable int64_t rebuilds_ = 0;
   mutable double build_us_ = 0.0;
   mutable int64_t lookups_ = 0;

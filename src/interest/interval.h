@@ -53,6 +53,40 @@ inline bool BoxContains(const Box& box, const double* point) {
   return true;
 }
 
+/// The flat layout every index stab reads: a box's bounds stored as lo, hi
+/// per dimension, box after box in one contiguous array.
+inline void AppendBounds(const Box& box, std::vector<double>* bounds) {
+  for (const Interval& iv : box) {
+    bounds->push_back(iv.lo);
+    bounds->push_back(iv.hi);
+  }
+}
+
+/// True if the `dims`-dimensional box whose flat bounds start at `bounds`
+/// contains `point` (same answer as BoxContains). Every dimension is
+/// evaluated, so a scan takes one data-dependent branch per box and none
+/// per dimension.
+inline bool BoundsContain(const double* bounds, const double* point,
+                          size_t dims) {
+  bool in = true;
+  for (size_t d = 0; d < dims; ++d) {
+    in &= (point[d] >= bounds[2 * d]) & (point[d] <= bounds[2 * d + 1]);
+  }
+  return in;
+}
+
+/// True if the non-empty box whose flat bounds start at `bounds` overlaps
+/// the non-empty `query` in every dimension (same answer as
+/// Interval::Overlaps per dimension), without a branch per dimension.
+inline bool BoundsOverlap(const double* bounds, const Box& query) {
+  bool overlaps = true;
+  for (size_t d = 0; d < query.size(); ++d) {
+    overlaps &= (bounds[2 * d] <= query[d].hi) &
+                (query[d].lo <= bounds[2 * d + 1]);
+  }
+  return overlaps;
+}
+
 /// Per-dimension intersection; the result is empty if any dim is empty.
 inline Box BoxIntersect(const Box& a, const Box& b) {
   Box out(a.size());

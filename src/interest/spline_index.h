@@ -24,6 +24,11 @@ namespace dsps::interest {
 /// certified inside the window falls back to a full binary search and is
 /// counted — the fallback rate is the index's self-reported health signal.
 ///
+/// Each bucket stores its boxes' bounds contiguously (lo, hi per
+/// dimension) next to their subscribers, so a stab walks one array and
+/// tests each candidate with BoundsContain: one branch per box, none per
+/// dimension. No Box is kept after construction.
+///
 /// The index is immutable once built; `BoxIndex` layers churn on top
 /// (pending inserts, tombstones, periodic rebuild). Bucket boundaries
 /// adapt to the data: a skewed subscriber population gets fine buckets
@@ -45,15 +50,13 @@ class SplineIndex {
   /// lookups. dsps_doctor flags the index unhealthy above this.
   static constexpr double kDeclaredFallbackBound = 0.01;
 
-  struct Entry {
-    int64_t subscriber;
-    Box box;
-  };
-
-  /// Builds the index over `entries` (all boxes non-empty, all with the
-  /// same dimensionality >= 1). `entries` order is preserved verbatim;
-  /// callers that need deterministic iteration must pre-sort.
-  explicit SplineIndex(std::vector<Entry> entries);
+  /// Builds the index over `subscribers.size()` boxes of `dims` (>= 1)
+  /// dimensions, box i's bounds at bounds[2 * dims * i ..] in the flat
+  /// layout of AppendBounds. Every box must be non-empty. Each bucket keeps
+  /// its boxes in input order; callers that need deterministic iteration
+  /// must pre-sort.
+  SplineIndex(size_t dims, const std::vector<double>& bounds,
+              const std::vector<int64_t>& subscribers);
 
   /// Appends the subscriber of every box containing `point`. Raw
   /// candidates: no deduplication or ordering — the caller owns the final
@@ -65,7 +68,8 @@ class SplineIndex {
   /// bucket range; caller dedupes.
   void MatchOverlap(const Box& query, std::vector<int64_t>* out) const;
 
-  size_t size() const { return entries_.size(); }
+  /// Indexed boxes.
+  size_t size() const { return size_; }
   size_t bucket_count() const { return bucket_offsets_.size() - 1; }
   size_t knot_count() const { return spline_.size(); }
   double declared_fallback_bound() const { return kDeclaredFallbackBound; }
@@ -86,12 +90,14 @@ class SplineIndex {
   /// Number of separators <= x, i.e. the bucket index of x. Exact.
   size_t Rank(double x) const;
   uint64_t PrefixOf(double x) const;
-  void BuildSeparators();
+  void BuildSeparators(const std::vector<double>& bounds);
   void BuildSpline();
   void BuildRadix();
-  void BuildBuckets();
+  void BuildBuckets(const std::vector<double>& bounds,
+                    const std::vector<int64_t>& subscribers);
 
-  std::vector<Entry> entries_;
+  size_t dims_;
+  size_t size_;
   /// Sorted distinct bucket boundaries; bucket b holds keys x with
   /// rank(x) == b, where rank counts separators <= x. Buckets number
   /// seps_.size() + 1.
@@ -100,10 +106,15 @@ class SplineIndex {
   std::vector<uint32_t> radix_;
   double radix_min_ = 0.0;
   double radix_scale_ = 0.0;
-  /// CSR bucket storage: bucket b's entry indices are
-  /// bucket_entries_[bucket_offsets_[b] .. bucket_offsets_[b + 1]).
+  /// CSR bucket storage: bucket b holds registrations
+  /// [bucket_offsets_[b], bucket_offsets_[b + 1]). Registration k is a box
+  /// registered with its bucket: its flat bounds at
+  /// bucket_bounds_[2 * dims_ * k ..] and its subscriber at
+  /// bucket_subs_[k]. A box spanning several buckets is copied into each,
+  /// so a stab reads one contiguous run.
   std::vector<uint32_t> bucket_offsets_;
-  std::vector<uint32_t> bucket_entries_;
+  std::vector<double> bucket_bounds_;
+  std::vector<int64_t> bucket_subs_;
   mutable uint64_t lookups_ = 0;
   mutable uint64_t fallbacks_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -47,17 +48,17 @@ void Network::SetDefaultLinkModel(LinkModel model) {
 
 void Network::SetLink(common::SimNodeId from, common::SimNodeId to,
                       const LinkParams& params) {
-  links_[{from, to}].params = params;
+  links_[LinkKey(from, to)].params = params;
 }
 
 Network::LinkState& Network::GetOrCreateLink(common::SimNodeId from,
                                              common::SimNodeId to) {
-  auto it = links_.find({from, to});
-  if (it != links_.end()) return it->second;
-  LinkState state;
-  state.params = default_model_(nodes_[from].position, nodes_[to].position);
-  return links_.emplace(std::make_pair(from, to), std::move(state))
-      .first->second;
+  auto [it, inserted] = links_.try_emplace(LinkKey(from, to));
+  if (inserted) {
+    it->second.params =
+        default_model_(nodes_[from].position, nodes_[to].position);
+  }
+  return it->second;
 }
 
 void Network::CountFaultDrop() {
@@ -212,7 +213,7 @@ const Point& Network::position(common::SimNodeId node) const {
 
 LinkStats Network::link_stats(common::SimNodeId from,
                               common::SimNodeId to) const {
-  auto it = links_.find({from, to});
+  auto it = links_.find(LinkKey(from, to));
   if (it == links_.end()) return LinkStats{};
   return it->second.stats;
 }
@@ -226,10 +227,15 @@ std::vector<Network::LinkRecord> Network::AllLinkStats() const {
   std::vector<LinkRecord> out;
   out.reserve(links_.size());
   for (const auto& [key, link] : links_) {
-    if (link.stats.messages > 0) {
-      out.push_back(LinkRecord{key.first, key.second, link.stats});
-    }
+    if (link.stats.messages == 0) continue;
+    const auto from = static_cast<common::SimNodeId>(key >> 32);
+    const auto to = static_cast<common::SimNodeId>(static_cast<uint32_t>(key));
+    out.push_back(LinkRecord{from, to, link.stats});
   }
+  std::sort(out.begin(), out.end(),
+            [](const LinkRecord& a, const LinkRecord& b) {
+              return a.from != b.from ? a.from < b.from : a.to < b.to;
+            });
   return out;
 }
 

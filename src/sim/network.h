@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -159,7 +159,8 @@ class Network {
     flight_ = flight;
   }
 
-  /// Every directed link that ever carried traffic, with its stats.
+  /// Every directed link that ever carried traffic, with its stats,
+  /// ascending by (from, to).
   struct LinkRecord {
     common::SimNodeId from;
     common::SimNodeId to;
@@ -184,6 +185,11 @@ class Network {
     telemetry::Counter* messages_counter = nullptr;
   };
 
+  /// A directed link's key: (from, to) packed into 64 bits.
+  static uint64_t LinkKey(common::SimNodeId from, common::SimNodeId to) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32 |
+           static_cast<uint32_t>(to);
+  }
   LinkState& GetOrCreateLink(common::SimNodeId from, common::SimNodeId to);
   void ScheduleDelivery(double deliver_at, Message msg);
   void DeliverSlot(uint32_t slot);
@@ -192,7 +198,8 @@ class Network {
 
   Simulator* sim_;
   std::vector<NodeState> nodes_;
-  std::map<std::pair<common::SimNodeId, common::SimNodeId>, LinkState> links_;
+  /// Every link by LinkKey; looked up on each non-local Send.
+  std::unordered_map<uint64_t, LinkState> links_;
   /// In-flight message arena. Each scheduled delivery parks its Message in
   /// a slot here instead of capturing it by value in the delivery lambda:
   /// the `[this, slot]` capture fits std::function's small-buffer storage,

@@ -29,8 +29,8 @@ class System;
 ///                   center-from-own-subtree, leaf bijection);
 ///  - dissemination: per-stream DisseminationTree::CheckInvariants
 ///                   (parent/child symmetry, acyclicity, cached subtree
-///                   aggregates vs recomputation, routing cache vs linear
-///                   scan);
+///                   aggregates vs recomputation, routing and local match
+///                   tables vs linear scans);
 ///  - query_graph:   incremental QueryGraphIndex::Graph() vs a fresh
 ///                   QueryGraph::Build over the live queries (exact
 ///                   weights and adjacency);
@@ -54,7 +54,7 @@ class System;
 ///                   and per tenant, submitted == admitted + degraded +
 ///                   rejected + evicted + queued.
 ///
-/// Every check is read-only (a routing cache the dissemination check has
+/// Every check is read-only (a match table the dissemination check has
 /// to build is dropped again afterwards), consumes no RNG, and
 /// sends no messages — enabling the auditor cannot change a simulation's
 /// results, only observe them. Violations bump `audit.*` counters and,

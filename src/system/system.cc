@@ -192,9 +192,10 @@ System::System(const Config& config)
   disseminator_ = std::make_unique<dissemination::Disseminator>(
       network_.get(), diss_config);
   disseminator_->SetDeliveryHandler(
-      [this](common::EntityId entity, const engine::Tuple& tuple) {
+      [this](common::EntityId entity,
+             const dissemination::TupleEnvelope& env) {
         metrics_.delivered_tuples += 1;
-        entities_[entity]->OnStreamTuple(tuple);
+        entities_[entity]->OnStreamTuple(env.tuple, env.point);
       });
 
   // Coordinator tree over the entities.

@@ -251,7 +251,7 @@ class System {
   const InstallProfile& install_profile() const { return install_profile_; }
 
   /// Aggregated BoxIndex statistics over every interest index the system
-  /// owns: the per-node dissemination routing caches, the incremental
+  /// owns: the per-node dissemination match tables, the incremental
   /// query-graph inverted indexes, and the per-entity stream-matching
   /// indexes. Exported as the index.* series in bench JSON and read by
   /// tools/dsps_doctor.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -225,6 +226,140 @@ TEST(DisseminationTreeTest, RouteCacheSeesInterestShrink) {
   EXPECT_TRUE(targets.empty());
 }
 
+/// A node's own interest lives in its match table beside its children's
+/// aggregates; replacing it must drop the table even when the node's
+/// aggregate (and so every ancestor) stays the same.
+TEST(DisseminationTreeTest, LocalMatchSeesLocalInterestChange) {
+  DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent, 2));
+  ASSERT_TRUE(tree.AddEntity(0, {1, 0}).ok());
+  ASSERT_TRUE(tree.AddEntity(1, {1.1, 0}).ok());
+  ASSERT_EQ(tree.Parent(1).value(), 0);
+  tree.SetLocalInterest(1, {Box{Interval{0, 100}}});
+  tree.SetLocalInterest(0, {Box{Interval{0, 10}}});
+  double p5 = 5, p25 = 25, p55 = 55;
+  std::vector<common::EntityId> targets;
+  EXPECT_TRUE(tree.LocalMatch(0, &p5));
+  tree.ForwardTargets(0, &p5, true, &targets);
+  EXPECT_EQ(targets, std::vector<common::EntityId>{1});
+  // 1's box covers 0's old and new ones: 0's aggregate does not change.
+  EXPECT_EQ(tree.SetLocalInterest(0, {Box{Interval{20, 30}}}), 0);
+  EXPECT_FALSE(tree.LocalMatch(0, &p5));
+  EXPECT_TRUE(tree.LocalMatch(0, &p25));
+  // A leaf's aggregate changes with it; its own table must follow.
+  EXPECT_TRUE(tree.LocalMatch(1, &p55));
+  tree.SetLocalInterest(1, {Box{Interval{50, 60}}});
+  EXPECT_FALSE(tree.LocalMatch(1, &p5));
+  EXPECT_TRUE(tree.LocalMatch(1, &p55));
+  tree.SetLocalInterest(0, {});
+  EXPECT_FALSE(tree.LocalMatch(0, &p25));
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+/// Reference local delivery: a scan of the entity's own box list.
+bool LinearLocalMatch(const DisseminationTree& tree, common::EntityId id,
+                      const double* point) {
+  for (const Box& b : tree.LocalInterest(id)) {
+    if (interest::BoxContains(b, point)) return true;
+  }
+  return false;
+}
+
+/// Property: through joins, interest churn, leaves and reattaches, every
+/// match table answers like a linear scan — ForwardTargets against the
+/// children's aggregates and LocalMatch against the local interest. Boxes
+/// are 3-d with an unbounded last dimension; probes sit on box corners
+/// (bounds are closed), just outside them, and at centers; child sets
+/// fall on both sides of the spline threshold.
+TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
+  constexpr int kEntities = 48;
+  DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent, 8));
+  common::Rng rng(23);
+  auto random_local = [&rng] {
+    std::vector<Box> boxes;
+    const int n = static_cast<int>(rng.NextUint64(7));
+    for (int i = 0; i < n; ++i) {
+      const double x = rng.UniformInt(0, 90);
+      const double y = rng.UniformInt(0, 90);
+      boxes.push_back(Box{Interval{x, x + rng.UniformInt(0, 10)},
+                          Interval{y, y + rng.UniformInt(0, 10)},
+                          Interval::All()});
+    }
+    return boxes;
+  };
+  size_t small_sets = 0;
+  size_t spline_sets = 0;
+  auto check_all = [&](const char* when) {
+    std::vector<common::EntityId> parents{common::kInvalidEntity};
+    for (common::EntityId e = 0; e < kEntities; ++e) {
+      if (tree.Contains(e)) parents.push_back(e);
+    }
+    for (common::EntityId parent : parents) {
+      std::vector<Box> probed = tree.LocalInterest(parent);
+      size_t child_boxes = 0;
+      for (common::EntityId child : tree.Children(parent)) {
+        for (const Box& b : tree.SubtreeInterest(child)) {
+          probed.push_back(b);
+          ++child_boxes;
+        }
+      }
+      if (child_boxes > 0) {
+        ++(child_boxes >= interest::BoxIndex::kSplineBuildMin ? spline_sets
+                                                              : small_sets);
+      }
+      std::vector<std::vector<double>> probes;
+      for (const Box& b : probed) {
+        const double z = rng.Uniform(-1e6, 1e6);
+        for (int corner = 0; corner < 4; ++corner) {
+          const double x = corner & 1 ? b[0].hi : b[0].lo;
+          const double y = corner & 2 ? b[1].hi : b[1].lo;
+          probes.push_back({x, y, z});
+        }
+        probes.push_back({std::nextafter(b[0].hi, 1e300), b[1].lo, z});
+        probes.push_back({b[0].lo, std::nextafter(b[1].lo, -1e300), z});
+        probes.push_back({0.5 * (b[0].lo + b[0].hi), 0.5 * (b[1].lo + b[1].hi),
+                          z});
+      }
+      std::vector<common::EntityId> cached;
+      for (const std::vector<double>& p : probes) {
+        tree.ForwardTargets(parent, p.data(), true, &cached);
+        EXPECT_EQ(cached, LinearForwardTargets(tree, parent, p.data(), true))
+            << when << " parent " << parent << " point " << p[0] << ","
+            << p[1];
+        if (parent != common::kInvalidEntity) {
+          EXPECT_EQ(tree.LocalMatch(parent, p.data()),
+                    LinearLocalMatch(tree, parent, p.data()))
+              << when << " entity " << parent << " point " << p[0] << ","
+              << p[1];
+        }
+      }
+    }
+  };
+  for (common::EntityId e = 0; e < kEntities; ++e) {
+    ASSERT_TRUE(
+        tree.AddEntity(e, {rng.Uniform(0, 100), rng.Uniform(0, 100)}).ok());
+    tree.SetLocalInterest(e, random_local());
+  }
+  check_all("after joins");
+  for (common::EntityId e = 0; e < kEntities; e += 2) {
+    tree.SetLocalInterest(e, random_local());
+  }
+  check_all("after interest updates");
+  for (common::EntityId e = 1; e < kEntities; e += 7) {
+    ASSERT_TRUE(tree.RemoveEntity(e).ok());
+  }
+  check_all("after leaves");
+  for (common::EntityId e = 0; e < kEntities; e += 3) {
+    if (!tree.Contains(e)) continue;
+    for (common::EntityId np = kEntities - 1; np >= 0; --np) {
+      if (np != e && tree.Contains(np) && tree.Reattach(e, np).ok()) break;
+    }
+  }
+  check_all("after reattaches");
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_GT(small_sets, 0u);
+  EXPECT_GT(spline_sets, 0u);
+}
+
 /// The audit's routing check builds a cache where none exists and drops
 /// it again; a cache the hot path built survives the audit.
 TEST(DisseminationTreeTest, CheckInvariantsLeavesRouteCachesAsFound) {
@@ -392,8 +527,8 @@ TEST_F(DisseminatorTest, DeliversExactlyMatchingTuples) {
   }
   std::map<common::EntityId, std::vector<double>> got;
   dissem.SetDeliveryHandler(
-      [&](common::EntityId e, const engine::Tuple& t) {
-        got[e].push_back(engine::AsDouble(t.values[0]));
+      [&](common::EntityId e, const TupleEnvelope& env) {
+        got[e].push_back(engine::AsDouble(env.tuple->values[0]));
       });
   // Publish values 0..39; value v should reach exactly entity v/10.
   for (int v = 0; v < 40; ++v) {
@@ -472,7 +607,7 @@ TEST_F(DisseminatorTest, RemoveEntityStopsDeliveryAndRepairsTree) {
   }
   std::map<common::EntityId, int> got;
   dissem.SetDeliveryHandler(
-      [&](common::EntityId e, const engine::Tuple&) { got[e] += 1; });
+      [&](common::EntityId e, const TupleEnvelope&) { got[e] += 1; });
   ASSERT_TRUE(dissem.Publish(MakeTuple(5)).ok());
   sim_.Run();
   EXPECT_EQ(got.size(), 4u);

@@ -329,6 +329,51 @@ TEST(NetworkTest, TracksLinkAndEgressStats) {
   EXPECT_EQ(net.link_stats(a, b).bytes, 0);
 }
 
+/// AllLinkStats lists every link that carried traffic in (from, to)
+/// order, whatever the send order and whether the link was created lazily
+/// or by SetLink; links that carried nothing are left out.
+TEST(NetworkTest, AllLinkStatsAscendByEndpoints) {
+  Simulator sim;
+  Network net(&sim);
+  std::vector<common::SimNodeId> nodes;
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(net.AddNode({10.0 * i, 0}));
+    net.SetHandler(nodes.back(), [](const Message&) {});
+  }
+  net.SetLink(nodes[2], nodes[0], LinkParams{0.01, 1e6});
+  net.SetLink(nodes[0], nodes[3], LinkParams{0.01, 1e6});
+  net.SetLink(nodes[1], nodes[2], LinkParams{0.01, 1e6});  // stays idle
+  const std::vector<std::pair<int, int>> sends = {
+      {3, 1}, {2, 0}, {0, 3}, {1, 0}, {3, 1}, {0, 2}, {2, 0}, {2, 0}};
+  for (size_t i = 0; i < sends.size(); ++i) {
+    Message m;
+    m.from = nodes[sends[i].first];
+    m.to = nodes[sends[i].second];
+    m.size_bytes = static_cast<int64_t>(10 * (i + 1));
+    ASSERT_TRUE(net.Send(m).ok());
+  }
+  sim.Run();
+  std::vector<std::pair<common::SimNodeId, common::SimNodeId>> order;
+  for (const Network::LinkRecord& link : net.AllLinkStats()) {
+    order.emplace_back(link.from, link.to);
+    const LinkStats stats = net.link_stats(link.from, link.to);
+    EXPECT_EQ(link.stats.messages, stats.messages);
+    EXPECT_EQ(link.stats.bytes, stats.bytes);
+  }
+  const std::vector<std::pair<common::SimNodeId, common::SimNodeId>> want = {
+      {nodes[0], nodes[2]}, {nodes[0], nodes[3]}, {nodes[1], nodes[0]},
+      {nodes[2], nodes[0]}, {nodes[3], nodes[1]}};
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(net.link_stats(nodes[2], nodes[0]).messages, 3);  // SetLink
+  EXPECT_EQ(net.link_stats(nodes[2], nodes[0]).bytes, 20 + 70 + 80);
+  EXPECT_EQ(net.link_stats(nodes[3], nodes[1]).messages, 2);  // lazy
+  EXPECT_EQ(net.link_stats(nodes[3], nodes[1]).bytes, 10 + 50);
+  EXPECT_EQ(net.link_stats(nodes[0], nodes[3]).bytes, 30);   // SetLink
+  EXPECT_EQ(net.link_stats(nodes[0], nodes[2]).bytes, 60);   // lazy
+  EXPECT_EQ(net.link_stats(nodes[1], nodes[2]).messages, 0);  // idle
+  EXPECT_EQ(net.link_stats(nodes[0], nodes[1]).messages, 0);  // never made
+}
+
 TEST(NetworkTest, LocalSendIsFreeAndFast) {
   Simulator sim;
   Network net(&sim);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -244,18 +245,23 @@ TEST(SplineIndexTest, ChurnTriggersRebuildAndStaysExact) {
 /// Direct SplineIndex exercise: skewed keys, duplicate endpoints, and an
 /// all-identical leading dimension (no separators at all).
 TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
-  std::vector<SplineIndex::Entry> entries;
+  std::vector<Box> boxes;
+  std::vector<int64_t> subs;
   common::Rng rng(31);
   for (int64_t s = 0; s < 5000; ++s) {
     // Zipf-ish skew: most keys crowd near zero.
     double lo = 100.0 / (1.0 + static_cast<double>(rng.NextUint64(1000)));
-    entries.push_back(
-        SplineIndex::Entry{s, Box{{lo, lo + 0.5}, Interval::All()}});
+    boxes.push_back(Box{{lo, lo + 0.5}, Interval::All()});
+    subs.push_back(s);
   }
   for (int64_t s = 5000; s < 5500; ++s) {  // duplicate endpoints
-    entries.push_back(SplineIndex::Entry{s, Box{{50, 50}, Interval::All()}});
+    boxes.push_back(Box{{50, 50}, Interval::All()});
+    subs.push_back(s);
   }
-  SplineIndex index(entries);
+  std::vector<double> bounds;
+  for (const Box& box : boxes) AppendBounds(box, &bounds);
+  SplineIndex index(2, bounds, subs);
+  EXPECT_EQ(index.size(), boxes.size());
   EXPECT_GT(index.bucket_count(), 1u);
   EXPECT_GT(index.knot_count(), 0u);
   EXPECT_GT(index.mem_bytes(), 0u);
@@ -265,8 +271,8 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
     index.Match(p, &got);
     std::sort(got.begin(), got.end());
     std::vector<int64_t> want;
-    for (const auto& e : entries) {
-      if (BoxContains(e.box, p)) want.push_back(e.subscriber);
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      if (BoxContains(boxes[i], p)) want.push_back(subs[i]);
     }
     EXPECT_EQ(got, want) << "probe " << probe;
   }
@@ -276,11 +282,13 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
             index.declared_fallback_bound() *
                 static_cast<double>(index.lookups()));
 
-  std::vector<SplineIndex::Entry> flat;
+  std::vector<double> flat;
+  std::vector<int64_t> flat_subs;
   for (int64_t s = 0; s < 100; ++s) {
-    flat.push_back(SplineIndex::Entry{s, Box{{42, 42}, Interval::All()}});
+    AppendBounds(Box{{42, 42}, Interval::All()}, &flat);
+    flat_subs.push_back(s);
   }
-  SplineIndex one_bucket(flat);
+  SplineIndex one_bucket(2, flat, flat_subs);
   EXPECT_EQ(one_bucket.bucket_count(), 1u);
   double at[2] = {42, 0};
   std::vector<int64_t> got;
@@ -290,6 +298,69 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   double off[2] = {41.5, 0};
   one_bucket.Match(off, &got);
   EXPECT_TRUE(got.empty());
+}
+
+/// Every separator is a leading-dimension box endpoint (a quantile of
+/// them), so probing at every endpoint and one ulp to either side stabs
+/// every bucket boundary. A directly built spline's Match and MatchOverlap
+/// must equal the naive scan there, for 1-, 2- and 3-d boxes. Coordinates
+/// are integers, so the other dimensions' probes hit endpoints too.
+TEST(SplineIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
+  common::Rng rng(59);
+  auto sorted_unique = [](std::vector<int64_t> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  for (size_t dims = 1; dims <= 3; ++dims) {
+    std::vector<Box> boxes;
+    std::vector<int64_t> subs;
+    std::vector<double> bounds;
+    for (int64_t s = 0; s < 400; ++s) {
+      Box box(dims);
+      for (size_t d = 0; d < dims; ++d) {
+        box[d].lo = static_cast<double>(rng.UniformInt(0, d == 0 ? 600 : 60));
+        box[d].hi = box[d].lo + static_cast<double>(rng.UniformInt(0, 20));
+      }
+      AppendBounds(box, &bounds);
+      boxes.push_back(std::move(box));
+      subs.push_back(s % 300);  // some subscribers hold two boxes
+    }
+    SplineIndex index(dims, bounds, subs);
+    ASSERT_GT(index.bucket_count(), 8u) << dims << "-d";
+    for (const Box& box : boxes) {
+      for (double x : {box[0].lo, box[0].hi}) {
+        for (double at : {std::nextafter(x, -1e300), x,
+                          std::nextafter(x, 1e300)}) {
+          std::vector<double> p(dims, at);
+          Box query(dims, Interval{at, at + rng.UniformInt(0, 10)});
+          for (size_t d = 1; d < dims; ++d) {
+            p[d] = static_cast<double>(rng.UniformInt(0, 80));
+            const double lo = static_cast<double>(rng.UniformInt(0, 80));
+            query[d] = Interval{lo, lo + rng.UniformInt(0, 5)};
+          }
+          std::vector<int64_t> want;
+          std::vector<int64_t> want_overlap;
+          for (size_t i = 0; i < boxes.size(); ++i) {
+            if (BoxContains(boxes[i], p.data())) want.push_back(subs[i]);
+            bool overlaps = true;
+            for (size_t d = 0; d < dims; ++d) {
+              overlaps = overlaps && boxes[i][d].Overlaps(query[d]);
+            }
+            if (overlaps) want_overlap.push_back(subs[i]);
+          }
+          std::vector<int64_t> got;
+          index.Match(p.data(), &got);
+          EXPECT_EQ(sorted_unique(got), sorted_unique(want))
+              << dims << "-d point " << at;
+          got.clear();
+          index.MatchOverlap(query, &got);
+          EXPECT_EQ(sorted_unique(got), sorted_unique(want_overlap))
+              << dims << "-d query from " << at;
+        }
+      }
+    }
+  }
 }
 
 /// One index below the build threshold (linear scan) and one above it
