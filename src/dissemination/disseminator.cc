@@ -26,14 +26,42 @@ Disseminator::Disseminator(sim::Network* network, const Config& config)
   }
 }
 
+namespace {
+
+/// Grows `v` with `fill` so that index `i` exists.
+template <typename T>
+void GrowTo(std::vector<T>* v, size_t i, const T& fill) {
+  if (i >= v->size()) v->resize(i + 1, fill);
+}
+
+}  // namespace
+
+DisseminationTree* Disseminator::TreeOf(common::StreamId stream) const {
+  if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
+    return nullptr;
+  }
+  return streams_[stream].tree.get();
+}
+
+common::SimNodeId Disseminator::GatewayOf(common::EntityId id) const {
+  if (id < 0 || static_cast<size_t>(id) >= gateways_.size()) {
+    return common::kInvalidSimNode;
+  }
+  return gateways_[id];
+}
+
 common::Status Disseminator::AddSource(common::StreamId stream,
                                        common::SimNodeId source_node) {
-  if (trees_.count(stream) > 0) {
+  if (stream < 0) return common::Status::InvalidArgument("invalid stream");
+  if (TreeOf(stream) != nullptr) {
     return common::Status::AlreadyExists("stream already has a source");
   }
-  trees_[stream] = std::make_unique<DisseminationTree>(
+  if (static_cast<size_t>(stream) >= streams_.size()) {
+    streams_.resize(static_cast<size_t>(stream) + 1);
+  }
+  streams_[stream].tree = std::make_unique<DisseminationTree>(
       stream, network_->position(source_node), config_.tree);
-  source_nodes_[stream] = source_node;
+  streams_[stream].source = source_node;
   // The source must hear hop acks in reliable mode; the handler is inert
   // otherwise (nothing ever addresses a source in fire-and-forget mode).
   network_->SetHandler(source_node, [this](const sim::Message& msg) {
@@ -44,13 +72,19 @@ common::Status Disseminator::AddSource(common::StreamId stream,
 
 common::Status Disseminator::AddEntity(common::EntityId id,
                                        common::SimNodeId gateway) {
-  if (gateways_.count(id) > 0) {
+  if (id < 0 || gateway < 0) {
+    return common::Status::InvalidArgument("invalid entity or gateway");
+  }
+  if (GatewayOf(id) != common::kInvalidSimNode) {
     return common::Status::AlreadyExists("entity already registered");
   }
+  GrowTo(&gateways_, static_cast<size_t>(id), common::kInvalidSimNode);
   gateways_[id] = gateway;
+  GrowTo(&by_node_, static_cast<size_t>(gateway), common::kInvalidEntity);
   by_node_[gateway] = id;
-  for (auto& [stream, tree] : trees_) {
-    DSPS_RETURN_IF_ERROR(tree->AddEntity(id, network_->position(gateway)));
+  for (const StreamTree& s : streams_) {
+    if (s.tree == nullptr) continue;
+    DSPS_RETURN_IF_ERROR(s.tree->AddEntity(id, network_->position(gateway)));
   }
   network_->SetHandler(gateway, [this](const sim::Message& msg) {
     HandleMessage(msg);
@@ -59,40 +93,40 @@ common::Status Disseminator::AddEntity(common::EntityId id,
 }
 
 common::Status Disseminator::RemoveEntity(common::EntityId id) {
-  auto it = gateways_.find(id);
-  if (it == gateways_.end()) {
+  const common::SimNodeId gateway = GatewayOf(id);
+  if (gateway == common::kInvalidSimNode) {
     return common::Status::NotFound("entity not registered");
   }
-  for (auto& [stream, tree] : trees_) {
-    if (tree->Contains(id)) {
-      DSPS_RETURN_IF_ERROR(tree->RemoveEntity(id));
+  for (const StreamTree& s : streams_) {
+    if (s.tree != nullptr && s.tree->Contains(id)) {
+      DSPS_RETURN_IF_ERROR(s.tree->RemoveEntity(id));
     }
   }
   // The removed entity will never ack hops sent to it (delivery
   // failures), and its gateway's own sends must not be retransmitted by a
   // process that is gone (cancelled).
-  (void)hops_.Abandon(it->second);
-  by_node_.erase(it->second);
-  gateways_.erase(it);
+  (void)hops_.Abandon(gateway);
+  by_node_[gateway] = common::kInvalidEntity;
+  gateways_[id] = common::kInvalidSimNode;
   return common::Status::OK();
 }
 
 common::Status Disseminator::SetEntityInterest(
     common::EntityId id, common::StreamId stream,
     const std::vector<interest::Box>& boxes) {
-  auto it = trees_.find(stream);
-  if (it == trees_.end()) return common::Status::NotFound("unknown stream");
-  if (gateways_.count(id) == 0) {
+  DisseminationTree* tree = TreeOf(stream);
+  if (tree == nullptr) return common::Status::NotFound("unknown stream");
+  if (GatewayOf(id) == common::kInvalidSimNode) {
     return common::Status::NotFound("unknown entity");
   }
-  it->second->SetLocalInterest(id, boxes);
+  tree->SetLocalInterest(id, boxes);
   return common::Status::OK();
 }
 
 interest::IndexStats Disseminator::RouteIndexStats() const {
   interest::IndexStats stats;
-  for (const auto& [stream, tree] : trees_) {
-    tree->CollectIndexStats(&stats);
+  for (const StreamTree& s : streams_) {
+    if (s.tree != nullptr) s.tree->CollectIndexStats(&stats);
   }
   return stats;
 }
@@ -120,19 +154,18 @@ Disseminator::NodeCounters& Disseminator::CountersFor(common::StreamId stream,
 }
 
 void Disseminator::Forward(const DisseminationTree& tree,
+                           DisseminationTree::Position at,
                            common::EntityId from, common::SimNodeId from_node,
                            const TupleEnvelope& env) {
   std::vector<common::EntityId>& targets = targets_scratch_;
   if (route_lookup_us_ != nullptr) {
     auto start = std::chrono::steady_clock::now();
-    tree.ForwardTargets(from, env.point->data(), config_.early_filter,
-                        &targets);
+    tree.ForwardTargets(at, env.point->data(), config_.early_filter, &targets);
     route_lookup_us_->Observe(std::chrono::duration<double, std::micro>(
                                   std::chrono::steady_clock::now() - start)
                                   .count());
   } else {
-    tree.ForwardTargets(from, env.point->data(), config_.early_filter,
-                        &targets);
+    tree.ForwardTargets(at, env.point->data(), config_.early_filter, &targets);
   }
   if (config_.metrics != nullptr) {
     NodeCounters& counters = CountersFor(env.tuple->stream, from);
@@ -148,7 +181,7 @@ void Disseminator::Forward(const DisseminationTree& tree,
   for (common::EntityId target : targets) {
     sim::Message msg;
     msg.from = from_node;
-    msg.to = gateways_.at(target);
+    msg.to = gateways_[target];
     msg.type = kMsgTupleForward;
     msg.size_bytes = size_bytes;
     msg.trace_id = trace_id;
@@ -168,8 +201,8 @@ void Disseminator::Forward(const DisseminationTree& tree,
 }
 
 common::Status Disseminator::Publish(const engine::Tuple& tuple) {
-  auto it = trees_.find(tuple.stream);
-  if (it == trees_.end()) return common::Status::NotFound("unknown stream");
+  const DisseminationTree* tree = TreeOf(tuple.stream);
+  if (tree == nullptr) return common::Status::NotFound("unknown stream");
   TupleEnvelope env;
   if (config_.trace != nullptr && config_.trace->enabled()) {
     engine::Tuple traced = tuple;
@@ -186,24 +219,30 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
     env.tuple = std::make_shared<const engine::Tuple>(tuple);
   }
   env.point = engine::ProjectPoint(tuple);
-  Forward(*it->second, common::kInvalidEntity, source_nodes_.at(tuple.stream),
-          env);
+  Forward(*tree, tree->Locate(common::kInvalidEntity), common::kInvalidEntity,
+          streams_[tuple.stream].source, env);
   return common::Status::OK();
 }
 
 bool Disseminator::HandleMessage(const sim::Message& msg) {
   if (hops_.HandleAck(msg)) return true;
   if (msg.type != kMsgTupleForward) return false;
-  auto node_it = by_node_.find(msg.to);
-  if (node_it == by_node_.end()) return false;
-  common::EntityId entity = node_it->second;
+  if (msg.to < 0 || static_cast<size_t>(msg.to) >= by_node_.size()) {
+    return false;
+  }
+  const common::EntityId entity = by_node_[msg.to];
+  if (entity == common::kInvalidEntity) return false;
   const auto* env = std::any_cast<TupleEnvelope>(&msg.payload);
   DSPS_CHECK(env != nullptr);
   // Reliable hop: retries and network duplicates must never
   // double-process or double-forward.
   if (env->seq != 0 && !hops_.Accept(msg, env->seq)) return true;
-  const DisseminationTree* tree = trees_.at(env->tuple->stream).get();
-  if (tree->LocalMatch(entity, env->point->data())) {
+  const DisseminationTree* tree = TreeOf(env->tuple->stream);
+  DSPS_CHECK_MSG(tree != nullptr, "tuple of unknown stream %d",
+                 env->tuple->stream);
+  // One resolution serves both the local match and the forwarding.
+  const DisseminationTree::Position at = tree->Locate(entity);
+  if (tree->LocalMatch(at, env->point->data())) {
     ++delivered_;
     if (config_.metrics != nullptr) {
       CountersFor(env->tuple->stream, entity).delivered->Increment();
@@ -211,18 +250,16 @@ bool Disseminator::HandleMessage(const sim::Message& msg) {
     if (delivery_) delivery_(entity, *env);
   }
   // Forward down the tree.
-  Forward(*tree, entity, msg.to, *env);
+  Forward(*tree, at, entity, msg.to, *env);
   return true;
 }
 
 const DisseminationTree* Disseminator::tree(common::StreamId stream) const {
-  auto it = trees_.find(stream);
-  return it == trees_.end() ? nullptr : it->second.get();
+  return TreeOf(stream);
 }
 
 DisseminationTree* Disseminator::mutable_tree(common::StreamId stream) {
-  auto it = trees_.find(stream);
-  return it == trees_.end() ? nullptr : it->second.get();
+  return TreeOf(stream);
 }
 
 }  // namespace dsps::dissemination

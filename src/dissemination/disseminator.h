@@ -101,7 +101,8 @@ class Disseminator {
 
   /// Handles a network message addressed to a registered gateway. Exposed
   /// so an outer runtime that owns the node handlers can dispatch by
-  /// message type. Returns true if the message was consumed.
+  /// message type. Returns true if the message was consumed; false for
+  /// other message types and for nodes that are no registered gateway.
   bool HandleMessage(const sim::Message& msg);
 
   const DisseminationTree* tree(common::StreamId stream) const;
@@ -129,8 +130,15 @@ class Disseminator {
   interest::IndexStats RouteIndexStats() const;
 
  private:
-  void Forward(const DisseminationTree& tree, common::EntityId from,
+  /// Sends `env` to the targets of `at`, `from`'s resolved position in
+  /// `tree` (kInvalidEntity = the source).
+  void Forward(const DisseminationTree& tree,
+               DisseminationTree::Position at, common::EntityId from,
                common::SimNodeId from_node, const TupleEnvelope& env);
+  /// The tree of `stream`, or null.
+  DisseminationTree* TreeOf(common::StreamId stream) const;
+  /// The gateway of entity `id`, or kInvalidSimNode if not registered.
+  common::SimNodeId GatewayOf(common::EntityId id) const;
 
   /// Cached per-(stream, tree-node) counters; node = kInvalidEntity is
   /// the source. Interned lazily on first traffic through the node.
@@ -145,10 +153,18 @@ class Disseminator {
   Config config_;
   std::map<std::pair<common::StreamId, common::EntityId>, NodeCounters>
       node_counters_;
-  std::map<common::StreamId, std::unique_ptr<DisseminationTree>> trees_;
-  std::map<common::StreamId, common::SimNodeId> source_nodes_;
-  std::map<common::EntityId, common::SimNodeId> gateways_;
-  std::map<common::SimNodeId, common::EntityId> by_node_;
+  /// A stream's tree and source node; the tree is null for ids without a
+  /// source.
+  struct StreamTree {
+    std::unique_ptr<DisseminationTree> tree;
+    common::SimNodeId source = common::kInvalidSimNode;
+  };
+  /// By stream id.
+  std::vector<StreamTree> streams_;
+  /// Gateway node by entity id (kInvalidSimNode = not registered).
+  std::vector<common::SimNodeId> gateways_;
+  /// Entity by gateway node id (kInvalidEntity = no gateway).
+  std::vector<common::EntityId> by_node_;
   DeliveryHandler delivery_;
   int64_t delivered_ = 0;
   int64_t forwards_ = 0;

@@ -23,15 +23,27 @@ DisseminationTree::DisseminationTree(common::StreamId stream,
   DSPS_CHECK(config.max_fanout >= 1);
 }
 
+DisseminationTree::Node& DisseminationTree::At(common::EntityId id) {
+  DSPS_CHECK_MSG(Find(id) != nullptr, "unknown entity %d", id);
+  return nodes_[id];
+}
+
+const DisseminationTree::Node& DisseminationTree::At(
+    common::EntityId id) const {
+  DSPS_CHECK_MSG(Find(id) != nullptr, "unknown entity %d", id);
+  return nodes_[id];
+}
+
 int DisseminationTree::FanoutOf(common::EntityId id) const {
   if (id == common::kInvalidEntity) {
     return static_cast<int>(source_children_.size());
   }
-  return static_cast<int>(nodes_.at(id).children.size());
+  return static_cast<int>(At(id).children.size());
 }
 
 common::Status DisseminationTree::AddEntity(common::EntityId id,
                                             const Point& position) {
+  if (id < 0) return common::Status::InvalidArgument("invalid entity id");
   if (Contains(id)) {
     return common::Status::AlreadyExists("entity already in tree");
   }
@@ -46,9 +58,11 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
       if (FanoutOf(common::kInvalidEntity) < config_.max_fanout) {
         candidates.push_back(common::kInvalidEntity);
       }
-      for (const auto& [eid, node] : nodes_) {
-        if (static_cast<int>(node.children.size()) < config_.max_fanout) {
-          candidates.push_back(eid);
+      for (size_t eid = 0; eid < nodes_.size(); ++eid) {
+        const Node& node = nodes_[eid];
+        if (node.present &&
+            static_cast<int>(node.children.size()) < config_.max_fanout) {
+          candidates.push_back(static_cast<common::EntityId>(eid));
         }
       }
       if (candidates.empty()) {
@@ -67,14 +81,16 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
         parent = common::kInvalidEntity;
         found = true;
       }
-      for (const auto& [eid, node] : nodes_) {
-        if (static_cast<int>(node.children.size()) >= config_.max_fanout) {
+      for (size_t eid = 0; eid < nodes_.size(); ++eid) {
+        const Node& node = nodes_[eid];
+        if (!node.present ||
+            static_cast<int>(node.children.size()) >= config_.max_fanout) {
           continue;
         }
         double d = Distance(node.position, position);
         if (d < best_d) {
           best_d = d;
-          parent = eid;
+          parent = static_cast<common::EntityId>(eid);
           found = true;
         }
       }
@@ -82,10 +98,14 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
       break;
     }
   }
-  Node node;
+  if (static_cast<size_t>(id) >= nodes_.size()) {
+    nodes_.resize(static_cast<size_t>(id) + 1);
+  }
+  Node& node = nodes_[id];
+  node.present = true;
   node.parent = parent;
   node.position = position;
-  nodes_[id] = std::move(node);
+  ++size_;
   if (parent == common::kInvalidEntity) {
     source_children_.push_back(id);
   } else {
@@ -96,10 +116,10 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
 }
 
 common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
-  Node node = std::move(it->second);
-  nodes_.erase(it);
+  if (!Contains(id)) return common::Status::NotFound("entity not in tree");
+  Node node = std::move(nodes_[id]);
+  nodes_[id] = Node();
+  --size_;
   auto detach = [&](std::vector<common::EntityId>* siblings) {
     siblings->erase(std::remove(siblings->begin(), siblings->end(), id),
                     siblings->end());
@@ -107,15 +127,15 @@ common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
   if (node.parent == common::kInvalidEntity) {
     detach(&source_children_);
   } else {
-    detach(&nodes_.at(node.parent).children);
+    detach(&At(node.parent).children);
   }
   // Children re-attach to the grandparent.
   for (common::EntityId child : node.children) {
-    nodes_.at(child).parent = node.parent;
+    At(child).parent = node.parent;
     if (node.parent == common::kInvalidEntity) {
       source_children_.push_back(child);
     } else {
-      nodes_.at(node.parent).children.push_back(child);
+      At(node.parent).children.push_back(child);
     }
   }
   // The parent's child list changed even if its aggregate did not.
@@ -167,7 +187,7 @@ size_t DisseminationTree::MarkAggregate(const Node& node,
     if (!interest::BoxEmpty(b)) in->push_back(&b);
   }
   for (common::EntityId child : node.children) {
-    for (const Box& b : nodes_.at(child).subtree) {
+    for (const Box& b : At(child).subtree) {
       if (!interest::BoxEmpty(b)) in->push_back(&b);
     }
   }
@@ -175,7 +195,7 @@ size_t DisseminationTree::MarkAggregate(const Node& node,
 }
 
 bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
-  Node& node = nodes_.at(id);
+  Node& node = At(id);
   const size_t kept = MarkAggregate(node, &agg_in_, &agg_keep_);
   if (!Coarsens(kept)) {
     // Most installs leave an ancestor's aggregate as it was: compare the
@@ -198,7 +218,7 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
     bool changed = RecomputeSubtree(cur);
     if (!changed) break;
     ++*updates;
-    cur = nodes_.at(cur).parent;
+    cur = At(cur).parent;
     // `cur`'s table holds the changed child aggregate.
     DropTable(cur);
   }
@@ -206,13 +226,12 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
 
 int DisseminationTree::SetLocalInterest(common::EntityId id,
                                         const std::vector<Box>& boxes) {
-  auto it = nodes_.find(id);
-  DSPS_CHECK_MSG(it != nodes_.end(), "unknown entity %d", id);
+  Node& node = At(id);
   // Aggregates are always fresh (CheckInvariants check 3), so recomputing
   // from an unchanged local interest would change nothing.
-  if (it->second.local == boxes) return 0;
-  it->second.local = boxes;
-  it->second.table.reset();
+  if (node.local == boxes) return 0;
+  node.local = boxes;
+  node.table.reset();
   int updates = 0;
   PropagateUp(id, &updates);
   return updates;
@@ -220,35 +239,34 @@ int DisseminationTree::SetLocalInterest(common::EntityId id,
 
 common::Result<common::EntityId> DisseminationTree::Parent(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
-  return it->second.parent;
+  const Node* node = Find(id);
+  if (node == nullptr) return common::Status::NotFound("entity not in tree");
+  return node->parent;
 }
 
 int DisseminationTree::ChildCount(common::EntityId parent) const {
   if (parent == common::kInvalidEntity) {
     return static_cast<int>(source_children_.size());
   }
-  auto it = nodes_.find(parent);
-  return it == nodes_.end() ? 0
-                            : static_cast<int>(it->second.children.size());
+  const Node* node = Find(parent);
+  return node == nullptr ? 0 : static_cast<int>(node->children.size());
 }
 
 std::vector<common::EntityId> DisseminationTree::Children(
     common::EntityId parent) const {
   if (parent == common::kInvalidEntity) return source_children_;
-  auto it = nodes_.find(parent);
-  if (it == nodes_.end()) return {};
-  return it->second.children;
+  const Node* node = Find(parent);
+  if (node == nullptr) return {};
+  return node->children;
 }
 
 common::Result<int> DisseminationTree::Depth(common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
+  const Node* node = Find(id);
+  if (node == nullptr) return common::Status::NotFound("entity not in tree");
   int depth = 1;
-  common::EntityId cur = it->second.parent;
+  common::EntityId cur = node->parent;
   while (cur != common::kInvalidEntity) {
-    cur = nodes_.at(cur).parent;
+    cur = At(cur).parent;
     ++depth;
   }
   return depth;
@@ -256,8 +274,9 @@ common::Result<int> DisseminationTree::Depth(common::EntityId id) const {
 
 int DisseminationTree::MaxDepth() const {
   int max_depth = 0;
-  for (const auto& [id, node] : nodes_) {
-    auto d = Depth(id);
+  for (size_t id = 0; id < nodes_.size(); ++id) {
+    if (!nodes_[id].present) continue;
+    auto d = Depth(static_cast<common::EntityId>(id));
     if (d.ok()) max_depth = std::max(max_depth, d.value());
   }
   return max_depth;
@@ -265,23 +284,21 @@ int DisseminationTree::MaxDepth() const {
 
 const std::vector<Box>& DisseminationTree::SubtreeInterest(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return empty_;
-  return it->second.subtree;
+  const Node* node = Find(id);
+  return node == nullptr ? empty_ : node->subtree;
 }
 
 const std::vector<Box>& DisseminationTree::LocalInterest(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return empty_;
-  return it->second.local;
+  const Node* node = Find(id);
+  return node == nullptr ? empty_ : node->local;
 }
 
 std::unique_ptr<DisseminationTree::Table>* DisseminationTree::TableSlot(
     common::EntityId id) const {
   if (id == common::kInvalidEntity) return &source_table_;
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : &it->second.table;
+  const Node* node = Find(id);
+  return node == nullptr ? nullptr : &node->table;
 }
 
 void DisseminationTree::DropTable(common::EntityId id) const {
@@ -314,7 +331,7 @@ std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
     }
   }
   for (size_t i = 0; i < children.size(); ++i) {
-    for (const Box& b : nodes_.at(children[i]).subtree) {
+    for (const Box& b : At(children[i]).subtree) {
       if (interest::BoxEmpty(b)) continue;
       below.push_back(&b);
       positions.push_back(static_cast<int64_t>(i));
@@ -353,20 +370,36 @@ std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
   return table;
 }
 
+DisseminationTree::Position DisseminationTree::Locate(
+    common::EntityId id) const {
+  Position pos;
+  if (id == common::kInvalidEntity) {
+    pos.known_ = true;
+  } else {
+    pos.node_ = Find(id);
+    pos.known_ = pos.node_ != nullptr;
+  }
+  return pos;
+}
+
 void DisseminationTree::ForwardTargets(common::EntityId from,
                                        const double* point, bool early_filter,
                                        std::vector<common::EntityId>* out) const {
+  DSPS_DCHECK(from == common::kInvalidEntity || Contains(from));
+  ForwardTargets(Locate(from), point, early_filter, out);
+}
+
+void DisseminationTree::ForwardTargets(Position from, const double* point,
+                                       bool early_filter,
+                                       std::vector<common::EntityId>* out) const {
   out->clear();
-  const Node* node = nullptr;
+  if (!from.known_) return;
+  const Node* node = from.node_;
   std::unique_ptr<Table>* slot = &source_table_;
   const std::vector<common::EntityId>* children = &source_children_;
-  if (from != common::kInvalidEntity) {
-    auto it = nodes_.find(from);
-    DSPS_DCHECK(it != nodes_.end());
-    if (it == nodes_.end()) return;
-    node = &it->second;
-    slot = &it->second.table;
-    children = &it->second.children;
+  if (node != nullptr) {
+    slot = &node->table;
+    children = &node->children;
   }
   if (!early_filter) {
     *out = *children;
@@ -405,9 +438,13 @@ void DisseminationTree::ForwardTargets(common::EntityId from,
 
 bool DisseminationTree::LocalMatch(common::EntityId id,
                                    const double* point) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return false;
-  const Table& table = EnsureTable(&it->second.table, &it->second);
+  return id != common::kInvalidEntity && LocalMatch(Locate(id), point);
+}
+
+bool DisseminationTree::LocalMatch(Position at, const double* point) const {
+  const Node* node = at.node_;
+  if (node == nullptr) return false;
+  const Table& table = EnsureTable(&node->table, node);
   const size_t stride = 2 * table.dims;
   for (size_t i = 0; i < table.local.size(); i += stride) {
     if (interest::BoundsContain(&table.local[i], point, table.dims)) {
@@ -430,38 +467,35 @@ void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
     interest::AddSplineStats(*table->spline, stats);
   };
   add(source_table_);
-  for (const auto& [id, node] : nodes_) add(node.table);
+  for (const Node& node : nodes_) add(node.table);
 }
 
 const sim::Point& DisseminationTree::position(common::EntityId id) const {
-  auto it = nodes_.find(id);
-  DSPS_CHECK_MSG(it != nodes_.end(), "unknown entity %d", id);
-  return it->second.position;
+  return At(id).position;
 }
 
 bool DisseminationTree::IsDescendant(common::EntityId ancestor,
                                      common::EntityId descendant) const {
-  auto it = nodes_.find(descendant);
-  if (it == nodes_.end()) return false;
-  common::EntityId cur = it->second.parent;
+  const Node* node = Find(descendant);
+  if (node == nullptr) return false;
+  common::EntityId cur = node->parent;
   while (cur != common::kInvalidEntity) {
     if (cur == ancestor) return true;
-    cur = nodes_.at(cur).parent;
+    cur = At(cur).parent;
   }
   return false;
 }
 
 common::Status DisseminationTree::Reattach(common::EntityId id,
                                            common::EntityId new_parent) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
+  if (!Contains(id)) return common::Status::NotFound("entity not in tree");
   if (new_parent == id || IsDescendant(id, new_parent)) {
     return common::Status::InvalidArgument("reattach would create a cycle");
   }
   if (new_parent != common::kInvalidEntity && !Contains(new_parent)) {
     return common::Status::NotFound("new parent not in tree");
   }
-  common::EntityId old_parent = it->second.parent;
+  common::EntityId old_parent = nodes_[id].parent;
   if (old_parent == new_parent) return common::Status::OK();
   if (FanoutOf(new_parent) >= config_.max_fanout) {
     return common::Status::ResourceExhausted("new parent fanout full");
@@ -473,13 +507,13 @@ common::Status DisseminationTree::Reattach(common::EntityId id,
   if (old_parent == common::kInvalidEntity) {
     detach(&source_children_);
   } else {
-    detach(&nodes_.at(old_parent).children);
+    detach(&At(old_parent).children);
   }
-  it->second.parent = new_parent;
+  nodes_[id].parent = new_parent;
   if (new_parent == common::kInvalidEntity) {
     source_children_.push_back(id);
   } else {
-    nodes_.at(new_parent).children.push_back(id);
+    At(new_parent).children.push_back(id);
   }
   // Both parents' child lists changed even if no aggregate does.
   DropTable(old_parent);
@@ -499,40 +533,44 @@ common::Status DisseminationTree::CheckInvariants() const {
   // and no node appears in two child lists.
   size_t listed_children = source_children_.size();
   for (common::EntityId child : source_children_) {
-    auto it = nodes_.find(child);
-    if (it == nodes_.end()) return violation("source child not in tree");
-    if (it->second.parent != common::kInvalidEntity) {
+    const Node* node = Find(child);
+    if (node == nullptr) return violation("source child not in tree");
+    if (node->parent != common::kInvalidEntity) {
       return violation("source child has a non-source parent");
     }
   }
-  for (const auto& [id, node] : nodes_) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    if (!node.present) continue;
+    const auto id = static_cast<common::EntityId>(i);
     listed_children += node.children.size();
     for (common::EntityId child : node.children) {
-      auto it = nodes_.find(child);
-      if (it == nodes_.end()) return violation("child not in tree");
-      if (it->second.parent != id) {
+      const Node* child_node = Find(child);
+      if (child_node == nullptr) return violation("child not in tree");
+      if (child_node->parent != id) {
         return violation("child's parent link disagrees with child list");
       }
     }
     const std::vector<common::EntityId>& siblings =
         node.parent == common::kInvalidEntity
             ? source_children_
-            : nodes_.at(node.parent).children;
+            : At(node.parent).children;
     if (std::count(siblings.begin(), siblings.end(), id) != 1) {
       return violation("node not exactly once in its parent's child list");
     }
   }
-  if (listed_children != nodes_.size()) {
+  if (listed_children != size_) {
     return violation("child-list total != node count");
   }
   // (2) Acyclicity: every parent chain must reach the source in at most
   // size() hops (symmetry above already rules out forests).
-  for (const auto& [id, node] : nodes_) {
+  for (const Node& node : nodes_) {
+    if (!node.present) continue;
     common::EntityId cur = node.parent;
     size_t hops = 0;
     while (cur != common::kInvalidEntity) {
-      if (++hops > nodes_.size()) return violation("parent chain has a cycle");
-      cur = nodes_.at(cur).parent;
+      if (++hops > size_) return violation("parent chain has a cycle");
+      cur = At(cur).parent;
     }
   }
   // (3) Cached subtree aggregates: recompute each node's aggregate the
@@ -540,7 +578,8 @@ common::Status DisseminationTree::CheckInvariants() const {
   std::vector<const Box*> in;
   std::vector<uint8_t> keep;
   std::vector<Box> expect;
-  for (const auto& [id, node] : nodes_) {
+  for (const Node& node : nodes_) {
+    if (!node.present) continue;
     const size_t kept = MarkAggregate(node, &in, &keep);
     AssignKept(in, keep, kept, &expect);
     if (Coarsens(kept)) {
@@ -571,13 +610,17 @@ common::Status DisseminationTree::CheckInvariants() const {
   // dropped again parent by parent: output never depends on them, and on
   // a system without traffic they would only hold memory.
   std::vector<common::EntityId> parents(1, common::kInvalidEntity);
-  for (const auto& [id, node] : nodes_) parents.push_back(id);
+  for (size_t id = 0; id < nodes_.size(); ++id) {
+    if (nodes_[id].present) {
+      parents.push_back(static_cast<common::EntityId>(id));
+    }
+  }
   std::vector<common::EntityId> cached;
   constexpr size_t kMaxProbesPerParent = 16;
   for (common::EntityId parent : parents) {
     const std::vector<common::EntityId>& children =
         parent == common::kInvalidEntity ? source_children_
-                                         : nodes_.at(parent).children;
+                                         : At(parent).children;
     std::vector<common::EntityId> probed(1, parent);
     probed.insert(probed.end(), children.begin(), children.end());
     std::vector<common::EntityId> unbuilt;
@@ -586,7 +629,7 @@ common::Status DisseminationTree::CheckInvariants() const {
     }
     std::vector<std::vector<double>> probes;
     for (common::EntityId child : children) {
-      for (const Box& b : nodes_.at(child).subtree) {
+      for (const Box& b : At(child).subtree) {
         if (interest::BoxEmpty(b) || probes.size() >= kMaxProbesPerParent) {
           continue;
         }
@@ -601,7 +644,7 @@ common::Status DisseminationTree::CheckInvariants() const {
       ForwardTargets(parent, point.data(), /*early_filter=*/true, &cached);
       std::vector<common::EntityId> scanned;
       for (common::EntityId child : children) {
-        for (const Box& b : nodes_.at(child).subtree) {
+        for (const Box& b : At(child).subtree) {
           if (interest::BoxContains(b, point.data())) {
             scanned.push_back(child);
             break;
@@ -613,7 +656,7 @@ common::Status DisseminationTree::CheckInvariants() const {
       }
       for (common::EntityId id : probed) {
         if (id == common::kInvalidEntity) continue;
-        const std::vector<Box>& local = nodes_.at(id).local;
+        const std::vector<Box>& local = At(id).local;
         const bool scan =
             std::any_of(local.begin(), local.end(), [&point](const Box& b) {
               return interest::BoxContains(b, point.data());

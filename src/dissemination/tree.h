@@ -2,7 +2,6 @@
 #define DSPS_DISSEMINATION_TREE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -34,6 +33,8 @@ enum class TreePolicy {
 /// can *early-filter*: a tuple is forwarded to a child only if some query
 /// below that child wants it.
 class DisseminationTree {
+  struct Node;
+
  public:
   struct Config {
     TreePolicy policy = TreePolicy::kClosestParent;
@@ -78,8 +79,8 @@ class DisseminationTree {
   common::Result<int> Depth(common::EntityId id) const;
 
   int MaxDepth() const;
-  size_t size() const { return nodes_.size(); }
-  bool Contains(common::EntityId id) const { return nodes_.count(id) > 0; }
+  size_t size() const { return size_; }
+  bool Contains(common::EntityId id) const { return Find(id) != nullptr; }
   int source_fanout() const {
     return static_cast<int>(source_children_.size());
   }
@@ -94,6 +95,17 @@ class DisseminationTree {
   /// The entity's own registered boxes.
   const std::vector<interest::Box>& LocalInterest(common::EntityId id) const;
 
+  /// A tree position resolved once, so one tuple hop's LocalMatch and
+  /// ForwardTargets share a single resolution. Valid until the tree's
+  /// membership next changes (AddEntity, RemoveEntity).
+  class Position {
+    friend class DisseminationTree;
+    const Node* node_ = nullptr;  // null = the source
+    bool known_ = false;          // false = not in the tree
+  };
+  /// The position of `id` (kInvalidEntity = the source).
+  Position Locate(common::EntityId id) const;
+
   /// Children of `from` (kInvalidEntity = source) that should receive a
   /// tuple with numeric values `point`. With early_filter, a child is
   /// included only if its subtree aggregate matches; otherwise all
@@ -105,10 +117,16 @@ class DisseminationTree {
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
                       std::vector<common::EntityId>* out) const;
+  /// The same at a resolved position (nothing for an unknown entity).
+  void ForwardTargets(Position from, const double* point, bool early_filter,
+                      std::vector<common::EntityId>* out) const;
 
   /// True if the entity's own interest matches the point (local delivery).
   /// Reads the entity's match table, stopping at the first matching box.
+  /// False for an entity that is not in the tree.
   bool LocalMatch(common::EntityId id, const double* point) const;
+  /// The same at a resolved position (false for the source).
+  bool LocalMatch(Position at, const double* point) const;
 
   /// The entity's registered position.
   const sim::Point& position(common::EntityId id) const;
@@ -171,6 +189,8 @@ class DisseminationTree {
   };
 
   struct Node {
+    /// False for an id no entity holds (nodes_ is indexed by entity id).
+    bool present = false;
     common::EntityId parent = common::kInvalidEntity;  // invalid = source
     std::vector<common::EntityId> children;
     sim::Point position;
@@ -198,6 +218,14 @@ class DisseminationTree {
            kept > static_cast<size_t>(config_.interest_budget);
   }
   void PropagateUp(common::EntityId id, int* updates);
+  /// The node of `id`, or null if it is not in the tree.
+  const Node* Find(common::EntityId id) const {
+    if (id < 0 || static_cast<size_t>(id) >= nodes_.size()) return nullptr;
+    return nodes_[id].present ? &nodes_[id] : nullptr;
+  }
+  /// The node of `id`, which must be in the tree.
+  Node& At(common::EntityId id);
+  const Node& At(common::EntityId id) const;
   int FanoutOf(common::EntityId id) const;
   /// The table slot of `id` (kInvalidEntity = the source); null for
   /// unknown entities.
@@ -220,7 +248,10 @@ class DisseminationTree {
   sim::Point source_position_;
   Config config_;
   common::Rng rng_;
-  std::map<common::EntityId, Node> nodes_;
+  /// Nodes by entity id; iterating the present ones in index order visits
+  /// entities in ascending id.
+  std::vector<Node> nodes_;
+  size_t size_ = 0;
   std::vector<common::EntityId> source_children_;
   /// The source's match table (children only; see Table).
   mutable std::unique_ptr<Table> source_table_;

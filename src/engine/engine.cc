@@ -13,6 +13,7 @@ common::Status ExecutionEngine::Install(
   if (fragments_.count(id) > 0) {
     return common::Status::AlreadyExists("fragment already installed");
   }
+  fragment->host_ = this;
   fragments_[id] = std::move(fragment);
   return common::Status::OK();
 }
@@ -26,6 +27,7 @@ common::Result<std::unique_ptr<FragmentInstance>> ExecutionEngine::Remove(
   }
   std::unique_ptr<FragmentInstance> frag = std::move(it->second);
   fragments_.erase(it);
+  frag->host_ = nullptr;
   return frag;
 }
 
@@ -41,18 +43,28 @@ std::vector<common::FragmentId> ExecutionEngine::fragment_ids() const {
   return ids;
 }
 
+common::Status ExecutionEngine::Inject(common::FragmentId fragment,
+                                       common::OperatorId op, int port,
+                                       const Tuple& tuple,
+                                       std::vector<TaggedOutput>* out) {
+  FragmentInstance* frag = Find(fragment);
+  if (frag == nullptr) return common::Status::NotFound("fragment not found");
+  return Inject(*frag, op, port, tuple, out);
+}
+
 // -------------------------------------------------------------- BasicEngine
 
-common::Status BasicEngine::Inject(common::FragmentId fragment,
+common::Status BasicEngine::Inject(FragmentInstance& fragment,
                                    common::OperatorId op, int port,
                                    const Tuple& tuple,
                                    std::vector<TaggedOutput>* out) {
-  FragmentInstance* frag = Find(fragment);
-  if (frag == nullptr) return common::Status::NotFound("fragment not found");
+  DSPS_CHECK(fragment.host() == this);
   std::vector<FragmentInstance::Output> local;
-  DSPS_RETURN_IF_ERROR(frag->Inject(op, port, tuple, &local));
-  pending_cost_ += frag->DrainCpuCost();
-  for (auto& o : local) out->push_back(TaggedOutput{fragment, std::move(o)});
+  DSPS_RETURN_IF_ERROR(fragment.Inject(op, port, tuple, &local));
+  pending_cost_ += fragment.DrainCpuCost();
+  for (auto& o : local) {
+    out->push_back(TaggedOutput{fragment.id(), fragment.tag(), std::move(o)});
+  }
   return common::Status::OK();
 }
 
@@ -74,14 +86,12 @@ BatchEngine::BatchEngine(int batch_size, double cpu_discount,
   DSPS_CHECK(batch_size >= 1);
 }
 
-common::Status BatchEngine::Inject(common::FragmentId fragment,
+common::Status BatchEngine::Inject(FragmentInstance& fragment,
                                    common::OperatorId op, int port,
                                    const Tuple& tuple,
                                    std::vector<TaggedOutput>* out) {
-  if (Find(fragment) == nullptr) {
-    return common::Status::NotFound("fragment not found");
-  }
-  buffer_.push_back(Buffered{fragment, op, port, tuple});
+  DSPS_CHECK(fragment.host() == this);
+  buffer_.push_back(Buffered{&fragment, op, port, tuple});
   if (static_cast<int>(buffer_.size()) >= batch_size_) RunBatch(out);
   return common::Status::OK();
 }
@@ -93,15 +103,13 @@ void BatchEngine::RunBatch(std::vector<TaggedOutput>* out) {
   pending_cost_ += batch_overhead_s_;
   std::vector<FragmentInstance::Output> local;
   for (Buffered& b : batch) {
-    FragmentInstance* frag = Find(b.fragment);
-    // Fragment may have been removed between buffering and flush.
-    if (frag == nullptr) continue;
+    FragmentInstance& frag = *b.fragment;
     local.clear();
-    common::Status s = frag->Inject(b.op, b.port, b.tuple, &local);
+    common::Status s = frag.Inject(b.op, b.port, b.tuple, &local);
     DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    pending_cost_ += frag->DrainCpuCost() * cpu_discount_;
+    pending_cost_ += frag.DrainCpuCost() * cpu_discount_;
     for (auto& o : local) {
-      out->push_back(TaggedOutput{b.fragment, std::move(o)});
+      out->push_back(TaggedOutput{frag.id(), frag.tag(), std::move(o)});
     }
   }
 }

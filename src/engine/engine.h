@@ -12,9 +12,12 @@
 namespace dsps::engine {
 
 /// A fragment output tagged with the fragment that produced it (needed by
-/// engines that buffer work across fragments).
+/// engines that buffer work across fragments). Ids, not a pointer: an
+/// output may be delivered after its fragment is gone.
 struct TaggedOutput {
   common::FragmentId fragment = -1;
+  /// The producing fragment's FragmentInstance::tag.
+  uint32_t tag = 0;
   FragmentInstance::Output output;
 };
 
@@ -47,12 +50,22 @@ class ExecutionEngine {
   /// Ids of all deployed fragments.
   std::vector<common::FragmentId> fragment_ids() const;
 
-  /// Feeds one tuple to (fragment, op, port). Boundary outputs may be
-  /// appended to `out` now or on a later call/Flush (batching engines).
-  virtual common::Status Inject(common::FragmentId fragment,
+  /// Feeds one tuple to (op, port) of `fragment`, which must be deployed
+  /// here (checked against FragmentInstance::host): the caller holds the
+  /// handle (the entity resolves it when a query is installed or moved),
+  /// so no lookup runs. Boundary outputs may be appended to `out` now or
+  /// on a later call/Flush (batching engines).
+  virtual common::Status Inject(FragmentInstance& fragment,
                                 common::OperatorId op, int port,
                                 const Tuple& tuple,
                                 std::vector<TaggedOutput>* out) = 0;
+
+  /// The same by fragment id: resolves it, then injects. NotFound if no
+  /// such fragment is deployed (e.g. it was removed while the tuple was
+  /// in flight).
+  common::Status Inject(common::FragmentId fragment, common::OperatorId op,
+                        int port, const Tuple& tuple,
+                        std::vector<TaggedOutput>* out);
 
   /// Completes any buffered work, appending outputs to `out`.
   virtual void Flush(std::vector<TaggedOutput>* out) = 0;
@@ -70,7 +83,8 @@ class BasicEngine : public ExecutionEngine {
  public:
   const char* name() const override { return "basic"; }
 
-  common::Status Inject(common::FragmentId fragment, common::OperatorId op,
+  using ExecutionEngine::Inject;
+  common::Status Inject(FragmentInstance& fragment, common::OperatorId op,
                         int port, const Tuple& tuple,
                         std::vector<TaggedOutput>* out) override;
   void Flush(std::vector<TaggedOutput>* out) override;
@@ -93,7 +107,8 @@ class BatchEngine : public ExecutionEngine {
 
   const char* name() const override { return "batch"; }
 
-  common::Status Inject(common::FragmentId fragment, common::OperatorId op,
+  using ExecutionEngine::Inject;
+  common::Status Inject(FragmentInstance& fragment, common::OperatorId op,
                         int port, const Tuple& tuple,
                         std::vector<TaggedOutput>* out) override;
   void Flush(std::vector<TaggedOutput>* out) override;
@@ -103,8 +118,10 @@ class BatchEngine : public ExecutionEngine {
       common::FragmentId id, std::vector<TaggedOutput>* out) override;
 
  private:
+  /// Holds the fragment's handle: Remove flushes the buffer before it
+  /// gives a fragment up, so no buffered entry outlives its fragment.
   struct Buffered {
-    common::FragmentId fragment;
+    FragmentInstance* fragment;
     common::OperatorId op;
     int port;
     Tuple tuple;

@@ -23,40 +23,38 @@ common::Result<std::unique_ptr<FragmentInstance>> FragmentInstance::Create(
     }
   }
   std::unique_ptr<FragmentInstance> frag(new FragmentInstance(query, id));
+  frag->slots_.resize(static_cast<size_t>(*op_set.rbegin()) + 1);
   for (common::OperatorId op : op_set) {
-    frag->ops_[op] = plan.op(op).Clone();
-    frag->is_sink_[op] = plan.OutEdges(op).empty();
+    frag->slots_[op].op = plan.op(op).Clone();
+    frag->slots_[op].sink = plan.OutEdges(op).empty();
   }
   for (const PlanEdge& e : plan.edges()) {
     if (op_set.count(e.from) == 0) continue;
-    if (op_set.count(e.to) > 0) {
-      frag->internal_edges_[e.from].push_back(e);
-    } else {
-      frag->remote_edges_[e.from].push_back(e);
-    }
+    OpSlot& from = frag->slots_[e.from];
+    (op_set.count(e.to) > 0 ? from.internal : from.remote).push_back(e);
   }
   return frag;
 }
 
 std::vector<common::OperatorId> FragmentInstance::op_ids() const {
   std::vector<common::OperatorId> out;
-  out.reserve(ops_.size());
-  for (const auto& [id, op] : ops_) out.push_back(id);
+  for (size_t op = 0; op < slots_.size(); ++op) {
+    if (slots_[op].op != nullptr) {
+      out.push_back(static_cast<common::OperatorId>(op));
+    }
+  }
   return out;
 }
 
 const std::vector<PlanEdge>& FragmentInstance::RemoteEdges(
     common::OperatorId from_op) const {
-  auto it = remote_edges_.find(from_op);
-  if (it == remote_edges_.end()) return empty_edges_;
-  return it->second;
+  return Contains(from_op) ? slots_[from_op].remote : empty_edges_;
 }
 
 common::Status FragmentInstance::Inject(common::OperatorId op, int port,
                                         const Tuple& tuple,
                                         std::vector<Output>* out) {
-  auto start = ops_.find(op);
-  if (start == ops_.end()) {
+  if (!Contains(op)) {
     return common::Status::NotFound("operator not in fragment");
   }
   struct Work {
@@ -70,25 +68,18 @@ common::Status FragmentInstance::Inject(common::OperatorId op, int port,
   while (!queue.empty()) {
     Work w = std::move(queue.front());
     queue.pop_front();
-    auto it = ops_.find(w.op);
-    DSPS_CHECK(it != ops_.end());
-    Operator* oper = it->second.get();
+    // Internal edges only lead to hosted operators (see Create).
+    const OpSlot& slot = slots_[w.op];
+    Operator* oper = slot.op.get();
     produced.clear();
     oper->Process(w.port, w.tuple, &produced);
     pending_cpu_cost_ += oper->cost_per_tuple();
-    const bool sink = is_sink_.at(w.op);
-    auto internal_it = internal_edges_.find(w.op);
-    auto remote_it = remote_edges_.find(w.op);
-    const bool has_remote = remote_it != remote_edges_.end();
+    const bool emits = slot.sink || !slot.remote.empty();
     for (Tuple& t : produced) {
-      if (internal_it != internal_edges_.end()) {
-        for (const PlanEdge& e : internal_it->second) {
-          queue.push_back(Work{e.to, e.to_port, t});
-        }
+      for (const PlanEdge& e : slot.internal) {
+        queue.push_back(Work{e.to, e.to_port, t});
       }
-      if (sink || has_remote) {
-        out->push_back(Output{w.op, sink, std::move(t)});
-      }
+      if (emits) out->push_back(Output{w.op, slot.sink, std::move(t)});
     }
   }
   return common::Status::OK();
@@ -102,25 +93,27 @@ double FragmentInstance::DrainCpuCost() {
 
 int64_t FragmentInstance::StateBytes() const {
   int64_t total = 0;
-  for (const auto& [id, op] : ops_) total += op->StateBytes();
+  for (const OpSlot& slot : slots_) {
+    if (slot.op != nullptr) total += slot.op->StateBytes();
+  }
   return total;
 }
 
 const Operator& FragmentInstance::op(common::OperatorId id) const {
-  auto it = ops_.find(id);
-  DSPS_CHECK(it != ops_.end());
-  return *it->second;
+  DSPS_CHECK(Contains(id));
+  return *slots_[id].op;
 }
 
 Operator* FragmentInstance::mutable_op(common::OperatorId id) {
-  auto it = ops_.find(id);
-  DSPS_CHECK(it != ops_.end());
-  return it->second.get();
+  DSPS_CHECK(Contains(id));
+  return slots_[id].op.get();
 }
 
 double FragmentInstance::StaticCostPerTuple() const {
   double c = 0.0;
-  for (const auto& [id, op] : ops_) c += op->cost_per_tuple();
+  for (const OpSlot& slot : slots_) {
+    if (slot.op != nullptr) c += slot.op->cost_per_tuple();
+  }
   return c;
 }
 

@@ -1,7 +1,7 @@
 #ifndef DSPS_ENGINE_FRAGMENT_H_
 #define DSPS_ENGINE_FRAGMENT_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,6 +10,8 @@
 #include "engine/plan.h"
 
 namespace dsps::engine {
+
+class ExecutionEngine;
 
 /// A runnable instance of one query fragment: a connected subset of a
 /// plan's operators, cloned with fresh state, plus the routing metadata
@@ -42,18 +44,37 @@ class FragmentInstance {
   common::FragmentId id() const { return id_; }
   common::QueryId query() const { return query_; }
 
-  /// Operator ids (plan-scoped) hosted by this fragment.
+  /// An opaque tag the runtime hosting this fragment sets (the entity keeps
+  /// its routing record at this index); engines copy it into every
+  /// TaggedOutput, so outputs find their record without a lookup. 0 until
+  /// set.
+  uint32_t tag() const { return tag_; }
+  void set_tag(uint32_t tag) { tag_ = tag; }
+
+  /// The engine this fragment is deployed on, or null between a Remove
+  /// and the next Install. Engines check it, so a handle fed to an engine
+  /// that does not host the fragment fails loudly instead of running it
+  /// there.
+  const ExecutionEngine* host() const { return host_; }
+
+  /// Operator ids (plan-scoped) hosted by this fragment, ascending.
   std::vector<common::OperatorId> op_ids() const;
 
-  bool Contains(common::OperatorId op) const { return ops_.count(op) > 0; }
+  /// False for any id this fragment does not host, negative and
+  /// past-the-end ids included.
+  bool Contains(common::OperatorId op) const {
+    return op >= 0 && static_cast<size_t>(op) < slots_.size() &&
+           slots_[op].op != nullptr;
+  }
 
   /// The plan edges leaving `from_op` whose target operator is NOT in this
   /// fragment; the entity runtime ships non-result outputs along these.
+  /// Empty for an operator this fragment does not host.
   const std::vector<PlanEdge>& RemoteEdges(common::OperatorId from_op) const;
 
   /// Feeds one tuple to (op, port). Runs the operator cascade through all
   /// internal edges; appends boundary outputs to `out`. Accumulates CPU
-  /// cost (see DrainCpuCost).
+  /// cost (see DrainCpuCost). NotFound if `op` is not hosted here.
   common::Status Inject(common::OperatorId op, int port, const Tuple& tuple,
                         std::vector<Output>* out);
 
@@ -73,17 +94,28 @@ class FragmentInstance {
   double StaticCostPerTuple() const;
 
  private:
+  /// Everything the cascade reads about one plan operator. `op` is null
+  /// for operators another fragment hosts.
+  struct OpSlot {
+    std::unique_ptr<Operator> op;
+    /// A plan sink: its outputs are query results.
+    bool sink = false;
+    /// Edges from this operator to operators inside the fragment.
+    std::vector<PlanEdge> internal;
+    /// Edges from this operator leaving the fragment.
+    std::vector<PlanEdge> remote;
+  };
+
   FragmentInstance(common::QueryId query, common::FragmentId id);
+
+  friend class ExecutionEngine;  // sets host_ on Install and Remove
 
   common::QueryId query_;
   common::FragmentId id_;
-  std::map<common::OperatorId, std::unique_ptr<Operator>> ops_;
-  /// Internal edges: from op -> list of (to op, port) inside the fragment.
-  std::map<common::OperatorId, std::vector<PlanEdge>> internal_edges_;
-  /// Remote edges: from op -> list of plan edges leaving the fragment.
-  std::map<common::OperatorId, std::vector<PlanEdge>> remote_edges_;
-  /// Plan sinks hosted here (their outputs are query results).
-  std::map<common::OperatorId, bool> is_sink_;
+  uint32_t tag_ = 0;
+  const ExecutionEngine* host_ = nullptr;
+  /// One slot per plan operator id, up to the largest hosted one.
+  std::vector<OpSlot> slots_;
   double pending_cpu_cost_ = 0.0;
   std::vector<PlanEdge> empty_edges_;
 };

@@ -29,6 +29,9 @@ common::Status QueryPlan::Connect(common::OperatorId from,
 
 common::Status QueryPlan::BindStream(common::StreamId stream,
                                      common::OperatorId to, int to_port) {
+  if (stream < 0) {
+    return common::Status::InvalidArgument("BindStream: invalid stream");
+  }
   if (to < 0 || to >= num_operators()) {
     return common::Status::InvalidArgument("BindStream: operator id out of range");
   }

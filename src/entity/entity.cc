@@ -14,6 +14,19 @@ namespace {
 /// Bytes per tuple used in placement traffic estimates.
 constexpr double kBytesPerTuple = 64.0;
 
+/// A slot of `slots` for a new entry: a recycled one from `free`, else a
+/// new one at the end.
+template <typename T>
+uint32_t TakeSlot(std::vector<T>* slots, std::vector<uint32_t>* free) {
+  if (free->empty()) {
+    slots->emplace_back();
+    return static_cast<uint32_t>(slots->size() - 1);
+  }
+  const uint32_t slot = free->back();
+  free->pop_back();
+  return slot;
+}
+
 }  // namespace
 
 Entity::Entity(common::EntityId id, sim::Network* network,
@@ -30,23 +43,7 @@ Entity::Entity(common::EntityId id, sim::Network* network,
   DSPS_CHECK(!processor_nodes.empty());
   DSPS_CHECK(engine_factory_ != nullptr);
   start_time_ = network_->simulator()->now();
-  for (size_t i = 0; i < processor_nodes.size(); ++i) {
-    auto proc = std::make_unique<Processor>(
-        static_cast<common::ProcessorId>(i), network_, processor_nodes[i],
-        engine_factory_());
-    common::ProcessorId pid = proc->id();
-    proc->SetEmissionHandler([this, pid](const Processor::Emission& em) {
-      OnEmission(pid, em);
-    });
-    if (config.metrics != nullptr || config.trace != nullptr) {
-      proc->SetTelemetry(
-          config.metrics, config.trace,
-          telemetry::MakeLabels({{"entity", std::to_string(id)},
-                                 {"processor", std::to_string(i)}}));
-    }
-    proc_by_node_[processor_nodes[i]] = static_cast<int>(i);
-    processors_.push_back(std::move(proc));
-  }
+  for (common::SimNodeId node : processor_nodes) AddProcessor(node);
   if (config.metrics != nullptr) {
     migrations_counter_ = config.metrics->counter(
         "entity.fragment_migrations",
@@ -68,6 +65,28 @@ int Entity::ProcIndexOf(common::ProcessorId id) const {
   return static_cast<int>(id);
 }
 
+Processor* Entity::ProcessorAt(common::SimNodeId node) const {
+  for (const auto& proc : processors_) {
+    if (proc->node() == node) return proc.get();
+  }
+  return nullptr;
+}
+
+Entity::StreamRoutes& Entity::RoutesOf(common::StreamId stream) {
+  DSPS_CHECK_MSG(stream >= 0, "invalid stream %d", stream);
+  if (static_cast<size_t>(stream) >= streams_.size()) {
+    streams_.resize(static_cast<size_t>(stream) + 1);
+  }
+  return streams_[stream];
+}
+
+int Entity::SlotOf(common::FragmentId fragment) const {
+  for (size_t slot = 0; slot < records_.size(); ++slot) {
+    if (records_[slot].fragment == fragment) return static_cast<int>(slot);
+  }
+  return -1;
+}
+
 void Entity::InstallHandlers() {
   for (const auto& proc : processors_) {
     network_->SetHandler(proc->node(), [this](const sim::Message& msg) {
@@ -78,13 +97,13 @@ void Entity::InstallHandlers() {
 
 common::ProcessorId Entity::DelegateFor(common::StreamId stream) {
   if (config_.single_receiver) return processors_.front()->id();
-  auto it = delegates_.find(stream);
-  if (it != delegates_.end()) return it->second;
-  common::ProcessorId pid =
-      processors_[next_delegate_ % processors_.size()]->id();
-  next_delegate_ = (next_delegate_ + 1) % static_cast<int>(processors_.size());
-  delegates_[stream] = pid;
-  return pid;
+  StreamRoutes& routes = RoutesOf(stream);
+  if (routes.delegate == common::kInvalidProcessor) {
+    routes.delegate = processors_[next_delegate_ % processors_.size()]->id();
+    next_delegate_ =
+        (next_delegate_ + 1) % static_cast<int>(processors_.size());
+  }
+  return routes.delegate;
 }
 
 common::Status Entity::InstallQuery(const engine::Query& query,
@@ -126,82 +145,118 @@ common::Status Entity::InstallQuery(const engine::Query& query,
   if (!placed.ok()) return placed.status();
   state.placement = std::move(placed).value();
 
-  // Instantiate and install the fragments.
-  std::map<common::OperatorId, RouteTarget> op_location;
+  // Instantiate every fragment before installing any.
+  std::vector<std::unique_ptr<engine::FragmentInstance>> instances;
   for (const placement::FragmentSpec& frag : state.fragments) {
-    common::ProcessorId pid = state.placement.at(frag.id);
+    auto instance = engine::FragmentInstance::Create(*query.plan, query.id,
+                                                     frag.id, frag.ops);
+    if (!instance.ok()) return instance.status();
+    instances.push_back(std::move(instance).value());
+  }
+  QueryState& installed = queries_[query.id] = std::move(state);
+
+  // Install the fragments, each with its routing record.
+  std::vector<RouteTarget> op_location(
+      static_cast<size_t>(query.plan->num_operators()));
+  for (size_t f = 0; f < installed.fragments.size(); ++f) {
+    const placement::FragmentSpec& frag = installed.fragments[f];
+    common::ProcessorId pid = installed.placement.at(frag.id);
     int idx = ProcIndexOf(pid);
     DSPS_CHECK(idx >= 0);
-    auto instance =
-        engine::FragmentInstance::Create(*query.plan, query.id, frag.id,
-                                         frag.ops);
-    if (!instance.ok()) return instance.status();
-    DSPS_RETURN_IF_ERROR(
-        processors_[idx]->InstallFragment(std::move(instance).value()));
+    const uint32_t slot = TakeSlot(&records_, &free_records_);
+    records_[slot].fragment = frag.id;
+    records_[slot].query = &installed;
+    installed.fragment_slots.push_back(slot);
+    engine::FragmentInstance* instance = instances[f].get();
+    instance->set_tag(slot);
+    // Fresh fragment ids never collide on an engine.
+    common::Status s =
+        processors_[idx]->InstallFragment(std::move(instances[f]));
+    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
     processors_[idx]->AddCommittedLoad(frag.cpu_load);
     for (common::OperatorId op : frag.ops) {
-      op_location[op] = RouteTarget{frag.id, op, 0, pid};
+      op_location[op] = RouteTarget{frag.id, op, 0, pid, instance};
     }
-    query_of_fragment_[frag.id] = query.id;
   }
 
-  // Stream entry points and inter-fragment routes.
+  // Stream entry points, one binding per bound stream.
   for (const engine::StreamBinding& b : query.plan->bindings()) {
-    RouteTarget target = op_location.at(b.to);
+    StreamRoutes& routes = RoutesOf(b.stream);
+    Binding* binding = nullptr;
+    for (const auto& [stream, slot] : installed.bindings) {
+      if (stream == b.stream) binding = &routes.bindings[slot];
+    }
+    if (binding == nullptr) {
+      const uint32_t slot = TakeSlot(&routes.bindings, &routes.free_bindings);
+      installed.bindings.emplace_back(b.stream, slot);
+      binding = &routes.bindings[slot];
+      binding->query = query.id;
+    }
+    RouteTarget target = op_location[b.to];
     target.port = b.to_port;
-    state.stream_entries[b.stream].push_back(target);
+    binding->targets.push_back(target);
   }
+  // Inter-fragment routes, kept by the producing fragment's record.
   for (const engine::PlanEdge& e : query.plan->edges()) {
-    const RouteTarget& from = op_location.at(e.from);
-    const RouteTarget& to_loc = op_location.at(e.to);
+    const RouteTarget& from = op_location[e.from];
+    const RouteTarget& to_loc = op_location[e.to];
     if (from.fragment == to_loc.fragment) continue;  // internal edge
     RouteTarget target = to_loc;
     target.port = e.to_port;
-    state.routes[{from.fragment, e.from}].push_back(target);
+    FragmentRecord& record = records_[from.instance->tag()];
+    if (record.remote.size() <= static_cast<size_t>(e.from)) {
+      record.remote.resize(static_cast<size_t>(e.from) + 1);
+    }
+    record.remote[e.from].push_back(target);
   }
   // Delegate-side interest index (when the catalog is known): a stream
   // tuple is routed to this query only if it can pass the query's filter.
-  for (const auto& [stream, targets] : state.stream_entries) {
-    (void)targets;
-    const std::vector<interest::Box>* boxes =
-        query.interest.boxes_for(stream);
+  for (const auto& [stream, slot] : installed.bindings) {
+    StreamRoutes& routes = streams_[stream];
+    const std::vector<interest::Box>* boxes = query.interest.boxes_for(stream);
     if (config_.catalog == nullptr || boxes == nullptr || boxes->empty() ||
         !config_.catalog->Contains(stream)) {
-      always_deliver_[stream].insert(query.id);
+      auto pos = std::lower_bound(
+          routes.always.begin(), routes.always.end(), query.id,
+          [&routes](uint32_t s, common::QueryId q) {
+            return routes.bindings[s].query < q;
+          });
+      routes.always.insert(pos, slot);
       continue;
     }
-    auto [it, inserted] = stream_index_.try_emplace(stream, nullptr);
-    if (inserted) {
-      it->second = std::make_unique<interest::BoxIndex>(
+    if (routes.index == nullptr) {
+      routes.index = std::make_unique<interest::BoxIndex>(
           config_.catalog->stats(stream).domain.size());
     }
-    for (const interest::Box& b : *boxes) {
-      it->second->Insert(query.id, b);
-    }
+    for (const interest::Box& b : *boxes) routes.index->Insert(slot, b);
   }
-  queries_[query.id] = std::move(state);
   return common::Status::OK();
 }
 
 common::Status Entity::RemoveQuery(common::QueryId query) {
   auto it = queries_.find(query);
   if (it == queries_.end()) return common::Status::NotFound("unknown query");
-  for (const placement::FragmentSpec& frag : it->second.fragments) {
-    common::ProcessorId pid = it->second.placement.at(frag.id);
+  QueryState& state = it->second;
+  for (size_t f = 0; f < state.fragments.size(); ++f) {
+    const placement::FragmentSpec& frag = state.fragments[f];
+    common::ProcessorId pid = state.placement.at(frag.id);
     int idx = ProcIndexOf(pid);
     DSPS_CHECK(idx >= 0);
     auto removed = processors_[idx]->RemoveFragment(frag.id);
     if (removed.ok()) {
       processors_[idx]->AddCommittedLoad(-frag.cpu_load);
     }
-    query_of_fragment_.erase(frag.id);
+    const uint32_t slot = state.fragment_slots[f];
+    records_[slot] = FragmentRecord{};
+    free_records_.push_back(slot);
   }
-  for (const auto& [stream, targets] : it->second.stream_entries) {
-    (void)targets;
-    auto idx = stream_index_.find(stream);
-    if (idx != stream_index_.end()) idx->second->Remove(query);
-    auto always = always_deliver_.find(stream);
-    if (always != always_deliver_.end()) always->second.erase(query);
+  for (const auto& [stream, slot] : state.bindings) {
+    StreamRoutes& routes = streams_[stream];
+    if (routes.index != nullptr) routes.index->Remove(slot);
+    auto always = std::find(routes.always.begin(), routes.always.end(), slot);
+    if (always != routes.always.end()) routes.always.erase(always);
+    routes.bindings[slot] = Binding{};
+    routes.free_bindings.push_back(slot);
   }
   queries_.erase(it);
   return common::Status::OK();
@@ -231,51 +286,38 @@ void Entity::OnStreamTuple(std::shared_ptr<const engine::Tuple> tuple,
 }
 
 bool Entity::HandleMessage(const sim::Message& msg) {
-  auto node_it = proc_by_node_.find(msg.to);
-  if (node_it == proc_by_node_.end()) return false;
-  Processor* proc = processors_[node_it->second].get();
   if (msg.type == kMsgStreamTuple) {
+    Processor* proc = ProcessorAt(msg.to);
+    if (proc == nullptr) return false;
     const auto* env = std::any_cast<StreamTupleEnvelope>(&msg.payload);
     if (env == nullptr) return false;
-    common::StreamId stream = env->tuple->stream;
-    auto route_to_query = [&](QueryState& state) {
-      auto entry_it = state.stream_entries.find(stream);
-      if (entry_it == state.stream_entries.end()) return;
-      for (const RouteTarget& target : entry_it->second) {
-        if (target.proc == proc->id()) {
-          common::Status s =
-              proc->Submit(target.fragment, target.op, target.port,
-                           *env->tuple);
-          DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-        } else {
-          SendFragmentTuple(proc->node(), target, env->tuple);
-        }
-      }
-    };
-    auto idx = stream_index_.find(stream);
-    if (idx != stream_index_.end()) {
+    const common::StreamId stream = env->tuple->stream;
+    if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
+      return true;  // no query is bound to the stream
+    }
+    const StreamRoutes& routes = streams_[stream];
+    if (routes.index != nullptr) {
       // Indexed fan-out: only queries whose interest matches the tuple.
+      // The index answers binding slots; deliver in ascending query id.
       DSPS_CHECK_MSG(env->point != nullptr, "stream tuple without its point");
       match_scratch_.clear();
-      idx->second->Match(env->point->data(), &match_scratch_);
-      for (int64_t qid : match_scratch_) {
-        auto q_it = queries_.find(qid);
-        if (q_it != queries_.end()) route_to_query(q_it->second);
+      routes.index->Match(env->point->data(), &match_scratch_);
+      std::sort(match_scratch_.begin(), match_scratch_.end(),
+                [&routes](int64_t a, int64_t b) {
+                  return routes.bindings[a].query < routes.bindings[b].query;
+                });
+      for (int64_t slot : match_scratch_) {
+        Deliver(proc, routes.bindings[slot].targets, env->tuple);
       }
-      auto always = always_deliver_.find(stream);
-      if (always != always_deliver_.end()) {
-        for (common::QueryId qid : always->second) {
-          auto q_it = queries_.find(qid);
-          if (q_it != queries_.end()) route_to_query(q_it->second);
-        }
-      }
-    } else {
-      // Naive fan-out: every query bound to this stream.
-      for (auto& [qid, state] : queries_) route_to_query(state);
+    }
+    for (uint32_t slot : routes.always) {
+      Deliver(proc, routes.bindings[slot].targets, env->tuple);
     }
     return true;
   }
   if (msg.type == kMsgFragmentTuple) {
+    Processor* proc = ProcessorAt(msg.to);
+    if (proc == nullptr) return false;
     const auto* env = std::any_cast<FragmentTupleEnvelope>(&msg.payload);
     if (env == nullptr) return false;
     common::Status s = proc->Submit(env->fragment, env->op, env->port,
@@ -285,6 +327,19 @@ bool Entity::HandleMessage(const sim::Message& msg) {
     return true;
   }
   return false;
+}
+
+void Entity::Deliver(Processor* at, const std::vector<RouteTarget>& targets,
+                     const std::shared_ptr<const engine::Tuple>& tuple) {
+  for (const RouteTarget& target : targets) {
+    if (target.proc == at->id()) {
+      common::Status s =
+          at->Submit(*target.instance, target.op, target.port, *tuple);
+      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
+    } else {
+      SendFragmentTuple(at->node(), target, tuple);
+    }
+  }
 }
 
 void Entity::SendFragmentTuple(common::SimNodeId from_node,
@@ -308,36 +363,37 @@ void Entity::SendFragmentTuple(common::SimNodeId from_node,
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
 }
 
-void Entity::OnEmission(common::ProcessorId proc,
-                        const Processor::Emission& em) {
-  auto qid_it = query_of_fragment_.find(em.output.fragment);
-  if (qid_it == query_of_fragment_.end()) return;  // removed in flight
-  QueryState& state = queries_.at(qid_it->second);
+void Entity::OnEmission(Processor* from, const Processor::Emission& em) {
+  const uint32_t slot = em.output.tag;
+  if (slot >= records_.size() ||
+      records_[slot].fragment != em.output.fragment) {
+    return;  // removed in flight
+  }
+  const FragmentRecord& record = records_[slot];
+  const QueryState& state = *record.query;
   const engine::FragmentInstance::Output& out = em.output.output;
   if (out.is_result) {
-    ResultRecord record;
-    record.query = qid_it->second;
-    record.latency = std::max(0.0, em.completion_time - out.tuple.timestamp);
-    record.pr = record.latency / state.p_k;
-    pr_.Add(record.pr);
+    ResultRecord result;
+    result.query = state.query.id;
+    result.latency = std::max(0.0, em.completion_time - out.tuple.timestamp);
+    result.pr = result.latency / state.p_k;
+    pr_.Add(result.pr);
     ++results_;
-    if (result_handler_) result_handler_(record, out.tuple);
+    if (result_handler_) result_handler_(result, out.tuple);
     return;
   }
-  auto route_it = state.routes.find({em.output.fragment, out.from_op});
-  if (route_it == state.routes.end()) return;
-  int from_idx = ProcIndexOf(proc);
-  DSPS_CHECK(from_idx >= 0);
-  auto shared = std::make_shared<const engine::Tuple>(out.tuple);
-  for (const RouteTarget& target : route_it->second) {
-    if (target.proc == proc) {
-      common::Status s = processors_[from_idx]->Submit(
-          target.fragment, target.op, target.port, *shared);
-      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    } else {
-      SendFragmentTuple(processors_[from_idx]->node(), target, shared);
-    }
+  if (static_cast<size_t>(out.from_op) >= record.remote.size() ||
+      record.remote[out.from_op].empty()) {
+    return;
   }
+  Processor* at = from;
+  if (ProcIndexOf(from->id()) < 0 || processors_[from->id()].get() != from) {
+    // The processor was retired after the work started. The fragment's
+    // current host took over its state, so the output leaves from there.
+    at = processors_[state.placement.at(em.output.fragment)].get();
+  }
+  Deliver(at, record.remote[out.from_op],
+          std::make_shared<const engine::Tuple>(out.tuple));
 }
 
 void Entity::SetResultHandler(ResultHandler handler) {
@@ -366,21 +422,16 @@ double Entity::MeanUtilization() const {
 
 common::Result<common::ProcessorId> Entity::FragmentLocation(
     common::FragmentId fragment) const {
-  auto qid_it = query_of_fragment_.find(fragment);
-  if (qid_it == query_of_fragment_.end()) {
-    return common::Status::NotFound("unknown fragment");
-  }
-  const QueryState& state = queries_.at(qid_it->second);
-  return state.placement.at(fragment);
+  const int slot = SlotOf(fragment);
+  if (slot < 0) return common::Status::NotFound("unknown fragment");
+  return records_[slot].query->placement.at(fragment);
 }
 
 common::Status Entity::MoveFragment(common::FragmentId fragment,
                                     common::ProcessorId to) {
-  auto qid_it = query_of_fragment_.find(fragment);
-  if (qid_it == query_of_fragment_.end()) {
-    return common::Status::NotFound("unknown fragment");
-  }
-  QueryState& state = queries_.at(qid_it->second);
+  const int slot = SlotOf(fragment);
+  if (slot < 0) return common::Status::NotFound("unknown fragment");
+  QueryState& state = *records_[slot].query;
   common::ProcessorId from = state.placement.at(fragment);
   if (from == to) return common::Status::OK();
   int from_idx = ProcIndexOf(from);
@@ -388,14 +439,21 @@ common::Status Entity::MoveFragment(common::FragmentId fragment,
   if (from_idx < 0 || to_idx < 0) {
     return common::Status::InvalidArgument("unknown processor");
   }
+  // Point the placement and every route at the new host first: outputs
+  // that pulling the instance flushes toward this fragment then travel to
+  // where it is going instead of into the engine it is leaving.
+  state.placement[fragment] = to;
+  Retarget(state, fragment, to);
   // Pull the live instance (flushes buffered work on batching engines).
+  // Only the owning pointer moves: every route's handle stays valid.
   auto removed = processors_[from_idx]->RemoveFragment(fragment);
-  if (!removed.ok()) return removed.status();
+  DSPS_CHECK_MSG(removed.ok(), "%s", removed.status().ToString().c_str());
   std::unique_ptr<engine::FragmentInstance> instance =
       std::move(removed).value();
   int64_t state_bytes = instance->StateBytes();
-  DSPS_RETURN_IF_ERROR(
-      processors_[to_idx]->InstallFragment(std::move(instance)));
+  common::Status installed =
+      processors_[to_idx]->InstallFragment(std::move(instance));
+  DSPS_CHECK_MSG(installed.ok(), "%s", installed.ToString().c_str());
   // Charge the state transfer to the LAN.
   sim::Message msg;
   msg.from = processors_[from_idx]->node();
@@ -405,26 +463,31 @@ common::Status Entity::MoveFragment(common::FragmentId fragment,
   common::Status s = network_->Send(std::move(msg));
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
   if (migrations_counter_ != nullptr) migrations_counter_->Increment();
-  // Bookkeeping: committed loads, placement, and every routing table
-  // entry that points at this fragment.
+  // Committed loads follow the fragment.
   double cpu_load = 0.0;
   for (const placement::FragmentSpec& frag : state.fragments) {
     if (frag.id == fragment) cpu_load = frag.cpu_load;
   }
   processors_[from_idx]->AddCommittedLoad(-cpu_load);
   processors_[to_idx]->AddCommittedLoad(cpu_load);
-  state.placement[fragment] = to;
-  for (auto& [stream, targets] : state.stream_entries) {
-    for (RouteTarget& t : targets) {
-      if (t.fragment == fragment) t.proc = to;
-    }
-  }
-  for (auto& [key, targets] : state.routes) {
-    for (RouteTarget& t : targets) {
-      if (t.fragment == fragment) t.proc = to;
-    }
-  }
   return common::Status::OK();
+}
+
+void Entity::Retarget(QueryState& state, common::FragmentId fragment,
+                      common::ProcessorId to) {
+  auto retarget = [fragment, to](std::vector<RouteTarget>& targets) {
+    for (RouteTarget& t : targets) {
+      if (t.fragment == fragment) t.proc = to;
+    }
+  };
+  for (const auto& [stream, slot] : state.bindings) {
+    retarget(streams_[stream].bindings[slot].targets);
+  }
+  for (uint32_t slot : state.fragment_slots) {
+    for (std::vector<RouteTarget>& targets : records_[slot].remote) {
+      retarget(targets);
+    }
+  }
 }
 
 int Entity::Rebalance(const placement::Rebalancer& rebalancer) {
@@ -458,8 +521,8 @@ double Entity::TotalCommittedLoad() const {
 }
 
 void Entity::CollectIndexStats(interest::IndexStats* stats) const {
-  for (const auto& [stream, index] : stream_index_) {
-    if (index != nullptr) index->AddStatsTo(stats);
+  for (const StreamRoutes& routes : streams_) {
+    if (routes.index != nullptr) routes.index->AddStatsTo(stats);
   }
 }
 
@@ -467,16 +530,15 @@ common::ProcessorId Entity::AddProcessor(common::SimNodeId node) {
   auto pid = static_cast<common::ProcessorId>(processors_.size());
   auto proc =
       std::make_unique<Processor>(pid, network_, node, engine_factory_());
-  proc->SetEmissionHandler([this, pid](const Processor::Emission& em) {
-    OnEmission(pid, em);
-  });
+  Processor* raw = proc.get();
+  proc->SetEmissionHandler(
+      [this, raw](const Processor::Emission& em) { OnEmission(raw, em); });
   if (config_.metrics != nullptr || config_.trace != nullptr) {
     proc->SetTelemetry(
         config_.metrics, config_.trace,
         telemetry::MakeLabels({{"entity", std::to_string(id_)},
                                {"processor", std::to_string(pid)}}));
   }
-  proc_by_node_[node] = static_cast<int>(pid);
   processors_.push_back(std::move(proc));
   return pid;
 }
@@ -508,13 +570,12 @@ common::Result<common::SimNodeId> Entity::RemoveLastProcessor() {
   }
   // Reassign stream delegations owned by the victim, round-robin over
   // the survivors.
-  for (auto& [stream, delegate] : delegates_) {
-    if (delegate != victim) continue;
-    delegate = processors_[next_delegate_ % victim]->id();
+  for (StreamRoutes& routes : streams_) {
+    if (routes.delegate != victim) continue;
+    routes.delegate = processors_[next_delegate_ % victim]->id();
     next_delegate_ = (next_delegate_ + 1) % static_cast<int>(victim);
   }
   common::SimNodeId node = processors_.back()->node();
-  proc_by_node_.erase(node);
   retired_.push_back(std::move(processors_.back()));
   processors_.pop_back();
   return node;

@@ -1,10 +1,11 @@
 #ifndef DSPS_ENTITY_ENTITY_H_
 #define DSPS_ENTITY_ENTITY_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -202,29 +203,75 @@ class Entity {
   common::Result<common::SimNodeId> RemoveLastProcessor();
 
  private:
+  /// Where one tuple goes: (fragment, op, port) on processor `proc`.
+  /// `instance` is the fragment itself, which a local submit feeds
+  /// without a lookup; it stays valid while the query is installed, since
+  /// MoveFragment moves only the owning pointer between engines.
   struct RouteTarget {
     common::FragmentId fragment = -1;
     common::OperatorId op = -1;
     int port = 0;
     common::ProcessorId proc = common::kInvalidProcessor;
+    engine::FragmentInstance* instance = nullptr;
   };
   struct QueryState {
     engine::Query query;
     double p_k = 1e-9;
     std::vector<placement::FragmentSpec> fragments;
     placement::Placement placement;
-    /// stream -> fragment entry points.
-    std::map<common::StreamId, std::vector<RouteTarget>> stream_entries;
-    /// (fragment, producing op) -> downstream targets.
-    std::map<std::pair<common::FragmentId, common::OperatorId>,
-             std::vector<RouteTarget>>
-        routes;
+    /// The routing record slot of each fragment (parallel to fragments).
+    std::vector<uint32_t> fragment_slots;
+    /// (stream, binding slot in that stream's route table), one per bound
+    /// stream.
+    std::vector<std::pair<common::StreamId, uint32_t>> bindings;
+  };
+  /// One installed fragment's routing record, at the slot its instance
+  /// carries as its tag. Slots of removed fragments are recycled, so an
+  /// emission checks `fragment` against its own fragment id.
+  struct FragmentRecord {
+    common::FragmentId fragment = -1;  // -1 = free slot
+    QueryState* query = nullptr;
+    /// By producing plan operator id: the targets of its edges that leave
+    /// the fragment (sized to the last operator that has any).
+    std::vector<std::vector<RouteTarget>> remote;
+  };
+  /// One query bound to a stream: its entry targets, in binding order.
+  struct Binding {
+    common::QueryId query = common::kInvalidQuery;  // invalid = free slot
+    std::vector<RouteTarget> targets;
+  };
+  /// A stream's route table, read by its delegate for every tuple.
+  struct StreamRoutes {
+    common::ProcessorId delegate = common::kInvalidProcessor;
+    /// Interest index over the bindings with boxes (subscriber = binding
+    /// slot); null until the first one (and always without a catalog).
+    std::unique_ptr<interest::BoxIndex> index;
+    /// Binding slots; free ones are recycled.
+    std::vector<Binding> bindings;
+    std::vector<uint32_t> free_bindings;
+    /// Slots of the bindings without index coverage, ascending query id:
+    /// they get every tuple. Without an index that is every binding.
+    std::vector<uint32_t> always;
   };
 
-  void OnEmission(common::ProcessorId proc, const Processor::Emission& em);
+  void OnEmission(Processor* from, const Processor::Emission& em);
+  /// Hands a tuple to each target: submitted on `at` when the target lives
+  /// there, sent over the LAN from `at` otherwise.
+  void Deliver(Processor* at, const std::vector<RouteTarget>& targets,
+               const std::shared_ptr<const engine::Tuple>& tuple);
   void SendFragmentTuple(common::SimNodeId from_node, const RouteTarget& to,
                          std::shared_ptr<const engine::Tuple> tuple);
   int ProcIndexOf(common::ProcessorId id) const;
+  /// The live processor on `node`, or null.
+  Processor* ProcessorAt(common::SimNodeId node) const;
+  /// `stream`'s route table, created empty on first use.
+  StreamRoutes& RoutesOf(common::StreamId stream);
+  /// The routing record slot of `fragment`, or -1 (a scan: control plane
+  /// only).
+  int SlotOf(common::FragmentId fragment) const;
+  /// Points every route of `state` that targets `fragment` at `to`.
+  void Retarget(QueryState& state, common::FragmentId fragment,
+                common::ProcessorId to);
 
   common::EntityId id_;
   sim::Network* network_;
@@ -235,15 +282,13 @@ class Entity {
   /// Processors removed by RemoveLastProcessor: kept alive (their pending
   /// simulator callbacks capture the raw pointer) but never routed to.
   std::vector<std::unique_ptr<Processor>> retired_;
-  std::map<common::SimNodeId, int> proc_by_node_;
-  std::map<common::StreamId, common::ProcessorId> delegates_;
   int next_delegate_ = 0;
   std::map<common::QueryId, QueryState> queries_;
-  std::map<common::FragmentId, common::QueryId> query_of_fragment_;
-  /// Delegate-side interest indexes (only when config_.catalog is set).
-  std::map<common::StreamId, std::unique_ptr<interest::BoxIndex>> stream_index_;
-  /// Queries bound to a stream without index coverage: always delivered.
-  std::map<common::StreamId, std::set<common::QueryId>> always_deliver_;
+  /// Route tables by stream id.
+  std::vector<StreamRoutes> streams_;
+  /// Routing records by slot (FragmentInstance::tag); free ones recycled.
+  std::vector<FragmentRecord> records_;
+  std::vector<uint32_t> free_records_;
   mutable std::vector<int64_t> match_scratch_;
   common::FragmentId next_fragment_id_ = 1;
   ResultHandler result_handler_;

@@ -38,11 +38,26 @@ void Processor::SetEmissionHandler(EmissionHandler handler) {
   emission_ = std::move(handler);
 }
 
+common::Status Processor::Submit(engine::FragmentInstance& fragment,
+                                 common::OperatorId op, int port,
+                                 const engine::Tuple& tuple) {
+  std::vector<engine::TaggedOutput> outputs;
+  DSPS_RETURN_IF_ERROR(engine_->Inject(fragment, op, port, tuple, &outputs));
+  Charge(tuple, std::move(outputs));
+  return common::Status::OK();
+}
+
 common::Status Processor::Submit(common::FragmentId fragment,
                                  common::OperatorId op, int port,
                                  const engine::Tuple& tuple) {
   std::vector<engine::TaggedOutput> outputs;
   DSPS_RETURN_IF_ERROR(engine_->Inject(fragment, op, port, tuple, &outputs));
+  Charge(tuple, std::move(outputs));
+  return common::Status::OK();
+}
+
+void Processor::Charge(const engine::Tuple& tuple,
+                       std::vector<engine::TaggedOutput> outputs) {
   double cost = engine_->DrainCpuCost() / kProcessorCapacity;
   sim::Simulator* sim = network_->simulator();
   double start = std::max(sim->now(), busy_until_);
@@ -78,7 +93,6 @@ common::Status Processor::Submit(common::FragmentId fragment,
       }
     });
   }
-  return common::Status::OK();
 }
 
 void Processor::SetTelemetry(telemetry::MetricsRegistry* metrics,

@@ -50,8 +50,15 @@ class Processor {
   /// Called for every boundary output, at its completion time.
   void SetEmissionHandler(EmissionHandler handler);
 
-  /// Submits one tuple to (fragment, op, port). The work starts when the
-  /// CPU frees up; outputs are emitted at the completion time.
+  /// Submits one tuple to (op, port) of `fragment`, a fragment hosted
+  /// here (a handle the entity resolved at install or move time). The
+  /// work starts when the CPU frees up; outputs are emitted at the
+  /// completion time.
+  common::Status Submit(engine::FragmentInstance& fragment,
+                        common::OperatorId op, int port,
+                        const engine::Tuple& tuple);
+  /// The same by fragment id, for tuples that crossed the LAN: NotFound
+  /// if the fragment is no longer hosted here.
   common::Status Submit(common::FragmentId fragment, common::OperatorId op,
                         int port, const engine::Tuple& tuple);
 
@@ -78,6 +85,11 @@ class Processor {
                     const telemetry::Labels& labels);
 
  private:
+  /// Charges the CPU cost of the injection that produced `outputs` from
+  /// `tuple` and schedules their emission at its completion time.
+  void Charge(const engine::Tuple& tuple,
+              std::vector<engine::TaggedOutput> outputs);
+
   common::ProcessorId id_;
   sim::Network* network_;
   common::SimNodeId node_;

@@ -58,9 +58,21 @@ TEST(DisseminationTreeTest, DuplicateAndMissingEntities) {
   DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent));
   ASSERT_TRUE(tree.AddEntity(1, {1, 1}).ok());
   EXPECT_FALSE(tree.AddEntity(1, {2, 2}).ok());
+  EXPECT_FALSE(tree.AddEntity(-5, {2, 2}).ok());  // ids index the nodes
   EXPECT_FALSE(tree.RemoveEntity(99).ok());
   EXPECT_FALSE(tree.Parent(99).ok());
   EXPECT_FALSE(tree.Depth(99).ok());
+  // Unknown ids past, before and inside the dense node table.
+  tree.SetLocalInterest(1, {Box{Interval{0, 100}}});
+  const double p = 5;
+  EXPECT_TRUE(tree.LocalMatch(1, &p));
+  for (common::EntityId id : {0, 2, 99, -5, common::kInvalidEntity}) {
+    EXPECT_FALSE(tree.LocalMatch(id, &p)) << id;
+    EXPECT_FALSE(tree.Contains(id)) << id;
+  }
+  ASSERT_TRUE(tree.RemoveEntity(1).ok());
+  EXPECT_FALSE(tree.LocalMatch(1, &p));
+  EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST(DisseminationTreeTest, RemoveReattachesChildren) {
@@ -620,6 +632,23 @@ TEST_F(DisseminatorTest, RemoveEntityStopsDeliveryAndRepairsTree) {
   EXPECT_EQ(got.count(1), 0u);
   EXPECT_EQ(got.size(), 3u);
   for (auto [e, n] : got) EXPECT_EQ(n, 1) << e;
+  // A hop addressed to the removed entity's gateway, or to a node id past
+  // the gateway table, is not consumed; a live gateway takes the same hop.
+  TupleEnvelope env;
+  env.tuple = std::make_shared<const engine::Tuple>(MakeTuple(5));
+  env.point = engine::ProjectPoint(*env.tuple);
+  sim::Message hop;
+  hop.from = source_node_;
+  hop.type = kMsgTupleForward;
+  hop.payload = env;
+  for (common::SimNodeId to : {gateways_[1], gateways_.back() + 1000, -3}) {
+    hop.to = to;
+    EXPECT_FALSE(dissem.HandleMessage(hop)) << to;
+  }
+  hop.to = gateways_[2];
+  EXPECT_TRUE(dissem.HandleMessage(hop));
+  sim_.Run();
+  EXPECT_EQ(got[2], 2);
 }
 
 TEST_F(DisseminatorTest, RemoveEntityCancelsItsOwnPendingRetries) {

@@ -264,6 +264,9 @@ TEST(QueryPlanTest, ConnectValidatesIds) {
   EXPECT_FALSE(plan.Connect(a, 99, 0).ok());
   EXPECT_FALSE(plan.Connect(a, a, 5).ok());
   EXPECT_FALSE(plan.BindStream(0, 99, 0).ok());
+  // Stream ids index the runtime's per-stream tables.
+  EXPECT_FALSE(plan.BindStream(-1, a, 0).ok());
+  EXPECT_TRUE(plan.bindings().empty());
 }
 
 TEST(QueryPlanTest, TopologicalOrderRespectsEdges) {
@@ -356,6 +359,42 @@ TEST(FragmentTest, InjectUnknownOpFails) {
   auto frag = std::move(FragmentInstance::Create(*plan, 1, 10, {0}).value());
   std::vector<FragmentInstance::Output> out;
   EXPECT_FALSE(frag->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &out).ok());
+
+  // Sparse operator ids: ops {1, 3} of a 5-op chain 0 -> 1 -> 2 -> 3 -> 4.
+  // The fragment's per-op table has holes (0, 2) and ends before op 4.
+  QueryPlan chain;
+  common::OperatorId prev = chain.AddOperator(
+      std::make_unique<FilterOp>(std::vector<int>{0}, interest::Box{{0, 50}}));
+  ASSERT_TRUE(chain.BindStream(0, prev, 0).ok());
+  for (int i = 1; i < 5; ++i) {
+    auto next = chain.AddOperator(std::make_unique<MapOp>(std::vector<int>{0, 1}));
+    ASSERT_TRUE(chain.Connect(prev, next, 0).ok());
+    prev = next;
+  }
+  auto sparse = std::move(FragmentInstance::Create(chain, 1, 11, {3, 1}).value());
+  EXPECT_EQ(sparse->op_ids(), (std::vector<common::OperatorId>{1, 3}));
+  for (common::OperatorId op : {1, 3}) EXPECT_TRUE(sparse->Contains(op));
+  ASSERT_EQ(sparse->RemoteEdges(1).size(), 1u);
+  EXPECT_EQ(sparse->RemoteEdges(1)[0].to, 2);
+  ASSERT_EQ(sparse->RemoteEdges(3).size(), 1u);
+  EXPECT_EQ(sparse->RemoteEdges(3)[0].to, 4);
+  // Absent (holes and the op past the last hosted one), negative and
+  // past-the-plan ids.
+  for (common::OperatorId op : {0, 2, 4, -1, 5, 1000}) {
+    EXPECT_FALSE(sparse->Contains(op)) << op;
+    EXPECT_TRUE(sparse->RemoteEdges(op).empty()) << op;
+    out.clear();
+    common::Status s = sparse->Inject(op, 0, MakeTuple(0, 0, {1, 2}), &out);
+    EXPECT_EQ(s.code(), common::StatusCode::kNotFound) << op;
+    EXPECT_TRUE(out.empty()) << op;
+  }
+  EXPECT_DOUBLE_EQ(sparse->DrainCpuCost(), 0.0);
+  // A hosted op still runs: op 1's only edge leaves the fragment.
+  out.clear();
+  ASSERT_TRUE(sparse->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].from_op, 1);
+  EXPECT_FALSE(out[0].is_result);
 }
 
 // ----------------------------------------------------------------- Engines
