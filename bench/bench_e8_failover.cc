@@ -94,7 +94,6 @@ FailoverRun Run(Scenario scenario,
     cfg.faults.seed = 17;
     cfg.faults.loss_probability = 0.02;  // background WAN loss
     cfg.dissemination.reliable = true;   // exactly-once hops on top of it
-    cfg.dissemination.retry_timeout_s = 0.05;
   }
   dsps::system::System sys(cfg);
   dsps::workload::StockTickerGen::Config tcfg;

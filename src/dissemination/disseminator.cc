@@ -10,7 +10,7 @@ namespace dsps::dissemination {
 Disseminator::Disseminator(sim::Network* network, const Config& config)
     : network_(network),
       config_(config),
-      hops_(network, kMsgTupleAck, config.retry_timeout_s) {
+      hops_(network, kMsgTupleAck) {
   if (config_.metrics != nullptr) {
     route_lookup_us_ = config_.metrics->histogram("dissem.route_lookup_us");
   }

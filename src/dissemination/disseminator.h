@@ -54,8 +54,6 @@ class Disseminator {
     /// timers exist and the wire traffic is bit-identical to the
     /// fire-and-forget build.
     bool reliable = false;
-    /// First retransmission fires this long after an unacked send.
-    double retry_timeout_s = sim::ReliableChannel::kDefaultTimeoutS;
     /// Optional telemetry (null = disabled, zero overhead). With metrics,
     /// each tree node exports dissemination.forwarded / .filtered /
     /// .delivered counters labeled {stream, node}. With a trace log,

@@ -320,10 +320,21 @@ bool Entity::HandleMessage(const sim::Message& msg) {
     if (proc == nullptr) return false;
     const auto* env = std::any_cast<FragmentTupleEnvelope>(&msg.payload);
     if (env == nullptr) return false;
-    common::Status s = proc->Submit(env->fragment, env->op, env->port,
-                                    *env->tuple);
-    // The fragment may have been removed in flight; drop silently then.
-    (void)s;
+    common::Status s =
+        proc->Submit(env->fragment, env->op, env->port, *env->tuple);
+    if (s.ok()) return true;
+    // The fragment moved while the tuple was on the LAN: one more hop to
+    // its current host. A fragment removed in flight takes its tuples
+    // with it.
+    const int slot = SlotOf(env->fragment);
+    if (slot < 0) return true;
+    RouteTarget to;
+    to.fragment = env->fragment;
+    to.op = env->op;
+    to.port = env->port;
+    to.proc = records_[slot].query->placement.at(env->fragment);
+    DSPS_CHECK_MSG(to.proc != proc->id(), "%s", s.ToString().c_str());
+    SendFragmentTuple(msg.to, to, env->tuple);
     return true;
   }
   return false;

@@ -84,7 +84,7 @@ common::StreamId FirstSharedStream(const std::vector<common::StreamId>& a,
   return common::kInvalidStream;
 }
 
-QueryGraph QueryGraph::Build(const std::vector<engine::Query>& queries,
+QueryGraph QueryGraph::Build(std::span<const engine::Query> queries,
                              const interest::StreamCatalog& catalog,
                              double min_edge_weight,
                              interest::IndexStats* index_stats) {

@@ -103,6 +103,10 @@ class FaultInjector {
   }
   int64_t duplicated() const { return duplicated_; }
 
+  /// The declared bound on the extra latency Judge adds to one message
+  /// (Config::latency_jitter_s). Reading it takes no RNG draw.
+  double latency_jitter_bound_s() const { return config_.latency_jitter_s; }
+
   /// Attaches a metrics registry (null detaches; default off, zero cost).
   /// Exports fault.dropped{reason=node_down|partition|loss} and
   /// fault.duplicated counters.

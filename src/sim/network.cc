@@ -61,6 +61,25 @@ Network::LinkState& Network::GetOrCreateLink(common::SimNodeId from,
   return it->second;
 }
 
+double Network::OneWayS(common::SimNodeId from, common::SimNodeId to,
+                        int64_t bytes) const {
+  auto it = links_.find(LinkKey(from, to));
+  const LinkParams params = it != links_.end()
+                                ? it->second.params
+                                : default_model_(position(from), position(to));
+  return params.latency_s +
+         static_cast<double>(bytes) / params.bandwidth_bps;
+}
+
+double Network::RoundTripS(common::SimNodeId from, common::SimNodeId to,
+                           int64_t bytes, int64_t reply_bytes) const {
+  if (from == to) return 2 * kLocalDeliveryDelay;
+  const double jitter =
+      faults_ != nullptr ? faults_->latency_jitter_bound_s() : 0.0;
+  return OneWayS(from, to, bytes) + OneWayS(to, from, reply_bytes) +
+         2 * jitter;
+}
+
 void Network::CountFaultDrop() {
   dropped_faults_ += 1;
   // Interned on first drop (not at SetMetrics time) so fault-free runs

@@ -123,6 +123,16 @@ class Network {
 
   size_t node_count() const { return nodes_.size(); }
 
+  /// The unloaded round trip of a `bytes` message from `from` to `to` and a
+  /// `reply_bytes` answer back: each direction's latency and serialization
+  /// delay, plus the attached fault injector's jitter bound once per
+  /// direction. Links that never carried traffic are read from the default
+  /// model. Queueing behind earlier sends is left out. Creates no link
+  /// state and takes no RNG draw. Local pairs (from == to) cost the local
+  /// delivery delay each way.
+  double RoundTripS(common::SimNodeId from, common::SimNodeId to,
+                    int64_t bytes, int64_t reply_bytes) const;
+
   /// Cumulative stats for the directed link (from, to); zeros if the pair
   /// never communicated.
   LinkStats link_stats(common::SimNodeId from, common::SimNodeId to) const;
@@ -191,6 +201,9 @@ class Network {
            static_cast<uint32_t>(to);
   }
   LinkState& GetOrCreateLink(common::SimNodeId from, common::SimNodeId to);
+  /// Latency plus serialization delay of `bytes` on (from, to), unloaded.
+  double OneWayS(common::SimNodeId from, common::SimNodeId to,
+                 int64_t bytes) const;
   void ScheduleDelivery(double deliver_at, Message msg);
   void DeliverSlot(uint32_t slot);
   void ReleaseSlot(uint32_t slot);

@@ -1,5 +1,6 @@
 #include "sim/reliable_channel.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -16,13 +17,9 @@ void Count(int64_t* stat, telemetry::Counter* mirror) {
 }  // namespace
 
 ReliableChannel::ReliableChannel(Network* network, int ack_type,
-                                 double timeout_s, int max_retries)
-    : network_(network),
-      ack_type_(ack_type),
-      timeout_s_(timeout_s),
-      max_retries_(max_retries) {
+                                 int max_retries)
+    : network_(network), ack_type_(ack_type), max_retries_(max_retries) {
   DSPS_CHECK(network != nullptr);
-  DSPS_CHECK(timeout_s > 0);
   DSPS_CHECK(max_retries >= 0);
 }
 
@@ -32,12 +29,17 @@ void ReliableChannel::Transmit(Message msg) {
 }
 
 void ReliableChannel::Send(Message msg, int64_t seq) {
+  // A number below the window would be refused on its first arrival.
+  DSPS_CHECK_MSG(seq >= window_base_, "seq %lld sent after the channel moved on",
+                 static_cast<long long>(seq));
   auto [it, inserted] = pending_.try_emplace(seq);
   DSPS_CHECK(inserted);
   InFlight& send = it->second;
   send.msg = msg;
   send.retries_left = max_retries_;
-  send.timeout_s = timeout_s_;
+  send.timeout_s = kTimeoutRoundTrips * network_->RoundTripS(
+                                            msg.from, msg.to, msg.size_bytes,
+                                            kAckBytes);
   Transmit(std::move(msg));
   Arm(seq, &send);
 }
@@ -55,7 +57,9 @@ void ReliableChannel::OnTimeout(int64_t seq) {
   InFlight& send = it->second;
   if (send.retries_left <= 0) {
     Count(&failed_, counters_.failed);
+    Close(seq);
     pending_.erase(it);
+    Trim();
     return;
   }
   send.retries_left -= 1;
@@ -63,6 +67,24 @@ void ReliableChannel::OnTimeout(int64_t seq) {
   Count(&retries_, counters_.retries);
   Transmit(send.msg);
   Arm(seq, &send);
+}
+
+bool ReliableChannel::Close(int64_t seq) {
+  const size_t at = static_cast<size_t>(seq - window_base_);
+  if (at >= closed_.size()) closed_.resize(at + 1, false);
+  if (closed_[at]) return false;
+  closed_[at] = true;
+  return true;
+}
+
+void ReliableChannel::Trim() {
+  const int64_t floor =
+      pending_.empty() ? next_seq_ : pending_.begin()->first;
+  const auto drop = static_cast<std::deque<bool>::difference_type>(
+      std::min<int64_t>(floor - window_base_,
+                        static_cast<int64_t>(closed_.size())));
+  closed_.erase(closed_.begin(), closed_.begin() + drop);
+  window_base_ = floor;
 }
 
 bool ReliableChannel::Accept(const Message& msg, int64_t seq) {
@@ -73,7 +95,9 @@ bool ReliableChannel::Accept(const Message& msg, int64_t seq) {
   ack.size_bytes = kAckBytes;
   ack.payload = AckEnvelope{seq};
   Transmit(std::move(ack));
-  if (accepted_.insert(seq).second) return true;
+  DSPS_CHECK_MSG(seq < next_seq_, "seq %lld was never sent",
+                 static_cast<long long>(seq));
+  if (seq >= window_base_ && Close(seq)) return true;
   Count(&duplicates_, counters_.duplicates);
   return false;
 }
@@ -85,7 +109,9 @@ bool ReliableChannel::HandleAck(const Message& msg) {
   auto it = pending_.find(ack->seq);
   if (it != pending_.end()) {
     network_->simulator()->Cancel(it->second.timer);
+    Close(it->first);
     pending_.erase(it);
+    Trim();
   }
   return true;
 }
@@ -104,8 +130,10 @@ std::vector<Message> ReliableChannel::Abandon(common::SimNodeId node) {
       continue;
     }
     network_->simulator()->Cancel(it->second.timer);
+    Close(it->first);
     it = pending_.erase(it);
   }
+  Trim();
   return stranded;
 }
 

@@ -2,8 +2,8 @@
 #define DSPS_SIM_RELIABLE_CHANNEL_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -26,20 +26,31 @@ struct AckEnvelope {
 /// The sender numbers each message (NextSeq) and writes the number into its
 /// own envelope; Send keeps a copy and arms a cancellable timer that, until
 /// an ack settles the send, retransmits with ×kBackoff growing timeouts and
-/// after max_retries retransmissions counts the send as failed. The receiver
-/// passes every arrival through Accept, which always acks — the sender may
-/// be retrying because the previous ack was lost — and admits each sequence
-/// number once. Every outcome is counted; nothing is dropped silently.
+/// after max_retries retransmissions counts the send as failed. The first
+/// timeout is kTimeoutRoundTrips times the link's unloaded round trip for
+/// the message and its ack (Network::RoundTripS), so a loss-free link never
+/// retransmits, however far apart its ends are. The receiver passes every
+/// arrival through Accept, which always acks — the sender may be retrying
+/// because the previous ack was lost — and admits each sequence number at
+/// most once, and never after its send settled. Every outcome is counted;
+/// nothing is dropped silently.
 ///
-/// Sequence numbers start at 1 per channel. Sends are kept in sequence
-/// order, so Abandon reports stranded sends in the order they were made.
+/// Sequence numbers start at 1 per channel. A number taken by NextSeq must
+/// be sent before any event runs or the channel is called again. Sends are
+/// kept in sequence order, so Abandon reports stranded sends in the order
+/// they were made.
+///
+/// The channel sees both ends, so its dedup state is bounded: a number
+/// below the lowest unsettled send can only arrive as a late copy of a
+/// settled send, and only the numbers from there up keep a flag.
 class ReliableChannel {
  public:
   /// Each retransmission waits this many times longer than the previous.
   static constexpr double kBackoff = 2.0;
+  /// The first timeout, in unloaded round trips of the message and its ack.
+  static constexpr double kTimeoutRoundTrips = 2.0;
   /// Wire size of an ack.
   static constexpr int64_t kAckBytes = 16;
-  static constexpr double kDefaultTimeoutS = 0.05;
   static constexpr int kDefaultMaxRetries = 4;
 
   /// Registry counters that mirror the stats (each may be null).
@@ -50,10 +61,9 @@ class ReliableChannel {
     telemetry::Counter* duplicates = nullptr;
   };
 
-  /// Acks travel as `ack_type` messages. The first retransmission fires
-  /// `timeout_s` after a send. `network` must outlive the channel.
+  /// Acks travel as `ack_type` messages. `network` must outlive the
+  /// channel.
   ReliableChannel(Network* network, int ack_type,
-                  double timeout_s = kDefaultTimeoutS,
                   int max_retries = kDefaultMaxRetries);
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
@@ -68,7 +78,9 @@ class ReliableChannel {
   void Send(Message msg, int64_t seq);
 
   /// Receiver side: acks `seq` from msg.to back to msg.from. True the first
-  /// time `seq` arrives; later copies are counted as duplicates.
+  /// time `seq` arrives while its send is unsettled; later copies, and
+  /// copies of a send that already failed or was abandoned, are counted as
+  /// duplicates.
   bool Accept(const Message& msg, int64_t seq);
 
   /// Sender side: settles the send `msg` acks. False when `msg` is not this
@@ -90,6 +102,10 @@ class ReliableChannel {
   int64_t duplicates() const { return duplicates_; }
   /// Sends awaiting an ack right now.
   size_t pending() const { return pending_.size(); }
+  /// Sequence numbers the dedup state holds a flag for: from the lowest
+  /// unsettled send up to the highest number that arrived since. Empty
+  /// once nothing is pending.
+  size_t dedup_window() const { return closed_.size(); }
 
  private:
   struct InFlight {
@@ -102,14 +118,23 @@ class ReliableChannel {
   void Arm(int64_t seq, InFlight* send);
   void OnTimeout(int64_t seq);
   void Transmit(Message msg);
+  /// Marks `seq` (at or above window_base_) as not admissible any more;
+  /// false if it already was. Every settled send is closed, so no copy of
+  /// it is admitted later.
+  bool Close(int64_t seq);
+  /// Drops the flags below the lowest unsettled send.
+  void Trim();
 
   Network* network_;
   int ack_type_;
-  double timeout_s_;
   int max_retries_;
   Counters counters_;
   std::map<int64_t, InFlight> pending_;
-  std::unordered_set<int64_t> accepted_;
+  /// By sequence number from window_base_: true once the number may not be
+  /// admitted any more (it was admitted, or its send failed or was
+  /// abandoned). Every number below window_base_ is closed.
+  std::deque<bool> closed_;
+  int64_t window_base_ = 1;
   int64_t next_seq_ = 1;
   int64_t retries_ = 0;
   int64_t failed_ = 0;

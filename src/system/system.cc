@@ -16,9 +16,6 @@ namespace dsps::system {
 
 namespace {
 
-/// Imbalance (heaviest part / ideal part weight) graph-partition
-/// allocation and repartitioning may accept.
-constexpr double kBalanceTolerance = 1.2;
 /// Simulated per-query re-install time at a survivor receiving a re-home
 /// batch (state re-initialization; queries of one batch serialize).
 constexpr double kRehomeInstallLatencyS = 0.02;
@@ -46,7 +43,6 @@ System::System(const Config& config)
       simulator_(std::make_unique<sim::Simulator>()),
       network_(std::make_unique<sim::Network>(simulator_.get())),
       result_channel_(network_.get(), kMsgClientResultAck,
-                      config.result_retry_timeout_s,
                       config.result_max_retries),
       rehome_channel_(network_.get(), kMsgRehomeAck) {
   common::Rng topo_rng = rng_.Fork(1);
@@ -750,30 +746,7 @@ double System::TenantSloAttainment(tenant::TenantId tenant) const {
 }
 
 common::Status System::SubmitBatch(const std::vector<engine::Query>& queries) {
-  if (config_.allocation != AllocationMode::kGraphPartition) {
-    for (const engine::Query& q : queries) {
-      DSPS_RETURN_IF_ERROR(SubmitQuery(q));
-    }
-    return common::Status::OK();
-  }
-  // Partition across the alive entities only.
-  std::vector<common::EntityId> alive_ids;
-  for (int e = 0; e < num_entities(); ++e) {
-    if (alive_[e]) alive_ids.push_back(e);
-  }
-  if (alive_ids.empty()) {
-    return common::Status::FailedPrecondition("no alive entities");
-  }
-  partition::QueryGraph graph = partition::QueryGraph::Build(queries, catalog_);
-  partition::MultilevelPartitioner partitioner;
-  auto assignment = partitioner.Partition(
-      graph, static_cast<int>(alive_ids.size()), kBalanceTolerance);
-  if (!assignment.ok()) return assignment.status();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    DSPS_RETURN_IF_ERROR(
-        InstallOn(alive_ids[assignment.value()[i]], queries[i]));
-  }
-  return common::Status::OK();
+  return SubmitQueries(queries).first_error;
 }
 
 void System::TallySubmit(const common::Status& st, BatchSubmitResult* out) {
@@ -808,7 +781,8 @@ System::BatchSubmitResult System::SubmitQueries(
       admission_ == nullptr && placement_map_ == nullptr &&
       (config_.allocation == AllocationMode::kCoordinatorTree ||
        config_.allocation == AllocationMode::kRoundRobin ||
-       config_.allocation == AllocationMode::kIsolatedZipf);
+       config_.allocation == AllocationMode::kIsolatedZipf ||
+       config_.allocation == AllocationMode::kGraphPartition);
   if (!grouped) {
     // Tenant arbitration, placement maps, and interest-aware routing all
     // feed install side effects back into the next query's decision —
@@ -821,7 +795,8 @@ System::BatchSubmitResult System::SubmitQueries(
     // coordinator descent depend only on routing history (RouteQuery's
     // load estimates advance as it routes, not as installs land) and on
     // the alive set, which installs never change — so the targets are the
-    // ones the serial loop would have picked.
+    // ones the serial loop would have picked. Under kGraphPartition the
+    // batch is partitioned jointly over the alive entities instead.
     auto t_route = std::chrono::steady_clock::now();
     std::vector<common::EntityId> target(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -831,8 +806,15 @@ System::BatchSubmitResult System::SubmitQueries(
         next_client_ =
             (next_client_ + 1) % static_cast<int>(client_nodes_.size());
       }
-      target[i] = AllocateOne(q);
+      if (config_.allocation != AllocationMode::kGraphPartition) {
+        target[i] = AllocateOne(q);
+      }
     }
+    // A batch the partitioner cannot place fails query by query.
+    const common::Status routed =
+        config_.allocation == AllocationMode::kGraphPartition
+            ? PartitionBatch(queries, &target)
+            : common::Status::OK();
     // Phase 2: install grouped by target entity. The stable sort keeps
     // each entity's installs in submission order, so per-entity admission
     // decisions (and the interest merge order) are identical to the
@@ -848,12 +830,34 @@ System::BatchSubmitResult System::SubmitQueries(
             std::chrono::steady_clock::now() - t_route)
             .count();
     for (size_t i : order) {
-      TallySubmit(InstallOn(target[i], queries[i]), &result);
+      TallySubmit(routed.ok() ? InstallOn(target[i], queries[i]) : routed,
+                  &result);
     }
   }
   batch_install_active_ = false;
   FlushDeferredGraphAdds();
   return result;
+}
+
+common::Status System::PartitionBatch(std::span<const engine::Query> queries,
+                                      std::vector<common::EntityId>* target) {
+  std::vector<common::EntityId> alive_ids;
+  for (int e = 0; e < num_entities(); ++e) {
+    if (alive_[e]) alive_ids.push_back(e);
+  }
+  if (alive_ids.empty()) {
+    return common::Status::FailedPrecondition("no alive entities");
+  }
+  partition::QueryGraph graph =
+      partition::QueryGraph::Build(queries, catalog_);
+  partition::MultilevelPartitioner partitioner;
+  auto assignment = partitioner.Partition(
+      graph, static_cast<int>(alive_ids.size()), kBalanceTolerance);
+  if (!assignment.ok()) return assignment.status();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*target)[i] = alive_ids[assignment.value()[i]];
+  }
+  return common::Status::OK();
 }
 
 interest::IndexStats System::IndexStatsSnapshot() const {

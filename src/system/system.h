@@ -110,6 +110,10 @@ enum class AllocationMode {
 /// discrete-event simulation.
 class System {
  public:
+  /// Imbalance (heaviest part / ideal part weight) graph-partition
+  /// allocation and repartitioning may accept.
+  static constexpr double kBalanceTolerance = 1.2;
+
   struct Config {
     sim::TopologyConfig topology;
     coordinator::CoordinatorTree::Config coordinator;
@@ -162,7 +166,6 @@ class System {
     /// exactly once under loss, or is counted as a delivery failure. Off
     /// by default (no acks, no timers, bit-identical traffic).
     bool reliable_results = false;
-    double result_retry_timeout_s = sim::ReliableChannel::kDefaultTimeoutS;
     int result_max_retries = sim::ReliableChannel::kDefaultMaxRetries;
     /// Crash-recovery pipeline parameters (placement-map mode only; the
     /// other allocation modes keep the synchronous re-home of PR 3).
@@ -207,14 +210,14 @@ class System {
   /// interest.
   common::Status SubmitQuery(const engine::Query& query);
 
-  /// Admits a batch at once. Under kGraphPartition the whole batch is
-  /// partitioned jointly; other modes submit one by one.
+  /// Admits a batch through SubmitQueries and returns its first error
+  /// (OK when every query was admitted). Every query gets its verdict;
+  /// a refusal does not stop the batch.
   common::Status SubmitBatch(const std::vector<engine::Query>& queries);
 
-  /// Outcome tally of a batched submission (SubmitQueries). Unlike
-  /// SubmitBatch, a refusal does not abort the batch: every query gets
-  /// its verdict, and `first_error` carries the first non-OK status for
-  /// diagnostics.
+  /// Outcome tally of a batched submission (SubmitQueries): every query
+  /// gets its verdict, and `first_error` carries the first non-OK status
+  /// for diagnostics.
   struct BatchSubmitResult {
     int64_t admitted = 0;
     /// Capacity refusals (ResourceExhausted) — expected under admission
@@ -236,7 +239,11 @@ class System {
   /// install storm from O(batch · members) into O(batch). Outcomes are
   /// identical to the serial loop: routing is install-independent in
   /// those modes, and the grouping is a stable sort, so each entity sees
-  /// its installs in the original submission order.
+  /// its installs in the original submission order. Under
+  /// kGraphPartition, with the same two conditions, the routing phase
+  /// partitions the whole batch jointly over the alive entities
+  /// (MultilevelPartitioner at kBalanceTolerance); otherwise each query
+  /// is placed on its own by interest affinity.
   BatchSubmitResult SubmitQueries(std::span<const engine::Query> queries);
 
   /// Cumulative wall-clock profile of the install path (SubmitQuery /
@@ -383,6 +390,10 @@ class System {
   /// EnableFailureDetection ran). Exposed so fault scenarios can target
   /// the heartbeat path itself (partitions, loss).
   common::SimNodeId monitor_node() const { return monitor_node_; }
+  /// The control-plane node re-home batches leave from (kInvalidSimNode
+  /// outside kPlacementMap). Exposed so fault scenarios can target the
+  /// re-home path.
+  common::SimNodeId rehome_node() const { return rehome_node_; }
 
   /// Network node of client `index` (requires Config::num_clients >
   /// index). Exposed so fault scenarios can target the result path.
@@ -403,6 +414,9 @@ class System {
   /// Reliable client-result delivery statistics (zero unless
   /// Config::reliable_results).
   int64_t result_retries() const { return result_channel_.retries(); }
+  /// Result copies a client refused: retransmissions and network
+  /// duplicates of results it already had.
+  int64_t result_duplicates() const { return result_channel_.duplicates(); }
   int64_t result_delivery_failures() const {
     return result_channel_.failed();
   }
@@ -714,6 +728,11 @@ class System {
   void FlushDeferredGraphAdds();
   /// Classifies one submission status into the batch tally.
   static void TallySubmit(const common::Status& st, BatchSubmitResult* out);
+  /// Graph-partition routing of a batch: partitions the batch's query
+  /// graph over the alive entities and writes each query's home into
+  /// `target` (sized like `queries`).
+  common::Status PartitionBatch(std::span<const engine::Query> queries,
+                                std::vector<common::EntityId>* target);
   /// True while SubmitQueries is draining its batch (gates the graph-add
   /// deferral; nothing reads graph_index_ mid-batch).
   bool batch_install_active_ = false;

@@ -661,7 +661,6 @@ TEST_F(DisseminatorTest, RemoveEntityCancelsItsOwnPendingRetries) {
   cfg.tree.policy = TreePolicy::kClosestParent;
   cfg.tree.max_fanout = 1;  // chain: source -> e0 -> e1 -> ...
   cfg.reliable = true;
-  cfg.retry_timeout_s = 0.05;
   Disseminator dissem(network_.get(), cfg);
   ASSERT_TRUE(dissem.AddSource(0, source_node_).ok());
   for (int e = 0; e < 4; ++e) {

@@ -532,6 +532,34 @@ TEST_F(EntityTest, ShrinkRoutesPendingEmissionFromFragmentsNewHost) {
   EXPECT_EQ(ent.processor(1)->tuples_processed(), 0);
 }
 
+TEST_F(EntityTest, TupleFollowsAFragmentThatMovedWhileItWasOnTheLan) {
+  // Regression: a tuple on the LAN to a fragment that moves before it
+  // arrives used to be dropped silently at the processor the fragment
+  // left; it goes on to the fragment's new host instead.
+  auto ent_ptr = MakeEntity(2, 2);
+  Entity& ent = *ent_ptr;
+  ASSERT_TRUE(ent.InstallQuery(PipelineQuery(1, 3), 1000.0).ok());
+  int results = 0;
+  ent.SetResultHandler(
+      [&](const Entity::ResultRecord&, const engine::Tuple&) { ++results; });
+  std::vector<common::FragmentId> fragments;
+  for (common::FragmentId f = 1; ent.FragmentLocation(f).ok(); ++f) {
+    fragments.push_back(f);
+  }
+  ASSERT_EQ(fragments.size(), 2u);
+  ASSERT_TRUE(ent.MoveFragment(fragments[0], 0).ok());
+  ASSERT_TRUE(ent.MoveFragment(fragments[1], 1).ok());
+  sim_.Run();
+  const int64_t sent = network_->total_messages();
+  ent.OnStreamTuple(MakeTuple(50, sim_.now()));
+  // Step until the hop between the two fragments is on the LAN.
+  while (network_->total_messages() == sent) ASSERT_TRUE(sim_.Step());
+  ASSERT_TRUE(ent.MoveFragment(fragments[1], 0).ok());
+  sim_.Run();
+  EXPECT_EQ(results, 1);
+  EXPECT_EQ(ent.processor(0)->tuples_processed(), 2);
+}
+
 TEST_F(EntityTest, BatchEngineEntityProducesSameResults) {
   Entity::Config cfg;
   cfg.distribution_limit = 2;

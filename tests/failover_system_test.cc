@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -244,7 +245,6 @@ TEST(FailoverSystemTest, ReliableDisseminationSurvivesLossAndDuplication) {
   cfg.faults.loss_probability = 0.2;
   cfg.faults.duplication_probability = 0.1;
   cfg.dissemination.reliable = true;
-  cfg.dissemination.retry_timeout_s = 0.02;
   System sys(cfg);
   sys.AddStreams(SmallStreams(2));
   ASSERT_TRUE(sys.SubmitQuery(WideQuery(1, 0)).ok());
@@ -271,7 +271,6 @@ TEST(FailoverSystemTest, ReliableClientResultsAreExactlyOnceUnderLoss) {
   cfg.faults.loss_probability = 0.2;
   cfg.num_clients = 2;
   cfg.reliable_results = true;
-  cfg.result_retry_timeout_s = 0.02;
   System sys(cfg);
   sys.AddStreams(SmallStreams(2));
   ASSERT_TRUE(sys.SubmitQuery(WideQuery(1, 0)).ok());
@@ -290,6 +289,41 @@ TEST(FailoverSystemTest, ReliableClientResultsAreExactlyOnceUnderLoss) {
   // At 20% loss with 4 retries, nearly everything gets through.
   EXPECT_GT(m.client_results, m.results * 9 / 10);
   ExpectCleanAudit(&sys);
+}
+
+TEST(FailoverSystemTest, LossFreeReliableSendsNeverRetransmit) {
+  // WAN round trips grow with distance; each send's first timeout follows
+  // its own link's, so with nothing lost, nothing is retransmitted —
+  // including results to clients far across the world.
+  System::Config cfg = FaultConfig(/*num_entities=*/6);
+  cfg.dissemination.reliable = true;
+  cfg.num_clients = 4;
+  cfg.reliable_results = true;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE(sys.SubmitQuery(WideQuery(i, i % 2)).ok());
+  }
+  double longest = 0.0;
+  for (int e = 0; e < sys.num_entities(); ++e) {
+    for (int c = 0; c < cfg.num_clients; ++c) {
+      longest = std::max(longest, sys.network()->RoundTripS(
+                                      sys.entity_at(e)->gateway_node(),
+                                      sys.client_node(c), 100, 16));
+    }
+  }
+  ASSERT_GT(longest, 0.05);  // beyond a fixed 50 ms timeout
+  sys.GenerateTraffic(1.0);
+  sys.RunUntil(3.0);
+
+  SystemMetrics m = sys.Collect();
+  ASSERT_GT(m.results, 0);
+  EXPECT_EQ(m.client_results, m.results);
+  EXPECT_EQ(sys.disseminator()->retries_count(), 0);
+  EXPECT_EQ(sys.disseminator()->duplicates_suppressed_count(), 0);
+  EXPECT_EQ(sys.result_retries(), 0);
+  EXPECT_EQ(sys.result_duplicates(), 0);
+  EXPECT_EQ(sys.disseminator()->pending_reliable_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,13 +410,25 @@ TEST(FailoverSystemTest, PlacementMapRehomeBatchesSurviveLossAndDuplication) {
   }
   ASSERT_GT(orphans, 0);
 
+  // The eviction sends every batch at once; the first copies are all lost,
+  // so each batch is retransmitted on any fault seed, and later copies and
+  // acks face the run's loss and duplication.
+  sim::FaultInjector* faults = sys.fault_injector();
+  for (int e = 1; e < sys.num_entities(); ++e) {
+    faults->SetLinkLossProbability(
+        sys.rehome_node(), sys.entity_at(e)->gateway_node(), 1.0);
+  }
   ASSERT_TRUE(sys.FailEntity(0).ok());
+  for (int e = 1; e < sys.num_entities(); ++e) {
+    faults->SetLinkLossProbability(
+        sys.rehome_node(), sys.entity_at(e)->gateway_node(), -1.0);
+  }
   RecoveryCompletionTime(&sys, /*limit=*/5.0);
   // Lost batches and lost acks were retransmitted, and duplicate batches
   // installed nothing twice: every orphan landed exactly once.
   EXPECT_EQ(sys.unplaced_count(), 0);
   const System::FailureStats& fs = sys.failure_stats();
-  EXPECT_GT(fs.rehome_batch_retries, 0);
+  EXPECT_GE(fs.rehome_batch_retries, fs.rehome_batches);
   EXPECT_EQ(fs.queries_rehomed, orphans);
   int hosted = 0;
   for (int e = 0; e < sys.num_entities(); ++e) {
@@ -518,9 +564,6 @@ TEST(FailoverSystemTest, EvictionCancelsResultRetries) {
   System::Config cfg = FaultConfig(/*num_entities=*/3);
   cfg.num_clients = 1;
   cfg.reliable_results = true;
-  // Above the worst-case healthy ack RTT (~0.15 s at world size 1000),
-  // so only the partitioned path below ever retries.
-  cfg.result_retry_timeout_s = 0.2;
   System sys(cfg);
   sys.AddStreams(SmallStreams(2));
   for (int i = 1; i <= 3; ++i) {  // round robin: query i -> entity i-1

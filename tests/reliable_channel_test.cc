@@ -29,26 +29,40 @@ uint64_t FaultSeed() {
   return s == nullptr ? 1 : std::strtoull(s, nullptr, 10);
 }
 
-/// Three nodes on a bare network. Every node hands acks to the channel and
-/// passes data through Accept, counting what it admits.
+/// Three nodes on a bare network, plus a fourth 1,400 units out whose round
+/// trip exceeds 0.1 s. Every node hands acks to the channel and passes data
+/// through Accept, counting what it admits.
 class ReliableChannelTest : public ::testing::Test {
  protected:
+  static constexpr common::SimNodeId kFar = 3;
+
   void SetUp() override { Build(FaultInjector::Config{}); }
 
-  void Build(const FaultInjector::Config& faults_config,
-             double timeout_s = ReliableChannel::kDefaultTimeoutS) {
+  void Build(const FaultInjector::Config& faults_config) {
     sim_ = std::make_unique<Simulator>();
     network_ = std::make_unique<Network>(sim_.get());
     faults_ = std::make_unique<FaultInjector>(faults_config);
     network_->SetFaultInjector(faults_.get());
-    channel_ =
-        std::make_unique<ReliableChannel>(network_.get(), kMsgAck, timeout_s);
-    for (double x : {0.0, 100.0, 200.0}) {
+    channel_ = std::make_unique<ReliableChannel>(network_.get(), kMsgAck);
+    for (double x : {0.0, 100.0, 200.0, 1400.0}) {
       common::SimNodeId node = network_->AddNode({x, 0.0});
       network_->SetHandler(node, [this](const Message& msg) { Receive(msg); });
     }
     arrivals_ = 0;
     accepted_.clear();
+  }
+
+  /// A copy of the data message `seq` from `from` to `to`, as a late
+  /// retransmission or network duplicate would deliver it.
+  Message DataCopy(common::SimNodeId from, common::SimNodeId to,
+                   int64_t seq) const {
+    Message msg;
+    msg.from = from;
+    msg.to = to;
+    msg.type = kMsgData;
+    msg.size_bytes = 100;
+    msg.payload = DataEnvelope{seq};
+    return msg;
   }
 
   void Receive(const Message& msg) {
@@ -60,14 +74,8 @@ class ReliableChannelTest : public ::testing::Test {
   }
 
   int64_t SendData(common::SimNodeId from, common::SimNodeId to) {
-    Message msg;
-    msg.from = from;
-    msg.to = to;
-    msg.type = kMsgData;
-    msg.size_bytes = 100;
     const int64_t seq = channel_->NextSeq();
-    msg.payload = DataEnvelope{seq};
-    channel_->Send(std::move(msg), seq);
+    channel_->Send(DataCopy(from, to, seq), seq);
     return seq;
   }
 
@@ -110,11 +118,82 @@ TEST_F(ReliableChannelTest, ExactlyOnceUnderLossAndDuplication) {
   EXPECT_EQ(arrivals_ - static_cast<int64_t>(accepted_.size()),
             channel_->duplicates());
   EXPECT_EQ(channel_->cancelled(), 0);
+  // With nothing pending, the dedup state is empty.
+  EXPECT_EQ(channel_->dedup_window(), 0u);
+}
+
+TEST_F(ReliableChannelTest, NoRetransmissionOnLossFreeLinks) {
+  // The first timeout follows each link's round trip, so no loss-free
+  // send is retransmitted: not on a short link, not on one whose round
+  // trip exceeds 0.1 s, and not under latency jitter of up to 0.1 s per
+  // message.
+  for (double jitter : {0.0, 0.1}) {
+    FaultInjector::Config cfg;
+    cfg.latency_jitter_s = jitter;
+    Build(cfg);
+    for (int i = 0; i < 50; ++i) {
+      sim_->Schedule(0.002 * i, [this, i] {
+        SendData(0, 1 + i % 2);
+        SendData(kFar, 0);
+      });
+    }
+    sim_->Run();
+    EXPECT_EQ(accepted_.size(), 100u) << jitter;
+    EXPECT_EQ(arrivals_, 100) << jitter;
+    EXPECT_EQ(channel_->retries(), 0) << jitter;
+    EXPECT_EQ(channel_->duplicates(), 0) << jitter;
+    EXPECT_EQ(channel_->pending(), 0u) << jitter;
+    EXPECT_EQ(channel_->dedup_window(), 0u) << jitter;
+  }
+}
+
+TEST_F(ReliableChannelTest, LateCopiesOfSettledSendsAreRefused) {
+  faults_->Partition(0, kFar);
+  faults_->Partition(0, 1);
+  const int64_t slow = SendData(0, kFar);  // fails last: the window's floor
+  const int64_t failed = SendData(0, 1);
+  while (channel_->failed() == 0 && sim_->Step()) {
+  }
+  ASSERT_EQ(channel_->failed(), 1);
+  ASSERT_EQ(channel_->pending(), 1u);  // `slow` keeps retrying
+  faults_->Heal(0, 1);
+  // A copy of the failed send, above the floor, is refused: a failed send
+  // stays failed.
+  Receive(DataCopy(0, 1, failed));
+  EXPECT_EQ(accepted_.count(failed), 0u);
+  EXPECT_EQ(channel_->duplicates(), 1);
+
+  const int64_t acked = SendData(0, 1);
+  while (channel_->pending() > 1 && sim_->Step()) {
+  }
+  ASSERT_EQ(accepted_[acked], 1);
+  sim_->Run();  // `slow` runs out of retries
+  EXPECT_EQ(channel_->failed(), 2);
+  EXPECT_EQ(channel_->dedup_window(), 0u);
+  // Every number is below the floor now: late copies of the acked and of
+  // both failed sends are acked again, counted, and not admitted.
+  Receive(DataCopy(0, 1, acked));
+  Receive(DataCopy(0, 1, failed));
+  Receive(DataCopy(0, kFar, slow));
+  EXPECT_EQ(accepted_[acked], 1);
+  EXPECT_EQ(accepted_.count(failed), 0u);
+  EXPECT_EQ(accepted_.count(slow), 0u);
+  EXPECT_EQ(channel_->duplicates(), 4);
+  EXPECT_EQ(channel_->dedup_window(), 0u);
+  sim_->Run();  // the acks of the copies settle nothing
+  EXPECT_EQ(channel_->pending(), 0u);
+  EXPECT_EQ(channel_->retries(), 2 * ReliableChannel::kDefaultMaxRetries);
 }
 
 TEST_F(ReliableChannelTest, RetransmitsWithDoublingTimeoutThenFailsOnce) {
-  const double t = 0.03;
-  Build(FaultInjector::Config{}, t);
+  // The first timeout is twice the unloaded round trip: the 100-byte
+  // message out on 0->1 and the 16-byte ack back on 1->0.
+  const LinkParams out{0.004, 1e6};
+  const LinkParams back{0.007, 2e6};
+  network_->SetLink(0, 1, out);
+  network_->SetLink(1, 0, back);
+  const double t = 2 * ((out.latency_s + 100 / out.bandwidth_bps) +
+                        (back.latency_s + 16 / back.bandwidth_bps));
   faults_->Partition(0, 1);
   SendData(0, 1);
   std::vector<double> retry_times;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
@@ -426,6 +427,7 @@ TEST(NetworkTest, DefaultLinkModelUsesDistance) {
 TEST(NetworkTest, DroppedWhenNoHandler) {
   Simulator sim;
   Network net(&sim);
+  net.set_fail_on_unhandled(false);
   auto a = net.AddNode({0, 0});
   auto b = net.AddNode({1, 1});
   Message m;
@@ -434,6 +436,55 @@ TEST(NetworkTest, DroppedWhenNoHandler) {
   ASSERT_TRUE(net.Send(m).ok());
   sim.Run();  // must not crash
   EXPECT_EQ(net.total_messages(), 1);
+  EXPECT_EQ(net.dropped_no_handler(), 1);
+  EXPECT_EQ(net.dropped_messages(), 1);
+}
+
+TEST(NetworkDeathTest, UnhandledDeliveryIsFatalWhenAsked) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        Network net(&sim);
+        net.set_fail_on_unhandled(true);
+        Message m;
+        m.from = net.AddNode({0, 0});
+        m.to = net.AddNode({1, 1});
+        m.type = 42;
+        (void)net.Send(m);
+        sim.Run();
+      },
+      "message type 42 delivered to node 1 with no handler");
+}
+
+TEST(NetworkTest, RoundTripReadsLinksWithoutCreatingThem) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({300, 400});  // 500 units apart
+  net.SetLink(a, b, LinkParams{0.01, 1000.0});
+  // a->b is explicit; b->a comes from the default model (1 ms + 50 us per
+  // unit, 1e8 B/s).
+  const double back = 0.001 + 5e-5 * 500 + 16 / 1e8;
+  EXPECT_NEAR(net.RoundTripS(a, b, 500, 16), 0.01 + 0.5 + back, 1e-12);
+  EXPECT_NEAR(net.RoundTripS(a, a, 500, 16), 2e-6, 1e-15);
+  // The query created no b->a link: a model set afterwards still applies.
+  net.SetDefaultLinkModel(
+      [](const Point&, const Point&) { return LinkParams{0.2, 1e9}; });
+  EXPECT_NEAR(net.RoundTripS(a, b, 500, 16), 0.01 + 0.5 + 0.2 + 16 / 1e9,
+              1e-12);
+  EXPECT_EQ(net.link_stats(b, a).messages, 0);
+  // An attached injector's jitter bound counts once per direction, and
+  // reading it takes no RNG draw: the next verdict equals a fresh
+  // injector's.
+  FaultInjector::Config cfg;
+  cfg.latency_jitter_s = 0.03;
+  FaultInjector faults(cfg);
+  FaultInjector fresh(cfg);
+  net.SetFaultInjector(&faults);
+  EXPECT_NEAR(net.RoundTripS(a, b, 500, 16),
+              0.01 + 0.5 + 0.2 + 16 / 1e9 + 2 * 0.03, 1e-12);
+  EXPECT_DOUBLE_EQ(faults.Judge(a, b).extra_latency_s,
+                   fresh.Judge(a, b).extra_latency_s);
 }
 
 // ---------------------------------------------------------------- Topology

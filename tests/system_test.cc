@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "partition/partitioner.h"
+#include "partition/query_graph.h"
 #include "partition/repartitioner.h"
 #include "system/system.h"
 #include "workload/query_gen.h"
@@ -85,6 +87,34 @@ TEST(SystemTest, GraphPartitionBatchAllocation) {
     homes.insert(sys.EntityOf(q.id));
   }
   EXPECT_GT(homes.size(), 1u);
+  // Each home is the joint partition's part for that query (every entity
+  // is alive, so part i is entity i).
+  partition::QueryGraph graph =
+      partition::QueryGraph::Build(queries, sys.catalog());
+  auto parts = partition::MultilevelPartitioner().Partition(
+      graph, sys.num_entities(), System::kBalanceTolerance);
+  ASSERT_TRUE(parts.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(sys.EntityOf(queries[i].id), parts.value()[i]) << i;
+  }
+}
+
+TEST(SystemTest, GraphPartitionBatchResultsReachClients) {
+  // A graph-partitioned batch assigns clients like every other path, so
+  // on a loss-free run every result reaches one.
+  System::Config cfg = SmallConfig(AllocationMode::kGraphPartition);
+  cfg.topology.num_entities = 8;
+  cfg.num_clients = 4;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  workload::QueryGen gen(workload::QueryGen::Config{}, &sys.catalog(),
+                         common::Rng(5));
+  ASSERT_TRUE(sys.SubmitBatch(gen.Batch(64)).ok());
+  sys.GenerateTraffic(1.0);
+  sys.RunUntil(2.0);
+  SystemMetrics m = sys.Collect();
+  ASSERT_GT(m.results, 0);
+  EXPECT_EQ(m.client_results, m.results);
 }
 
 TEST(SystemTest, EarlyFilterCutsWanBytes) {

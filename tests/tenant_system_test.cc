@@ -153,6 +153,25 @@ TEST(TenantSystemTest, SubmitQueriesMatchesSerialOnTenantPath) {
   EXPECT_TRUE(batch.admission()->CheckConservation().ok());
 }
 
+TEST(TenantSystemTest, GraphPartitionBatchGoesThroughAdmission) {
+  System::Config cfg = TightConfig();
+  cfg.allocation = AllocationMode::kGraphPartition;
+  cfg.admission.load_factor = 0.0;  // room for everything
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(1));
+  std::vector<engine::Query> queries;
+  for (int i = 1; i <= 6; ++i) {
+    queries.push_back(TaggedQuery(i, 1 + i % 2, 0, 0.5));
+  }
+  ASSERT_TRUE(sys.SubmitBatch(queries).ok());
+  for (tenant::TenantId t : {1, 2}) {
+    EXPECT_EQ(sys.admission()->counters(t).submitted, 3) << t;
+    EXPECT_EQ(sys.admission()->counters(t).admitted, 3) << t;
+    EXPECT_EQ(sys.admission()->counters(t).standing, 3) << t;
+  }
+  EXPECT_TRUE(sys.admission()->CheckConservation().ok());
+}
+
 TEST(TenantSystemTest, AtCapacityRejectionIsDeterministicTenantPath) {
   System::Config cfg = TightConfig();
   cfg.topology.num_entities = 1;
