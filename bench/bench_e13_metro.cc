@@ -4,9 +4,10 @@
 // to end to prove the simulator event core scales: the indexed 4-ary event
 // heap (move-only dispatch, cancellable timers), the arena-allocated
 // network messages, and the SoA per-query runtime state in system::System.
-// Standing queries are installed through the batched System::SubmitQueries
-// path (grouped routing + one deferred bulk graph delta per chunk), and
-// the per-phase install costs land in the install.* gauges.
+// Standing queries are installed in chunks through System::SubmitQueries;
+// with admission on, each chunk is the per-query SubmitQuery loop (one
+// coordinator descent and one admission verdict per query), and the
+// per-phase install costs land in the install.* gauges.
 //
 // Two sizes share one code path, selected by DSPS_E13_SCALE:
 //  * smoke (default) — 200 entities / 5k queries. Fast enough for CI;
@@ -184,10 +185,9 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
     templates.push_back(q.value());
   }
 
-  // The install storm goes through the batched path: chunks of standing
-  // queries submitted via SubmitQueries, which defers the query-graph
-  // deltas into one bulk pass per chunk (outcome-identical to the serial
-  // per-query loop — E13's system_test twin asserts exactly that).
+  // The install storm: chunks of standing queries submitted via
+  // SubmitQueries, which with admission on runs the per-query SubmitQuery
+  // loop and tallies every verdict.
   E13Run run;
   constexpr int kInstallChunk = 8192;
   auto install_start = std::chrono::steady_clock::now();
@@ -416,11 +416,11 @@ void PrintE13() {
     for (const Row& r : {Row{"route (coordinator descent)", p.route_us},
                          Row{"admission + entity install", p.install_us},
                          Row{"interest merge + publication", p.interest_us},
-                         Row{"query-graph deltas (bulk)", p.graph_us}}) {
+                         Row{"query-graph deltas", p.graph_us}}) {
       breakdown.AddRow({r.name, Table::Num(r.us / 1e3, 1),
                         Table::Num(r.us * per_q, 2)});
     }
-    breakdown.Print("E13 install-phase breakdown (batched SubmitQueries, " +
+    breakdown.Print("E13 install-phase breakdown (SubmitQueries, " +
                     std::to_string(sc.queries) + " queries)");
   }
 

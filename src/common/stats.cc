@@ -8,15 +8,11 @@
 namespace dsps::common {
 
 namespace {
-// Constant-initialized so histograms constructed during static init see
-// the built-in default.
-size_t g_default_sample_cap = size_t{1} << 25;
+constexpr size_t kDefaultSampleCap = size_t{1} << 25;
 int64_t g_total_overflow = 0;
 }  // namespace
 
-void Histogram::SetDefaultSampleCap(size_t cap) { g_default_sample_cap = cap; }
-
-size_t Histogram::default_sample_cap() { return g_default_sample_cap; }
+size_t Histogram::default_sample_cap() { return kDefaultSampleCap; }
 
 int64_t Histogram::TotalOverflow() { return g_total_overflow; }
 

@@ -70,9 +70,7 @@ class Histogram {
   /// Samples rejected at the cap by this instance (release builds).
   int64_t overflow() const { return overflow_; }
 
-  /// Process-wide default cap applied to histograms constructed after the
-  /// call (2^25 samples = 256 MB of doubles out of the box).
-  static void SetDefaultSampleCap(size_t cap);
+  /// Cap new histograms start at (2^25 samples = 256 MB of doubles).
   static size_t default_sample_cap();
   /// Total samples rejected at the cap across every histogram in the
   /// process; bench reports surface this so truncation is never silent.

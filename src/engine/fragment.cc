@@ -109,12 +109,4 @@ Operator* FragmentInstance::mutable_op(common::OperatorId id) {
   return slots_[id].op.get();
 }
 
-double FragmentInstance::StaticCostPerTuple() const {
-  double c = 0.0;
-  for (const OpSlot& slot : slots_) {
-    if (slot.op != nullptr) c += slot.op->cost_per_tuple();
-  }
-  return c;
-}
-
 }  // namespace dsps::engine

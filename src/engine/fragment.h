@@ -89,10 +89,6 @@ class FragmentInstance {
   const Operator& op(common::OperatorId id) const;
   Operator* mutable_op(common::OperatorId id);
 
-  /// Sum of hosted operators' cost_per_tuple weighted by nothing — a cheap
-  /// static proxy of the fragment's per-tuple CPU demand.
-  double StaticCostPerTuple() const;
-
  private:
   /// Everything the cascade reads about one plan operator. `op` is null
   /// for operators another fragment hosts.

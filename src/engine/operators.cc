@@ -20,11 +20,6 @@ double Operator::observed_selectivity() const {
   return static_cast<double>(out_count_) / static_cast<double>(in_count_);
 }
 
-void Operator::ResetObservedStats() {
-  in_count_ = 0;
-  out_count_ = 0;
-}
-
 // ---------------------------------------------------------------- FilterOp
 
 FilterOp::FilterOp(std::vector<int> numeric_indices, interest::Box box)

@@ -46,7 +46,6 @@ class Operator {
 
   int64_t in_count() const { return in_count_; }
   int64_t out_count() const { return out_count_; }
-  void ResetObservedStats();
 
   /// Bytes of operator state (window contents); migration cost proxy.
   virtual int64_t StateBytes() const { return 0; }

@@ -59,10 +59,6 @@ void QueryGraphIndex::AddQuery(const engine::Query& query) {
   vertices_[query.id] = std::move(info);
 }
 
-void QueryGraphIndex::AddQueries(const std::vector<engine::Query>& queries) {
-  for (const engine::Query& query : queries) AddQuery(query);
-}
-
 interest::IndexStats QueryGraphIndex::StreamIndexStats() const {
   interest::IndexStats stats;
   for (const auto& [stream, index] : stream_index_) {

@@ -40,12 +40,6 @@ class QueryGraphIndex {
   /// Re-adding a live id replaces it (remove + add).
   void AddQuery(const engine::Query& query);
 
-  /// Bulk install: applies the deltas of `queries` in order. Identical to
-  /// calling AddQuery per element — this is the batched-install entry
-  /// point, letting callers defer a whole submission batch's graph
-  /// maintenance into one cache-warm pass.
-  void AddQueries(const std::vector<engine::Query>& queries);
-
   /// Aggregated statistics of the per-stream box indexes.
   interest::IndexStats StreamIndexStats() const;
 

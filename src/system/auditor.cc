@@ -160,6 +160,19 @@ common::Status Auditor::CheckConservation() const {
       return Violation("conservation: admitted query lost");
     }
   }
+  // Every client binding belongs to an admitted or queued query: a
+  // withdrawn, refused or evicted query takes its binding with it.
+  size_t stale = 0;
+  for (const auto& [qid, client] : sys.client_of_query_) {
+    if (sys.accepted_.count(qid) == 0 && sys.admission_queue_.count(qid) == 0) {
+      ++stale;
+    }
+  }
+  if (stale > 0) {
+    return Violation("conservation: " + std::to_string(stale) + " of " +
+                     std::to_string(sys.client_of_query_.size()) +
+                     " client bindings outlive their query");
+  }
   // The entities' own install maps must agree with the home table.
   for (int e = 0; e < sys.num_entities(); ++e) {
     const std::vector<common::QueryId>& expect = sys.query_state_.QueriesOn(e);

@@ -36,7 +36,9 @@ class System;
 ///                   weights and adjacency);
 ///  - conservation:  every admitted query is placed on exactly one alive
 ///                   entity or queued as unplaced — never both, never
-///                   lost — and the entities' own installs agree;
+///                   lost — the entities' own installs agree, and every
+///                   client binding belongs to an admitted or queued
+///                   query;
 ///  - replica_placement (placement-map mode only, trivially clean
 ///                   otherwise): the map's alive set mirrors the
 ///                   system's; every placed query's home is one of its

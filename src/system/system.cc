@@ -90,10 +90,10 @@ System::System(const Config& config)
 
   // Entities. The delegate-side interest index reads the catalog, which
   // fills in at AddStreams time.
-  entity::Entity::Config entity_config = config.entity;
+  entity::Entity::Config entity_config;
   entity_config.catalog = &catalog_;
-  if (entity_config.metrics == nullptr) entity_config.metrics = config.metrics;
-  if (entity_config.trace == nullptr) entity_config.trace = config.trace;
+  entity_config.metrics = config.metrics;
+  entity_config.trace = config.trace;
   for (int e = 0; e < config.topology.num_entities; ++e) {
     entity_config.fault_domain = topology_.entities[e].fault_domain;
     auto entity = std::make_unique<entity::Entity>(
@@ -207,12 +207,8 @@ System::System(const Config& config)
   // dissemination, and intra-entity messages; other processor nodes only
   // intra-entity ones.
   for (size_t e = 0; e < entities_.size(); ++e) {
-    entity::Entity* ent = entities_[e].get();
     for (common::SimNodeId node : topology_.entities[e].processors) {
-      network_->SetHandler(node, [this, ent](const sim::Message& msg) {
-        if (ent->HandleMessage(msg)) return;
-        disseminator_->HandleMessage(msg);
-      });
+      network_->SetHandler(node, ProcessorDispatcher(entities_[e].get()));
     }
     InstallGatewayDispatcher(static_cast<common::EntityId>(e));
   }
@@ -227,6 +223,13 @@ System::System(const Config& config)
         tenant_registry_.get(), config.admission);
     if (config.metrics != nullptr) admission_->SetMetrics(config.metrics);
   }
+}
+
+sim::Network::Handler System::ProcessorDispatcher(entity::Entity* ent) {
+  return [this, ent](const sim::Message& msg) {
+    if (ent->HandleMessage(msg)) return;
+    disseminator_->HandleMessage(msg);
+  };
 }
 
 void System::InstallGatewayDispatcher(common::EntityId entity) {
@@ -390,24 +393,8 @@ common::EntityId System::AllocateOne(const engine::Query& query) {
       DSPS_CHECK(route.ok());
       return route.value().entity;
     }
-    case AllocationMode::kPlacementMap: {
-      // O(1) stateless placement: the first alive map target. SubmitQuery
-      // normally walks the full target list itself (so admission refusals
-      // fall through to standbys); this case covers direct callers.
-      for (common::EntityId t : placement_map_->Targets(query.id)) {
-        if (IsAlive(t)) return t;
-      }
-      // No map target alive (only reachable when the map and the alive
-      // set disagree transiently): any survivor, marked off-map so the
-      // auditor knows this home was not the map's choice.
-      for (int e = 0; e < num_entities(); ++e) {
-        if (alive_[e]) {
-          off_map_.insert(query.id);
-          return e;
-        }
-      }
-      return 0;
-    }
+    case AllocationMode::kPlacementMap:
+      break;  // never routed here: SubmitDirect walks the map's targets
     case AllocationMode::kGraphPartition: {
       // Single query under partition mode: place by interest affinity to
       // existing entity interests, tie-broken by load.
@@ -528,20 +515,32 @@ common::Status System::SubmitQuery(const engine::Query& query) {
   // are still on the accepted_ ledger — their tenant already paid for
   // them, so they bypass the controller and cannot double-count against
   // quotas. A queued id resubmitted by the user is simply still pending.
-  if (admission_ != nullptr && accepted_.count(query.id) == 0) {
-    if (admission_queue_.count(query.id) > 0) {
-      return common::Status::AlreadyExists("query queued for admission");
-    }
-    return SubmitTenantQuery(query);
+  const bool arbitrated =
+      admission_ != nullptr && accepted_.count(query.id) == 0;
+  if (arbitrated && admission_queue_.count(query.id) > 0) {
+    return common::Status::AlreadyExists("query queued for admission");
   }
-  return SubmitDirect(query);
+  common::Status st =
+      arbitrated ? SubmitTenantQuery(query) : SubmitDirect(query);
+  // A refused new submission leaves no client binding behind.
+  if (!st.ok()) ReleaseClientIfGone(query.id);
+  return st;
+}
+
+void System::AssignClient(common::QueryId query) {
+  if (client_nodes_.empty() || client_of_query_.count(query) > 0) return;
+  client_of_query_[query] = next_client_;
+  next_client_ = (next_client_ + 1) % static_cast<int>(client_nodes_.size());
+}
+
+void System::ReleaseClientIfGone(common::QueryId query) {
+  if (accepted_.count(query) == 0 && admission_queue_.count(query) == 0) {
+    client_of_query_.erase(query);
+  }
 }
 
 common::Status System::SubmitDirect(const engine::Query& query) {
-  if (!client_nodes_.empty() && client_of_query_.count(query.id) == 0) {
-    client_of_query_[query.id] = next_client_;
-    next_client_ = (next_client_ + 1) % static_cast<int>(client_nodes_.size());
-  }
+  AssignClient(query.id);
   if (config_.allocation == AllocationMode::kPlacementMap) {
     // Walk the map's target list in order — primary first, then the warm
     // standbys — so an admission refusal falls through to the next
@@ -640,6 +639,7 @@ void System::OnAdmissionDeadline(common::QueryId qid) {
     }
   }
   admission_->OnQueueEvicted(t);
+  client_of_query_.erase(qid);
   if (config_.trace != nullptr) {
     config_.trace->RecordInstant("admission_evict", simulator_->now(), t, qid);
   }
@@ -771,80 +771,42 @@ System::BatchSubmitResult System::SubmitQueries(
     result.first_error = common::Status::FailedPrecondition("no entities");
     return result;
   }
-  // The whole batch runs with graph-add deferral on; nothing inside a
-  // submission reads graph_index_ or removes a query, so flushing the
-  // accumulated deltas once at the end leaves the index in the same state
-  // as per-query maintenance (the materialized graph is add-order
-  // independent anyway).
-  batch_install_active_ = true;
-  const bool grouped =
-      admission_ == nullptr && placement_map_ == nullptr &&
-      (config_.allocation == AllocationMode::kCoordinatorTree ||
-       config_.allocation == AllocationMode::kRoundRobin ||
-       config_.allocation == AllocationMode::kIsolatedZipf ||
-       config_.allocation == AllocationMode::kGraphPartition);
-  if (!grouped) {
-    // Tenant arbitration, placement maps, and interest-aware routing all
-    // feed install side effects back into the next query's decision —
-    // those modes keep the strict serial order.
+  if (config_.allocation != AllocationMode::kGraphPartition ||
+      admission_ != nullptr) {
     for (const engine::Query& q : queries) {
       TallySubmit(SubmitQuery(q), &result);
     }
-  } else {
-    // Phase 1: route the whole batch up front. Client assignment and the
-    // coordinator descent depend only on routing history (RouteQuery's
-    // load estimates advance as it routes, not as installs land) and on
-    // the alive set, which installs never change — so the targets are the
-    // ones the serial loop would have picked. Under kGraphPartition the
-    // batch is partitioned jointly over the alive entities instead.
-    auto t_route = std::chrono::steady_clock::now();
-    std::vector<common::EntityId> target(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const engine::Query& q = queries[i];
-      if (!client_nodes_.empty() && client_of_query_.count(q.id) == 0) {
-        client_of_query_[q.id] = next_client_;
-        next_client_ =
-            (next_client_ + 1) % static_cast<int>(client_nodes_.size());
-      }
-      if (config_.allocation != AllocationMode::kGraphPartition) {
-        target[i] = AllocateOne(q);
-      }
-    }
-    // A batch the partitioner cannot place fails query by query.
-    const common::Status routed =
-        config_.allocation == AllocationMode::kGraphPartition
-            ? PartitionBatch(queries, &target)
-            : common::Status::OK();
-    // Phase 2: install grouped by target entity. The stable sort keeps
-    // each entity's installs in submission order, so per-entity admission
-    // decisions (and the interest merge order) are identical to the
-    // serial loop — but the entity's admission sum, member list, and
-    // aggregated interest stay cache-warm across its whole group.
-    std::vector<size_t> order(queries.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&target](size_t a, size_t b) {
-      return target[a] < target[b];
-    });
-    install_profile_.route_us +=
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t_route)
-            .count();
-    for (size_t i : order) {
-      TallySubmit(routed.ok() ? InstallOn(target[i], queries[i]) : routed,
-                  &result);
-    }
+    return result;
   }
-  batch_install_active_ = false;
-  FlushDeferredGraphAdds();
+  // Joint placement: partition the batch's query graph over the alive
+  // entities, then install grouped by home. The stable sort keeps each
+  // entity's installs in submission order, while its admission sum,
+  // member list and aggregated interest stay cache-warm across its group.
+  auto t_route = std::chrono::steady_clock::now();
+  for (const engine::Query& q : queries) AssignClient(q.id);
+  std::vector<common::EntityId> target(queries.size());
+  // A batch the partitioner cannot place fails query by query.
+  const common::Status routed = PartitionBatch(queries, &target);
+  std::vector<size_t> order(queries.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&target](size_t a, size_t b) {
+    return target[a] < target[b];
+  });
+  install_profile_.route_us +=
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - t_route)
+          .count();
+  for (size_t i : order) {
+    common::Status st = routed.ok() ? InstallOn(target[i], queries[i]) : routed;
+    if (!st.ok()) ReleaseClientIfGone(queries[i].id);
+    TallySubmit(st, &result);
+  }
   return result;
 }
 
 common::Status System::PartitionBatch(std::span<const engine::Query> queries,
                                       std::vector<common::EntityId>* target) {
-  std::vector<common::EntityId> alive_ids;
-  for (int e = 0; e < num_entities(); ++e) {
-    if (alive_[e]) alive_ids.push_back(e);
-  }
+  const std::vector<common::EntityId> alive_ids = AliveEntityIds();
   if (alive_ids.empty()) {
     return common::Status::FailedPrecondition("no alive entities");
   }
@@ -913,6 +875,7 @@ common::Status System::RemoveQuery(common::QueryId query) {
       unplaced_.erase(un_it);
       accepted_.erase(query);
       off_map_.erase(query);
+      client_of_query_.erase(query);
       return common::Status::OK();
     }
     // ...or still waiting in the admission queue (it never stood up any
@@ -922,6 +885,7 @@ common::Status System::RemoveQuery(common::QueryId query) {
       if (q_it != admission_queue_.end()) {
         admission_->OnQueueEvicted(q_it->second.query.tenant);
         admission_queue_.erase(q_it);
+        client_of_query_.erase(query);
         return common::Status::OK();
       }
     }
@@ -935,6 +899,7 @@ common::Status System::RemoveQuery(common::QueryId query) {
   query_state_.Erase(query);
   accepted_.erase(query);
   off_map_.erase(query);
+  client_of_query_.erase(query);
   GraphIndexRemove(query);
   RecomputeEntityInterest(home);
   // Withdrawal released capacity: queued submissions get their retry.
@@ -1254,30 +1219,8 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
 
 void System::ScheduleCrash(common::EntityId entity, double crash_at,
                            double recover_at) {
-  DSPS_CHECK_MSG(faults_ != nullptr,
-                 "ScheduleCrash requires Config::inject_faults");
   DSPS_CHECK(entity >= 0 && entity < num_entities());
-  DSPS_CHECK(recover_at > crash_at);
-  simulator_->ScheduleAt(crash_at, [this, entity]() {
-    for (common::SimNodeId node : topology_.entities[entity].processors) {
-      faults_->CrashNode(node);
-    }
-    crash_time_[entity] = simulator_->now();
-    if (config_.trace != nullptr) {
-      config_.trace->RecordInstant("crash", simulator_->now(), entity);
-    }
-  });
-  simulator_->ScheduleAt(recover_at, [this, entity]() {
-    for (common::SimNodeId node : topology_.entities[entity].processors) {
-      faults_->RecoverNode(node);
-    }
-    crash_time_[entity] = std::numeric_limits<double>::quiet_NaN();
-    if (config_.trace != nullptr) {
-      config_.trace->RecordInstant("recover", simulator_->now(), entity);
-    }
-    // Re-admission is heartbeat-driven: the revived gateway resumes
-    // beaconing and OnHeartbeat re-admits the entity if it was evicted.
-  });
+  ScheduleCrashWindow({entity}, /*correlated=*/false, crash_at, recover_at);
 }
 
 std::vector<common::EntityId> System::EntitiesInDomain(int domain) const {
@@ -1290,21 +1233,37 @@ std::vector<common::EntityId> System::EntitiesInDomain(int domain) const {
 
 void System::ScheduleDomainCrash(int domain, double crash_at,
                                  double recover_at) {
-  DSPS_CHECK_MSG(faults_ != nullptr,
-                 "ScheduleDomainCrash requires Config::inject_faults");
-  DSPS_CHECK(recover_at > crash_at);
   std::vector<common::EntityId> members = EntitiesInDomain(domain);
   DSPS_CHECK_MSG(!members.empty(), "fault domain %d has no entities", domain);
-  simulator_->ScheduleAt(crash_at, [this, members]() {
-    // One correlated event: every node of every member goes down in the
-    // same instant — the rack/site failure declustering must survive.
+  ScheduleCrashWindow(std::move(members), /*correlated=*/true, crash_at,
+                      recover_at);
+}
+
+void System::ScheduleCrashWindow(std::vector<common::EntityId> members,
+                                 bool correlated, double crash_at,
+                                 double recover_at) {
+  DSPS_CHECK_MSG(faults_ != nullptr,
+                 "crash windows require Config::inject_faults");
+  DSPS_CHECK(recover_at > crash_at);
+  // The node lists are read when the window opens and closes: elastic
+  // growth may have added processors since it was scheduled.
+  auto nodes_of = [this](const std::vector<common::EntityId>& entities) {
     std::vector<common::SimNodeId> nodes;
-    for (common::EntityId e : members) {
-      for (common::SimNodeId node : topology_.entities[e].processors) {
-        nodes.push_back(node);
-      }
+    for (common::EntityId e : entities) {
+      const auto& procs = topology_.entities[e].processors;
+      nodes.insert(nodes.end(), procs.begin(), procs.end());
     }
-    faults_->CrashGroup(nodes);
+    return nodes;
+  };
+  simulator_->ScheduleAt(crash_at, [this, members, correlated, nodes_of]() {
+    // A correlated crash takes every node of every member down in one
+    // event — the rack/site failure declustering must survive.
+    std::vector<common::SimNodeId> nodes = nodes_of(members);
+    if (correlated) {
+      faults_->CrashGroup(nodes);
+    } else {
+      for (common::SimNodeId node : nodes) faults_->CrashNode(node);
+    }
     for (common::EntityId e : members) {
       crash_time_[e] = simulator_->now();
       if (config_.trace != nullptr) {
@@ -1312,20 +1271,16 @@ void System::ScheduleDomainCrash(int domain, double crash_at,
       }
     }
   });
-  simulator_->ScheduleAt(recover_at, [this, members]() {
-    std::vector<common::SimNodeId> nodes;
-    for (common::EntityId e : members) {
-      for (common::SimNodeId node : topology_.entities[e].processors) {
-        nodes.push_back(node);
-      }
-    }
-    faults_->RecoverGroup(nodes);
+  simulator_->ScheduleAt(recover_at, [this, members, nodes_of]() {
+    faults_->RecoverGroup(nodes_of(members));
     for (common::EntityId e : members) {
       crash_time_[e] = std::numeric_limits<double>::quiet_NaN();
       if (config_.trace != nullptr) {
         config_.trace->RecordInstant("recover", simulator_->now(), e);
       }
     }
+    // Re-admission is heartbeat-driven: a revived gateway resumes
+    // beaconing and OnHeartbeat re-admits its entity if it was evicted.
   });
 }
 
@@ -1337,6 +1292,14 @@ int System::num_alive() const {
   int n = 0;
   for (bool a : alive_) n += a ? 1 : 0;
   return n;
+}
+
+std::vector<common::EntityId> System::AliveEntityIds() const {
+  std::vector<common::EntityId> ids;
+  for (int e = 0; e < num_entities(); ++e) {
+    if (alive_[e]) ids.push_back(e);
+  }
+  return ids;
 }
 
 common::Status System::MigrateQuery(common::QueryId query,
@@ -1370,10 +1333,6 @@ common::Status System::MigrateQuery(common::QueryId query,
 
 void System::GraphIndexAdd(const engine::Query& query) {
   if (graph_index_ == nullptr) return;
-  if (batch_install_active_) {
-    deferred_graph_adds_.push_back(query);
-    return;
-  }
   auto start = std::chrono::steady_clock::now();
   graph_index_->AddQuery(query);
   double us = std::chrono::duration<double, std::micro>(
@@ -1383,22 +1342,6 @@ void System::GraphIndexAdd(const engine::Query& query) {
   if (incremental_delta_us_ != nullptr) {
     incremental_delta_us_->Observe(us);
   }
-}
-
-void System::FlushDeferredGraphAdds() {
-  if (deferred_graph_adds_.empty()) return;
-  auto start = std::chrono::steady_clock::now();
-  if (graph_index_ != nullptr) {
-    graph_index_->AddQueries(deferred_graph_adds_);
-  }
-  double us = std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-  install_profile_.graph_us += us;
-  if (incremental_delta_us_ != nullptr) {
-    incremental_delta_us_->Observe(us);
-  }
-  deferred_graph_adds_.clear();
 }
 
 void System::GraphIndexRemove(common::QueryId query) {
@@ -1417,10 +1360,7 @@ common::Result<System::RepartitionReport> System::RepartitionQueries(
     partition::Repartitioner* repartitioner) {
   DSPS_CHECK(repartitioner != nullptr);
   ++repartition_rounds_;
-  std::vector<common::EntityId> alive_ids;
-  for (int e = 0; e < num_entities(); ++e) {
-    if (alive_[e]) alive_ids.push_back(e);
-  }
+  const std::vector<common::EntityId> alive_ids = AliveEntityIds();
   if (alive_ids.empty() || query_state_.empty()) {
     return common::Status::FailedPrecondition("nothing to repartition");
   }
@@ -1719,10 +1659,7 @@ bool System::GrowEntity(common::EntityId entity) {
   // The topology is the ground truth Collect()'s LAN/WAN split and crash
   // scheduling read; the new node must be part of the entity there too.
   site.processors.push_back(node);
-  network_->SetHandler(node, [this, ent](const sim::Message& msg) {
-    if (ent->HandleMessage(msg)) return;
-    disseminator_->HandleMessage(msg);
-  });
+  network_->SetHandler(node, ProcessorDispatcher(ent));
   elasticity_stats_.grow_events += 1;
   elasticity_stats_.processors_added += 1;
   if (config_.trace != nullptr) {

@@ -118,7 +118,6 @@ class System {
     sim::TopologyConfig topology;
     coordinator::CoordinatorTree::Config coordinator;
     dissemination::Disseminator::Config dissemination;
-    entity::Entity::Config entity;
     AllocationMode allocation = AllocationMode::kCoordinatorTree;
     /// Engine family per entity: "basic", "batch", or "mixed" (entities
     /// alternate — the heterogeneity the loose coupling must tolerate).
@@ -227,23 +226,13 @@ class System {
     common::Status first_error = common::Status::OK();
   };
 
-  /// Batched install path: admits `queries` in order, deferring the
-  /// incremental query-graph deltas into one bulk pass at the end (the
-  /// materialized graph is order-independent, so this is observably
-  /// identical to per-query submission). When no admission controller or
-  /// placement map is active and allocation is routing-history-only
-  /// (coordinator tree / round-robin / zipf), the batch is additionally
-  /// routed up front and installed grouped by target entity — the
-  /// coordinator descent and the per-entity admission state stay
-  /// cache-warm across the group, which is what turns the metro-scale
-  /// install storm from O(batch · members) into O(batch). Outcomes are
-  /// identical to the serial loop: routing is install-independent in
-  /// those modes, and the grouping is a stable sort, so each entity sees
-  /// its installs in the original submission order. Under
-  /// kGraphPartition, with the same two conditions, the routing phase
-  /// partitions the whole batch jointly over the alive entities
-  /// (MultilevelPartitioner at kBalanceTolerance); otherwise each query
-  /// is placed on its own by interest affinity.
+  /// Admits a batch; every query gets its verdict in the tally. Under
+  /// kGraphPartition with no admission controller the batch is placed
+  /// jointly (Section 3.2.2): its query graph is partitioned over the
+  /// alive entities (MultilevelPartitioner at kBalanceTolerance) and the
+  /// queries are installed grouped by home, each home's in submission
+  /// order. Every other batch is a SubmitQuery loop (Section 3.2.1's
+  /// one-at-a-time routing, tenant arbitration, the placement map).
   BatchSubmitResult SubmitQueries(std::span<const engine::Query> queries);
 
   /// Cumulative wall-clock profile of the install path (SubmitQuery /
@@ -253,7 +242,7 @@ class System {
     double route_us = 0.0;     ///< allocation / coordinator descent
     double install_us = 0.0;   ///< admission gate + entity install
     double interest_us = 0.0;  ///< interest merge + (re)publication
-    double graph_us = 0.0;     ///< query-graph deltas (incl. deferred)
+    double graph_us = 0.0;     ///< query-graph add deltas
   };
   const InstallProfile& install_profile() const { return install_profile_; }
 
@@ -571,6 +560,25 @@ class System {
   bool GrowEntity(common::EntityId entity);
   bool ShrinkEntity(common::EntityId entity);
   common::EntityId AllocateOne(const engine::Query& query);
+  /// Binds a query to the next client, round-robin, on its first
+  /// submission (no-op without clients or when already bound).
+  void AssignClient(common::QueryId query);
+  /// Drops the query's client binding once it is neither admitted nor
+  /// queued: a binding lives exactly as long as its query.
+  void ReleaseClientIfGone(common::QueryId query);
+  /// Alive entity ids, ascending (the part -> entity map of joint
+  /// placement and repartitioning).
+  std::vector<common::EntityId> AliveEntityIds() const;
+  /// Network handler of a processor node: intra-entity messages first,
+  /// then dissemination.
+  sim::Network::Handler ProcessorDispatcher(entity::Entity* ent);
+  /// Crash window shared by ScheduleCrash and ScheduleDomainCrash: every
+  /// node of `members` goes down at `crash_at` and back up at
+  /// `recover_at`. `correlated` makes the crash one correlated event
+  /// (FaultInjector::CrashGroup).
+  void ScheduleCrashWindow(std::vector<common::EntityId> members,
+                           bool correlated, double crash_at,
+                           double recover_at);
   void ScheduleEmission(size_t stream_index, double end_time);
   entity::Entity::EngineFactory MakeEngineFactory(int entity_index) const;
   /// Installs the combined gateway dispatcher (system acks -> entity ->
@@ -721,11 +729,8 @@ class System {
   telemetry::HistogramMetric* graph_build_us_ = nullptr;
   telemetry::HistogramMetric* incremental_delta_us_ = nullptr;
   /// Applies a timed add/remove delta to graph_index_ (no-op while null).
-  /// During a SubmitQueries batch, adds are deferred into
-  /// deferred_graph_adds_ and flushed as one bulk AddQueries pass.
   void GraphIndexAdd(const engine::Query& query);
   void GraphIndexRemove(common::QueryId query);
-  void FlushDeferredGraphAdds();
   /// Classifies one submission status into the batch tally.
   static void TallySubmit(const common::Status& st, BatchSubmitResult* out);
   /// Graph-partition routing of a batch: partitions the batch's query
@@ -733,10 +738,6 @@ class System {
   /// `target` (sized like `queries`).
   common::Status PartitionBatch(std::span<const engine::Query> queries,
                                 std::vector<common::EntityId>* target);
-  /// True while SubmitQueries is draining its batch (gates the graph-add
-  /// deferral; nothing reads graph_index_ mid-batch).
-  bool batch_install_active_ = false;
-  std::vector<engine::Query> deferred_graph_adds_;
   InstallProfile install_profile_;
   /// InstallOn scratch (per-install changed-stream list, reused).
   std::vector<common::StreamId> changed_streams_;

@@ -4,8 +4,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "common/status.h"
-#include "telemetry/registry.h"
 #include "telemetry/trace.h"
 
 namespace dsps::telemetry {
@@ -21,17 +19,6 @@ std::string InstantToJson(const Instant& instant);
 /// per line (JSONL), the format tools/trace_stats and tools/trace_export
 /// consume.
 void WriteSpansJsonLines(const TraceLog& log, std::ostream& os);
-
-/// WriteSpansJsonLines into a file; fails with a Status on IO errors.
-common::Status WriteSpansFile(const TraceLog& log, const std::string& path);
-
-/// Prints a per-stage latency breakdown (count, total, mean/p50/p95/p99 in
-/// ms) of the log's spans as an aligned table.
-void PrintTraceSummary(const TraceLog& log, std::ostream& os);
-
-/// Prints every sample of a snapshot as an aligned table (histograms show
-/// count/mean/p95).
-void PrintMetricsSummary(const MetricsSnapshot& snapshot, std::ostream& os);
 
 }  // namespace dsps::telemetry
 

@@ -72,26 +72,6 @@ TEST(QueryGraphIndexTest, SequentialAddsMatchFullBuild) {
   }
 }
 
-TEST(QueryGraphIndexTest, BulkAddQueriesMatchesPerQueryAdds) {
-  interest::StreamCatalog catalog;
-  std::vector<engine::Query> queries = MakeQueries(&catalog, 60, 21);
-  QueryGraphIndex bulk(&catalog);
-  QueryGraphIndex serial(&catalog);
-  // Shared prefix, so the bulk pass also measures against pre-existing
-  // vertices (the batched-install situation).
-  for (int i = 0; i < 20; ++i) {
-    bulk.AddQuery(queries[i]);
-    serial.AddQuery(queries[i]);
-  }
-  std::vector<engine::Query> rest(queries.begin() + 20, queries.end());
-  bulk.AddQueries(rest);
-  for (const engine::Query& q : rest) serial.AddQuery(q);
-  EXPECT_EQ(bulk.size(), serial.size());
-  EXPECT_EQ(bulk.num_edges(), serial.num_edges());
-  common::Rng rng(5);
-  ExpectIdentical(bulk.Graph(), serial.Graph(), &rng);
-}
-
 TEST(QueryGraphIndexTest, ChurnWithReAddMatchesRebuild) {
   interest::StreamCatalog catalog;
   std::vector<engine::Query> queries = MakeQueries(&catalog, 80, 3);

@@ -5,6 +5,7 @@
 #include "partition/partitioner.h"
 #include "partition/query_graph.h"
 #include "partition/repartitioner.h"
+#include "system/auditor.h"
 #include "system/system.h"
 #include "workload/query_gen.h"
 #include "workload/stream_gen.h"
@@ -328,9 +329,9 @@ TEST(SystemTest, ClientLatencyRecorded) {
 }
 
 TEST(SystemTest, SubmitQueriesMatchesSerialSubmission) {
-  // The grouped batch path (route all, install grouped by entity) must
-  // pick the same homes and produce the same simulation as per-query
-  // submission — the grouping is a pure reordering of independent work.
+  // Outside joint graph placement a batch is the SubmitQuery loop: it
+  // picks the same homes, tallies every verdict, and produces the same
+  // simulation as per-query submission.
   System serial(SmallConfig(AllocationMode::kCoordinatorTree));
   serial.AddStreams(SmallStreams(2));
   System batch(SmallConfig(AllocationMode::kCoordinatorTree));
@@ -360,9 +361,8 @@ TEST(SystemTest, SubmitQueriesMatchesSerialSubmission) {
 }
 
 TEST(SystemTest, SubmitQueriesMatchesSerialUnderAdmissionRefusals) {
-  // Near-limit admission decisions are where a changed summation order
-  // or install order would show: every per-query verdict and home must
-  // match the serial loop exactly, refusals included.
+  // Near-limit admission refusals: the batch tally (admitted vs
+  // rejected) and every home must match the serial loop exactly.
   auto make = [] {
     System::Config cfg = SmallConfig(AllocationMode::kRoundRobin);
     cfg.admission.load_factor = 1.0;  // limit 2.0 per entity, unit loads
@@ -391,6 +391,28 @@ TEST(SystemTest, SubmitQueriesMatchesSerialUnderAdmissionRefusals) {
   EXPECT_EQ(result.failed, 0);
   for (const engine::Query& q : queries) {
     EXPECT_EQ(serial.EntityOf(q.id), batch.EntityOf(q.id)) << q.id;
+  }
+}
+
+TEST(SystemTest, JointBatchWhileGraphIndexIsLiveKeepsItExact) {
+  // The query-graph index exists from the first repartition on; a joint
+  // batch submitted after it must apply one add delta per install, so
+  // the index still equals a rebuild over the live queries.
+  System sys(SmallConfig(AllocationMode::kGraphPartition));
+  sys.AddStreams(SmallStreams(2));
+  workload::QueryGen gen(workload::QueryGen::Config{}, &sys.catalog(),
+                         common::Rng(17));
+  ASSERT_TRUE(sys.SubmitBatch(gen.Batch(24)).ok());
+  partition::HybridRepartitioner hybrid;
+  ASSERT_TRUE(sys.RepartitionQueries(&hybrid).ok());
+  const double graph_us = sys.install_profile().graph_us;
+  System::BatchSubmitResult result = sys.SubmitQueries(gen.Batch(24));
+  EXPECT_EQ(result.admitted, 24);
+  EXPECT_GT(sys.install_profile().graph_us, graph_us);
+  Auditor* auditor = sys.EnableAudit(1.0, sys.now(), /*fatal=*/false);
+  EXPECT_EQ(auditor->RunOnce(), 0);
+  for (const Auditor::CheckStats& check : auditor->checks()) {
+    EXPECT_EQ(check.violations, 0) << check.name << ": " << check.last_detail;
   }
 }
 

@@ -153,6 +153,57 @@ TEST(TenantSystemTest, SubmitQueriesMatchesSerialOnTenantPath) {
   EXPECT_TRUE(batch.admission()->CheckConservation().ok());
 }
 
+TEST(TenantSystemTest, ClientBindingsLeaveWithTheirQueries) {
+  // A client binding lives while its query is admitted (placed or
+  // unplaced) or queued; the conservation audit fails on any binding
+  // that outlives its query. Each exit path is swept right after it ran.
+  System::Config cfg = TightConfig();
+  cfg.num_clients = 2;
+  cfg.admission.allow_degrade = false;
+  cfg.admission.max_queued_per_tenant = 1;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(1));
+  Auditor* auditor = sys.EnableAudit(1.0, 0.0, /*fatal=*/false);
+  auto clean = [&] {
+    int found = auditor->RunOnce();
+    for (const Auditor::CheckStats& check : auditor->checks()) {
+      EXPECT_EQ(check.violations, 0) << check.name << ": " << check.last_detail;
+    }
+    return found == 0;
+  };
+  // One unit of load fills an entity: q1 and q2 take both.
+  ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(1, 1, 0, 1.0)).ok());
+  ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(2, 2, 0, 1.0)).ok());
+  ASSERT_NE(sys.EntityOf(1), sys.EntityOf(2));
+  // Each tenant queues one more; a second one for gold is refused.
+  ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(3, 1, 0, 1.0)).ok());
+  ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(5, 2, 0, 1.0)).ok());
+  ASSERT_EQ(sys.QueuedAdmissions(), (std::vector<common::QueryId>{3, 5}));
+  common::Status refused = sys.SubmitQuery(TaggedQuery(4, 1, 0, 1.0));
+  EXPECT_EQ(refused.code(), common::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(clean());
+  // Withdraw a queued query.
+  ASSERT_TRUE(sys.RemoveQuery(3).ok());
+  EXPECT_TRUE(clean());
+  // Let bronze's queue deadline expire with no room anywhere.
+  sys.RunUntil(cfg.admission.max_queue_wait_s + 0.5);
+  EXPECT_TRUE(sys.QueuedAdmissions().empty());
+  EXPECT_EQ(sys.admission()->counters(2).evicted, 1);
+  EXPECT_TRUE(clean());
+  // Fail q2's entity: the survivor is full, so q2 becomes unplaced.
+  auto rehomed = sys.FailEntity(sys.EntityOf(2));
+  ASSERT_TRUE(rehomed.ok());
+  EXPECT_EQ(rehomed.value(), 0);
+  ASSERT_EQ(sys.UnplacedQueries(), (std::vector<common::QueryId>{2}));
+  EXPECT_TRUE(clean());
+  // Withdraw the unplaced query, then the placed one.
+  ASSERT_TRUE(sys.RemoveQuery(2).ok());
+  EXPECT_TRUE(clean());
+  ASSERT_TRUE(sys.RemoveQuery(1).ok());
+  EXPECT_TRUE(clean());
+  EXPECT_EQ(auditor->violations(), 0);
+}
+
 TEST(TenantSystemTest, GraphPartitionBatchGoesThroughAdmission) {
   System::Config cfg = TightConfig();
   cfg.allocation = AllocationMode::kGraphPartition;
