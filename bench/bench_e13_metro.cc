@@ -1,9 +1,10 @@
 // Experiment E13 (metro-scale core): one System sized like a metropolitan
 // deployment — a 10k-entity WAN hosting 1M standing queries routed through
 // the coordinator tree with multi-tenant admission enabled — exercised end
-// to end to prove the simulator event core scales: the indexed 4-ary event
-// heap (move-only dispatch, cancellable timers), the arena-allocated
-// network messages, and the SoA per-query runtime state in system::System.
+// to end to prove the simulator event core scales: the 4-ary heap of
+// small keys (callbacks in a slot arena, generation-checked cancellable
+// timers), the arena-allocated network messages with inline payloads, and
+// the SoA per-query runtime state in system::System.
 // Standing queries are installed in chunks through System::SubmitQueries;
 // with admission on, each chunk is the per-query SubmitQuery loop (one
 // coordinator descent and one admission verdict per query), and the
@@ -289,7 +290,7 @@ double PeakRssMb() {
 }
 
 /// Raw event-core microbenchmark: schedule-heavy FIFO churn through the
-/// indexed 4-ary heap, including a cancelled-timer slice (the reliable-
+/// 4-ary key heap, including a cancelled-timer slice (the reliable-
 /// delivery retry pattern that used to leak queue slots).
 void BM_EventHeapChurn(benchmark::State& state) {
   for (auto _ : state) {

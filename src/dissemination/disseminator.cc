@@ -232,7 +232,7 @@ bool Disseminator::HandleMessage(const sim::Message& msg) {
   }
   const common::EntityId entity = by_node_[msg.to];
   if (entity == common::kInvalidEntity) return false;
-  const auto* env = std::any_cast<TupleEnvelope>(&msg.payload);
+  const auto* env = msg.payload.get<TupleEnvelope>();
   DSPS_CHECK(env != nullptr);
   // Reliable hop: retries and network duplicates must never
   // double-process or double-forward.

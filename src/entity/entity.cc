@@ -289,7 +289,7 @@ bool Entity::HandleMessage(const sim::Message& msg) {
   if (msg.type == kMsgStreamTuple) {
     Processor* proc = ProcessorAt(msg.to);
     if (proc == nullptr) return false;
-    const auto* env = std::any_cast<StreamTupleEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<StreamTupleEnvelope>();
     if (env == nullptr) return false;
     const common::StreamId stream = env->tuple->stream;
     if (stream < 0 || static_cast<size_t>(stream) >= streams_.size()) {
@@ -318,7 +318,7 @@ bool Entity::HandleMessage(const sim::Message& msg) {
   if (msg.type == kMsgFragmentTuple) {
     Processor* proc = ProcessorAt(msg.to);
     if (proc == nullptr) return false;
-    const auto* env = std::any_cast<FragmentTupleEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<FragmentTupleEnvelope>();
     if (env == nullptr) return false;
     common::Status s =
         proc->Submit(env->fragment, env->op, env->port, *env->tuple);

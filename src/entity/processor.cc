@@ -85,13 +85,26 @@ void Processor::Charge(const engine::Tuple& tuple,
   }
   if (!outputs.empty() && emission_) {
     // Deliver outputs when the CPU work completes.
-    auto shared =
-        std::make_shared<std::vector<engine::TaggedOutput>>(std::move(outputs));
-    sim->ScheduleAt(completion, [this, shared, completion]() {
-      for (auto& out : *shared) {
-        emission_(Emission{std::move(out), completion});
-      }
-    });
+    uint32_t slot;
+    if (!free_pending_.empty()) {
+      slot = free_pending_.back();
+      free_pending_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(pending_.size());
+      pending_.emplace_back();
+    }
+    pending_[slot] = PendingEmission{std::move(outputs), completion};
+    sim->ScheduleAt(completion, [this, slot]() { EmitPending(slot); });
+  }
+}
+
+void Processor::EmitPending(uint32_t slot) {
+  // Take the outputs and free the slot first: an emission may submit more
+  // work here, which can reuse the slot or grow pending_.
+  PendingEmission done = std::move(pending_[slot]);
+  free_pending_.push_back(slot);
+  for (engine::TaggedOutput& out : done.outputs) {
+    emission_(Emission{std::move(out), done.completion_time});
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef DSPS_ENTITY_PROCESSOR_H_
 #define DSPS_ENTITY_PROCESSOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -89,6 +90,15 @@ class Processor {
   /// `tuple` and schedules their emission at its completion time.
   void Charge(const engine::Tuple& tuple,
               std::vector<engine::TaggedOutput> outputs);
+  /// The completion event of pending_[slot]: frees the slot and emits
+  /// its outputs.
+  void EmitPending(uint32_t slot);
+
+  /// Outputs waiting for their completion time.
+  struct PendingEmission {
+    std::vector<engine::TaggedOutput> outputs;
+    double completion_time = 0.0;
+  };
 
   common::ProcessorId id_;
   sim::Network* network_;
@@ -99,6 +109,12 @@ class Processor {
   double committed_load_ = 0.0;
   int64_t tuples_processed_ = 0;
   EmissionHandler emission_;
+  /// One recycled slot per scheduled completion; the event captures
+  /// {this, slot}, which fits std::function's inline buffer, so a
+  /// completion costs no allocation to schedule. (Retired processors stay
+  /// alive in their entity, so a pending `this` never dangles.)
+  std::vector<PendingEmission> pending_;
+  std::vector<uint32_t> free_pending_;
   telemetry::TraceLog* trace_ = nullptr;
   telemetry::Counter* tuples_counter_ = nullptr;
   telemetry::HistogramMetric* queue_wait_hist_ = nullptr;

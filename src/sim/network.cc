@@ -48,24 +48,68 @@ void Network::SetDefaultLinkModel(LinkModel model) {
 
 void Network::SetLink(common::SimNodeId from, common::SimNodeId to,
                       const LinkParams& params) {
-  links_[LinkKey(from, to)].params = params;
+  bool created;
+  FindOrAddLink(from, to, &created).params = params;
+}
+
+size_t Network::ProbeLink(uint64_t key) const {
+  // Fibonacci hashing folded to the low bits, then linear probing.
+  uint64_t h = key * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 32;
+  const size_t mask = link_index_.size() - 1;
+  size_t i = static_cast<size_t>(h) & mask;
+  while (link_index_[i].key != key && link_index_[i].key != kNoLink) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const Network::LinkState* Network::FindLink(common::SimNodeId from,
+                                            common::SimNodeId to) const {
+  if (link_index_.empty()) return nullptr;
+  const LinkSlot& bucket = link_index_[ProbeLink(LinkKey(from, to))];
+  return bucket.key == kNoLink ? nullptr : &links_[bucket.link];
+}
+
+Network::LinkState& Network::FindOrAddLink(common::SimNodeId from,
+                                           common::SimNodeId to,
+                                           bool* created) {
+  const uint64_t key = LinkKey(from, to);
+  *created = false;
+  if (!link_index_.empty()) {
+    const LinkSlot& bucket = link_index_[ProbeLink(key)];
+    if (bucket.key == key) return links_[bucket.link];
+  }
+  if (2 * (links_.size() + 1) > link_index_.size()) {
+    // Keep the index at most half full: double it and re-insert.
+    std::vector<LinkSlot> old = std::move(link_index_);
+    link_index_.assign(old.empty() ? 64 : 2 * old.size(),
+                       LinkSlot{kNoLink, 0});
+    for (const LinkSlot& bucket : old) {
+      if (bucket.key != kNoLink) link_index_[ProbeLink(bucket.key)] = bucket;
+    }
+  }
+  link_index_[ProbeLink(key)] =
+      LinkSlot{key, static_cast<uint32_t>(links_.size())};
+  *created = true;
+  return links_.emplace_back();
 }
 
 Network::LinkState& Network::GetOrCreateLink(common::SimNodeId from,
                                              common::SimNodeId to) {
-  auto [it, inserted] = links_.try_emplace(LinkKey(from, to));
-  if (inserted) {
-    it->second.params =
-        default_model_(nodes_[from].position, nodes_[to].position);
+  bool created;
+  LinkState& link = FindOrAddLink(from, to, &created);
+  if (created) {
+    link.params = default_model_(nodes_[from].position, nodes_[to].position);
   }
-  return it->second;
+  return link;
 }
 
 double Network::OneWayS(common::SimNodeId from, common::SimNodeId to,
                         int64_t bytes) const {
-  auto it = links_.find(LinkKey(from, to));
-  const LinkParams params = it != links_.end()
-                                ? it->second.params
+  const LinkState* link = FindLink(from, to);
+  const LinkParams params = link != nullptr
+                                ? link->params
                                 : default_model_(position(from), position(to));
   return params.latency_s +
          static_cast<double>(bytes) / params.bandwidth_bps;
@@ -232,9 +276,8 @@ const Point& Network::position(common::SimNodeId node) const {
 
 LinkStats Network::link_stats(common::SimNodeId from,
                               common::SimNodeId to) const {
-  auto it = links_.find(LinkKey(from, to));
-  if (it == links_.end()) return LinkStats{};
-  return it->second.stats;
+  const LinkState* link = FindLink(from, to);
+  return link != nullptr ? link->stats : LinkStats{};
 }
 
 int64_t Network::egress_bytes(common::SimNodeId node) const {
@@ -245,10 +288,13 @@ int64_t Network::egress_bytes(common::SimNodeId node) const {
 std::vector<Network::LinkRecord> Network::AllLinkStats() const {
   std::vector<LinkRecord> out;
   out.reserve(links_.size());
-  for (const auto& [key, link] : links_) {
+  for (const LinkSlot& bucket : link_index_) {
+    if (bucket.key == kNoLink) continue;
+    const LinkState& link = links_[bucket.link];
     if (link.stats.messages == 0) continue;
-    const auto from = static_cast<common::SimNodeId>(key >> 32);
-    const auto to = static_cast<common::SimNodeId>(static_cast<uint32_t>(key));
+    const auto from = static_cast<common::SimNodeId>(bucket.key >> 32);
+    const auto to =
+        static_cast<common::SimNodeId>(static_cast<uint32_t>(bucket.key));
     out.push_back(LinkRecord{from, to, link.stats});
   }
   std::sort(out.begin(), out.end(),
@@ -261,7 +307,7 @@ std::vector<Network::LinkRecord> Network::AllLinkStats() const {
 void Network::SetMetrics(telemetry::MetricsRegistry* metrics, bool per_link) {
   metrics_ = metrics;
   per_link_metrics_ = per_link && metrics != nullptr;
-  for (auto& [key, link] : links_) {
+  for (LinkState& link : links_) {
     link.bytes_counter = nullptr;
     link.messages_counter = nullptr;
   }
@@ -288,7 +334,7 @@ void Network::ResetStats() {
   total_bytes_ = 0;
   total_messages_ = 0;
   for (auto& node : nodes_) node.egress_bytes = 0;
-  for (auto& [key, link] : links_) link.stats = LinkStats{};
+  for (LinkState& link : links_) link.stats = LinkStats{};
 }
 
 }  // namespace dsps::sim

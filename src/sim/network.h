@@ -1,17 +1,16 @@
 #ifndef DSPS_SIM_NETWORK_H_
 #define DSPS_SIM_NETWORK_H_
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
 #include "sim/fault_injector.h"
+#include "sim/payload.h"
 #include "sim/simulator.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
@@ -40,8 +39,9 @@ struct Message {
   /// Telemetry trace of the tuple this message carries; 0 = untraced.
   /// The network records an in-flight span per traced message.
   int64_t trace_id = 0;
-  /// Application payload.
-  std::any payload;
+  /// Application payload; envelopes up to Payload::kInlineBytes ride
+  /// inline, so sending one allocates nothing.
+  Payload payload;
 };
 
 /// Link parameters. Delivery time of a message of size S on link (a,b):
@@ -200,6 +200,23 @@ class Network {
     return static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32 |
            static_cast<uint32_t>(to);
   }
+  /// One bucket of the link index: a LinkKey and the link's position in
+  /// links_. No real key equals kNoLink (node ids are non-negative).
+  struct LinkSlot {
+    uint64_t key;
+    uint32_t link;
+  };
+  static constexpr uint64_t kNoLink = ~uint64_t{0};
+  /// The bucket holding `key`, or the empty bucket where it would go.
+  /// The index must be non-empty.
+  size_t ProbeLink(uint64_t key) const;
+  /// The link (from, to), or nullptr if the pair never communicated.
+  const LinkState* FindLink(common::SimNodeId from,
+                            common::SimNodeId to) const;
+  /// The link (from, to); a new one is default-constructed and flagged
+  /// through `created`.
+  LinkState& FindOrAddLink(common::SimNodeId from, common::SimNodeId to,
+                           bool* created);
   LinkState& GetOrCreateLink(common::SimNodeId from, common::SimNodeId to);
   /// Latency plus serialization delay of `bytes` on (from, to), unloaded.
   double OneWayS(common::SimNodeId from, common::SimNodeId to,
@@ -211,8 +228,12 @@ class Network {
 
   Simulator* sim_;
   std::vector<NodeState> nodes_;
-  /// Every link by LinkKey; looked up on each non-local Send.
-  std::unordered_map<uint64_t, LinkState> links_;
+  /// Every link, in creation order. A deque never relocates its elements,
+  /// so a LinkState& stays valid while later sends create other links.
+  std::deque<LinkState> links_;
+  /// Open-addressing index LinkKey -> links_ position, probed linearly on
+  /// each non-local Send; power-of-two capacity, at most half full.
+  std::vector<LinkSlot> link_index_;
   /// In-flight message arena. Each scheduled delivery parks its Message in
   /// a slot here instead of capturing it by value in the delivery lambda:
   /// the `[this, slot]` capture fits std::function's small-buffer storage,

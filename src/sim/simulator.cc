@@ -24,7 +24,7 @@ void Simulator::Schedule(SimTime delay, Callback fn) {
 
 void Simulator::ScheduleAt(SimTime t, Callback fn) {
   DSPS_DCHECK(fn != nullptr);
-  Push(SanitizeTime(t), kInvalidTimer, std::move(fn));
+  Push(SanitizeTime(t), /*cancellable=*/false, std::move(fn));
 }
 
 TimerId Simulator::ScheduleCancellable(SimTime delay, Callback fn) {
@@ -34,9 +34,7 @@ TimerId Simulator::ScheduleCancellable(SimTime delay, Callback fn) {
 
 TimerId Simulator::ScheduleCancellableAt(SimTime t, Callback fn) {
   DSPS_DCHECK(fn != nullptr);
-  TimerId timer = next_timer_++;
-  Push(SanitizeTime(t), timer, std::move(fn));
-  return timer;
+  return Push(SanitizeTime(t), /*cancellable=*/true, std::move(fn));
 }
 
 void Simulator::Every(SimTime period, SimTime until, Callback fn) {
@@ -50,54 +48,61 @@ void Simulator::Every(SimTime period, SimTime until, Callback fn) {
 }
 
 bool Simulator::Cancel(TimerId timer) {
-  if (timer == kInvalidTimer) return false;
-  auto it = timer_pos_.find(timer);
-  if (it == timer_pos_.end()) return false;
-  size_t pos = it->second;
-  timer_pos_.erase(it);
-  size_t last = heap_.size() - 1;
-  if (pos != last) {
-    Event moved = std::move(heap_[last]);
-    heap_.pop_back();
-    MoveInto(pos, std::move(moved));
-    // The relocated event may violate the heap property in either
-    // direction relative to its new neighborhood.
-    if (pos > 0 && Before(heap_[pos], heap_[(pos - 1) / 4])) {
-      SiftUp(pos);
-    } else {
-      SiftDown(pos);
-    }
-  } else {
-    heap_.pop_back();
-  }
+  const uint64_t slot_plus_one = timer & 0xffffffffu;
+  const auto gen = static_cast<uint32_t>(timer >> 32);
+  if (slot_plus_one == 0 || slot_plus_one > gen_.size()) return false;
+  const auto slot = static_cast<uint32_t>(slot_plus_one - 1);
+  if (gen == 0 || gen_[slot] != gen) return false;
+  RemoveAt(pos_[slot]);
+  // Destroyed on return, once the queue is consistent again: a capture's
+  // destructor may itself schedule or cancel.
+  Callback dropped = std::move(fns_[slot]);
+  FreeSlot(slot);
   return true;
 }
 
-void Simulator::MoveInto(size_t pos, Event ev) {
-  if (ev.timer != kInvalidTimer) timer_pos_[ev.timer] = pos;
-  heap_[pos] = std::move(ev);
+TimerId Simulator::Push(SimTime t, bool cancellable, Callback fn) {
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    fns_[slot] = std::move(fn);
+  } else {
+    // slot + 1 must fit the handle's low 32 bits.
+    DSPS_CHECK_MSG(fns_.size() < 0xffffffffu, "simulator out of event slots");
+    slot = static_cast<uint32_t>(fns_.size());
+    fns_.push_back(std::move(fn));
+    pos_.push_back(0);
+    gen_.push_back(0);
+  }
+  TimerId handle = kInvalidTimer;
+  if (cancellable) {
+    if (++last_gen_ == 0) ++last_gen_;
+    gen_[slot] = last_gen_;
+    handle = static_cast<TimerId>(last_gen_) << 32 | (slot + uint64_t{1});
+  }
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Key{t, next_seq_++, slot});
+  return handle;
 }
 
-void Simulator::Push(SimTime t, TimerId timer, Callback fn) {
-  heap_.push_back(Event{t, next_seq_++, timer, std::move(fn)});
-  size_t pos = heap_.size() - 1;
-  if (timer != kInvalidTimer) timer_pos_[timer] = pos;
-  SiftUp(pos);
+void Simulator::FreeSlot(uint32_t slot) {
+  gen_[slot] = 0;
+  free_slots_.push_back(slot);
 }
 
-void Simulator::SiftUp(size_t pos) {
+void Simulator::SiftUp(size_t pos, Key key) {
   while (pos > 0) {
     size_t parent = (pos - 1) / 4;
-    if (!Before(heap_[pos], heap_[parent])) break;
-    Event tmp = std::move(heap_[pos]);
-    MoveInto(pos, std::move(heap_[parent]));
-    MoveInto(parent, std::move(tmp));
+    if (!Before(key, heap_[parent])) break;
+    Place(pos, heap_[parent]);
     pos = parent;
   }
+  Place(pos, key);
 }
 
-void Simulator::SiftDown(size_t pos) {
-  size_t n = heap_.size();
+void Simulator::SiftDown(size_t pos, Key key) {
+  const size_t n = heap_.size();
   for (;;) {
     size_t first = 4 * pos + 1;
     if (first >= n) break;
@@ -106,38 +111,45 @@ void Simulator::SiftDown(size_t pos) {
     for (size_t c = first + 1; c < end; ++c) {
       if (Before(heap_[c], heap_[best])) best = c;
     }
-    if (!Before(heap_[best], heap_[pos])) break;
-    Event tmp = std::move(heap_[pos]);
-    MoveInto(pos, std::move(heap_[best]));
-    MoveInto(best, std::move(tmp));
+    if (!Before(heap_[best], key)) break;
+    Place(pos, heap_[best]);
     pos = best;
   }
+  Place(pos, key);
 }
 
-Simulator::Event Simulator::PopTop() {
-  Event ev = std::move(heap_[0]);
-  if (ev.timer != kInvalidTimer) timer_pos_.erase(ev.timer);
-  size_t last = heap_.size() - 1;
-  if (last > 0) {
-    Event moved = std::move(heap_[last]);
-    heap_.pop_back();
-    MoveInto(0, std::move(moved));
-    SiftDown(0);
+Simulator::Key Simulator::PopTop() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0, last);
+  return top;
+}
+
+void Simulator::RemoveAt(size_t pos) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // it was the last key
+  // The relocated key may violate the heap property in either direction
+  // relative to its new neighborhood.
+  if (pos > 0 && Before(last, heap_[(pos - 1) / 4])) {
+    SiftUp(pos, last);
   } else {
-    heap_.pop_back();
+    SiftDown(pos, last);
   }
-  return ev;
 }
 
 bool Simulator::Step() {
   if (heap_.empty()) return false;
-  // The callback is moved out of the heap (the event's slot is recycled
-  // before it runs), so the event can freely schedule more events.
-  Event ev = PopTop();
-  DSPS_CHECK(ev.time >= now_);
-  now_ = ev.time;
+  const Key top = PopTop();
+  DSPS_CHECK(top.time >= now_);
+  now_ = top.time;
   ++events_executed_;
-  ev.fn();
+  // Move the callback out and free its slot before running it, so the
+  // event can freely schedule (reusing the slot) or cancel.
+  Callback fn = std::move(fns_[top.slot]);
+  FreeSlot(top.slot);
+  fn();
   return true;
 }
 

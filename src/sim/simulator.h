@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 namespace dsps::sim {
@@ -11,7 +11,8 @@ namespace dsps::sim {
 /// Simulated time in seconds.
 using SimTime = double;
 
-/// Handle to a cancellable scheduled event. 0 is the invalid handle; events
+/// Handle to a cancellable scheduled event: the slot's generation in the
+/// high 32 bits, slot + 1 in the low 32. 0 is the invalid handle; events
 /// scheduled through the plain Schedule/ScheduleAt API carry no handle.
 using TimerId = uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
@@ -22,10 +23,13 @@ inline constexpr TimerId kInvalidTimer = 0;
 /// scheduled for the same instant run in the order they were scheduled —
 /// this makes every run exactly reproducible.
 ///
-/// The queue is an indexed 4-ary heap in a flat vector: pops move the
-/// callback out (no std::function copy per event), and events scheduled
-/// via ScheduleCancellable can be removed in O(log n) — their heap slots
-/// are reclaimed immediately instead of lingering as dud entries.
+/// The queue is a 4-ary heap of 24-byte trivially copyable keys
+/// (time, seq, slot) in a flat vector; each event's callback waits in a
+/// slot-recycling arena beside it, so a sift copies one small key per
+/// level and never touches a std::function. Events scheduled via
+/// ScheduleCancellable can be removed in O(log n) through a per-slot heap
+/// position — their keys leave the heap at once instead of lingering as
+/// dud entries.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -63,7 +67,9 @@ class Simulator {
 
   /// Cancels a timer scheduled with ScheduleCancellable[At]. Returns true
   /// if the event was still pending (and is now removed), false if it
-  /// already fired, was already cancelled, or the handle is invalid.
+  /// already fired (or is running: a callback cannot cancel itself), was
+  /// already cancelled, or the handle is invalid or was never issued.
+  /// A handle stays refused after its slot is reused by a later event.
   bool Cancel(TimerId timer);
 
   /// Runs until the event queue is empty or Stop() is called.
@@ -90,43 +96,63 @@ class Simulator {
   size_t pending_events() const { return heap_.size(); }
 
  private:
-  struct Event {
+  /// One heap entry. `slot` names the event's callback in fns_ (and its
+  /// heap position and generation in pos_/gen_); the 4 bytes of padding
+  /// are spare.
+  struct Key {
     SimTime time;
     uint64_t seq;
-    /// Cancellation handle; kInvalidTimer for plain events.
-    TimerId timer;
-    Callback fn;
+    uint32_t slot;
   };
+  static_assert(std::is_trivially_copyable_v<Key>);
+  static_assert(sizeof(Key) <= 24);
 
   /// True when the event at `a` must pop before the event at `b`:
   /// (time, seq) lexicographic — the strict total order that makes every
   /// heap implementation pop in the identical sequence.
-  static bool Before(const Event& a, const Event& b) {
+  static bool Before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
   SimTime SanitizeTime(SimTime t) const;
-  void Push(SimTime t, TimerId timer, Callback fn);
-  /// Removes the root event and returns it (callback moved, not copied).
-  Event PopTop();
-  /// Restores the heap property for the event at `pos` after its key may
-  /// have decreased (toward the root) and updates the position index.
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
-  void MoveInto(size_t pos, Event ev);
+  /// Parks `fn` in a free slot and pushes its key; returns the event's
+  /// handle when `cancellable`, else kInvalidTimer.
+  TimerId Push(SimTime t, bool cancellable, Callback fn);
+  /// Returns a slot to the free list; its handle (if any) goes stale.
+  void FreeSlot(uint32_t slot);
+  /// Removes and returns the root key.
+  Key PopTop();
+  /// Removes the key at heap position `pos`.
+  void RemoveAt(size_t pos);
+  /// Move the hole at `pos` up (toward the root) or down until `key` fits
+  /// there, copying one key per level; every key that moves gets its new
+  /// position recorded in pos_.
+  void SiftUp(size_t pos, Key key);
+  void SiftDown(size_t pos, Key key);
+  void Place(size_t pos, const Key& key) {
+    heap_[pos] = key;
+    pos_[key.slot] = static_cast<uint32_t>(pos);
+  }
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
-  uint64_t next_timer_ = 1;
+  /// Last generation handed to a cancellable event (0 is never handed out).
+  uint32_t last_gen_ = 0;
   uint64_t events_executed_ = 0;
   bool stopped_ = false;
-  /// Indexed 4-ary heap: children of i at 4i+1..4i+4, parent at (i-1)/4.
-  /// Flatter than a binary heap, so pops touch ~half the cache lines.
-  std::vector<Event> heap_;
-  /// Heap position of every live cancellable event (plain events are not
-  /// tracked — the common case pays nothing for cancellability).
-  std::unordered_map<TimerId, size_t> timer_pos_;
+  /// 4-ary heap: children of i at 4i+1..4i+4, parent at (i-1)/4. Flatter
+  /// than a binary heap, so pops touch ~half the cache lines.
+  std::vector<Key> heap_;
+  /// The slot arena, indexed by Key::slot: each pending event's callback,
+  /// its key's heap position, and its generation — the stamp its
+  /// TimerId carries while the event is pending and cancellable; 0 for a
+  /// plain event or a free slot, so a fired, cancelled or reused slot
+  /// refuses every old handle. Freed slots are recycled LIFO.
+  std::vector<Callback> fns_;
+  std::vector<uint32_t> pos_;
+  std::vector<uint32_t> gen_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace dsps::sim

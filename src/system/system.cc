@@ -150,8 +150,7 @@ System::System(const Config& config)
       common::SimNodeId node = network_->AddNode(pos);
       network_->SetHandler(node, [this](const sim::Message& msg) {
         if (msg.type != kMsgClientResult) return;
-        const auto* env =
-            std::any_cast<ClientResultEnvelope>(&msg.payload);
+        const auto* env = msg.payload.get<ClientResultEnvelope>();
         if (env == nullptr) return;
         if (env->seq != 0 && !result_channel_.Accept(msg, env->seq)) return;
         metrics_.client_results += 1;
@@ -245,7 +244,7 @@ void System::InstallGatewayDispatcher(common::EntityId entity) {
 bool System::HandleSystemMessage(const sim::Message& msg) {
   if (result_channel_.HandleAck(msg)) return true;
   if (msg.type == kMsgRehomeBatch) {
-    const auto* env = std::any_cast<RehomeBatchEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<RehomeBatchEnvelope>();
     DSPS_CHECK(env != nullptr);
     // A batch that reaches an already-evicted survivor is dead on
     // arrival: its process is gone, so no ack and no installs (the
@@ -510,21 +509,18 @@ common::Status System::SubmitQuery(const engine::Query& query) {
   if (entities_.empty()) {
     return common::Status::FailedPrecondition("no entities");
   }
-  // The admission controller arbitrates NEW submissions only. Internal
-  // re-submissions (eviction re-homes, unplaced retries) carry ids that
-  // are still on the accepted_ ledger — their tenant already paid for
-  // them, so they bypass the controller and cannot double-count against
-  // quotas. A queued id resubmitted by the user is simply still pending.
-  const bool arbitrated =
-      admission_ != nullptr && accepted_.count(query.id) == 0;
-  if (arbitrated && admission_queue_.count(query.id) > 0) {
-    return common::Status::AlreadyExists("query queued for admission");
+  if (IsLive(query.id)) {
+    return common::Status::AlreadyExists("query id is already live");
   }
   common::Status st =
-      arbitrated ? SubmitTenantQuery(query) : SubmitDirect(query);
+      admission_ != nullptr ? SubmitTenantQuery(query) : SubmitDirect(query);
   // A refused new submission leaves no client binding behind.
   if (!st.ok()) ReleaseClientIfGone(query.id);
   return st;
+}
+
+bool System::IsLive(common::QueryId query) const {
+  return accepted_.count(query) > 0 || admission_queue_.count(query) > 0;
 }
 
 void System::AssignClient(common::QueryId query) {
@@ -534,9 +530,7 @@ void System::AssignClient(common::QueryId query) {
 }
 
 void System::ReleaseClientIfGone(common::QueryId query) {
-  if (accepted_.count(query) == 0 && admission_queue_.count(query) == 0) {
-    client_of_query_.erase(query);
-  }
+  if (!IsLive(query)) client_of_query_.erase(query);
 }
 
 common::Status System::SubmitDirect(const engine::Query& query) {
@@ -778,6 +772,28 @@ System::BatchSubmitResult System::SubmitQueries(
     }
     return result;
   }
+  // One live copy per id, as in SubmitQuery: a query whose id is live, or
+  // repeats an earlier query of the batch, is refused before partitioning.
+  std::unordered_set<common::QueryId> batch_ids;
+  batch_ids.reserve(queries.size());
+  bool refused = false;
+  for (const engine::Query& q : queries) {
+    refused |= IsLive(q.id) || !batch_ids.insert(q.id).second;
+  }
+  std::vector<engine::Query> fresh;
+  if (refused) {
+    batch_ids.clear();
+    for (const engine::Query& q : queries) {
+      if (IsLive(q.id) || !batch_ids.insert(q.id).second) {
+        TallySubmit(common::Status::AlreadyExists("query id is already live"),
+                    &result);
+      } else {
+        fresh.push_back(q);
+      }
+    }
+    if (fresh.empty()) return result;
+    queries = fresh;
+  }
   // Joint placement: partition the batch's query graph over the alive
   // entities, then install grouped by home. The stable sort keeps each
   // entity's installs in submission order, while its admission sum,
@@ -944,7 +960,7 @@ int System::EvictEntity(common::EntityId entity) {
   std::vector<common::QueryId> stranded;
   for (const sim::Message& batch : rehome_channel_.Abandon(gateway)) {
     for (common::QueryId qid :
-         std::any_cast<const RehomeBatchEnvelope&>(batch.payload).queries) {
+         batch.payload.get<RehomeBatchEnvelope>()->queries) {
       if (unplaced_.count(qid) > 0) stranded.push_back(qid);
     }
   }
@@ -985,9 +1001,12 @@ int System::EvictEntity(common::EntityId entity) {
     DispatchDeclusteredRehomes(std::move(orphan_ids));
     return 0;
   }
+  // Re-homes bypass SubmitQuery: their ids are still on the accepted_
+  // ledger (their tenant already paid for them), so they skip arbitration
+  // and cannot double-count against quotas.
   int rehomed = 0;
   for (const engine::Query& q : orphans) {
-    if (SubmitQuery(q).ok()) {
+    if (SubmitDirect(q).ok()) {
       ++rehomed;
     } else {
       unplaced_[q.id] = q;
@@ -1085,7 +1104,8 @@ std::vector<common::QueryId> System::UnplacedQueries() const {
 int System::TryRehomeUnplaced() {
   int placed = 0;
   for (auto it = unplaced_.begin(); it != unplaced_.end();) {
-    if (SubmitQuery(it->second).ok()) {
+    // Accepted ids: SubmitDirect, like the eviction re-home loop.
+    if (SubmitDirect(it->second).ok()) {
       ++placed;
       it = unplaced_.erase(it);
     } else {
@@ -1182,7 +1202,7 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
     monitor_node_ = network_->AddNode({center, center});
     network_->SetHandler(monitor_node_, [this](const sim::Message& msg) {
       if (msg.type != kMsgHeartbeat) return;
-      const auto* env = std::any_cast<HeartbeatEnvelope>(&msg.payload);
+      const auto* env = msg.payload.get<HeartbeatEnvelope>();
       DSPS_CHECK(env != nullptr);
       OnHeartbeat(env->entity);
     });
@@ -1693,25 +1713,26 @@ bool System::ShrinkEntity(common::EntityId entity) {
   return true;
 }
 
-void System::ScheduleEmission(size_t stream_index, double end_time) {
-  workload::StreamGen* gen = streams_[stream_index].get();
+void System::ScheduleEmission(uint32_t stream, uint32_t window) {
+  workload::StreamGen* gen = streams_[stream].get();
   double rate = catalog_.stats(gen->stream()).tuples_per_s;
   double delay = rng_.Exponential(rate);
   double t = simulator_->now() + delay;
-  if (t > end_time) return;
-  simulator_->ScheduleAt(t, [this, stream_index, end_time]() {
-    workload::StreamGen* g = streams_[stream_index].get();
+  if (t > traffic_window_end_[window]) return;
+  simulator_->ScheduleAt(t, [this, stream, window]() {
+    workload::StreamGen* g = streams_[stream].get();
     engine::Tuple tuple = g->Next(simulator_->now());
     common::Status s = disseminator_->Publish(tuple);
     DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleEmission(stream_index, end_time);
+    ScheduleEmission(stream, window);
   });
 }
 
 void System::GenerateTraffic(double duration_s) {
-  double end_time = simulator_->now() + duration_s;
+  const auto window = static_cast<uint32_t>(traffic_window_end_.size());
+  traffic_window_end_.push_back(simulator_->now() + duration_s);
   for (size_t i = 0; i < streams_.size(); ++i) {
-    ScheduleEmission(i, end_time);
+    ScheduleEmission(static_cast<uint32_t>(i), window);
   }
 }
 

@@ -206,7 +206,8 @@ class System {
 
   /// Admits one query: allocates it to an entity (per the allocation
   /// mode), installs it there, and updates the entity's dissemination
-  /// interest.
+  /// interest. AlreadyExists if the id is live (placed, unplaced or
+  /// queued for admission); withdraw it with RemoveQuery first.
   common::Status SubmitQuery(const engine::Query& query);
 
   /// Admits a batch through SubmitQueries and returns its first error
@@ -233,6 +234,8 @@ class System {
   /// queries are installed grouped by home, each home's in submission
   /// order. Every other batch is a SubmitQuery loop (Section 3.2.1's
   /// one-at-a-time routing, tenant arbitration, the placement map).
+  /// Either way a query whose id is live, or repeats an earlier query of
+  /// the batch, is refused with AlreadyExists (counted as failed).
   BatchSubmitResult SubmitQueries(std::span<const engine::Query> queries);
 
   /// Cumulative wall-clock profile of the install path (SubmitQuery /
@@ -548,6 +551,8 @@ class System {
   /// InstallOn (with placement-map standby walk). Tenant admission wraps
   /// this for new submissions; internal re-homes call it directly.
   common::Status SubmitDirect(const engine::Query& query);
+  /// True while `query` is placed, unplaced or queued for admission.
+  bool IsLive(common::QueryId query) const;
   /// Weighted-fair arbitration of a brand-new submission (controller
   /// active, query not yet on the ledger).
   common::Status SubmitTenantQuery(const engine::Query& query);
@@ -579,7 +584,11 @@ class System {
   void ScheduleCrashWindow(std::vector<common::EntityId> members,
                            bool correlated, double crash_at,
                            double recover_at);
-  void ScheduleEmission(size_t stream_index, double end_time);
+  /// Draws stream `stream`'s next inter-arrival gap and schedules its
+  /// emission if it lands inside traffic window `window`. The event
+  /// captures {this, stream, window}, which fits std::function's inline
+  /// buffer, so a generated tuple costs no allocation to schedule.
+  void ScheduleEmission(uint32_t stream, uint32_t window);
   entity::Entity::EngineFactory MakeEngineFactory(int entity_index) const;
   /// Installs the combined gateway dispatcher (system acks -> entity ->
   /// dissemination) on the entity's gateway node.
@@ -623,6 +632,9 @@ class System {
   sim::Topology topology_;
   interest::StreamCatalog catalog_;
   std::vector<std::unique_ptr<workload::StreamGen>> streams_;
+  /// End time of each GenerateTraffic call's window; every call keeps its
+  /// own, so overlapping windows run independent emission chains.
+  std::vector<double> traffic_window_end_;
   std::vector<std::unique_ptr<entity::Entity>> entities_;
   std::unique_ptr<placement::PrAwarePlacement> placement_policy_;
   std::unique_ptr<dissemination::Disseminator> disseminator_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -69,7 +68,7 @@ class ReliableChannelTest : public ::testing::Test {
     if (channel_->HandleAck(msg)) return;
     ASSERT_EQ(msg.type, kMsgData);
     ++arrivals_;
-    int64_t seq = std::any_cast<const DataEnvelope&>(msg.payload).seq;
+    int64_t seq = msg.payload.get<DataEnvelope>()->seq;
     if (channel_->Accept(msg, seq)) ++accepted_[seq];
   }
 
@@ -253,8 +252,7 @@ TEST_F(ReliableChannelTest, AbandonSplitsFailedAndCancelled) {
   ASSERT_EQ(stranded.size(), to_1.size());
   for (size_t i = 0; i < stranded.size(); ++i) {
     EXPECT_EQ(stranded[i].to, 1);
-    EXPECT_EQ(std::any_cast<const DataEnvelope&>(stranded[i].payload).seq,
-              to_1[i]);
+    EXPECT_EQ(stranded[i].payload.get<DataEnvelope>()->seq, to_1[i]);
   }
   // Each abandoned send's timer left the event heap.
   EXPECT_EQ(sim_->pending_events(), events_before - 4);

@@ -1,15 +1,66 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <memory>
+#include <new>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
+#include "sim/payload.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
+
+// Every global allocation of this test binary is counted, so the
+// zero-allocation tests below can hold the event core's hot paths to it.
+// The helpers stay out of line: inlined, the compiler would pair an
+// operator new call with the free() below and warn about the mismatch.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+
+[[gnu::noinline]] void* CountedAlloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace dsps::sim {
 namespace {
@@ -162,7 +213,7 @@ TEST(SimulatorTest, RunUntilKeepsStopTimeWhenEventsBeforeHorizonPend) {
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-// Property test for the indexed 4-ary heap: one million events at the
+// Property test for the 4-ary key heap: one million events at the
 // same timestamp must run in exact insertion order — the (time, seq)
 // total order is what makes every simulation bit-reproducible.
 TEST(SimulatorTest, MillionSameTimestampEventsRunInInsertionOrder) {
@@ -239,6 +290,194 @@ TEST(SimulatorTest, EveryRunsThroughUntilAfterSameInstantEvents) {
   sim.Every(1.0, sim.now(), [] { ADD_FAILURE(); });
   EXPECT_EQ(sim.pending_events(), 0u);
   sim.Run();
+}
+
+TEST(SimulatorTest, StaleHandlesAreRefused) {
+  Simulator sim;
+  int fired = 0;
+  // After the event fired.
+  TimerId done = sim.ScheduleCancellable(1.0, [&] { ++fired; });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(done));
+  // After it was already cancelled.
+  TimerId twice = sim.ScheduleCancellable(1.0, [&] { ++fired; });
+  EXPECT_TRUE(sim.Cancel(twice));
+  EXPECT_FALSE(sim.Cancel(twice));
+  // After its slot was reused by a new event, which still runs: freed
+  // slots are recycled LIFO, so the next event takes the cancelled one's.
+  TimerId old = sim.ScheduleCancellable(1.0, [&] { ++fired; });
+  EXPECT_TRUE(sim.Cancel(old));
+  TimerId reuser = sim.ScheduleCancellable(1.0, [&] { ++fired; });
+  EXPECT_EQ(old & 0xffffffffu, reuser & 0xffffffffu);  // same slot
+  EXPECT_NE(old, reuser);
+  EXPECT_FALSE(sim.Cancel(old));
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(sim.Cancel(reuser));
+  // On its own handle, from inside its own callback.
+  TimerId self = kInvalidTimer;
+  bool ran = false;
+  self = sim.ScheduleCancellable(1.0, [&] {
+    ran = true;
+    EXPECT_FALSE(sim.Cancel(self));
+  });
+  sim.Run();
+  EXPECT_TRUE(ran);
+  // kInvalidTimer, and handles that were never issued — with a plain
+  // event pending in slot 0, which no handle may reach.
+  sim.Schedule(1.0, [&] { ++fired; });
+  EXPECT_FALSE(sim.Cancel(kInvalidTimer));
+  EXPECT_FALSE(sim.Cancel(TimerId{1}));
+  EXPECT_FALSE(sim.Cancel(TimerId{0xfffffff0u} << 32 | 1));
+  EXPECT_FALSE(sim.Cancel(~TimerId{0}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 3);
+}
+
+/// Drives a Simulator and a reference ordered set of (time, seq) through
+/// the same random calls: every schedule form, Cancel on live, stale,
+/// invalid and never-issued handles, and Step — with callbacks that
+/// schedule and cancel in turn.
+class EventCoreDifferential {
+ public:
+  explicit EventCoreDifferential(uint64_t seed) : rng_(seed) {}
+
+  void RandomCall() {
+    switch (rng_.NextUint64(6)) {
+      case 0:
+      case 1:
+        ScheduleRandom();
+        break;
+      case 2:
+        CancelRandom();
+        break;
+      default: {
+        const bool any = !ref_.empty();
+        EXPECT_EQ(sim_.Step(), any);
+        break;
+      }
+    }
+    EXPECT_EQ(sim_.pending_events(), ref_.size());
+  }
+
+  void Drain() {
+    while (sim_.Step()) {
+    }
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(sim_.pending_events(), 0u);
+  }
+
+  int64_t fired() const { return fired_; }
+  int64_t cancelled() const { return cancelled_; }
+
+ private:
+  using Key = std::pair<SimTime, uint64_t>;
+
+  void ScheduleRandom() {
+    const uint64_t seq = next_seq_++;
+    // A coarse grid around now (including the past) makes ties common.
+    const double offset = 0.25 * static_cast<double>(rng_.UniformInt(-2, 8));
+    const double now = sim_.now();
+    auto fn = [this, seq]() { OnFire(seq); };
+    TimerId handle = kInvalidTimer;
+    SimTime at;
+    switch (rng_.NextUint64(4)) {
+      case 0:
+        sim_.Schedule(offset, fn);
+        at = now + std::max(offset, 0.0);
+        break;
+      case 1:
+        sim_.ScheduleAt(now + offset, fn);
+        at = std::max(now + offset, now);
+        break;
+      case 2:
+        handle = sim_.ScheduleCancellable(offset, fn);
+        at = now + std::max(offset, 0.0);
+        break;
+      default:
+        handle = sim_.ScheduleCancellableAt(now + offset, fn);
+        at = std::max(now + offset, now);
+        break;
+    }
+    ref_.insert(Key{at, seq});
+    if (handle != kInvalidTimer) {
+      EXPECT_TRUE(issued_set_.insert(handle).second);
+      issued_.push_back(handle);
+      live_[handle] = Key{at, seq};
+      handle_of_seq_[seq] = handle;
+    }
+  }
+
+  void CancelRandom() {
+    TimerId handle;
+    const uint64_t pick = rng_.NextUint64(8);
+    if (pick == 0) {
+      handle = kInvalidTimer;
+    } else if (pick == 1) {
+      do {
+        handle = rng_.Next();
+      } while (handle == kInvalidTimer || issued_set_.count(handle) > 0);
+    } else if (pick < 5 && !live_.empty()) {
+      auto live = live_.begin();
+      std::advance(live, rng_.NextUint64(live_.size()));
+      handle = live->first;
+    } else if (!issued_.empty()) {  // live or stale
+      handle = issued_[rng_.NextUint64(issued_.size())];
+    } else {
+      return;
+    }
+    auto it = live_.find(handle);
+    const bool pending = it != live_.end();
+    EXPECT_EQ(sim_.Cancel(handle), pending) << handle;
+    if (pending) {
+      ref_.erase(it->second);
+      handle_of_seq_.erase(it->second.second);
+      live_.erase(it);
+      ++cancelled_;
+    }
+  }
+
+  void OnFire(uint64_t seq) {
+    ASSERT_FALSE(ref_.empty());
+    const Key expected = *ref_.begin();
+    EXPECT_EQ(seq, expected.second);
+    EXPECT_EQ(sim_.now(), expected.first);
+    ref_.erase(ref_.begin());
+    ++fired_;
+    auto own = handle_of_seq_.find(seq);
+    if (own != handle_of_seq_.end()) {
+      live_.erase(own->second);
+      EXPECT_FALSE(sim_.Cancel(own->second));  // its own handle is stale
+      handle_of_seq_.erase(own);
+    }
+    EXPECT_EQ(sim_.pending_events(), ref_.size());
+    if (rng_.Bernoulli(0.3)) ScheduleRandom();
+    if (rng_.Bernoulli(0.2)) CancelRandom();
+  }
+
+  common::Rng rng_;
+  Simulator sim_;
+  std::set<Key> ref_;
+  uint64_t next_seq_ = 0;
+  std::map<TimerId, Key> live_;
+  std::map<uint64_t, TimerId> handle_of_seq_;
+  std::vector<TimerId> issued_;
+  std::set<TimerId> issued_set_;
+  int64_t fired_ = 0;
+  int64_t cancelled_ = 0;
+};
+
+TEST(SimulatorTest, MatchesReferenceOrderUnderRandomCalls) {
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    SCOPED_TRACE(seed);
+    EventCoreDifferential run(seed);
+    for (int i = 0; i < 20000; ++i) run.RandomCall();
+    run.Drain();
+    EXPECT_GT(run.fired(), 5000);
+    EXPECT_GT(run.cancelled(), 500);
+  }
 }
 
 // ----------------------------------------------------------------- Network
@@ -485,6 +724,176 @@ TEST(NetworkTest, RoundTripReadsLinksWithoutCreatingThem) {
               0.01 + 0.5 + 0.2 + 16 / 1e9 + 2 * 0.03, 1e-12);
   EXPECT_DOUBLE_EQ(faults.Judge(a, b).extra_latency_s,
                    fresh.Judge(a, b).extra_latency_s);
+}
+
+TEST(NetworkTest, ManyLinksKeepTheirStatsAcrossIndexGrowth) {
+  // A full mesh of 20 nodes creates 380 links, so the link index grows
+  // several times; every link keeps its own stats.
+  Simulator sim;
+  Network net(&sim);
+  constexpr int kNodes = 20;
+  for (int i = 0; i < kNodes; ++i) {
+    net.SetHandler(net.AddNode({static_cast<double>(i), 0}),
+                   [](const Message&) {});
+  }
+  for (int round = 1; round <= 2; ++round) {
+    for (int from = 0; from < kNodes; ++from) {
+      for (int to = 0; to < kNodes; ++to) {
+        if (from == to) continue;
+        Message m;
+        m.from = from;
+        m.to = to;
+        m.size_bytes = 100 * from + to;
+        ASSERT_TRUE(net.Send(std::move(m)).ok());
+      }
+    }
+  }
+  sim.Run();
+  std::vector<Network::LinkRecord> all = net.AllLinkStats();
+  ASSERT_EQ(all.size(), static_cast<size_t>(kNodes * (kNodes - 1)));
+  size_t i = 0;
+  for (int from = 0; from < kNodes; ++from) {
+    for (int to = 0; to < kNodes; ++to) {
+      if (from == to) continue;
+      const LinkStats stats = net.link_stats(from, to);
+      EXPECT_EQ(stats.messages, 2);
+      EXPECT_EQ(stats.bytes, 2 * (100 * from + to));
+      EXPECT_EQ(all[i].from, from);
+      EXPECT_EQ(all[i].to, to);
+      EXPECT_EQ(all[i].stats.bytes, stats.bytes);
+      ++i;
+    }
+  }
+  EXPECT_EQ(net.link_stats(3, 3).messages, 0);
+}
+
+// ------------------------------------------------------------------ Payload
+
+/// The shape of the tuple-path envelopes: two shared pointers and a
+/// sequence number, 40 bytes — the largest that rides inline.
+struct FortyByteEnvelope {
+  std::shared_ptr<const std::string> a;
+  std::shared_ptr<const std::string> b;
+  int64_t seq = 0;
+};
+static_assert(sizeof(FortyByteEnvelope) == Payload::kInlineBytes);
+
+TEST(PayloadTest, CopyAndMovePreserveTheValue) {
+  auto text = std::make_shared<const std::string>("tuple");
+  Payload p = FortyByteEnvelope{text, text, 7};
+  Payload copy = p;
+  ASSERT_NE(copy.get<FortyByteEnvelope>(), nullptr);
+  EXPECT_EQ(*copy.get<FortyByteEnvelope>()->a, "tuple");
+  EXPECT_EQ(copy.get<FortyByteEnvelope>()->seq, 7);
+  EXPECT_EQ(text.use_count(), 5);  // text + two per held envelope
+  Payload moved = std::move(p);
+  EXPECT_FALSE(p.has_value());  // NOLINT(bugprone-use-after-move)
+  ASSERT_NE(moved.get<FortyByteEnvelope>(), nullptr);
+  EXPECT_EQ(moved.get<FortyByteEnvelope>()->seq, 7);
+  EXPECT_EQ(text.use_count(), 5);
+  // Assignment releases the value it replaces.
+  copy = Payload(int64_t{3});
+  EXPECT_EQ(text.use_count(), 3);
+  ASSERT_NE(copy.get<int64_t>(), nullptr);
+  EXPECT_EQ(*copy.get<int64_t>(), 3);
+  copy = moved;
+  EXPECT_EQ(copy.get<FortyByteEnvelope>()->b, text);
+  moved.reset();
+  copy = std::move(moved);
+  EXPECT_FALSE(copy.has_value());
+  EXPECT_EQ(text.use_count(), 1);
+}
+
+TEST(PayloadTest, WrongTypeReadsNull) {
+  Payload p = int64_t{5};
+  EXPECT_EQ(p.get<int>(), nullptr);
+  EXPECT_EQ(p.get<double>(), nullptr);
+  EXPECT_EQ(p.get<FortyByteEnvelope>(), nullptr);
+  ASSERT_NE(p.get<int64_t>(), nullptr);
+  EXPECT_EQ(*p.get<int64_t>(), 5);
+  const Payload empty;
+  EXPECT_EQ(empty.get<int64_t>(), nullptr);
+}
+
+TEST(PayloadTest, LargerThanInlineRoundTrips) {
+  struct Big {
+    std::array<int64_t, 6> header{};
+    std::vector<int> body;
+  };
+  static_assert(sizeof(Big) > Payload::kInlineBytes);
+  Big big;
+  big.header = {1, 2, 3, 4, 5, 6};
+  big.body = {7, 8, 9};
+  Payload p = big;
+  Payload copy = p;
+  Payload moved = std::move(p);
+  for (const Payload* held : {&copy, &moved}) {
+    ASSERT_NE(held->get<Big>(), nullptr);
+    EXPECT_EQ(held->get<Big>()->header, big.header);
+    EXPECT_EQ(held->get<Big>()->body, big.body);
+  }
+  EXPECT_EQ(copy.get<FortyByteEnvelope>(), nullptr);
+}
+
+// ---------------------------------------------------- Allocation-free core
+
+TEST(EventCoreAllocationTest, ScheduleAndStepAllocateNothing) {
+  // The hot closures' shape: {pointer, slot}, inside std::function's
+  // inline buffer. 64 events stay pending, so every cycle sifts.
+  Simulator sim;
+  std::array<int64_t, 64> hits{};
+  int64_t* base = hits.data();
+  auto cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto slot = static_cast<uint32_t>(i % hits.size());
+      sim.Schedule(1e-3 * static_cast<double>(i % 7),
+                   [base, slot]() { ++base[slot]; });
+      sim.Step();
+    }
+  };
+  for (size_t i = 0; i < hits.size(); ++i) {
+    sim.Schedule(1.0, [base]() { ++base[0]; });
+  }
+  cycles(100);  // warm-up: the heap and the slot arena reach their size
+  const int64_t before = g_allocations.load();
+  cycles(10000);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(sim.pending_events(), hits.size());
+}
+
+TEST(EventCoreAllocationTest, NetworkDeliveryOfInlinePayloadAllocatesNothing) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({10, 0});
+  int64_t delivered = 0;
+  int64_t seq_sum = 0;
+  net.SetHandler(b, [&](const Message& m) {
+    const auto* env = m.payload.get<FortyByteEnvelope>();
+    ASSERT_NE(env, nullptr);
+    ++delivered;
+    seq_sum += env->seq;
+  });
+  auto text = std::make_shared<const std::string>("tuple");
+  auto sends = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Message m;
+      m.from = a;
+      m.to = b;
+      m.type = 1;
+      m.size_bytes = 100;
+      m.payload = FortyByteEnvelope{text, text, i};
+      ASSERT_TRUE(net.Send(std::move(m)).ok());
+      sim.Step();
+    }
+  };
+  sends(100);  // warm-up: creates the link and the arena slot
+  const int64_t before = g_allocations.load();
+  sends(10000);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(delivered, 10100);
+  EXPECT_EQ(seq_sum, 99 * 100 / 2 + 9999 * 10000 / 2);
+  EXPECT_EQ(text.use_count(), 1);
 }
 
 // ---------------------------------------------------------------- Topology

@@ -416,6 +416,55 @@ TEST(SystemTest, JointBatchWhileGraphIndexIsLiveKeepsItExact) {
   }
 }
 
+// A conservation audit sweep over `sys` finds nothing.
+void ExpectCleanAudit(System* sys) {
+  Auditor* auditor = sys->EnableAudit(1.0, sys->now(), /*fatal=*/false);
+  EXPECT_EQ(auditor->RunOnce(), 0);
+  for (const Auditor::CheckStats& check : auditor->checks()) {
+    EXPECT_EQ(check.violations, 0) << check.name << ": " << check.last_detail;
+  }
+}
+
+TEST(SystemTest, SecondSubmissionOfALiveIdIsRefused) {
+  // One live copy per query id: a resubmitted placed id must neither move
+  // its home nor leave the first entity running an untracked copy.
+  System sys(SmallConfig());
+  sys.AddStreams(SmallStreams(2));
+  ASSERT_TRUE(sys.SubmitQuery(WideQuery(1, 0)).ok());
+  const common::EntityId home = sys.EntityOf(1);
+  ASSERT_NE(home, common::kInvalidEntity);
+  EXPECT_EQ(sys.SubmitQuery(WideQuery(1, 0)).code(),
+            common::StatusCode::kAlreadyExists);
+  EXPECT_EQ(sys.EntityOf(1), home);
+  ExpectCleanAudit(&sys);
+}
+
+TEST(SystemTest, JointBatchRefusesLiveAndRepeatedIds) {
+  // The joint graph-partition path refuses what SubmitQuery refuses, and
+  // a repeat within the batch, before partitioning.
+  System sys(SmallConfig(AllocationMode::kGraphPartition));
+  sys.AddStreams(SmallStreams(2));
+  workload::QueryGen gen(workload::QueryGen::Config{}, &sys.catalog(),
+                         common::Rng(17));
+  const std::vector<engine::Query> placed = gen.Batch(8);
+  ASSERT_TRUE(sys.SubmitBatch(placed).ok());
+  std::vector<common::EntityId> homes;
+  for (const engine::Query& q : placed) homes.push_back(sys.EntityOf(q.id));
+  const std::vector<engine::Query> fresh = gen.Batch(2);
+  System::BatchSubmitResult result = sys.SubmitQueries(std::vector<engine::Query>{
+      placed[0], fresh[0], placed[5], fresh[1], fresh[0]});
+  EXPECT_EQ(result.admitted, 2);
+  EXPECT_EQ(result.failed, 3);
+  EXPECT_EQ(result.first_error.code(), common::StatusCode::kAlreadyExists);
+  for (size_t i = 0; i < placed.size(); ++i) {
+    EXPECT_EQ(sys.EntityOf(placed[i].id), homes[i]) << i;
+  }
+  for (const engine::Query& q : fresh) {
+    EXPECT_NE(sys.EntityOf(q.id), common::kInvalidEntity) << q.id;
+  }
+  ExpectCleanAudit(&sys);
+}
+
 TEST(SystemTest, DeterministicForSeed) {
   auto run = [] {
     System sys(SmallConfig());

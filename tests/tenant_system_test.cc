@@ -223,6 +223,30 @@ TEST(TenantSystemTest, GraphPartitionBatchGoesThroughAdmission) {
   EXPECT_TRUE(sys.admission()->CheckConservation().ok());
 }
 
+TEST(TenantSystemTest, SecondSubmissionOfALiveIdIsRefused) {
+  // With admission on, a resubmitted placed id is refused like any other
+  // live id: it neither skips arbitration nor moves its home.
+  System::Config cfg = TightConfig();
+  cfg.topology.num_entities = 4;
+  cfg.admission.load_factor = 0.0;  // room for everything
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(1));
+  ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(1, 1, 0, 0.5)).ok());
+  const common::EntityId home = sys.EntityOf(1);
+  ASSERT_NE(home, common::kInvalidEntity);
+  EXPECT_EQ(sys.SubmitQuery(TaggedQuery(1, 1, 0, 0.5)).code(),
+            common::StatusCode::kAlreadyExists);
+  EXPECT_EQ(sys.EntityOf(1), home);
+  EXPECT_EQ(sys.admission()->counters(1).submitted, 1);
+  EXPECT_EQ(sys.admission()->counters(1).standing, 1);
+  EXPECT_TRUE(sys.admission()->CheckConservation().ok());
+  Auditor* auditor = sys.EnableAudit(1.0, sys.now(), /*fatal=*/false);
+  EXPECT_EQ(auditor->RunOnce(), 0);
+  for (const Auditor::CheckStats& check : auditor->checks()) {
+    EXPECT_EQ(check.violations, 0) << check.name << ": " << check.last_detail;
+  }
+}
+
 TEST(TenantSystemTest, AtCapacityRejectionIsDeterministicTenantPath) {
   System::Config cfg = TightConfig();
   cfg.topology.num_entities = 1;
