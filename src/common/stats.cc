@@ -76,18 +76,6 @@ void Histogram::Add(double x) {
   sorted_ = false;
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.samples_.empty()) return;
-  size_t room = cap_ > samples_.size() ? cap_ - samples_.size() : 0;
-  size_t take = std::min(room, other.samples_.size());
-  if (take < other.samples_.size()) {
-    CountOverflow(static_cast<int64_t>(other.samples_.size() - take));
-  }
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.begin() + static_cast<ptrdiff_t>(take));
-  sorted_ = false;
-}
-
 double Histogram::mean() const {
   if (samples_.empty()) return 0.0;
   double s = 0.0;

@@ -45,10 +45,6 @@ class Histogram {
   /// Adds one observation (dropped and counted once at the cap).
   void Add(double x);
 
-  /// Merges all of `other`'s samples into this histogram; percentiles of
-  /// the merge are exact (both sample sets are kept, up to the cap).
-  void Merge(const Histogram& other);
-
   size_t count() const { return samples_.size(); }
   double mean() const;
   /// The q-quantile (q in [0,1]) with linear interpolation between the

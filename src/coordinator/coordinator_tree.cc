@@ -410,16 +410,6 @@ int CoordinatorTree::HeartbeatRound() const {
   return 2 * pairs;
 }
 
-double CoordinatorTree::SubtreeLoad(const Node& node) const {
-  if (node.is_leaf) {
-    auto it = load_.find(node.entity);
-    return it == load_.end() ? 0.0 : it->second;
-  }
-  double total = 0.0;
-  for (const auto& c : node.children) total += SubtreeLoad(*c);
-  return total;
-}
-
 void CoordinatorTree::RefreshRouteCache(Node* node) {
   if (node->route_version == route_epoch_) return;
   if (node->is_leaf) {
@@ -429,8 +419,8 @@ void CoordinatorTree::RefreshRouteCache(Node* node) {
   } else {
     size_t leaves = 0;
     double total = 0.0;
-    // Child-order sum == SubtreeLoad's recursion association, so the
-    // cached double equals a fresh recursive recomputation exactly.
+    // Child-order sum, so the cached double equals a fresh recursive
+    // recomputation exactly.
     for (auto& c : node->children) {
       RefreshRouteCache(c.get());
       leaves += c->cached_leaves;
@@ -584,11 +574,6 @@ CoordinatorTree::RouteQueryByInterest(const interest::InterestSet& query_interes
   load_[node->entity] += load;
   InvalidateRoutePath(node);
   return result;
-}
-
-void CoordinatorTree::ResetLoad() {
-  load_.clear();
-  ++route_epoch_;
 }
 
 double CoordinatorTree::LoadOf(common::EntityId id) const {

@@ -108,9 +108,6 @@ class CoordinatorTree {
   /// The coarse interest summary of `id`'s subtree-or-self (for tests).
   interest::InterestSet SubtreeInterestOf(common::EntityId id);
 
-  /// Clears all routed load.
-  void ResetLoad();
-
   /// Load currently routed to `id`.
   double LoadOf(common::EntityId id) const;
 
@@ -140,19 +137,18 @@ class CoordinatorTree {
   void SplitIfOversized(Node* node, int* messages);
   void MergeIfUndersized(Node* node, int* messages);
   void Recenter(Node* node, int* messages);
-  double SubtreeLoad(const Node& node) const;
   int CountClusterViolations(const Node& node, int depth_from_root) const;
 
   /// Lazily recomputes (and caches) `node`'s coarse interest summary.
   const interest::InterestSet& SummaryOf(Node* node);
 
   /// Lazily recomputes (and caches) `node`'s routing aggregates: subtree
-  /// leaf count and subtree load. The memoized sum associates exactly
-  /// like the plain recursion it replaced (node = Σ children, in child
-  /// order), so the cached doubles are bit-identical to a fresh
-  /// recomputation — routing decisions cannot drift. Invalidation:
-  /// structural changes bump route_epoch_ (whole tree); each routed
-  /// query invalidates only its root-to-leaf path.
+  /// leaf count and subtree load. The memoized sum associates like a
+  /// plain recursion (node = Σ children, in child order), so the cached
+  /// doubles are bit-identical to a fresh recomputation — routing
+  /// decisions cannot drift. Invalidation: structural changes bump
+  /// route_epoch_ (whole tree); each routed query invalidates only its
+  /// root-to-leaf path.
   void RefreshRouteCache(Node* node);
   /// Marks the path from `leaf` to the root stale (its loads changed).
   static void InvalidateRoutePath(Node* leaf);
@@ -164,9 +160,9 @@ class CoordinatorTree {
   std::map<common::EntityId, interest::InterestSet> entity_interest_;
   /// Bumped on any structural or interest change; invalidates summaries.
   uint64_t interest_version_ = 1;
-  /// Bumped on structural changes and ResetLoad; invalidates the routing
-  /// caches everywhere at once. (Interest changes leave it alone: they
-  /// cannot move load or leaves.)
+  /// Bumped on structural changes; invalidates the routing caches
+  /// everywhere at once. (Interest changes leave it alone: they cannot
+  /// move load or leaves.)
   uint64_t route_epoch_ = 1;
   int64_t total_messages_ = 0;
 

@@ -104,9 +104,4 @@ const Operator& FragmentInstance::op(common::OperatorId id) const {
   return *slots_[id].op;
 }
 
-Operator* FragmentInstance::mutable_op(common::OperatorId id) {
-  DSPS_CHECK(Contains(id));
-  return slots_[id].op.get();
-}
-
 }  // namespace dsps::engine

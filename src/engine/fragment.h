@@ -87,7 +87,6 @@ class FragmentInstance {
 
   /// Access to a hosted operator (for statistics inspection).
   const Operator& op(common::OperatorId id) const;
-  Operator* mutable_op(common::OperatorId id);
 
  private:
   /// Everything the cascade reads about one plan operator. `op` is null

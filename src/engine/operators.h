@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/tuple.h"
@@ -50,7 +48,7 @@ class Operator {
   /// Bytes of operator state (window contents); migration cost proxy.
   virtual int64_t StateBytes() const { return 0; }
 
-  /// Operator kind, for logs and plan dumps ("Filter", "WindowJoin", ...).
+  /// Operator kind, for logs ("Filter", "WindowJoin", ...).
   virtual const char* name() const = 0;
 
   /// Deep copy with *empty* runtime state (fresh windows), preserving the
@@ -74,8 +72,8 @@ class Operator {
 };
 
 /// Selection by an axis-aligned box over the tuple's numeric fields —
-/// declarative so it can be shipped between engines and folded into
-/// dissemination-tree early filters.
+/// declarative, so the query's interest and the dissemination tree's
+/// early filters can be derived from it.
 class FilterOp : public Operator {
  public:
   /// `box` has one interval per entry of `numeric_indices`; a tuple passes
@@ -96,27 +94,6 @@ class FilterOp : public Operator {
   std::vector<int> numeric_indices_;
   interest::Box box_;
   std::vector<double> scratch_;
-};
-
-/// Projection to a subset of fields (by index), optionally scaling numeric
-/// fields by a constant (a stand-in for cheap per-tuple transforms).
-class MapOp : public Operator {
- public:
-  explicit MapOp(std::vector<int> keep_indices, double scale = 1.0);
-
-  const std::vector<int>& keep_indices() const { return keep_indices_; }
-  double scale() const { return scale_; }
-
-  const char* name() const override { return "Map"; }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  std::vector<int> keep_indices_;
-  double scale_;
 };
 
 /// Sliding-window symmetric hash equi-join on an int64 key field. Output
@@ -196,146 +173,6 @@ class WindowAggregateOp : public Operator {
   double current_window_start_ = -1.0;
   common::StreamId last_stream_ = common::kInvalidStream;
   std::map<int64_t, Group> groups_;
-};
-
-/// Aggregation over *sliding* windows: every `slide_s` seconds, emits one
-/// (key, aggregate, window_end) tuple per group over the last `window_s`
-/// seconds. window_s must be a positive multiple of slide_s for the
-/// classic overlapping-window semantics (not enforced; any positive pair
-/// works).
-class SlidingWindowAggregateOp : public Operator {
- public:
-  using Func = WindowAggregateOp::Func;
-
-  SlidingWindowAggregateOp(double window_s, double slide_s, Func func,
-                           int key_field, int value_field);
-
-  double window_s() const { return window_s_; }
-  double slide_s() const { return slide_s_; }
-  Func func() const { return func_; }
-  int key_field() const { return key_field_; }
-  int value_field() const { return value_field_; }
-
-  int64_t StateBytes() const override;
-
-  const char* name() const override { return "SlidingWindowAggregate"; }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  struct Entry {
-    double ts;
-    int64_t key;
-    double value;
-  };
-  void EmitAt(double emit_time, std::vector<Tuple>* out);
-
-  double window_s_;
-  double slide_s_;
-  Func func_;
-  int key_field_;
-  int value_field_;
-  double next_emit_ = -1.0;
-  common::StreamId last_stream_ = common::kInvalidStream;
-  std::deque<Entry> buffer_;
-};
-
-/// Time-windowed duplicate elimination: a tuple passes iff its key was not
-/// seen within the last `window_s` seconds.
-class DistinctOp : public Operator {
- public:
-  DistinctOp(double window_s, int key_field);
-
-  double window_s() const { return window_s_; }
-  int key_field() const { return key_field_; }
-
-  int64_t StateBytes() const override;
-
-  const char* name() const override { return "Distinct"; }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  double window_s_;
-  int key_field_;
-  std::map<int64_t, double> last_seen_;
-};
-
-/// Per-tumbling-window top-k: when a window closes, emits the k keys with
-/// the largest summed value, as (key, sum, window_end) tuples in
-/// descending order.
-class TopKOp : public Operator {
- public:
-  TopKOp(double window_s, int k, int key_field, int value_field);
-
-  double window_s() const { return window_s_; }
-  int k() const { return k_; }
-  int key_field() const { return key_field_; }
-  int value_field() const { return value_field_; }
-
-  int64_t StateBytes() const override;
-
-  const char* name() const override { return "TopK"; }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  void EmitWindow(double window_start, std::vector<Tuple>* out);
-
-  double window_s_;
-  int k_;
-  int key_field_;
-  int value_field_;
-  double current_window_start_ = -1.0;
-  common::StreamId last_stream_ = common::kInvalidStream;
-  std::map<int64_t, double> sums_;
-};
-
-/// Merges any number of inputs into one output stream (pass-through).
-class UnionOp : public Operator {
- public:
-  explicit UnionOp(int num_inputs);
-
-  int num_inputs() const override { return num_inputs_; }
-
-  const char* name() const override { return "Union"; }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  int num_inputs_;
-};
-
-/// Wraps an arbitrary predicate; for examples/tests that need selections
-/// not expressible as boxes. Not shippable into early filters.
-class PredicateFilterOp : public Operator {
- public:
-  using Predicate = std::function<bool(const Tuple&)>;
-
-  explicit PredicateFilterOp(Predicate pred, std::string label = "Predicate");
-
-  const char* name() const override { return label_.c_str(); }
-  std::unique_ptr<Operator> Clone() const override;
-
- protected:
-  void DoProcess(int port, const Tuple& tuple,
-                 std::vector<Tuple>* out) override;
-
- private:
-  Predicate pred_;
-  std::string label_;
 };
 
 }  // namespace dsps::engine

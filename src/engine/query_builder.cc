@@ -1,8 +1,11 @@
 #include "engine/query_builder.h"
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "engine/operators.h"
 
 namespace dsps::engine {
 
@@ -27,43 +30,16 @@ QueryBuilder& QueryBuilder::Where(int dim, double lo, double hi) {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::Aggregate(WindowAggregateOp::Func func,
-                                      double window_s, int key_field,
-                                      int value_field) {
-  stages_.push_back(Stage{std::make_unique<WindowAggregateOp>(
-      window_s, func, key_field, value_field)});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::SlidingAggregate(WindowAggregateOp::Func func,
-                                             double window_s, double slide_s,
-                                             int key_field, int value_field) {
-  stages_.push_back(Stage{std::make_unique<SlidingWindowAggregateOp>(
-      window_s, slide_s, func, key_field, value_field)});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::TopK(double window_s, int k, int key_field,
-                                 int value_field) {
-  stages_.push_back(
-      Stage{std::make_unique<TopKOp>(window_s, k, key_field, value_field)});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Distinct(double window_s, int key_field) {
-  stages_.push_back(Stage{std::make_unique<DistinctOp>(window_s, key_field)});
-  return *this;
-}
-
-common::Status QueryBuilder::BuildFilter(QueryPlan* plan,
-                                         common::OperatorId* filter_out,
-                                         interest::InterestSet* interest) const {
+common::Result<Query> QueryBuilder::Build() {
   if (!has_source_) {
     return common::Status::FailedPrecondition("QueryBuilder without From()");
   }
   if (interest::BoxEmpty(selection_)) {
     return common::Status::InvalidArgument("selection is empty");
   }
+  Query q;
+  q.id = id_;
+  auto plan = std::make_shared<QueryPlan>();
   std::vector<int> dims(selection_.size());
   for (size_t d = 0; d < selection_.size(); ++d) dims[d] = static_cast<int>(d);
   auto filter = std::make_unique<FilterOp>(dims, selection_);
@@ -72,47 +48,9 @@ common::Status QueryBuilder::BuildFilter(QueryPlan* plan,
     filter->set_estimated_selectivity(interest::BoxVolume(selection_) /
                                       dom_vol);
   }
-  *filter_out = plan->AddOperator(std::move(filter));
-  DSPS_RETURN_IF_ERROR(plan->BindStream(stream_, *filter_out, 0));
-  interest->Add(stream_, selection_);
-  return common::Status::OK();
-}
-
-common::Result<Query> QueryBuilder::Build() {
-  Query q;
-  q.id = id_;
-  auto plan = std::make_shared<QueryPlan>();
-  common::OperatorId prev = -1;
-  DSPS_RETURN_IF_ERROR(BuildFilter(plan.get(), &prev, &q.interest));
-  for (Stage& stage : stages_) {
-    common::OperatorId next = plan->AddOperator(std::move(stage.op));
-    DSPS_RETURN_IF_ERROR(plan->Connect(prev, next, 0));
-    prev = next;
-  }
-  DSPS_RETURN_IF_ERROR(plan->Validate());
-  q.plan = std::move(plan);
-  return q;
-}
-
-common::Result<Query> QueryBuilder::Join(common::QueryId id,
-                                         const QueryBuilder& left,
-                                         const QueryBuilder& right,
-                                         double window_s, int left_key,
-                                         int right_key) {
-  if (!left.stages_.empty() || !right.stages_.empty()) {
-    return common::Status::InvalidArgument(
-        "join sides must be plain selections");
-  }
-  Query q;
-  q.id = id;
-  auto plan = std::make_shared<QueryPlan>();
-  common::OperatorId lf = -1, rf = -1;
-  DSPS_RETURN_IF_ERROR(left.BuildFilter(plan.get(), &lf, &q.interest));
-  DSPS_RETURN_IF_ERROR(right.BuildFilter(plan.get(), &rf, &q.interest));
-  auto join = std::make_unique<WindowJoinOp>(window_s, left_key, right_key);
-  common::OperatorId j = plan->AddOperator(std::move(join));
-  DSPS_RETURN_IF_ERROR(plan->Connect(lf, j, 0));
-  DSPS_RETURN_IF_ERROR(plan->Connect(rf, j, 1));
+  common::OperatorId f = plan->AddOperator(std::move(filter));
+  DSPS_RETURN_IF_ERROR(plan->BindStream(stream_, f, 0));
+  q.interest.Add(stream_, selection_);
   DSPS_RETURN_IF_ERROR(plan->Validate());
   q.plan = std::move(plan);
   return q;

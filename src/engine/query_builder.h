@@ -1,33 +1,21 @@
 #ifndef DSPS_ENGINE_QUERY_BUILDER_H_
 #define DSPS_ENGINE_QUERY_BUILDER_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "common/ids.h"
 #include "common/status.h"
-#include "engine/operators.h"
 #include "engine/plan.h"
 #include "interest/measure.h"
 
 namespace dsps::engine {
 
-/// Fluent construction of the common continuous-query shapes, deriving the
-/// query's data interest from its filters automatically:
+/// Fluent construction of a single-stream selection, deriving the query's
+/// data interest from its filter automatically:
 ///
 ///   auto q = QueryBuilder(42)
 ///                .From(ticker, catalog)            // stream + domains
 ///                .Where(0, 10, 20)                 // symbol in [10, 20]
 ///                .Where(1, 50, 100)                // price in [50, 100]
-///                .Aggregate(WindowAggregateOp::Func::kAvg,
-///                           /*window_s=*/10, /*key=*/0, /*value=*/1)
 ///                .Build();
-///
-/// Join queries combine two builders:
-///
-///   auto q = QueryBuilder::Join(43, left_side, right_side,
-///                               /*window_s=*/5, /*lkey=*/0, /*rkey=*/0);
 ///
 /// Build() validates the plan; errors surface as a failed Result rather
 /// than a malformed query.
@@ -37,52 +25,22 @@ class QueryBuilder {
 
   /// Binds the source stream; `catalog` supplies the attribute domains so
   /// unconstrained dimensions default to the full range. Must be called
-  /// before Where/Aggregate/TopK.
+  /// before Where.
   QueryBuilder& From(common::StreamId stream,
                      const interest::StreamCatalog& catalog);
 
   /// Adds the conjunct `lo <= attribute[dim] <= hi` to the selection.
   QueryBuilder& Where(int dim, double lo, double hi);
 
-  /// Appends a tumbling-window aggregate over the selection.
-  QueryBuilder& Aggregate(WindowAggregateOp::Func func, double window_s,
-                          int key_field, int value_field);
-
-  /// Appends a sliding-window aggregate over the selection.
-  QueryBuilder& SlidingAggregate(WindowAggregateOp::Func func,
-                                 double window_s, double slide_s,
-                                 int key_field, int value_field);
-
-  /// Appends a per-window top-k over the selection.
-  QueryBuilder& TopK(double window_s, int k, int key_field, int value_field);
-
-  /// Appends time-windowed duplicate elimination.
-  QueryBuilder& Distinct(double window_s, int key_field);
-
-  /// Finalizes into a Query (filter plus appended operators). Fails if
-  /// From() was never called or the plan fails validation.
+  /// Finalizes into a Query whose plan is one filter over the selection.
+  /// Fails if From() was never called or the selection is empty.
   common::Result<Query> Build();
 
-  /// A windowed equi-join of two single-stream selections: each side's
-  /// filter feeds one join input. Aggregates/TopK requested on the sides
-  /// are rejected (compose them downstream of the join instead).
-  static common::Result<Query> Join(common::QueryId id,
-                                    const QueryBuilder& left,
-                                    const QueryBuilder& right, double window_s,
-                                    int left_key, int right_key);
-
  private:
-  struct Stage {
-    std::unique_ptr<Operator> op;
-  };
-  common::Status BuildFilter(QueryPlan* plan, common::OperatorId* filter_out,
-                             interest::InterestSet* interest) const;
-
   common::QueryId id_;
   common::StreamId stream_ = common::kInvalidStream;
   interest::Box domain_;
   interest::Box selection_;
-  std::vector<Stage> stages_;
   bool has_source_ = false;
 };
 

@@ -125,9 +125,4 @@ void Processor::SetTelemetry(telemetry::MetricsRegistry* metrics,
   utilization_gauge_ = metrics->gauge("processor.utilization", labels);
 }
 
-double Processor::backlog_seconds() const {
-  double now = network_->simulator()->now();
-  return std::max(0.0, busy_until_ - now);
-}
-
 }  // namespace dsps::entity

@@ -63,9 +63,6 @@ class Processor {
   common::Status Submit(common::FragmentId fragment, common::OperatorId op,
                         int port, const engine::Tuple& tuple);
 
-  /// Seconds of queued work ahead of a tuple submitted now.
-  double backlog_seconds() const;
-
   /// Total CPU-seconds consumed so far.
   double busy_seconds() const { return busy_seconds_; }
   int64_t tuples_processed() const { return tuples_processed_; }

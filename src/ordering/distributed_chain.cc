@@ -18,7 +18,7 @@ DistributedChain::DistributedChain(sim::Network* network,
     DSPS_CHECK(site.predicate != nullptr);
     candidates.push_back(Candidate{site.proc, site.op});
     am_.ReportCost(query_, site.op, site.cost);
-    sites_.push_back(SiteState{std::move(site), 0.0, 0.0});
+    sites_.push_back(SiteState{std::move(site), 0.0});
   }
   for (size_t i = 0; i < sites_.size(); ++i) {
     sites_by_node_[sites_[i].site.node].push_back(i);
@@ -114,7 +114,6 @@ void DistributedChain::Evaluate(SiteState* state, Envelope env) {
   sim::Simulator* sim = network_->simulator();
   double start = std::max(sim->now(), state->busy_until);
   state->busy_until = start + state->site.cost;
-  state->cpu_seconds += state->site.cost;
   total_cpu_ += state->site.cost;
   evaluations_ += 1;
   bool passed = state->site.predicate(*env.tuple);
@@ -140,14 +139,6 @@ void DistributedChain::Evaluate(SiteState* state, Envelope env) {
     out.next_op = next->site.op;
     SendTo(*next, std::move(out), from);
   });
-}
-
-double DistributedChain::max_site_cpu_seconds() const {
-  double max_cpu = 0.0;
-  for (const SiteState& state : sites_) {
-    max_cpu = std::max(max_cpu, state.cpu_seconds);
-  }
-  return max_cpu;
 }
 
 }  // namespace dsps::ordering

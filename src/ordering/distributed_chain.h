@@ -70,8 +70,6 @@ class DistributedChain {
   int64_t evaluations() const { return evaluations_; }
   int64_t survivors() const { return survivors_; }
   double total_cpu_seconds() const { return total_cpu_; }
-  /// Busiest site's CPU seconds.
-  double max_site_cpu_seconds() const;
 
   const AdaptationModule& am() const { return am_; }
 
@@ -86,7 +84,6 @@ class DistributedChain {
   struct SiteState {
     FilterSite site;
     double busy_until = 0.0;
-    double cpu_seconds = 0.0;
   };
 
   /// Picks the next hop for a tuple with `done` visited; nullptr if all

@@ -83,13 +83,6 @@ void QueryGraphIndex::RemoveQuery(common::QueryId id) {
   vertices_.erase(it);
 }
 
-void QueryGraphIndex::UpdateLoad(common::QueryId id, double load) {
-  DSPS_CHECK(load >= 0);
-  auto it = vertices_.find(id);
-  if (it == vertices_.end()) return;
-  it->second.load = load;
-}
-
 QueryGraph QueryGraphIndex::Graph() const {
   QueryGraph g;
   std::map<common::QueryId, int> rank;

@@ -20,8 +20,8 @@ namespace dsps::partition {
 /// handful of queries. This index keeps per-stream interest::BoxIndex
 /// structures over the live queries and applies graph *deltas*: AddQuery
 /// measures the new query only against the queries whose boxes genuinely
-/// overlap its own, RemoveQuery drops the vertex and its incident edges,
-/// UpdateLoad touches one vertex weight.
+/// overlap its own, and RemoveQuery drops the vertex and its incident
+/// edges.
 ///
 /// Graph() materializes a QueryGraph that is identical — vertex order,
 /// adjacency order, weights — to QueryGraph::Build over the live queries
@@ -46,10 +46,6 @@ class QueryGraphIndex {
   /// Removes the query, its edges, and its spatial registrations. No-op
   /// for unknown ids.
   void RemoveQuery(common::QueryId id);
-
-  /// Replaces the query's vertex load weight (edges are untouched — load
-  /// does not enter edge weights). No-op for unknown ids.
-  void UpdateLoad(common::QueryId id, double load);
 
   bool Contains(common::QueryId id) const { return vertices_.count(id) > 0; }
   size_t size() const { return vertices_.size(); }

@@ -243,18 +243,6 @@ common::Status Network::Send(Message msg) {
       messages_counter_->Increment();
       bytes_counter_->Increment(msg.size_bytes);
       queue_wait_hist_->Observe(start - sim_->now());
-      if (per_link_metrics_) {
-        if (link.bytes_counter == nullptr) {
-          telemetry::Labels labels = telemetry::MakeLabels(
-              {{"from", std::to_string(msg.from)},
-               {"to", std::to_string(msg.to)}});
-          link.bytes_counter = metrics_->counter("net.link.bytes", labels);
-          link.messages_counter =
-              metrics_->counter("net.link.messages", std::move(labels));
-        }
-        link.bytes_counter->Increment(msg.size_bytes);
-        link.messages_counter->Increment();
-      }
     }
   }
   if (trace_ != nullptr && msg.trace_id != 0) {
@@ -304,13 +292,8 @@ std::vector<Network::LinkRecord> Network::AllLinkStats() const {
   return out;
 }
 
-void Network::SetMetrics(telemetry::MetricsRegistry* metrics, bool per_link) {
+void Network::SetMetrics(telemetry::MetricsRegistry* metrics) {
   metrics_ = metrics;
-  per_link_metrics_ = per_link && metrics != nullptr;
-  for (LinkState& link : links_) {
-    link.bytes_counter = nullptr;
-    link.messages_counter = nullptr;
-  }
   if (metrics == nullptr) {
     messages_counter_ = nullptr;
     bytes_counter_ = nullptr;
@@ -328,13 +311,6 @@ void Network::SetMetrics(telemetry::MetricsRegistry* metrics, bool per_link) {
   // fault-free snapshots stay byte-identical to the pre-fault-layer ones.
   dropped_fault_counter_ = nullptr;
   dropped_no_handler_counter_ = nullptr;
-}
-
-void Network::ResetStats() {
-  total_bytes_ = 0;
-  total_messages_ = 0;
-  for (auto& node : nodes_) node.egress_bytes = 0;
-  for (LinkState& link : links_) link.stats = LinkStats{};
 }
 
 }  // namespace dsps::sim

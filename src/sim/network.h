@@ -146,16 +146,11 @@ class Network {
   /// Total bytes sent from `node` on non-local links.
   int64_t egress_bytes(common::SimNodeId node) const;
 
-  /// Resets all transfer statistics (link state/busy times are kept).
-  void ResetStats();
-
   /// Attaches a metrics registry (nullptr detaches — the default; all
   /// instrumentation is skipped). Registers aggregate counters
   /// (net.messages, net.bytes, net.local_messages) and the link queueing
-  /// histogram net.link_queue_wait_s. With `per_link` set, each directed link
-  /// additionally gets net.link.bytes / net.link.messages counters labeled
-  /// {from,to} — higher cardinality, intended for focused experiments.
-  void SetMetrics(telemetry::MetricsRegistry* metrics, bool per_link = false);
+  /// histogram net.link_queue_wait_s. Per-link totals are AllLinkStats().
+  void SetMetrics(telemetry::MetricsRegistry* metrics);
 
   /// Attaches a trace log (nullptr detaches). Every message with a
   /// nonzero trace_id records one span from send to delivery, staged via
@@ -190,9 +185,6 @@ class Network {
     LinkParams params;
     LinkStats stats;
     double busy_until = 0.0;
-    /// Cached per-link metric handles (only when per-link metrics are on).
-    telemetry::Counter* bytes_counter = nullptr;
-    telemetry::Counter* messages_counter = nullptr;
   };
 
   /// A directed link's key: (from, to) packed into 64 bits.
@@ -255,7 +247,6 @@ class Network {
   /// Telemetry (all optional; null = zero-cost disabled state).
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::TraceLog* trace_ = nullptr;
-  bool per_link_metrics_ = false;
   telemetry::Counter* messages_counter_ = nullptr;
   telemetry::Counter* bytes_counter_ = nullptr;
   telemetry::Counter* local_messages_counter_ = nullptr;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -323,15 +322,6 @@ std::string Auditor::ReportJson() const {
   w.EndArray();
   w.EndObject();
   return w.TakeString();
-}
-
-common::Status Auditor::WriteReport(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return common::Status::InvalidArgument("cannot open " + path);
-  os << ReportJson() << '\n';
-  os.flush();
-  if (!os) return common::Status::Internal("write failed for " + path);
-  return common::Status::OK();
 }
 
 double AuditIntervalFromEnv() {

@@ -110,7 +110,6 @@ class Auditor {
   ///   {"report": "audit", "sweeps": N, "violations": M,
   ///    "checks": [{"name", "runs", "violations", "last_detail"}, ...]}
   std::string ReportJson() const;
-  common::Status WriteReport(const std::string& path) const;
 
  private:
   common::Status CheckCoordinator() const;

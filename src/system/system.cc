@@ -58,7 +58,7 @@ System::System(const Config& config)
   // learns which message types map to which pipeline stage so in-flight
   // spans are recorded without the lower layers knowing the stage enums.
   if (config.metrics != nullptr) {
-    network_->SetMetrics(config.metrics, config.per_link_metrics);
+    network_->SetMetrics(config.metrics);
     results_counter_ = config.metrics->counter("system.results");
     query_migrations_counter_ =
         config.metrics->counter("system.query_migrations");

@@ -148,9 +148,6 @@ class System {
     /// violation or failed fatal check. Read-only with respect to the
     /// simulation. Must outlive the System.
     telemetry::FlightRecorder* flight = nullptr;
-    /// Also export per-directed-link net.link.* counters (high
-    /// cardinality; off by default even when `metrics` is set).
-    bool per_link_metrics = false;
     /// Deterministic fault injection. When set the System owns a
     /// sim::FaultInjector (seeded from `faults.seed`) attached to its
     /// network; fault_injector() exposes it for scenario scripting
@@ -457,9 +454,9 @@ class System {
   /// full sweep every `period_s` simulated seconds until `until`. The
   /// sweeps are read-only observers — enabling them cannot change a
   /// simulation's results. Returns the auditor (owned by the System) so
-  /// callers can read violation counts and write the JSON report;
-  /// repeated calls reuse the existing auditor. `fatal` aborts on the
-  /// first violation (defaults on in debug builds).
+  /// callers can read its violation counts and its JSON report
+  /// (`ReportJson`); repeated calls reuse the existing auditor. `fatal`
+  /// aborts on the first violation (defaults on in debug builds).
   Auditor* EnableAudit(double period_s, double until,
                        bool fatal = Auditor::Config().fatal);
 

@@ -130,18 +130,6 @@ JsonWriter& JsonWriter::Number(double value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Bool(bool value) {
-  MaybeComma();
-  out_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  MaybeComma();
-  out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   MaybeComma();
   out_ += json;

@@ -41,8 +41,6 @@ class JsonWriter {
   JsonWriter& String(std::string_view value);
   JsonWriter& Int(int64_t value);
   JsonWriter& Number(double value);
-  JsonWriter& Bool(bool value);
-  JsonWriter& Null();
   /// Embeds `json` verbatim as one value (must itself be valid JSON).
   JsonWriter& Raw(std::string_view json);
 

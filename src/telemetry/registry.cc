@@ -94,18 +94,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  for (const auto& [key, metric] : other.counters_) {
-    counter(key.first, key.second)->Increment(metric->value());
-  }
-  for (const auto& [key, metric] : other.gauges_) {
-    gauge(key.first, key.second)->Set(metric->value());
-  }
-  for (const auto& [key, metric] : other.histograms_) {
-    histogram(key.first, key.second)->MergeSketch(*metric->sketch());
-  }
-}
-
 const MetricSample* MetricsSnapshot::Find(std::string_view name,
                                           const Labels& labels) const {
   for (const MetricSample& s : samples) {

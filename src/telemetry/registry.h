@@ -129,10 +129,6 @@ class MetricsRegistry {
   /// Deterministic export of every series.
   MetricsSnapshot Snapshot() const;
 
-  /// Folds another registry in: counters add, gauges take the other's
-  /// value, histograms merge their sketches.
-  void MergeFrom(const MetricsRegistry& other);
-
  private:
   using Key = std::pair<std::string, Labels>;
 

@@ -83,10 +83,4 @@ void TimeSeriesRecorder::AppendJson(JsonWriter* w,
   w->EndObject();
 }
 
-std::string TimeSeriesRecorder::ToJson(const Labels& extra_labels) const {
-  JsonWriter w;
-  AppendJson(&w, extra_labels);
-  return w.TakeString();
-}
-
 }  // namespace dsps::telemetry

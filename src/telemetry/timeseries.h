@@ -81,9 +81,6 @@ class TimeSeriesRecorder {
   /// `extra_labels` annotate the whole block (e.g. the bench scenario).
   void AppendJson(JsonWriter* w, const Labels& extra_labels = {}) const;
 
-  /// Standalone JSON for tests/tools.
-  std::string ToJson(const Labels& extra_labels = {}) const;
-
  private:
   struct Series {
     std::string name;

@@ -87,14 +87,4 @@ void TraceLog::RecordInstant(std::string_view name, double t, int32_t node,
   instants_.push_back(Instant{std::string(name), t, node, value});
 }
 
-void TraceLog::Clear() {
-  spans_.clear();
-  instants_.clear();
-  stage_sketches_.clear();
-  publications_ = 0;
-  next_trace_ = 1;
-  dropped_ = 0;
-  dropped_instants_ = 0;
-}
-
 }  // namespace dsps::telemetry

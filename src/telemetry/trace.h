@@ -162,9 +162,6 @@ class TraceLog {
   int64_t dropped_spans() const { return dropped_; }
   int64_t dropped_instants() const { return dropped_instants_; }
 
-  /// Forgets all spans and resets the sampling phase (mapping kept).
-  void Clear();
-
  private:
   Config config_;
   std::vector<Span> spans_;

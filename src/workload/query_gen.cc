@@ -16,6 +16,13 @@ using engine::WindowJoinOp;
 using interest::Box;
 using interest::Interval;
 
+namespace {
+/// Jitter of a hotspot-drawn interest center, as a fraction of the domain.
+constexpr double kHotspotStddevFrac = 0.05;
+/// Multiplicative load noise: exp(Gaussian(0, kLoadNoiseSigma)).
+constexpr double kLoadNoiseSigma = 0.4;
+}  // namespace
+
 QueryGen::QueryGen(const Config& config,
                    const interest::StreamCatalog* catalog, common::Rng rng)
     : config_(config), catalog_(catalog), rng_(rng) {
@@ -51,7 +58,7 @@ Box QueryGen::DrawInterestBox(common::StreamId stream) {
         hotspots_[stream_idx].size())];
     for (size_t d = 0; d < dims; ++d) {
       center[d] = std::clamp(
-          spot[d] + rng_.Gaussian(0.0, config_.hotspot_stddev_frac), 0.0, 1.0);
+          spot[d] + rng_.Gaussian(0.0, kHotspotStddevFrac), 0.0, 1.0);
     }
   } else {
     for (double& c : center) c = rng_.NextDouble();
@@ -127,7 +134,7 @@ Query QueryGen::Next() {
     arrival_tps += stats.tuples_per_s *
                    interest::CoverageFraction(q.interest, s, stats.domain);
   }
-  double noise = std::exp(rng_.Gaussian(0.0, config_.load_noise_sigma));
+  double noise = std::exp(rng_.Gaussian(0.0, kLoadNoiseSigma));
   q.load = std::max(1e-9, arrival_tps * plan->EstimateInherentCostPerTuple() *
                               noise * 1e3);
   q.plan = std::move(plan);

@@ -40,11 +40,8 @@ class QueryGen {
     /// Interest locality.
     int num_hotspots = 5;
     double hotspot_prob = 0.7;
-    double hotspot_stddev_frac = 0.05;
     /// Which stream(s) a query reads: Zipf over the catalog.
     double stream_zipf_s = 0.8;
-    /// Multiplicative load noise: exp(Gaussian(0, sigma)).
-    double load_noise_sigma = 0.4;
     /// Query stream rate (queries per second of simulated time).
     double queries_per_s = 1.0;
     /// Dimensions the filter constrains (first k numeric dims).

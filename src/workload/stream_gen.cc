@@ -21,19 +21,16 @@ StockTickerGen::StockTickerGen(const Config& config, common::Rng rng)
                       Field{"price", ValueType::kDouble},
                       Field{"volume", ValueType::kDouble}})) {
   DSPS_CHECK(config.num_symbols > 0);
-  DSPS_CHECK(config.price_max > config.price_min);
   prices_.resize(config.num_symbols);
-  for (double& p : prices_) {
-    p = rng_.Uniform(config.price_min, config.price_max);
-  }
+  for (double& p : prices_) p = rng_.Uniform(kPriceMin, kPriceMax);
 }
 
 interest::StreamStats StockTickerGen::stats() const {
   interest::StreamStats s;
   s.domain = interest::Box{
       {0.0, static_cast<double>(config_.num_symbols - 1)},
-      {config_.price_min, config_.price_max},
-      {0.0, config_.mean_volume * 20.0}};
+      {kPriceMin, kPriceMax},
+      {0.0, kMeanVolume * 20.0}};
   s.tuples_per_s = config_.tuples_per_s;
   // symbol + price + volume + header.
   s.bytes_per_tuple = 12 + 3 * 8;
@@ -44,9 +41,9 @@ Tuple StockTickerGen::Next(double timestamp) {
   int64_t symbol = static_cast<int64_t>(
       rng_.Zipf(static_cast<uint64_t>(config_.num_symbols), config_.zipf_s));
   double& price = prices_[symbol];
-  price += rng_.Uniform(-config_.walk_step, config_.walk_step);
-  price = std::clamp(price, config_.price_min, config_.price_max);
-  double volume = rng_.Exponential(1.0 / config_.mean_volume);
+  price += rng_.Uniform(-kWalkStep, kWalkStep);
+  price = std::clamp(price, kPriceMin, kPriceMax);
+  double volume = rng_.Exponential(1.0 / kMeanVolume);
   Tuple t;
   t.stream = config_.stream;
   t.timestamp = timestamp;
@@ -70,7 +67,7 @@ interest::StreamStats NetMonGen::stats() const {
   s.domain = interest::Box{
       {0.0, static_cast<double>(config_.num_hosts - 1)},
       {0.0, static_cast<double>(config_.num_hosts - 1)},
-      {0.0, config_.max_flow_bytes}};
+      {0.0, kMaxFlowBytes}};
   s.tuples_per_s = config_.tuples_per_s;
   s.bytes_per_tuple = 12 + 3 * 8;
   return s;
@@ -80,8 +77,8 @@ Tuple NetMonGen::Next(double timestamp) {
   uint64_t n = static_cast<uint64_t>(config_.num_hosts);
   int64_t src = static_cast<int64_t>(rng_.Zipf(n, config_.zipf_s));
   int64_t dst = static_cast<int64_t>(rng_.Zipf(n, config_.zipf_s));
-  double bytes = std::min(rng_.Exponential(1.0 / config_.mean_flow_bytes),
-                          config_.max_flow_bytes);
+  double bytes =
+      std::min(rng_.Exponential(1.0 / kMeanFlowBytes), kMaxFlowBytes);
   Tuple t;
   t.stream = config_.stream;
   t.timestamp = timestamp;

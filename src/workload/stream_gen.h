@@ -33,17 +33,20 @@ class StreamGen {
 
 /// Stock ticker: (symbol:int64, price:double, volume:double). Symbols are
 /// Zipf-distributed (hot symbols trade more); each symbol's price follows
-/// a bounded random walk; volume is exponential.
+/// a random walk bounded to [kPriceMin, kPriceMax]; volume is exponential.
 class StockTickerGen : public StreamGen {
  public:
+  static constexpr double kPriceMin = 0.0;
+  static constexpr double kPriceMax = 100.0;
+  static_assert(kPriceMax > kPriceMin);
+  /// A price moves by at most this much per tuple.
+  static constexpr double kWalkStep = 0.5;
+  static constexpr double kMeanVolume = 1000.0;
+
   struct Config {
     common::StreamId stream = 0;
     int num_symbols = 100;
     double zipf_s = 1.0;
-    double price_min = 0.0;
-    double price_max = 100.0;
-    double walk_step = 0.5;
-    double mean_volume = 1000.0;
     double tuples_per_s = 100.0;
   };
 
@@ -62,15 +65,17 @@ class StockTickerGen : public StreamGen {
 };
 
 /// Network monitoring: (src_host:int64, dst_host:int64, bytes:double).
-/// Hosts are Zipf-distributed; flow sizes are exponential.
+/// Hosts are Zipf-distributed; flow sizes are exponential, capped at
+/// kMaxFlowBytes.
 class NetMonGen : public StreamGen {
  public:
+  static constexpr double kMeanFlowBytes = 4096.0;
+  static constexpr double kMaxFlowBytes = 1e6;
+
   struct Config {
     common::StreamId stream = 0;
     int num_hosts = 256;
     double zipf_s = 0.8;
-    double mean_flow_bytes = 4096.0;
-    double max_flow_bytes = 1e6;
     double tuples_per_s = 200.0;
   };
 

@@ -252,16 +252,6 @@ TEST(HistogramTest, SampleCapCountsOverflowInRelease) {
   // Percentiles still answer over the retained prefix.
   EXPECT_DOUBLE_EQ(h.Percentile(1.0), 3.0);
 }
-
-TEST(HistogramTest, MergePastCapCountsOverflow) {
-  Histogram src;
-  for (int i = 0; i < 10; ++i) src.Add(static_cast<double>(i));
-  Histogram dst;
-  dst.set_sample_cap(6);
-  dst.Merge(src);
-  EXPECT_EQ(dst.count(), 6u);
-  EXPECT_EQ(dst.overflow(), 4);
-}
 #else
 TEST(HistogramDeathTest, SampleCapIsFatalInDebug) {
   // An uncapped accumulation site is a bug in debug builds: the fix is a

@@ -151,8 +151,6 @@ TEST(CoordinatorTreeTest, RouteBalancesLoad) {
   }
   EXPECT_GT(min_load, 0.0);
   EXPECT_LT(max_load, 8.0 * (480.0 / n));
-  tree.ResetLoad();
-  EXPECT_DOUBLE_EQ(tree.LoadOf(0), 0.0);
 }
 
 TEST(CoordinatorTreeTest, GeoWeightSteersRouting) {

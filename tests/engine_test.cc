@@ -90,17 +90,6 @@ TEST(FilterOpTest, MultiDimensional) {
   EXPECT_EQ(out.size(), 1u);
 }
 
-TEST(MapOpTest, ProjectsAndScales) {
-  MapOp m({1, 0}, 2.0);
-  std::vector<Tuple> out;
-  m.Process(0, MakeTuple(3, 1.5, {10.0, 20.0}), &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].stream, 3);
-  EXPECT_DOUBLE_EQ(out[0].timestamp, 1.5);
-  EXPECT_DOUBLE_EQ(AsDouble(out[0].values[0]), 40.0);
-  EXPECT_DOUBLE_EQ(AsDouble(out[0].values[1]), 20.0);
-}
-
 TEST(WindowJoinOpTest, JoinsMatchingKeysWithinWindow) {
   WindowJoinOp j(10.0, 0, 0);
   std::vector<Tuple> out;
@@ -181,25 +170,6 @@ TEST(WindowAggregateOpTest, SumAvgMinMax) {
   }
 }
 
-TEST(UnionOpTest, PassThroughAnyPort) {
-  UnionOp u(3);
-  EXPECT_EQ(u.num_inputs(), 3);
-  std::vector<Tuple> out;
-  u.Process(0, MakeTuple(0, 0, {1}), &out);
-  u.Process(2, MakeTuple(1, 0, {2}), &out);
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(PredicateFilterOpTest, AppliesPredicate) {
-  PredicateFilterOp f(
-      [](const Tuple& t) { return AsDouble(t.values[0]) > 5; }, "GtFive");
-  std::vector<Tuple> out;
-  f.Process(0, MakeTuple(0, 0, {6}), &out);
-  f.Process(0, MakeTuple(0, 0, {4}), &out);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_STREQ(f.name(), "GtFive");
-}
-
 TEST(OperatorTest, CloneResetsStateKeepsModel) {
   WindowJoinOp j(10.0, 0, 0);
   j.set_cost_per_tuple(3e-6);
@@ -216,12 +186,24 @@ TEST(OperatorTest, CloneResetsStateKeepsModel) {
 
 // -------------------------------------------------------------------- Plan
 
+/// A one-input stage that passes every tuple: a filter over the full
+/// domain of field 0.
+std::unique_ptr<Operator> PassAll() {
+  return std::make_unique<FilterOp>(std::vector<int>{0},
+                                    interest::Box{interest::Interval::All()});
+}
+
+/// A two-input stage: a windowed equi-join on field 0.
+std::unique_ptr<Operator> Join() {
+  return std::make_unique<WindowJoinOp>(10.0, 0, 0);
+}
+
 std::shared_ptr<QueryPlan> MakeLinearPlan() {
-  // stream0 -> Filter[0,50] -> Map(keep 0,1) -> sink
+  // stream0 -> Filter[0,50] -> PassAll -> sink
   auto plan = std::make_shared<QueryPlan>();
   auto f = plan->AddOperator(
       std::make_unique<FilterOp>(std::vector<int>{0}, interest::Box{{0, 50}}));
-  auto m = plan->AddOperator(std::make_unique<MapOp>(std::vector<int>{0, 1}));
+  auto m = plan->AddOperator(PassAll());
   EXPECT_TRUE(plan->Connect(f, m, 0).ok());
   EXPECT_TRUE(plan->BindStream(0, f, 0).ok());
   return plan;
@@ -235,13 +217,13 @@ TEST(QueryPlanTest, ValidatesGoodPlan) {
 
 TEST(QueryPlanTest, RejectsUnfedPort) {
   QueryPlan plan;
-  plan.AddOperator(std::make_unique<UnionOp>(2));
+  plan.AddOperator(Join());
   EXPECT_FALSE(plan.Validate().ok());
 }
 
 TEST(QueryPlanTest, RejectsDoubleFeed) {
   QueryPlan plan;
-  auto a = plan.AddOperator(std::make_unique<UnionOp>(1));
+  auto a = plan.AddOperator(PassAll());
   ASSERT_TRUE(plan.BindStream(0, a, 0).ok());
   ASSERT_TRUE(plan.BindStream(1, a, 0).ok());
   EXPECT_FALSE(plan.Validate().ok());
@@ -249,8 +231,8 @@ TEST(QueryPlanTest, RejectsDoubleFeed) {
 
 TEST(QueryPlanTest, RejectsCycle) {
   QueryPlan plan;
-  auto a = plan.AddOperator(std::make_unique<UnionOp>(2));
-  auto b = plan.AddOperator(std::make_unique<UnionOp>(1));
+  auto a = plan.AddOperator(Join());
+  auto b = plan.AddOperator(PassAll());
   ASSERT_TRUE(plan.Connect(a, b, 0).ok());
   ASSERT_TRUE(plan.Connect(b, a, 0).ok());
   ASSERT_TRUE(plan.BindStream(0, a, 1).ok());
@@ -260,7 +242,7 @@ TEST(QueryPlanTest, RejectsCycle) {
 
 TEST(QueryPlanTest, ConnectValidatesIds) {
   QueryPlan plan;
-  auto a = plan.AddOperator(std::make_unique<UnionOp>(1));
+  auto a = plan.AddOperator(PassAll());
   EXPECT_FALSE(plan.Connect(a, 99, 0).ok());
   EXPECT_FALSE(plan.Connect(a, a, 5).ok());
   EXPECT_FALSE(plan.BindStream(0, 99, 0).ok());
@@ -271,9 +253,9 @@ TEST(QueryPlanTest, ConnectValidatesIds) {
 
 TEST(QueryPlanTest, TopologicalOrderRespectsEdges) {
   QueryPlan plan;
-  auto a = plan.AddOperator(std::make_unique<UnionOp>(1));
-  auto b = plan.AddOperator(std::make_unique<UnionOp>(1));
-  auto c = plan.AddOperator(std::make_unique<UnionOp>(2));
+  auto a = plan.AddOperator(PassAll());
+  auto b = plan.AddOperator(PassAll());
+  auto c = plan.AddOperator(Join());
   ASSERT_TRUE(plan.Connect(a, c, 0).ok());
   ASSERT_TRUE(plan.Connect(b, c, 1).ok());
   ASSERT_TRUE(plan.BindStream(0, a, 0).ok());
@@ -303,7 +285,7 @@ TEST(QueryPlanTest, InherentCostPropagatesSelectivity) {
       std::make_unique<FilterOp>(std::vector<int>{0}, interest::Box{{0, 1}}));
   plan.mutable_op(f)->set_cost_per_tuple(1e-6);
   plan.mutable_op(f)->set_estimated_selectivity(0.5);
-  auto m = plan.AddOperator(std::make_unique<MapOp>(std::vector<int>{0}));
+  auto m = plan.AddOperator(PassAll());
   plan.mutable_op(m)->set_cost_per_tuple(2e-6);
   ASSERT_TRUE(plan.Connect(f, m, 0).ok());
   ASSERT_TRUE(plan.BindStream(0, f, 0).ok());
@@ -340,7 +322,7 @@ TEST(FragmentTest, SplitFragmentsExposeRemoteEdges) {
   auto plan = MakeLinearPlan();
   auto f0 = std::move(FragmentInstance::Create(*plan, 1, 10, {0}).value());
   auto f1 = std::move(FragmentInstance::Create(*plan, 1, 11, {1}).value());
-  // Filter's edge to Map is remote for f0.
+  // The first filter's edge to the second is remote for f0.
   ASSERT_EQ(f0->RemoteEdges(0).size(), 1u);
   EXPECT_EQ(f0->RemoteEdges(0)[0].to, 1);
   std::vector<FragmentInstance::Output> out;
@@ -367,7 +349,7 @@ TEST(FragmentTest, InjectUnknownOpFails) {
       std::make_unique<FilterOp>(std::vector<int>{0}, interest::Box{{0, 50}}));
   ASSERT_TRUE(chain.BindStream(0, prev, 0).ok());
   for (int i = 1; i < 5; ++i) {
-    auto next = chain.AddOperator(std::make_unique<MapOp>(std::vector<int>{0, 1}));
+    auto next = chain.AddOperator(PassAll());
     ASSERT_TRUE(chain.Connect(prev, next, 0).ok());
     prev = next;
   }

@@ -18,7 +18,6 @@ namespace dsps::entity {
 namespace {
 
 using engine::FilterOp;
-using engine::MapOp;
 using engine::Query;
 using engine::QueryPlan;
 using engine::WindowJoinOp;
@@ -41,15 +40,24 @@ Query FilterQuery(common::QueryId id, double lo, double hi,
   return q;
 }
 
-Query PipelineQuery(common::QueryId id, int n_maps) {
+/// A stage that passes every tuple on: a filter over the full domain of
+/// field 0, costed like a cheap per-tuple transform.
+std::unique_ptr<engine::Operator> PassAll() {
+  auto op = std::make_unique<FilterOp>(
+      std::vector<int>{0}, interest::Box{interest::Interval::All()});
+  op->set_cost_per_tuple(5e-7);
+  return op;
+}
+
+Query PipelineQuery(common::QueryId id, int n_stages) {
   Query q;
   q.id = id;
   auto plan = std::make_shared<QueryPlan>();
   common::OperatorId prev = plan->AddOperator(std::make_unique<FilterOp>(
       std::vector<int>{0}, interest::Box{{0, 100}}));
   EXPECT_TRUE(plan->BindStream(0, prev, 0).ok());
-  for (int i = 0; i < n_maps; ++i) {
-    auto id2 = plan->AddOperator(std::make_unique<MapOp>(std::vector<int>{0, 1}));
+  for (int i = 0; i < n_stages; ++i) {
+    auto id2 = plan->AddOperator(PassAll());
     EXPECT_TRUE(plan->Connect(prev, id2, 0).ok());
     prev = id2;
   }
@@ -296,9 +304,9 @@ using ResultLog = std::map<common::QueryId, std::vector<std::vector<double>>>;
 
 /// One query of the churn script: `kind` 0 = band filter with interest
 /// (indexed on stream 0), 1 = the same filter without interest boxes
-/// (always delivered), 2 = band filter -> three maps (several fragments),
-/// 3 = band filter on stream 1 (not in the catalog: always delivered),
-/// 4 = windowed join of a stream-0 band with stream 1.
+/// (always delivered), 2 = band filter -> three pass-all stages (several
+/// fragments), 3 = band filter on stream 1 (not in the catalog: always
+/// delivered), 4 = windowed join of a stream-0 band with stream 1.
 Query ChurnQuery(common::QueryId id, int kind, double lo, double hi) {
   const interest::Box band{{lo, hi}, {0, 100}};
   Query q;
@@ -310,7 +318,7 @@ Query ChurnQuery(common::QueryId id, int kind, double lo, double hi) {
   EXPECT_TRUE(plan->BindStream(stream, f, 0).ok());
   if (kind == 2) {
     for (int i = 0; i < 3; ++i) {
-      auto m = plan->AddOperator(std::make_unique<MapOp>(std::vector<int>{0, 1}));
+      auto m = plan->AddOperator(PassAll());
       EXPECT_TRUE(plan->Connect(f, m, 0).ok());
       f = m;
     }

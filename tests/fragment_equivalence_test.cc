@@ -73,25 +73,27 @@ std::vector<std::vector<double>> RunFragmented(
   return results;
 }
 
-/// Random chain plan: Filter -> k x {Map | Distinct | Agg-free ops}.
+/// Random chain plan: Filter -> `length` x {Filter | WindowAggregate}, with
+/// at least one WindowAggregate, so fragment cuts fall around a stateful
+/// windowed operator. Each aggregate folds field 1 into one global group
+/// (key -1), so every stage emits at most one tuple per input and the
+/// result order does not depend on how fragments interleave their work.
 std::unique_ptr<QueryPlan> RandomChain(common::Rng* rng, int length) {
   auto plan = std::make_unique<QueryPlan>();
   common::OperatorId prev = plan->AddOperator(std::make_unique<FilterOp>(
       std::vector<int>{0}, interest::Box{{0.0, rng->Uniform(40, 90)}}));
   if (!plan->BindStream(0, prev, 0).ok()) std::abort();
+  const int aggregate_at = static_cast<int>(rng->NextUint64(length));
   for (int i = 0; i < length; ++i) {
     std::unique_ptr<Operator> op;
-    switch (rng->NextUint64(3)) {
-      case 0:
-        op = std::make_unique<MapOp>(std::vector<int>{0, 1}, 1.0);
-        break;
-      case 1:
-        op = std::make_unique<DistinctOp>(5.0 + rng->Uniform(0, 10), 0);
-        break;
-      default:
-        op = std::make_unique<FilterOp>(
-            std::vector<int>{0}, interest::Box{{0.0, rng->Uniform(20, 80)}});
-        break;
+    if (i == aggregate_at || rng->Bernoulli(0.5)) {
+      op = std::make_unique<WindowAggregateOp>(
+          rng->Uniform(0.5, 2.0),
+          static_cast<WindowAggregateOp::Func>(rng->NextUint64(5)),
+          /*key_field=*/-1, /*value_field=*/1);
+    } else {
+      op = std::make_unique<FilterOp>(
+          std::vector<int>{0}, interest::Box{{0.0, rng->Uniform(20, 80)}});
     }
     common::OperatorId next = plan->AddOperator(std::move(op));
     if (!plan->Connect(prev, next, 0).ok()) std::abort();
@@ -134,6 +136,7 @@ TEST_P(FragmentEquivalence, AnyFragmentationMatchesWholePlan) {
   std::vector<common::OperatorId> all(n);
   for (int i = 0; i < n; ++i) all[i] = i;
   auto reference = RunFragmented(*plan, {all}, input, 0);
+  ASSERT_FALSE(reference.empty());
   // Several random fragmentations must match exactly.
   for (int trial = 0; trial < 5; ++trial) {
     auto groups = RandomGrouping(&rng, n);

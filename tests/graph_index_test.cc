@@ -113,22 +113,6 @@ TEST(QueryGraphIndexTest, ChurnWithReAddMatchesRebuild) {
   }
 }
 
-TEST(QueryGraphIndexTest, UpdateLoadMatchesRebuild) {
-  interest::StreamCatalog catalog;
-  std::vector<engine::Query> queries = MakeQueries(&catalog, 40, 5);
-  QueryGraphIndex index(&catalog);
-  for (const engine::Query& q : queries) index.AddQuery(q);
-  common::Rng rng(23);
-  for (engine::Query& q : queries) {
-    if (rng.Bernoulli(0.5)) {
-      q.load = rng.Uniform(0.1, 5.0);
-      index.UpdateLoad(q.id, q.load);
-    }
-  }
-  QueryGraph built = QueryGraph::Build(queries, catalog);
-  ExpectIdentical(built, index.Graph(), &rng);
-}
-
 TEST(QueryGraphIndexTest, ReAddReplacesAndUnknownOpsAreNoOps) {
   interest::StreamCatalog catalog;
   std::vector<engine::Query> queries = MakeQueries(&catalog, 20, 9);
@@ -137,8 +121,7 @@ TEST(QueryGraphIndexTest, ReAddReplacesAndUnknownOpsAreNoOps) {
   // Re-adding an id replaces it (no duplicate vertices or edges).
   index.AddQuery(queries[4]);
   EXPECT_EQ(index.size(), queries.size());
-  index.RemoveQuery(999999);       // unknown: no-op
-  index.UpdateLoad(999999, 2.0);   // unknown: no-op
+  index.RemoveQuery(999999);  // unknown: no-op
   EXPECT_EQ(index.size(), queries.size());
   QueryGraph built = QueryGraph::Build(queries, catalog);
   common::Rng rng(31);

@@ -13,16 +13,22 @@ namespace dsps::placement {
 namespace {
 
 using engine::FilterOp;
-using engine::MapOp;
 using engine::QueryPlan;
 using engine::WindowAggregateOp;
 using engine::WindowJoinOp;
+
+/// A stage that passes every tuple on: a filter over the full domain of
+/// field 0.
+std::unique_ptr<FilterOp> PassAll() {
+  return std::make_unique<FilterOp>(
+      std::vector<int>{0}, interest::Box{interest::Interval::All()});
+}
 
 std::unique_ptr<QueryPlan> ChainPlan(int n_ops) {
   auto plan = std::make_unique<QueryPlan>();
   common::OperatorId prev = -1;
   for (int i = 0; i < n_ops; ++i) {
-    auto op = std::make_unique<MapOp>(std::vector<int>{0, 1});
+    auto op = PassAll();
     op->set_cost_per_tuple(1e-6);
     common::OperatorId id = plan->AddOperator(std::move(op));
     if (i == 0) {
@@ -82,13 +88,13 @@ TEST(FragmenterTest, NeverMoreFragmentsThanOps) {
 }
 
 TEST(FragmenterTest, InputRateAccountsSelectivity) {
-  // Filter (sel 0.1) then map: the second fragment's input rate must be
-  // the filtered rate.
+  // Filter (sel 0.1) then a second stage: the second fragment's input
+  // rate must be the filtered rate.
   auto plan = std::make_unique<QueryPlan>();
   auto f = plan->AddOperator(
       std::make_unique<FilterOp>(std::vector<int>{0}, interest::Box{{0, 10}}));
   plan->mutable_op(f)->set_estimated_selectivity(0.1);
-  auto m = plan->AddOperator(std::make_unique<MapOp>(std::vector<int>{0}));
+  auto m = plan->AddOperator(PassAll());
   ASSERT_TRUE(plan->Connect(f, m, 0).ok());
   ASSERT_TRUE(plan->BindStream(0, f, 0).ok());
   common::FragmentId next_id = 1;

@@ -60,53 +60,6 @@ TEST_F(QueryBuilderTest, NoSourceRejected) {
   EXPECT_FALSE(q.ok());
 }
 
-TEST_F(QueryBuilderTest, AggregatePipeline) {
-  auto q = QueryBuilder(2)
-               .From(0, catalog_)
-               .Where(0, 0, 10)
-               .Aggregate(WindowAggregateOp::Func::kAvg, 10.0, 0, 1)
-               .Build();
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().plan->num_operators(), 2);
-  EXPECT_STREQ(q.value().plan->op(1).name(), "WindowAggregate");
-}
-
-TEST_F(QueryBuilderTest, FullPipelineShapes) {
-  auto q = QueryBuilder(3)
-               .From(1, catalog_)
-               .Where(1, 10, 90)
-               .Distinct(5.0, 0)
-               .SlidingAggregate(WindowAggregateOp::Func::kSum, 10.0, 5.0, 0, 1)
-               .TopK(20.0, 3, 0, 1)
-               .Build();
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().plan->num_operators(), 4);
-  EXPECT_TRUE(q.value().plan->Validate().ok());
-  EXPECT_EQ(q.value().plan->SinkOps().size(), 1u);
-}
-
-TEST_F(QueryBuilderTest, JoinComposesTwoSelections) {
-  QueryBuilder lhs(0), rhs(0);
-  lhs.From(0, catalog_).Where(1, 0, 50);
-  rhs.From(1, catalog_).Where(1, 50, 100);
-  auto q = QueryBuilder::Join(7, lhs, rhs, 5.0, 0, 0);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().id, 7);
-  EXPECT_EQ(q.value().plan->num_operators(), 3);
-  EXPECT_TRUE(q.value().interest.InterestedIn(0));
-  EXPECT_TRUE(q.value().interest.InterestedIn(1));
-}
-
-TEST_F(QueryBuilderTest, JoinRejectsStagedSides) {
-  QueryBuilder left(0);
-  left.From(0, catalog_);
-  left.Aggregate(WindowAggregateOp::Func::kCount, 5.0, 0, 1);
-  QueryBuilder right(0);
-  right.From(1, catalog_);
-  auto q = QueryBuilder::Join(7, left, right, 5.0, 0, 0);
-  EXPECT_FALSE(q.ok());
-}
-
 TEST_F(QueryBuilderTest, BuiltQueryExecutes) {
   auto q = QueryBuilder(4).From(0, catalog_).Where(1, 0, 50).Build();
   ASSERT_TRUE(q.ok());

@@ -564,9 +564,6 @@ TEST(NetworkTest, TracksLinkAndEgressStats) {
   EXPECT_EQ(net.total_messages(), 2);
   EXPECT_EQ(net.egress_bytes(a), 200);
   EXPECT_EQ(net.egress_bytes(b), 0);
-  net.ResetStats();
-  EXPECT_EQ(net.total_bytes(), 0);
-  EXPECT_EQ(net.link_stats(a, b).bytes, 0);
 }
 
 /// AllLinkStats lists every link that carried traffic in (from, to)

@@ -227,7 +227,6 @@ TEST(TelemetrySystemTest, TelemetryDoesNotPerturbTheSimulation) {
     System::Config cfg = BaseConfig();
     cfg.metrics = &metrics;
     cfg.trace = &trace;
-    cfg.per_link_metrics = true;
     System sys(cfg);
     RunWorkload(&sys);
     instrumented = sys.Collect();

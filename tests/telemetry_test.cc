@@ -106,32 +106,6 @@ TEST(MetricsRegistryTest, SnapshotFindLocatesSeries) {
   EXPECT_EQ(snap.Find("misses"), nullptr);
 }
 
-TEST(MetricsRegistryTest, MergeFromAddsCountersAndMergesHistograms) {
-  MetricsRegistry a;
-  a.counter("n")->Increment(2);
-  a.histogram("lat")->Observe(1.0);
-  a.gauge("g")->Set(1.0);
-
-  MetricsRegistry b;
-  b.counter("n")->Increment(3);
-  b.histogram("lat")->Observe(3.0);
-  b.gauge("g")->Set(2.0);
-
-  a.MergeFrom(b);
-  EXPECT_EQ(a.counter("n")->value(), 5);
-  const Sketch* lat = a.histogram("lat")->sketch();
-  EXPECT_EQ(lat->count(), 2);
-  EXPECT_DOUBLE_EQ(lat->sum(), 4.0);
-  EXPECT_DOUBLE_EQ(lat->min(), 1.0);
-  EXPECT_DOUBLE_EQ(lat->max(), 3.0);
-  EXPECT_DOUBLE_EQ(a.histogram("lat")->mean(), 2.0);
-  // Nearest rank over {1, 3}: the median is 1, the p99 is 3.
-  ExpectWithinAccuracy(a.histogram("lat")->p50(), 1.0);
-  ExpectWithinAccuracy(a.histogram("lat")->p99(), 3.0);
-  // Gauges take the merged-in value (last write wins).
-  EXPECT_DOUBLE_EQ(a.gauge("g")->value(), 2.0);
-}
-
 TEST(MetricsRegistryTest, HistogramSnapshotCarriesPercentiles) {
   MetricsRegistry reg;
   HistogramMetric* h = reg.histogram("queue_wait");
@@ -326,27 +300,6 @@ TEST(JsonTest, NonfiniteNumbersRenderNullAndCount) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed.value().items[0].kind, JsonValue::Kind::kNull);
   ResetNonfiniteJsonValues();
-}
-
-TEST(MetricsRegistryTest, ShardedHistogramMergeEqualsUnion) {
-  // Per-shard registries merged into one must be indistinguishable —
-  // byte-for-byte in snapshot JSON — from a single registry that observed
-  // the union of samples.
-  MetricsRegistry shard_a, shard_b, whole;
-  for (int i = 1; i <= 50; ++i) {
-    shard_a.histogram("lat", MakeLabels({{"op", "x"}}))->Observe(i);
-    whole.histogram("lat", MakeLabels({{"op", "x"}}))->Observe(i);
-  }
-  for (int i = 51; i <= 100; ++i) {
-    shard_b.histogram("lat", MakeLabels({{"op", "x"}}))->Observe(i);
-    whole.histogram("lat", MakeLabels({{"op", "x"}}))->Observe(i);
-  }
-  shard_a.counter("n")->Increment(2);
-  shard_b.counter("n")->Increment(3);
-  whole.counter("n")->Increment(5);
-  shard_a.MergeFrom(shard_b);
-  EXPECT_EQ(shard_a.histogram("lat", MakeLabels({{"op", "x"}}))->count(), 100);
-  EXPECT_EQ(shard_a.Snapshot().ToJson(), whole.Snapshot().ToJson());
 }
 
 TEST(BenchReportTest, NonfiniteHeadlineBecomesNullAndCounter) {

@@ -27,8 +27,8 @@ TEST(StockTickerGenTest, TuplesMatchSchemaAndDomain) {
     EXPECT_GE(sym, 0);
     EXPECT_LT(sym, 10);
     double price = engine::AsDouble(t.values[1]);
-    EXPECT_GE(price, cfg.price_min);
-    EXPECT_LE(price, cfg.price_max);
+    EXPECT_GE(price, StockTickerGen::kPriceMin);
+    EXPECT_LE(price, StockTickerGen::kPriceMax);
     EXPECT_GE(engine::AsDouble(t.values[2]), 0.0);
   }
 }
