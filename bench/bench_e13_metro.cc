@@ -39,8 +39,8 @@
 //                               install.installs is deterministic and
 //                               pinned at 1%, the wall-clock per-query
 //                               cost gets a wide allowance;
-//  - index.*                    interest-index health (DESIGN.md "Learned
-//                               interest index") for the graph-build
+//  - index.*                    interest-index health (DESIGN.md
+//                               "Bucketed interest index") for the graph-build
 //                               indexes, the live system indexes, and a
 //                               deterministic lookup probe;
 //  - headline.latency_p*_ms     result-latency p50/p95/p99 read from the
@@ -352,8 +352,8 @@ void PrintE13() {
         build_stats, &metrics,
         dsps::telemetry::MakeLabels({{"scope", "graph_build"}}));
     // Lookup probe over the slice's own stream-0 interest boxes: at
-    // smoke size this population crosses the auto spline threshold, so
-    // the E13 report carries real spline lookup latency + fallback rate.
+    // smoke size this population crosses the bucket build threshold, so
+    // the E13 report carries real bucket lookup latency.
     {
       std::vector<dsps::interest::Box> probe_boxes;
       for (const dsps::engine::Query& q : slice) {

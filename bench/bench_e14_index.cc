@@ -1,5 +1,6 @@
-// Experiment E14 (learned interest index): BoxIndex (the learned spline)
-// vs a naive linear reference scan across box counts, measuring build
+// Experiment E14 (bucketed interest index): BoxIndex (equal-depth buckets
+// found by binary search) vs a naive linear reference scan across box
+// counts, measuring build
 // cost, point-stab (Match) latency, box-overlap (MatchOverlap) latency,
 // and memory, with the reference cross-checking every output.
 //
@@ -12,10 +13,12 @@
 //
 // Per (boxes, strategy) the JSON carries index.build_us (gauge),
 // index.lookup_us / index.overlap_us (histograms: per-operation), and
-// index.mem_bytes (gauge); strategy is "spline" (the index) or "linear"
-// (the reference). Headlines: spline_speedup_vs_linear_match and
-// spline_speedup_vs_linear_overlap at the largest tier the reference runs
-// (100k boxes at both scales; linear mean / spline mean), match_checks /
+// index.mem_bytes (gauge); strategy is "spline" (the index: the label
+// predates the bucket index and stays, because baselines and gates read
+// it) or "linear" (the reference). Headlines:
+// spline_speedup_vs_linear_match and spline_speedup_vs_linear_overlap at
+// the largest tier the reference runs (100k boxes at both scales; linear
+// mean / index mean), match_checks /
 // overlap_checks (output-equality comparisons performed), and boxes_max.
 //
 // Acceptance bars (abort on violation): at every tier the reference runs,
@@ -162,7 +165,7 @@ struct StrategyResult {
 };
 
 struct TierResult {
-  StrategyResult spline;
+  StrategyResult index;
   StrategyResult linear;
   bool has_linear = false;
   int64_t match_checks = 0;
@@ -237,25 +240,25 @@ TierResult RunTier(const Tier& tier, dsps::telemetry::MetricsRegistry* metrics) 
         {{"boxes", std::to_string(tier.boxes)}, {"strategy", strategy}});
   };
   TierResult result;
-  std::vector<std::vector<int64_t>> spline_match, spline_overlap;
+  std::vector<std::vector<int64_t>> index_match, index_overlap;
   {
     BoxIndex index(domain.size());
     auto start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < boxes.size(); ++i) {
       index.Insert(static_cast<int64_t>(i), boxes[i]);
     }
-    // The first stab pays the lazy spline build; charge it to build time
+    // The first stab pays the lazy bucket build; charge it to build time
     // so lookup_us measures steady-state stabs.
     std::vector<double> warm(domain.size(), domain[0].lo);
     std::vector<int64_t> out;
     index.Match(warm.data(), &out);
     const double build_us = UsSince(start);
     const dsps::telemetry::Labels labels = labels_for("spline");
-    result.spline = RunStrategy(index, tier, domain, build_us, &spline_match,
-                                &spline_overlap, metrics, labels);
+    result.index = RunStrategy(index, tier, domain, build_us, &index_match,
+                               &index_overlap, metrics, labels);
     dsps::interest::IndexStats stats;
     index.AddStatsTo(&stats);
-    result.spline.mem_bytes = stats.mem_bytes;
+    result.index.mem_bytes = stats.mem_bytes;
     dsps::bench::ExportIndexStats(stats, metrics, labels);
     metrics->gauge("index.build_us", labels)->Set(build_us);
   }
@@ -271,10 +274,10 @@ TierResult RunTier(const Tier& tier, dsps::telemetry::MetricsRegistry* metrics) 
     metrics->gauge("index.mem_bytes", labels)->Set(
         static_cast<double>(result.linear.mem_bytes));
     result.has_linear = true;
-    CheckEqual(spline_match, linear_match, "Match", tier.boxes);
-    CheckEqual(spline_overlap, linear_overlap, "MatchOverlap", tier.boxes);
-    result.match_checks = static_cast<int64_t>(spline_match.size());
-    result.overlap_checks = static_cast<int64_t>(spline_overlap.size());
+    CheckEqual(index_match, linear_match, "Match", tier.boxes);
+    CheckEqual(index_overlap, linear_overlap, "MatchOverlap", tier.boxes);
+    result.match_checks = static_cast<int64_t>(index_match.size());
+    result.overlap_checks = static_cast<int64_t>(index_overlap.size());
   }
   return result;
 }
@@ -304,18 +307,18 @@ void PrintE14() {
                     speedup > 0.0 ? Table::Num(speedup, 2) : std::string("-")});
     };
     if (!r.has_linear) {
-      add_row("spline", r.spline, 0.0);
+      add_row("spline", r.index, 0.0);
       continue;
     }
     const double speedup_match =
-        r.spline.lookup_mean_us > 0.0
-            ? r.linear.lookup_mean_us / r.spline.lookup_mean_us
+        r.index.lookup_mean_us > 0.0
+            ? r.linear.lookup_mean_us / r.index.lookup_mean_us
             : 0.0;
     const double speedup_overlap =
-        r.spline.overlap_mean_us > 0.0
-            ? r.linear.overlap_mean_us / r.spline.overlap_mean_us
+        r.index.overlap_mean_us > 0.0
+            ? r.linear.overlap_mean_us / r.index.overlap_mean_us
             : 0.0;
-    add_row("spline", r.spline, speedup_match);
+    add_row("spline", r.index, speedup_match);
     add_row("linear", r.linear, 0.0);
     // The bar applies to the largest tier the reference runs.
     bar_speedup_match = speedup_match;
@@ -323,8 +326,8 @@ void PrintE14() {
     bar_boxes = tier.boxes;
   }
   table.Print(
-      "E14: learned interest index vs linear reference (mixed narrow/fat "
-      "boxes; speedup = linear lookup mean / spline lookup mean)");
+      "E14: bucketed interest index vs linear reference (mixed narrow/fat "
+      "boxes; speedup = linear lookup mean / index lookup mean)");
 
   report.SetHeadline("boxes_max", static_cast<double>(tiers.back().boxes));
   report.SetHeadline("spline_speedup_vs_linear_match", bar_speedup_match);
@@ -338,7 +341,7 @@ void PrintE14() {
   // an abort fails the CI leg.
   if (bar_speedup_match < kSpeedupBar || bar_speedup_overlap < kSpeedupBar) {
     std::fprintf(stderr,
-                 "E14: spline speedup over the linear reference below the "
+                 "E14: index speedup over the linear reference below the "
                  "%.1fx bar at %zu boxes (match %.2fx, overlap %.2fx)\n",
                  kSpeedupBar, bar_boxes, bar_speedup_match,
                  bar_speedup_overlap);

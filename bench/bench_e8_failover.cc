@@ -112,8 +112,6 @@ FailoverRun Run(Scenario scenario,
   if (scenario == Scenario::kDetectedFailure) {
     dsps::system::System::FailureDetectionConfig det;
     det.heartbeat_period_s = 0.25;
-    det.timeout_s = 0.75;
-    det.sweep_period_s = 0.25;
     sys.EnableFailureDetection(det, kDuration + 2.0);
     sys.ScheduleCrash(0, kFailAt, kRecoverAt);
   }
@@ -341,8 +339,6 @@ DomainCrashRun RunDomainCrash(
   }
   dsps::system::System::FailureDetectionConfig det;
   det.heartbeat_period_s = 0.25;
-  det.timeout_s = 0.75;
-  det.sweep_period_s = 0.25;
   sys.EnableFailureDetection(det, kDuration + 2.0);
   if (series != nullptr) {
     sys.EnableTimeSeries(series, series->config().interval_s, kDuration + 1.0);

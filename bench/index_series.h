@@ -1,4 +1,4 @@
-// Shared bench helper for the learned interest index telemetry: every
+// Shared bench helper for the interest index telemetry: every
 // index-bearing bench (E1, E3, E13, E14) publishes the same index.*
 // series into its BENCH_<name>.json so tools/bench_diff can gate them and
 // tools/dsps_doctor can judge index health from any report uniformly.
@@ -8,8 +8,10 @@
 //    from the live structures — dissemination routing caches, the
 //    query-graph inverted indexes, per-entity stream indexes) as gauges.
 //    Deterministic: every value derives from counts, never from wall
-//    time, except index.build_us which is the accumulated spline
-//    (re)build cost.
+//    time, except index.build_us which is the accumulated bucket
+//    (re)build cost. The names index.spline_rebuilds and
+//    index.spline_buckets predate the bucket index (interest::BucketIndex)
+//    and stay, because baselines and gates read them.
 //  - RunIndexLookupProbe() builds a fresh BoxIndex over a supplied box
 //    population and times point-stab lookups against it, emitting the
 //    index.lookup_us histogram (whose p95 dsps_doctor surfaces) plus the
@@ -41,14 +43,8 @@ inline void ExportIndexStats(const interest::IndexStats& s,
   set("index.mem_bytes", static_cast<double>(s.mem_bytes));
   set("index.build_us", s.build_us);
   set("index.lookups", static_cast<double>(s.lookups));
-  set("index.spline_lookups", static_cast<double>(s.spline_lookups));
-  set("index.spline_fallbacks", static_cast<double>(s.spline_fallbacks));
-  set("index.spline_fallback_rate", s.FallbackRate());
   set("index.spline_rebuilds", static_cast<double>(s.spline_rebuilds));
-  set("index.spline_knots", static_cast<double>(s.spline_knots));
   set("index.spline_buckets", static_cast<double>(s.spline_buckets));
-  set("index.spline_max_error", static_cast<double>(s.spline_max_error));
-  set("index.declared_fallback_bound", s.declared_fallback_bound);
 }
 
 struct IndexProbeConfig {
@@ -57,7 +53,7 @@ struct IndexProbeConfig {
 };
 
 /// Builds a BoxIndex over `boxes` (subscriber i holds boxes[i]), forces
-/// the lazy spline build with one warm-up stab, then times
+/// the lazy bucket build with one warm-up stab, then times
 /// `config.lookups` point stabs drawn uniformly from `domain`. Emits
 /// under `labels`:
 /// index.build_us (gauge: wall clock of inserts + first build),
@@ -81,7 +77,7 @@ inline void RunIndexLookupProbe(const std::vector<interest::Box>& boxes,
   for (size_t i = 0; i < boxes.size(); ++i) {
     index.Insert(static_cast<int64_t>(i), boxes[i]);
   }
-  // First stab pays the lazy spline build; keep it inside the build
+  // First stab pays the lazy bucket build; keep it inside the build
   // timer so lookup_us measures steady-state stabs only.
   for (double& v : point) v = 0.0;
   if (!domain.empty()) point[0] = domain[0].lo;
@@ -102,7 +98,7 @@ inline void RunIndexLookupProbe(const std::vector<interest::Box>& boxes,
   interest::IndexStats stats;
   index.AddStatsTo(&stats);
   // The probe's wall-clock build time replaces the stats' accumulated
-  // spline build_us (already set above); export the rest.
+  // bucket build_us (already set above); export the rest.
   const double probe_build_us = metrics->gauge("index.build_us", labels)->value();
   ExportIndexStats(stats, metrics, labels);
   metrics->gauge("index.build_us", labels)->Set(probe_build_us);

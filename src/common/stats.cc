@@ -47,26 +47,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  int64_t n = count_ + other.count_;
-  double delta = other.mean_ - mean_;
-  double new_mean =
-      mean_ + delta * static_cast<double>(other.count_) / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) /
-                         static_cast<double>(n);
-  mean_ = new_mean;
-  count_ = n;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void Histogram::Add(double x) {
   if (samples_.size() >= cap_) {
     CountOverflow(1);

@@ -22,9 +22,6 @@ class RunningStat {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one.
-  void Merge(const RunningStat& other);
-
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

@@ -510,9 +510,7 @@ const interest::InterestSet& CoordinatorTree::SummaryOf(Node* node) {
       node->summary.MergeFrom(SummaryOf(child.get()));
     }
     node->summary.Simplify();
-    if (config_.interest_budget > 0) {
-      interest::CoarsenInterest(&node->summary, config_.interest_budget);
-    }
+    interest::CoarsenInterest(&node->summary, kInterestBudget);
   }
   node->summary_version = interest_version_;
   return node->summary;

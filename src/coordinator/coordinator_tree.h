@@ -36,6 +36,11 @@ class CoordinatorTree {
   /// part of the API surface).
   struct Node;
 
+  /// Box budget for the coarse per-coordinator interest summaries
+  /// ("a higher level coordinator distributes queries based on coarser
+  /// information").
+  static constexpr int kInterestBudget = 8;
+
   struct Config {
     /// Cluster size parameter k (clusters hold k..3k-1 children).
     int k = 3;
@@ -45,10 +50,6 @@ class CoordinatorTree {
     /// (RouteQueryByInterest): higher steers queries toward subtrees
     /// already subscribed to similar data.
     double route_interest_weight = 1.0;
-    /// Box budget for the coarse per-coordinator interest summaries
-    /// ("a higher level coordinator distributes queries based on coarser
-    /// information").
-    int interest_budget = 8;
   };
 
   explicit CoordinatorTree(const Config& config);
@@ -88,7 +89,7 @@ class CoordinatorTree {
 
   /// Registers the data interest of `id` (the union of its queries'
   /// boxes). Coordinators summarize their subtree's interest with at most
-  /// `interest_budget` boxes per stream — the "coarser information" higher
+  /// kInterestBudget boxes per stream — the "coarser information" higher
   /// levels route by. Copies `set` only when it differs from the
   /// registered one.
   void SetEntityInterest(common::EntityId id,

@@ -122,8 +122,8 @@ class Disseminator {
   /// Sends awaiting an ack right now.
   size_t pending_reliable_count() const { return hops_.pending(); }
 
-  /// Aggregated statistics of the spline-backed match tables across
-  /// every stream tree (boxes, memory, spline health); feeds bench JSON
+  /// Aggregated statistics of the bucket-backed match tables across
+  /// every stream tree (boxes, memory, buckets); feeds bench JSON
   /// and dsps_doctor.
   interest::IndexStats RouteIndexStats() const;
 

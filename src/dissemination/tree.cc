@@ -355,15 +355,15 @@ std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
     return bounds;
   };
   table->local = flatten(own);
-  if (below.size() < interest::BoxIndex::kSplineBuildMin) {
+  if (below.size() < interest::BoxIndex::kBucketBuildMin) {
     table->child_bounds = flatten(below);
     table->child_end = std::move(child_end);
     return table;
   }
   const std::vector<double> bounds = flatten(below);
   const auto start = std::chrono::steady_clock::now();
-  table->spline =
-      std::make_unique<interest::SplineIndex>(table->dims, bounds, positions);
+  table->buckets =
+      std::make_unique<interest::BucketIndex>(table->dims, bounds, positions);
   table->build_us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -407,10 +407,10 @@ void DisseminationTree::ForwardTargets(Position from, const double* point,
   }
   if (children->empty()) return;
   const Table& table = EnsureTable(slot, node);
-  if (table.spline != nullptr) {
+  if (table.buckets != nullptr) {
     ++table.lookups;
     match_scratch_.clear();
-    table.spline->Match(point, &match_scratch_);
+    table.buckets->Match(point, &match_scratch_);
     // Child positions, ascending and deduplicated, are child-list order.
     std::sort(match_scratch_.begin(), match_scratch_.end());
     match_scratch_.erase(
@@ -456,15 +456,15 @@ bool DisseminationTree::LocalMatch(Position at, const double* point) const {
 
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
   auto add = [stats](const std::unique_ptr<Table>& table) {
-    if (table == nullptr || table->spline == nullptr) return;
+    if (table == nullptr || table->buckets == nullptr) return;
     ++stats->indexes;
-    stats->boxes += static_cast<int64_t>(table->spline->size());
+    stats->boxes += static_cast<int64_t>(table->buckets->size());
     stats->lookups += table->lookups;
     ++stats->spline_rebuilds;
     stats->build_us += table->build_us;
     stats->mem_bytes +=
         static_cast<int64_t>(table->local.size() * sizeof(double));
-    interest::AddSplineStats(*table->spline, stats);
+    interest::AddBucketStats(*table->buckets, stats);
   };
   add(source_table_);
   for (const Node& node : nodes_) add(node.table);

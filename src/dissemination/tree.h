@@ -9,8 +9,8 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "interest/box_index.h"
+#include "interest/bucket_index.h"
 #include "interest/interest.h"
-#include "interest/spline_index.h"
 #include "sim/network.h"
 
 namespace dsps::dissemination {
@@ -111,8 +111,8 @@ class DisseminationTree {
   /// included only if its subtree aggregate matches; otherwise all
   /// children are included (forward-everything baseline). The per-child
   /// matching reads `from`'s match table (see Table): a scan of the
-  /// children's contiguous bounds, or one spline-bucket probe once they
-  /// hold interest::BoxIndex::kSplineBuildMin boxes. Results keep
+  /// children's contiguous bounds, or one bucket probe once they
+  /// hold interest::BoxIndex::kBucketBuildMin boxes. Results keep
   /// child-list order, bit-identical to a scan of every child's box list.
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
@@ -158,7 +158,7 @@ class DisseminationTree {
   /// dropped again.
   common::Status CheckInvariants() const;
 
-  /// Accumulates the statistics of every live spline-backed match table
+  /// Accumulates the statistics of every live bucket-backed match table
   /// (per-node and source) into `stats`; smaller tables are plain scans
   /// and are not counted as indexes.
   void CollectIndexStats(interest::IndexStats* stats) const;
@@ -175,15 +175,16 @@ class DisseminationTree {
     size_t dims = 0;
     /// The node's own non-empty boxes (LocalMatch).
     std::vector<double> local;
-    /// Below interest::BoxIndex::kSplineBuildMin child boxes: the
+    /// Below interest::BoxIndex::kBucketBuildMin child boxes: the
     /// children's non-empty subtree boxes, child after child in
     /// child-list order; child i's boxes end at box child_end[i].
     std::vector<double> child_bounds;
     std::vector<uint32_t> child_end;
-    /// From kSplineBuildMin child boxes: a spline over them (subscriber =
-    /// the child's position in the child list) in place of child_bounds.
-    std::unique_ptr<interest::SplineIndex> spline;
-    /// Spline build time and early-filtered stabs served by it.
+    /// From kBucketBuildMin child boxes: a bucket index over them
+    /// (subscriber = the child's position in the child list) in place of
+    /// child_bounds.
+    std::unique_ptr<interest::BucketIndex> buckets;
+    /// Bucket build time and early-filtered stabs served by it.
     double build_us = 0.0;
     mutable int64_t lookups = 0;
   };
@@ -255,7 +256,7 @@ class DisseminationTree {
   std::vector<common::EntityId> source_children_;
   /// The source's match table (children only; see Table).
   mutable std::unique_ptr<Table> source_table_;
-  /// Scratch for ForwardTargets' spline lookups (avoids a per-tuple
+  /// Scratch for ForwardTargets' bucket lookups (avoids a per-tuple
   /// allocation on the hot path).
   mutable std::vector<int64_t> match_scratch_;
   /// Scratch for RecomputeSubtree's MarkAggregate call.

@@ -74,7 +74,7 @@ class Entity {
     /// When set, delegates use a per-stream BoxIndex over the queries'
     /// interests to fan tuples out only to queries whose filter can
     /// match — the delegate's hot loop goes from O(queries) to the boxes
-    /// of one spline bucket.
+    /// of one bucket.
     /// Queries without interest boxes on a stream still get everything.
     const interest::StreamCatalog* catalog = nullptr;
     /// Optional telemetry (null = disabled, zero overhead). Processors
@@ -183,7 +183,7 @@ class Entity {
   double TotalCommittedLoad() const;
 
   /// Accumulates the per-stream tuple-matching indexes' statistics into
-  /// `stats` (boxes, memory, spline health).
+  /// `stats` (boxes, memory, buckets).
   void CollectIndexStats(interest::IndexStats* stats) const;
 
   /// Elastic capacity: adds one processor hosted on `node` (a member of

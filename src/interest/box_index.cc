@@ -12,27 +12,14 @@ void IndexStats::MergeFrom(const IndexStats& other) {
   boxes += other.boxes;
   mem_bytes += other.mem_bytes;
   lookups += other.lookups;
-  spline_lookups += other.spline_lookups;
-  spline_fallbacks += other.spline_fallbacks;
   spline_rebuilds += other.spline_rebuilds;
-  spline_knots += other.spline_knots;
   spline_buckets += other.spline_buckets;
-  spline_max_error = std::max(spline_max_error, other.spline_max_error);
-  declared_fallback_bound =
-      std::max(declared_fallback_bound, other.declared_fallback_bound);
   build_us += other.build_us;
 }
 
-void AddSplineStats(const SplineIndex& spline, IndexStats* stats) {
-  stats->spline_lookups += static_cast<int64_t>(spline.lookups());
-  stats->spline_fallbacks += static_cast<int64_t>(spline.fallback_lookups());
-  stats->spline_knots += static_cast<int64_t>(spline.knot_count());
-  stats->spline_buckets += static_cast<int64_t>(spline.bucket_count());
-  stats->spline_max_error =
-      std::max<int64_t>(stats->spline_max_error, SplineIndex::kMaxError);
-  stats->declared_fallback_bound = std::max(
-      stats->declared_fallback_bound, SplineIndex::kDeclaredFallbackBound);
-  stats->mem_bytes += static_cast<int64_t>(spline.mem_bytes());
+void AddBucketStats(const BucketIndex& buckets, IndexStats* stats) {
+  stats->spline_buckets += static_cast<int64_t>(buckets.bucket_count());
+  stats->mem_bytes += static_cast<int64_t>(buckets.mem_bytes());
 }
 
 BoxIndex::BoxIndex(size_t dims) : dims_(dims) {
@@ -71,7 +58,7 @@ void BoxIndex::Remove(int64_t subscriber) {
     flat_subs_.resize(kept);
     flat_bounds_.resize(kept * stride);
   }
-  if (spline_ != nullptr) erased_.insert(subscriber);
+  if (buckets_ != nullptr) erased_.insert(subscriber);
   total_boxes_ -= it->second.size() / (2 * dims_);
   bounds_of_.erase(it);
 }
@@ -88,25 +75,25 @@ void BoxIndex::BuildFlat() const {
   flat_live_ = true;
 }
 
-void BoxIndex::MaybeRebuildSpline() const {
-  if (spline_ == nullptr) {
-    if (total_boxes_ >= kSplineBuildMin) RebuildSpline();
+void BoxIndex::MaybeRebuildBuckets() const {
+  if (buckets_ == nullptr) {
+    if (total_boxes_ >= kBucketBuildMin) RebuildBuckets();
     return;
   }
-  if (flat_subs_.size() * 4 > spline_->size() ||
-      erased_.size() * 4 > spline_->size()) {
-    RebuildSpline();
+  if (flat_subs_.size() * 4 > buckets_->size() ||
+      erased_.size() * 4 > buckets_->size()) {
+    RebuildBuckets();
   }
 }
 
-void BoxIndex::RebuildSpline() const {
+void BoxIndex::RebuildBuckets() const {
   erased_.clear();
   flat_bounds_.clear();
   flat_bounds_.shrink_to_fit();
   flat_subs_.clear();
   flat_subs_.shrink_to_fit();
-  if (total_boxes_ < kSplineBuildMin) {
-    spline_.reset();  // back to the linear scan, copied at the next lookup
+  if (total_boxes_ < kBucketBuildMin) {
+    buckets_.reset();  // back to the linear scan, copied at the next lookup
     flat_live_ = false;
     return;
   }
@@ -126,7 +113,7 @@ void BoxIndex::RebuildSpline() const {
     box_subs.insert(box_subs.end(), own.size() / (2 * dims_), sub);
   }
   const auto start = std::chrono::steady_clock::now();
-  spline_ = std::make_unique<SplineIndex>(dims_, bounds, box_subs);
+  buckets_ = std::make_unique<BucketIndex>(dims_, bounds, box_subs);
   build_us_ += std::chrono::duration<double, std::micro>(
                    std::chrono::steady_clock::now() - start)
                    .count();
@@ -137,15 +124,15 @@ void BoxIndex::RebuildSpline() const {
 void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
   ++lookups_;
   size_t before = out->size();
-  MaybeRebuildSpline();
-  if (spline_ == nullptr) {
+  MaybeRebuildBuckets();
+  if (buckets_ == nullptr) {
     if (!flat_live_) BuildFlat();
   } else if (erased_.empty()) {
-    spline_->Match(point, out);
+    buckets_->Match(point, out);
   } else {
-    spline_scratch_.clear();
-    spline_->Match(point, &spline_scratch_);
-    for (int64_t sub : spline_scratch_) {
+    bucket_scratch_.clear();
+    buckets_->Match(point, &bucket_scratch_);
+    for (int64_t sub : bucket_scratch_) {
       if (erased_.count(sub) == 0) out->push_back(sub);
     }
   }
@@ -165,15 +152,15 @@ void BoxIndex::MatchOverlap(const Box& query, std::vector<int64_t>* out) const {
   if (BoxEmpty(query)) return;
   ++lookups_;
   size_t before = out->size();
-  MaybeRebuildSpline();
-  if (spline_ == nullptr) {
+  MaybeRebuildBuckets();
+  if (buckets_ == nullptr) {
     if (!flat_live_) BuildFlat();
   } else if (erased_.empty()) {
-    spline_->MatchOverlap(query, out);
+    buckets_->MatchOverlap(query, out);
   } else {
-    spline_scratch_.clear();
-    spline_->MatchOverlap(query, &spline_scratch_);
-    for (int64_t sub : spline_scratch_) {
+    bucket_scratch_.clear();
+    buckets_->MatchOverlap(query, &bucket_scratch_);
+    for (int64_t sub : bucket_scratch_) {
       if (erased_.count(sub) == 0) out->push_back(sub);
     }
   }
@@ -195,8 +182,6 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
   stats->lookups += lookups_;
   stats->spline_rebuilds += rebuilds_;
   stats->build_us += build_us_;
-  stats->declared_fallback_bound = std::max(
-      stats->declared_fallback_bound, SplineIndex::kDeclaredFallbackBound);
   // Structure size from element counts, not capacities: deterministic
   // across runs so bench baselines can pin it exactly.
   int64_t mem = 0;
@@ -204,7 +189,7 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
     mem += static_cast<int64_t>(sizeof(sub) + sizeof(bounds) +
                                 bounds.size() * sizeof(double));
   }
-  if (spline_ != nullptr) AddSplineStats(*spline_, stats);
+  if (buckets_ != nullptr) AddBucketStats(*buckets_, stats);
   mem += static_cast<int64_t>(erased_.size()) *
          static_cast<int64_t>(sizeof(int64_t));
   mem += static_cast<int64_t>(flat_subs_.size() * sizeof(int64_t) +

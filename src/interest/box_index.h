@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "interest/interval.h"
-#include "interest/spline_index.h"
+#include "interest/bucket_index.h"
 
 namespace dsps::interest {
 
@@ -20,51 +20,41 @@ struct IndexStats {
   int64_t mem_bytes = 0;
   /// Match/MatchOverlap calls, linear scans included.
   int64_t lookups = 0;
-  /// Spline-path bucket locations and how many escaped the bounded
-  /// correction window into a full binary search.
-  int64_t spline_lookups = 0;
-  int64_t spline_fallbacks = 0;
+  /// Bucket index (re)builds and the buckets of the built ones (the
+  /// exported names predate BucketIndex).
   int64_t spline_rebuilds = 0;
-  int64_t spline_knots = 0;
   int64_t spline_buckets = 0;
-  /// Max over member indexes.
-  int64_t spline_max_error = 0;
-  double declared_fallback_bound = 0.0;
-  /// Total spline (re)build time.
+  /// Total bucket index (re)build time.
   double build_us = 0.0;
 
   void MergeFrom(const IndexStats& other);
-  double FallbackRate() const {
-    return spline_lookups > 0
-               ? static_cast<double>(spline_fallbacks) /
-                     static_cast<double>(spline_lookups)
-               : 0.0;
-  }
+  /// Share of lookups that left the bucket search for a slower path:
+  /// always 0, since the binary search over the separators is exact.
+  double FallbackRate() const { return 0.0; }
 };
 
-/// Adds one built spline's health and structure size to `stats` (spline
-/// lookups and fallbacks, knots, buckets, error and fallback bounds,
-/// mem_bytes). Its owner adds the index itself: index, box and lookup
+/// Adds one built bucket index's bucket count and structure size to
+/// `stats`. Its owner adds the index itself: index, box and lookup
 /// counts, rebuilds and build time.
-void AddSplineStats(const SplineIndex& spline, IndexStats* stats);
+void AddBucketStats(const BucketIndex& buckets, IndexStats* stats);
 
 /// Point-stabbing index over subscriber boxes: given a tuple's numeric
 /// values, returns every subscriber with a box containing them.
 ///
 /// A stream delegate fans each tuple out to the queries bound to the
 /// stream; with thousands of co-located queries the naive per-tuple scan
-/// is the hot loop. The index is a learned spline (see SplineIndex) that
-/// buckets boxes by the empirical CDF of their leading-dimension
-/// endpoints. Inserts land in a pending overlay and removals in a
-/// tombstone set; the immutable spline is rebuilt lazily when either
-/// overlay grows past a quarter of the built size. Below kSplineBuildMin
-/// boxes no spline is built at all and lookups scan a flat copy of the
-/// boxes' bounds. Every scan, in the spline's buckets or in the flat
-/// overlay, tests a box with BoundsContain / BoundsOverlap.
+/// is the hot loop. The index is a BucketIndex, which buckets boxes by
+/// the empirical CDF of their leading-dimension endpoints. Inserts land
+/// in a pending overlay and removals in a tombstone set; the immutable
+/// buckets are rebuilt lazily when either overlay grows past a quarter
+/// of the built size. Below kBucketBuildMin boxes no buckets are built
+/// at all and lookups scan a flat copy of the boxes' bounds. Every scan,
+/// in the buckets or in the flat overlay, tests a box with
+/// BoundsContain / BoundsOverlap.
 class BoxIndex {
  public:
   /// Indexes smaller than this use a plain linear scan.
-  static constexpr size_t kSplineBuildMin = 32;
+  static constexpr size_t kBucketBuildMin = 32;
 
   /// `dims` is the dimensionality of every box and probe (>= 1).
   explicit BoxIndex(size_t dims);
@@ -73,7 +63,7 @@ class BoxIndex {
   void Insert(int64_t subscriber, const Box& box);
 
   /// Unregisters all of `subscriber`'s boxes. Tombstones the subscriber
-  /// against a built spline, never walking the whole structure.
+  /// against built buckets, never walking the whole structure.
   void Remove(int64_t subscriber);
 
   /// Appends (deduplicated, ascending) every subscriber with a box
@@ -95,12 +85,12 @@ class BoxIndex {
   void AddStatsTo(IndexStats* stats) const;
 
  private:
-  /// Lazily (re)builds the spline at lookup time; const because lookups
+  /// Lazily (re)builds the buckets at lookup time; const because lookups
   /// are, with the overlay state mutable (same pattern as the lazy match
   /// tables in dissemination/tree.h).
-  void MaybeRebuildSpline() const;
-  void RebuildSpline() const;
-  /// Fills the flat overlay with every box (used while no spline exists).
+  void MaybeRebuildBuckets() const;
+  void RebuildBuckets() const;
+  /// Fills the flat overlay with every box (used while no buckets exist).
   void BuildFlat() const;
 
   size_t dims_;
@@ -108,14 +98,14 @@ class BoxIndex {
   /// bounds (AppendBounds layout), box after box.
   std::unordered_map<int64_t, std::vector<double>> bounds_of_;
   size_t total_boxes_ = 0;
-  /// The immutable built spline. erased_ tombstones subscribers removed
-  /// since its build (filtering built candidates only — re-inserted
+  /// The immutable built buckets. erased_ tombstones subscribers removed
+  /// since their build (filtering built candidates only — re-inserted
   /// subscribers live in the flat overlay and bypass it).
-  mutable std::unique_ptr<SplineIndex> spline_;
+  mutable std::unique_ptr<BucketIndex> buckets_;
   mutable std::unordered_set<int64_t> erased_;
-  mutable std::vector<int64_t> spline_scratch_;
-  /// The boxes a lookup scans besides the spline, as flat bounds
-  /// (AppendBounds layout) and their subscribers: with a spline, the boxes
+  mutable std::vector<int64_t> bucket_scratch_;
+  /// The boxes a lookup scans besides the buckets, as flat bounds
+  /// (AppendBounds layout) and their subscribers: with buckets, the boxes
   /// inserted since its build; without one, every box, copied at the first
   /// lookup so an index nobody queries keeps no copy. While flat_live_,
   /// Insert and Remove keep the overlay in step.

@@ -62,7 +62,7 @@ class QueryGraph {
   /// historical all-pairs scan produced — so adjacency lists and every
   /// downstream partition are bit-identical to it. When `index_stats` is
   /// non-null, the per-stream box indexes' statistics (boxes,
-  /// memory, spline health) are accumulated into it before they are torn
+  /// memory, buckets) are accumulated into it before they are torn
   /// down.
   static QueryGraph Build(std::span<const engine::Query> queries,
                           const interest::StreamCatalog& catalog,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -296,16 +295,9 @@ void System::ShipResultToClient(common::EntityId entity,
 
 entity::Entity::EngineFactory System::MakeEngineFactory(
     int entity_index) const {
-  const char* family = config_.engine_family;
-  bool batch;
-  if (std::strcmp(family, "basic") == 0) {
-    batch = false;
-  } else if (std::strcmp(family, "batch") == 0) {
-    batch = true;
-  } else {
-    batch = (entity_index % 2 == 1);  // "mixed": alternate engine families
-  }
-  if (batch) {
+  // Even entities run the basic engine and odd ones the batch engine: the
+  // heterogeneity the loose coupling must tolerate.
+  if (entity_index % 2 == 1) {
     return [] {
       return std::unique_ptr<engine::ExecutionEngine>(
           new engine::BatchEngine(16));
@@ -1190,10 +1182,8 @@ void System::HandleSuspect(common::EntityId entity) {
 void System::EnableFailureDetection(const FailureDetectionConfig& config,
                                     double until) {
   DSPS_CHECK(config.heartbeat_period_s > 0);
-  DSPS_CHECK(config.sweep_period_s > 0);
-  DSPS_CHECK(config.timeout_s > config.heartbeat_period_s);
   coordinator::HeartbeatMonitor::Config monitor_config;
-  monitor_config.timeout_s = config.timeout_s;
+  monitor_config.timeout_s = kSuspectPeriods * config.heartbeat_period_s;
   monitor_ = coordinator::HeartbeatMonitor(monitor_config);
   if (monitor_node_ == common::kInvalidSimNode) {
     // Lazily created so node-id assignment is untouched when detection is
@@ -1230,7 +1220,7 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
       failure_stats_.heartbeat_messages += 1;
     }
   });
-  simulator_->Every(config.sweep_period_s, until, [this] {
+  simulator_->Every(config.heartbeat_period_s, until, [this] {
     for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
       HandleSuspect(suspect);
     }

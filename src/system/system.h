@@ -119,9 +119,6 @@ class System {
     coordinator::CoordinatorTree::Config coordinator;
     dissemination::Disseminator::Config dissemination;
     AllocationMode allocation = AllocationMode::kCoordinatorTree;
-    /// Engine family per entity: "basic", "batch", or "mixed" (entities
-    /// alternate — the heterogeneity the loose coupling must tolerate).
-    const char* engine_family = "mixed";
     /// When positive, models the paper's clients: each query belongs to a
     /// client at a WAN position; results are shipped from the hosting
     /// entity's gateway to the client and client-perceived latency is
@@ -328,18 +325,18 @@ class System {
 
   /// Real heartbeat-driven failure detection (Section 3.2.1): every
   /// heartbeat_period_s each non-departed entity's gateway sends a
-  /// heartbeat *message over the simulated network* to a monitor node;
-  /// every sweep_period_s the System sweeps its HeartbeatMonitor and runs
-  /// the FailEntity repair path on every suspect — detection latency,
-  /// repair messages, and re-home outcomes are recorded in
-  /// failure_stats(). False positives self-heal: an evicted entity whose
-  /// heartbeats get through again is re-admitted.
+  /// heartbeat *message over the simulated network* to a monitor node,
+  /// and the System sweeps its HeartbeatMonitor once per period too. An
+  /// entity is suspected at the first sweep more than kSuspectPeriods
+  /// periods after its last heartbeat arrived, and the FailEntity repair
+  /// path runs on it — detection latency, repair messages, and re-home
+  /// outcomes are recorded in failure_stats(). False positives self-heal:
+  /// an evicted entity whose heartbeats get through again is re-admitted.
   struct FailureDetectionConfig {
     double heartbeat_period_s = 0.5;
-    /// An entity is suspected after this long without a heartbeat.
-    double timeout_s = 1.5;
-    double sweep_period_s = 0.5;
   };
+  /// Heartbeat periods an entity may go unheard before it is suspected.
+  static constexpr int kSuspectPeriods = 3;
   void EnableFailureDetection(const FailureDetectionConfig& config,
                               double until);
 

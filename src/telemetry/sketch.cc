@@ -153,6 +153,4 @@ size_t Sketch::MemoryBytes() const {
          (pos_.counts.capacity() + neg_.counts.capacity()) * sizeof(int64_t);
 }
 
-void Sketch::Clear() { *this = Sketch(config_); }
-
 }  // namespace dsps::telemetry

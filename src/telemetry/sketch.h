@@ -78,8 +78,6 @@ class Sketch {
 
   const Config& config() const { return config_; }
 
-  void Clear();
-
  private:
   /// |x| below this is counted in the zero bucket (sub-picosecond for
   /// second-valued latencies — indistinguishable from zero).

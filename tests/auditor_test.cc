@@ -59,8 +59,6 @@ TEST(AuditorTest, HealthyFaultRunSweepsWithZeroViolations) {
   }
   System::FailureDetectionConfig det;
   det.heartbeat_period_s = 0.1;
-  det.timeout_s = 0.35;
-  det.sweep_period_s = 0.1;
   sys.EnableFailureDetection(det, /*until=*/6.0);
   sys.ScheduleCrash(1, /*crash_at=*/1.0, /*recover_at=*/3.0);
   // fatal (the default here) would abort on the first violation, so a

@@ -112,7 +112,7 @@ Box RandomBox(common::Rng& rng, const Box& domain, bool route_shaped) {
 }
 
 /// Property: the index returns exactly what the naive scan returns, for
-/// Match and MatchOverlap, at box counts on both sides of the spline
+/// Match and MatchOverlap, at box counts on both sides of the bucket
 /// build threshold. Probing while boxes arrive makes the larger indexes
 /// build, fill their pending overlay and rebuild along the way.
 class BoxIndexProperty : public ::testing::TestWithParam<int> {};
@@ -162,9 +162,9 @@ TEST_P(BoxIndexProperty, MatchesNaiveScan) {
     probe(500, 100);
     IndexStats stats;
     index.AddStatsTo(&stats);
-    if (static_cast<size_t>(n) < BoxIndex::kSplineBuildMin) {
+    if (static_cast<size_t>(n) < BoxIndex::kBucketBuildMin) {
       EXPECT_EQ(stats.spline_rebuilds, 0);
-    } else if (static_cast<size_t>(n) > 2 * BoxIndex::kSplineBuildMin) {
+    } else if (static_cast<size_t>(n) > 2 * BoxIndex::kBucketBuildMin) {
       EXPECT_GE(stats.spline_rebuilds, 2);
     }
   }

@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "interest/box_index.h"
-#include "interest/spline_index.h"
+#include "interest/bucket_index.h"
 
 namespace dsps::interest {
 namespace {
@@ -94,7 +94,7 @@ Box RandomBox(common::Rng& rng, const Box& domain) {
 /// Property: under randomized insert/remove churn with degenerate boxes,
 /// the index and the naive scan agree exactly — content and order — on
 /// Match and MatchOverlap, including probes outside the domain.
-TEST(SplineIndexProperty, ChurnMatchesNaiveExactly) {
+TEST(BucketIndexProperty, ChurnMatchesNaiveExactly) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     common::Rng rng(seed * 7919);
     const Box domain = Domain3();
@@ -139,22 +139,22 @@ TEST(SplineIndexProperty, ChurnMatchesNaiveExactly) {
 
 /// The match contract appends to a non-empty vector without touching
 /// what was already there.
-TEST(SplineIndexProperty, AppendsAfterExistingElements) {
+TEST(BucketIndexProperty, AppendsAfterExistingElements) {
   const Box domain = Domain3();
-  BoxIndex spline(domain.size());
+  BoxIndex index(domain.size());
   for (int64_t s = 0; s < 64; ++s) {
-    spline.Insert(s, Box{{0, 100}, {0, 100}, {0, 1000}});
+    index.Insert(s, Box{{0, 100}, {0, 100}, {0, 1000}});
   }
   std::vector<int64_t> out = {99, -7};
   double p[3] = {50, 50, 500};
-  spline.Match(p, &out);
+  index.Match(p, &out);
   ASSERT_EQ(out.size(), 66u);
   EXPECT_EQ(out[0], 99);
   EXPECT_EQ(out[1], -7);
   EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()));
 }
 
-TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
+TEST(BucketIndexTest, LinearFallbackBelowBuildThreshold) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
   index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
@@ -172,7 +172,7 @@ TEST(SplineIndexTest, LinearFallbackBelowBuildThreshold) {
 /// The linear scan below the build threshold reads a lazily built copy
 /// of the bounds; a removal between two lookups must not leave the
 /// removed subscriber in it.
-TEST(SplineIndexTest, LinearScanForgetsRemovedSubscribers) {
+TEST(BucketIndexTest, LinearScanForgetsRemovedSubscribers) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
   index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
@@ -187,9 +187,9 @@ TEST(SplineIndexTest, LinearScanForgetsRemovedSubscribers) {
   EXPECT_EQ(out, (std::vector<int64_t>{2}));
 }
 
-/// Removing and re-inserting the same subscriber across a built spline
+/// Removing and re-inserting the same subscriber across built buckets
 /// must not let the tombstone shadow the re-inserted boxes.
-TEST(SplineIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
+TEST(BucketIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
   for (int64_t s = 0; s < 64; ++s) {
@@ -212,7 +212,7 @@ TEST(SplineIndexTest, ReinsertAfterRemoveSurvivesTombstone) {
   EXPECT_FALSE(std::binary_search(out.begin(), out.end(), 7));
 }
 
-TEST(SplineIndexTest, ChurnTriggersRebuildAndStaysExact) {
+TEST(BucketIndexTest, ChurnTriggersRebuildAndStaysExact) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
   NaiveModel naive;
@@ -242,9 +242,9 @@ TEST(SplineIndexTest, ChurnTriggersRebuildAndStaysExact) {
   EXPECT_GE(stats.spline_rebuilds, 2);
 }
 
-/// Direct SplineIndex exercise: skewed keys, duplicate endpoints, and an
+/// Direct BucketIndex exercise: skewed keys, duplicate endpoints, and an
 /// all-identical leading dimension (no separators at all).
-TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
+TEST(BucketIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   std::vector<Box> boxes;
   std::vector<int64_t> subs;
   common::Rng rng(31);
@@ -260,10 +260,9 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
   }
   std::vector<double> bounds;
   for (const Box& box : boxes) AppendBounds(box, &bounds);
-  SplineIndex index(2, bounds, subs);
+  BucketIndex index(2, bounds, subs);
   EXPECT_EQ(index.size(), boxes.size());
   EXPECT_GT(index.bucket_count(), 1u);
-  EXPECT_GT(index.knot_count(), 0u);
   EXPECT_GT(index.mem_bytes(), 0u);
   for (int probe = 0; probe < 400; ++probe) {
     double p[2] = {rng.Uniform(-1, 101), 0};
@@ -276,11 +275,6 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
     }
     EXPECT_EQ(got, want) << "probe " << probe;
   }
-  // The learned path must hold its declared fallback bound on this skew.
-  EXPECT_GT(index.lookups(), 0u);
-  EXPECT_LE(static_cast<double>(index.fallback_lookups()),
-            index.declared_fallback_bound() *
-                static_cast<double>(index.lookups()));
 
   std::vector<double> flat;
   std::vector<int64_t> flat_subs;
@@ -288,7 +282,7 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
     AppendBounds(Box{{42, 42}, Interval::All()}, &flat);
     flat_subs.push_back(s);
   }
-  SplineIndex one_bucket(2, flat, flat_subs);
+  BucketIndex one_bucket(2, flat, flat_subs);
   EXPECT_EQ(one_bucket.bucket_count(), 1u);
   double at[2] = {42, 0};
   std::vector<int64_t> got;
@@ -302,10 +296,10 @@ TEST(SplineIndexTest, DirectBuildHandlesSkewAndDuplicates) {
 
 /// Every separator is a leading-dimension box endpoint (a quantile of
 /// them), so probing at every endpoint and one ulp to either side stabs
-/// every bucket boundary. A directly built spline's Match and MatchOverlap
+/// every bucket boundary. A directly built index's Match and MatchOverlap
 /// must equal the naive scan there, for 1-, 2- and 3-d boxes. Coordinates
 /// are integers, so the other dimensions' probes hit endpoints too.
-TEST(SplineIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
+TEST(BucketIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
   common::Rng rng(59);
   auto sorted_unique = [](std::vector<int64_t> v) {
     std::sort(v.begin(), v.end());
@@ -326,7 +320,7 @@ TEST(SplineIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
       boxes.push_back(std::move(box));
       subs.push_back(s % 300);  // some subscribers hold two boxes
     }
-    SplineIndex index(dims, bounds, subs);
+    BucketIndex index(dims, bounds, subs);
     ASSERT_GT(index.bucket_count(), 8u) << dims << "-d";
     for (const Box& box : boxes) {
       for (double x : {box[0].lo, box[0].hi}) {
@@ -364,8 +358,8 @@ TEST(SplineIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
 }
 
 /// One index below the build threshold (linear scan) and one above it
-/// (built spline) aggregate into one IndexStats.
-TEST(SplineIndexTest, StatsAggregateAcrossIndexes) {
+/// (built buckets) aggregate into one IndexStats.
+TEST(BucketIndexTest, StatsAggregateAcrossIndexes) {
   const Box domain = Domain3();
   BoxIndex small(domain.size());
   BoxIndex large(domain.size());
@@ -389,8 +383,6 @@ TEST(SplineIndexTest, StatsAggregateAcrossIndexes) {
   EXPECT_EQ(stats.spline_rebuilds, 1);
   EXPECT_GT(stats.mem_bytes, 0);
   EXPECT_GT(stats.build_us, 0.0);
-  EXPECT_GE(stats.spline_max_error, 1);
-  EXPECT_LE(stats.FallbackRate(), stats.declared_fallback_bound);
 }
 
 }  // namespace

@@ -197,22 +197,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(st.variance(), 0.0);
 }
 
-TEST(RunningStatTest, MergeMatchesSequential) {
-  Rng rng(41);
-  RunningStat a, b, all;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.Gaussian();
-    all.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(HistogramTest, Percentiles) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.Add(static_cast<double>(i));

@@ -183,10 +183,10 @@ TEST(CoordinatorTreeTest, MessageAccountingMonotone) {
 }
 
 TEST(CoordinatorTreeTest, InterestSummariesAggregateAndCoarsen) {
-  CoordinatorTree::Config cfg = MakeConfig(2);
-  cfg.interest_budget = 2;
-  CoordinatorTree tree(cfg);
-  for (int i = 0; i < 8; ++i) {
+  CoordinatorTree tree(MakeConfig(2));
+  // More disjoint boxes than the summary budget, so the root must coarsen.
+  constexpr int kEntities = 3 * CoordinatorTree::kInterestBudget;
+  for (int i = 0; i < kEntities; ++i) {
     ASSERT_TRUE(tree.Join(i, {static_cast<double>(i), 0}).ok());
     interest::InterestSet set;
     set.Add(0, interest::Box{{i * 10.0, i * 10.0 + 5}});
@@ -194,12 +194,13 @@ TEST(CoordinatorTreeTest, InterestSummariesAggregateAndCoarsen) {
   }
   // Root summary covers every entity's interest...
   interest::InterestSet root = tree.SubtreeInterestOf(common::kInvalidEntity);
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kEntities; ++i) {
     double probe = i * 10.0 + 2.0;
     EXPECT_TRUE(root.Matches(0, &probe)) << i;
   }
   // ...within the box budget.
-  EXPECT_LE(root.boxes_for(0)->size(), 2u);
+  EXPECT_LE(root.boxes_for(0)->size(),
+            static_cast<size_t>(CoordinatorTree::kInterestBudget));
   // A leaf's summary is its own interest.
   interest::InterestSet leaf = tree.SubtreeInterestOf(3);
   double p32 = 32.0, p2 = 2.0;

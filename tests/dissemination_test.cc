@@ -281,7 +281,7 @@ bool LinearLocalMatch(const DisseminationTree& tree, common::EntityId id,
 /// children's aggregates and LocalMatch against the local interest. Boxes
 /// are 3-d with an unbounded last dimension; probes sit on box corners
 /// (bounds are closed), just outside them, and at centers; child sets
-/// fall on both sides of the spline threshold.
+/// fall on both sides of the bucket threshold.
 TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
   constexpr int kEntities = 48;
   DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent, 8));
@@ -299,7 +299,7 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
     return boxes;
   };
   size_t small_sets = 0;
-  size_t spline_sets = 0;
+  size_t bucket_sets = 0;
   auto check_all = [&](const char* when) {
     std::vector<common::EntityId> parents{common::kInvalidEntity};
     for (common::EntityId e = 0; e < kEntities; ++e) {
@@ -315,7 +315,7 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
         }
       }
       if (child_boxes > 0) {
-        ++(child_boxes >= interest::BoxIndex::kSplineBuildMin ? spline_sets
+        ++(child_boxes >= interest::BoxIndex::kBucketBuildMin ? bucket_sets
                                                               : small_sets);
       }
       std::vector<std::vector<double>> probes;
@@ -369,7 +369,7 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
   check_all("after reattaches");
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_GT(small_sets, 0u);
-  EXPECT_GT(spline_sets, 0u);
+  EXPECT_GT(bucket_sets, 0u);
 }
 
 /// The audit's routing check builds a cache where none exists and drops

@@ -405,14 +405,14 @@ ResultLog RunChurnScript(bool indexed, int batch_size, uint64_t seed) {
     }
   };
   // Enough stream-0 boxes (kinds 0, 2 and 4 have one) for the index to
-  // build its spline, so removals tombstone binding slots that installs
+  // build its buckets, so removals tombstone binding slots that installs
   // then recycle.
   for (int i = 0; i < 60; ++i) install(next_query++, i % 5);
   if (indexed) {
     interest::IndexStats stats;
     ent.CollectIndexStats(&stats);
     EXPECT_GE(stats.boxes,
-              static_cast<int64_t>(interest::BoxIndex::kSplineBuildMin));
+              static_cast<int64_t>(interest::BoxIndex::kBucketBuildMin));
   }
   sim.Run();
   for (int step = 0; step < 160; ++step) {

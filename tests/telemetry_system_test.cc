@@ -28,8 +28,9 @@ System::Config BaseConfig() {
   cfg.topology.num_entities = 2;
   cfg.topology.processors_per_entity = 2;
   cfg.topology.num_sources = 1;
-  cfg.allocation = AllocationMode::kCoordinatorTree;
-  cfg.engine_family = "basic";
+  // Round robin places RunWorkload's single query on entity 0, which runs
+  // the basic engine: each traced tuple is executed on arrival.
+  cfg.allocation = AllocationMode::kRoundRobin;
   cfg.seed = 7;
   return cfg;
 }
@@ -179,8 +180,6 @@ TEST(TelemetrySystemTest, CrashRunRecordsControlPlaneInstants) {
   }
   System::FailureDetectionConfig det;
   det.heartbeat_period_s = 0.1;
-  det.timeout_s = 0.35;
-  det.sweep_period_s = 0.1;
   sys.EnableFailureDetection(det, /*until=*/5.0);
   sys.ScheduleCrash(1, /*crash_at=*/1.0, /*recover_at=*/2.5);
   sys.GenerateTraffic(3.0);

@@ -376,8 +376,6 @@ TEST(TenantSystemTest, ReadmissionUnderQuotasDoesNotDoubleCount) {
   }
   System::FailureDetectionConfig det;
   det.heartbeat_period_s = 0.1;
-  det.timeout_s = 0.35;
-  det.sweep_period_s = 0.1;
   sys.EnableFailureDetection(det, /*until=*/6.0);
   // The tenant_conservation audit recounts standing queries from the
   // live maps every sweep; a double-count dies here, not downstream.

@@ -21,14 +21,10 @@
 //     rate in the headline table and go unhealthy when it falls below the
 //     floor — the order-of-magnitude-collapse alarm backing the E13
 //     bench_diff gate;
-//   - reports carrying index.* gauges (the learned-interest-index series
-//     the index-bearing benches export per label scope) get a per-scope
-//     index table: box count, memory, spline error bound, lookup
-//     p95 (from the index.lookup_us histogram when present), and the
-//     spline fallback rate. A scope whose fallback rate exceeds its
-//     declared bound (index.declared_fallback_bound) marks the file
-//     unhealthy — the spline's bounded-error self-certification failed
-//     more often than it promised;
+//   - reports carrying index.* gauges (the interest-index series the
+//     index-bearing benches export per label scope) get a per-scope
+//     index table: box count, memory and lookup p95 (from the
+//     index.lookup_us histogram when present);
 //   - reports with anomaly.* counters (runs under telemetry::Watchdog)
 //     get an anomaly table, one row per detector. Anomalies alone do not
 //     mark a file unhealthy — fault-injection legs flag them by design;
@@ -72,14 +68,9 @@ struct TenantHealth {
 };
 
 struct IndexHealth {
-  double indexes = 0.0;
   double boxes = 0.0;
   double mem_bytes = 0.0;
-  double spline_max_error = 0.0;
-  double fallback_rate = -1.0;    // -1 = not reported
-  double declared_bound = -1.0;   // -1 = not declared
-  double spline_lookups = 0.0;
-  double lookup_p95_us = -1.0;    // -1 = no lookup histogram in scope
+  double lookup_p95_us = -1.0;  // -1 = no lookup histogram in scope
 };
 
 struct FileHealth {
@@ -89,7 +80,7 @@ struct FileHealth {
   bool healthy = true;
   /// Per-tenant admission rollup (empty for non-tenant reports).
   std::map<std::string, TenantHealth> tenants;
-  /// Per-scope learned-index rollup keyed by the sample's full label
+  /// Per-scope interest-index rollup keyed by the sample's full label
   /// set (empty for reports without index.* series).
   std::map<std::string, IndexHealth> indexes;
   /// Watchdog anomaly counts keyed by detector name (empty when the run
@@ -217,20 +208,10 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
         if (scope.empty()) scope = "(unlabeled)";
         IndexHealth& ix = h.indexes[scope];
         double value = sample.NumberOr("value", 0.0);
-        if (name == "index.indexes") {
-          ix.indexes = value;
-        } else if (name == "index.boxes") {
+        if (name == "index.boxes") {
           ix.boxes = value;
         } else if (name == "index.mem_bytes") {
           ix.mem_bytes = value;
-        } else if (name == "index.spline_max_error") {
-          ix.spline_max_error = value;
-        } else if (name == "index.spline_fallback_rate") {
-          ix.fallback_rate = value;
-        } else if (name == "index.declared_fallback_bound") {
-          ix.declared_bound = value;
-        } else if (name == "index.spline_lookups") {
-          ix.spline_lookups = value;
         } else if (name == "index.lookup_us.p95") {
           ix.lookup_p95_us = value;
         }
@@ -307,30 +288,16 @@ FileHealth SummarizeBench(const std::string& path, const JsonValue& doc) {
          << " > headroom " << t.quota_headroom;
     }
   }
-  for (const auto& [scope, ix] : h.indexes) {
-    // Only judge scopes that actually took spline lookups: a scope with
-    // zero spline traffic has nothing to certify.
-    if (ix.declared_bound >= 0 && ix.spline_lookups > 0 &&
-        ix.fallback_rate > ix.declared_bound) {
-      h.healthy = false;
-      os << "; index " << scope << " fallback rate " << ix.fallback_rate
-         << " > declared bound " << ix.declared_bound;
-    }
-  }
   h.summary = os.str();
   return h;
 }
 
 void PrintIndexTable(const FileHealth& h) {
-  Table table({"scope", "boxes", "mem MB", "max err", "lookup p95 us",
-               "fallback rate", "bound"});
+  Table table({"scope", "boxes", "mem MB", "lookup p95 us"});
   for (const auto& [scope, ix] : h.indexes) {
     table.AddRow(
-        {scope, Table::Num(ix.boxes, 0),
-         Table::Num(ix.mem_bytes / 1e6, 2), Table::Num(ix.spline_max_error, 0),
-         ix.lookup_p95_us < 0 ? "-" : Table::Num(ix.lookup_p95_us, 3),
-         ix.fallback_rate < 0 ? "-" : Table::Num(ix.fallback_rate, 4),
-         ix.declared_bound < 0 ? "-" : Table::Num(ix.declared_bound, 4)});
+        {scope, Table::Num(ix.boxes, 0), Table::Num(ix.mem_bytes / 1e6, 2),
+         ix.lookup_p95_us < 0 ? "-" : Table::Num(ix.lookup_p95_us, 3)});
   }
   table.Print("Interest indexes in " + h.path);
 }
