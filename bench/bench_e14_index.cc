@@ -13,10 +13,9 @@
 //
 // Per (boxes, strategy) the JSON carries index.build_us (gauge),
 // index.lookup_us / index.overlap_us (histograms: per-operation), and
-// index.mem_bytes (gauge); strategy is "spline" (the index: the label
-// predates the bucket index and stays, because baselines and gates read
-// it) or "linear" (the reference). Headlines:
-// spline_speedup_vs_linear_match and spline_speedup_vs_linear_overlap at
+// index.mem_bytes (gauge); strategy is "bucket" (the index) or "linear"
+// (the reference). Headlines:
+// bucket_speedup_vs_linear_match and bucket_speedup_vs_linear_overlap at
 // the largest tier the reference runs (100k boxes at both scales; linear
 // mean / index mean), match_checks /
 // overlap_checks (output-equality comparisons performed), and boxes_max.
@@ -253,7 +252,7 @@ TierResult RunTier(const Tier& tier, dsps::telemetry::MetricsRegistry* metrics) 
     std::vector<int64_t> out;
     index.Match(warm.data(), &out);
     const double build_us = UsSince(start);
-    const dsps::telemetry::Labels labels = labels_for("spline");
+    const dsps::telemetry::Labels labels = labels_for("bucket");
     result.index = RunStrategy(index, tier, domain, build_us, &index_match,
                                &index_overlap, metrics, labels);
     dsps::interest::IndexStats stats;
@@ -307,7 +306,7 @@ void PrintE14() {
                     speedup > 0.0 ? Table::Num(speedup, 2) : std::string("-")});
     };
     if (!r.has_linear) {
-      add_row("spline", r.index, 0.0);
+      add_row("bucket", r.index, 0.0);
       continue;
     }
     const double speedup_match =
@@ -318,7 +317,7 @@ void PrintE14() {
         r.index.overlap_mean_us > 0.0
             ? r.linear.overlap_mean_us / r.index.overlap_mean_us
             : 0.0;
-    add_row("spline", r.index, speedup_match);
+    add_row("bucket", r.index, speedup_match);
     add_row("linear", r.linear, 0.0);
     // The bar applies to the largest tier the reference runs.
     bar_speedup_match = speedup_match;
@@ -330,8 +329,8 @@ void PrintE14() {
       "boxes; speedup = linear lookup mean / index lookup mean)");
 
   report.SetHeadline("boxes_max", static_cast<double>(tiers.back().boxes));
-  report.SetHeadline("spline_speedup_vs_linear_match", bar_speedup_match);
-  report.SetHeadline("spline_speedup_vs_linear_overlap", bar_speedup_overlap);
+  report.SetHeadline("bucket_speedup_vs_linear_match", bar_speedup_match);
+  report.SetHeadline("bucket_speedup_vs_linear_overlap", bar_speedup_overlap);
   report.SetHeadline("match_checks", static_cast<double>(match_checks));
   report.SetHeadline("overlap_checks", static_cast<double>(overlap_checks));
   report.MergeSnapshot(metrics.Snapshot());

@@ -9,9 +9,7 @@
 //    query-graph inverted indexes, per-entity stream indexes) as gauges.
 //    Deterministic: every value derives from counts, never from wall
 //    time, except index.build_us which is the accumulated bucket
-//    (re)build cost. The names index.spline_rebuilds and
-//    index.spline_buckets predate the bucket index (interest::BucketIndex)
-//    and stay, because baselines and gates read them.
+//    (re)build cost.
 //  - RunIndexLookupProbe() builds a fresh BoxIndex over a supplied box
 //    population and times point-stab lookups against it, emitting the
 //    index.lookup_us histogram (whose p95 dsps_doctor surfaces) plus the
@@ -43,8 +41,8 @@ inline void ExportIndexStats(const interest::IndexStats& s,
   set("index.mem_bytes", static_cast<double>(s.mem_bytes));
   set("index.build_us", s.build_us);
   set("index.lookups", static_cast<double>(s.lookups));
-  set("index.spline_rebuilds", static_cast<double>(s.spline_rebuilds));
-  set("index.spline_buckets", static_cast<double>(s.spline_buckets));
+  set("index.rebuilds", static_cast<double>(s.rebuilds));
+  set("index.buckets", static_cast<double>(s.buckets));
 }
 
 struct IndexProbeConfig {

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -81,39 +82,7 @@ double Rng::Exponential(double rate) {
 }
 
 uint64_t Rng::Zipf(uint64_t n, double s) {
-  DSPS_CHECK(n > 0);
-  if (n == 1) return 0;
-  if (s <= 0.0) return NextUint64(n);
-  // Rejection-inversion sampling (Hormann & Derflinger 1996), following
-  // the Apache Commons RejectionInversionZipfSampler formulation, which
-  // keeps the acceptance rate bounded for every exponent (a naive
-  // sampling region degenerates for large s). Ranks are 1..n; the result
-  // is shifted to 0-based.
-  const double nd = static_cast<double>(n);
-  auto h_integral = [s](double x) {
-    if (s == 1.0) return std::log(x);
-    return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-  };
-  auto h = [s](double x) { return std::pow(x, -s); };
-  auto h_integral_inverse = [s](double u) {
-    if (s == 1.0) return std::exp(u);
-    double t = std::max(0.0, u * (1.0 - s) + 1.0);
-    return std::pow(t, 1.0 / (1.0 - s));
-  };
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(nd + 0.5);
-  const double accept_s =
-      2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
-  for (;;) {
-    double u = h_n + NextDouble() * (h_x1 - h_n);
-    double x = h_integral_inverse(u);
-    double kd = std::floor(x + 0.5);
-    if (kd < 1.0) kd = 1.0;
-    if (kd > nd) kd = nd;
-    if (kd - x <= accept_s || u >= h_integral(kd + 0.5) - h(kd)) {
-      return static_cast<uint64_t>(kd) - 1;
-    }
-  }
+  return ZipfSampler(n, s).Sample(this);
 }
 
 bool Rng::Bernoulli(double p) {
@@ -125,6 +94,44 @@ bool Rng::Bernoulli(double p) {
 Rng Rng::Fork(uint64_t label) {
   uint64_t mix = Next() ^ (label * 0xD1B54A32D192ED03ULL);
   return Rng(mix);
+}
+
+ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n), s_(s) {
+  DSPS_CHECK(n > 0);
+  if (n == 1 || s <= 0.0) return;  // Sample needs no constants then
+  // Ranks are 1..n; Sample shifts the result to 0-based.
+  h_x1_ = HIntegral(1.5) - 1.0;
+  h_n_ = HIntegral(static_cast<double>(n) + 0.5);
+  accept_s_ = 2.0 - HIntegralInverse(HIntegral(2.5) - H(2.0));
+}
+
+double ZipfSampler::HIntegral(double x) const {
+  if (s_ == 1.0) return std::log(x);
+  return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+}
+
+double ZipfSampler::HIntegralInverse(double u) const {
+  if (s_ == 1.0) return std::exp(u);
+  double t = std::max(0.0, u * (1.0 - s_) + 1.0);
+  return std::pow(t, 1.0 / (1.0 - s_));
+}
+
+double ZipfSampler::H(double x) const { return std::pow(x, -s_); }
+
+uint64_t ZipfSampler::Sample(Rng* rng) const {
+  if (n_ == 1) return 0;
+  if (s_ <= 0.0) return rng->NextUint64(n_);
+  const double nd = static_cast<double>(n_);
+  for (;;) {
+    double u = h_n_ + rng->NextDouble() * (h_x1_ - h_n_);
+    double x = HIntegralInverse(u);
+    double kd = std::floor(x + 0.5);
+    if (kd < 1.0) kd = 1.0;
+    if (kd > nd) kd = nd;
+    if (kd - x <= accept_s_ || u >= HIntegral(kd + 0.5) - H(kd)) {
+      return static_cast<uint64_t>(kd) - 1;
+    }
+  }
 }
 
 }  // namespace dsps::common

@@ -40,8 +40,9 @@ class Rng {
   /// Exponential with the given rate (mean 1/rate). Requires rate > 0.
   double Exponential(double rate);
 
-  /// Zipf-distributed rank in [0, n) with exponent `s` (s=0 is uniform).
-  /// Uses an O(1) rejection-inversion sampler.
+  /// Zipf-distributed rank in [0, n) with exponent `s` (s=0 is uniform):
+  /// one draw of ZipfSampler(n, s). Callers that draw repeatedly from one
+  /// distribution should hold a ZipfSampler instead.
   uint64_t Zipf(uint64_t n, double s);
 
   /// True with probability p (clamped to [0, 1]).
@@ -61,6 +62,34 @@ class Rng {
 
  private:
   uint64_t state_[4];
+};
+
+/// Zipf-distributed ranks in [0, n) with exponent `s` (s = 0 is uniform),
+/// by O(1) rejection-inversion sampling (Hormann & Derflinger 1996, in the
+/// Apache Commons RejectionInversionZipfSampler formulation, which keeps
+/// the acceptance rate bounded for every exponent). The constants that
+/// depend only on n and s (five pow calls when s != 1) are computed once
+/// at construction, so a draw pays only for its own attempts.
+class ZipfSampler {
+ public:
+  /// Requires n > 0.
+  ZipfSampler(uint64_t n, double s);
+
+  /// One rank drawn with `rng`. Consumes no randomness when n == 1.
+  uint64_t Sample(Rng* rng) const;
+
+ private:
+  /// The integral of h(x) = x^-s, its inverse, and h itself, over the
+  /// ranks 1..n.
+  double HIntegral(double x) const;
+  double HIntegralInverse(double u) const;
+  double H(double x) const;
+
+  uint64_t n_;
+  double s_;
+  double h_x1_ = 0.0;
+  double h_n_ = 0.0;
+  double accept_s_ = 0.0;
 };
 
 }  // namespace dsps::common

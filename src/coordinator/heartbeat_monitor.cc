@@ -4,9 +4,8 @@
 
 namespace dsps::coordinator {
 
-HeartbeatMonitor::HeartbeatMonitor() : HeartbeatMonitor(Config()) {}
-HeartbeatMonitor::HeartbeatMonitor(const Config& config) : config_(config) {
-  DSPS_CHECK(config.timeout_s > 0);
+HeartbeatMonitor::HeartbeatMonitor(double timeout_s) : timeout_s_(timeout_s) {
+  DSPS_CHECK(timeout_s > 0);
 }
 
 void HeartbeatMonitor::Register(common::EntityId id, double now) {
@@ -32,7 +31,7 @@ void HeartbeatMonitor::Heartbeat(common::EntityId id, double now) {
 std::vector<common::EntityId> HeartbeatMonitor::Sweep(double now) {
   std::vector<common::EntityId> suspects;
   for (auto it = last_seen_.begin(); it != last_seen_.end();) {
-    if (now - it->second > config_.timeout_s) {
+    if (now - it->second > timeout_s_) {
       suspects.push_back(it->first);
       it = last_seen_.erase(it);
     } else {

@@ -20,13 +20,8 @@ namespace dsps::coordinator {
 /// detected failure follows the same repair path as a graceful leave.
 class HeartbeatMonitor {
  public:
-  struct Config {
-    /// An entity is suspected after this long without a heartbeat.
-    double timeout_s = 3.0;
-  };
-
-  HeartbeatMonitor();
-  explicit HeartbeatMonitor(const Config& config);
+  /// An entity is suspected after `timeout_s` (> 0) without a heartbeat.
+  explicit HeartbeatMonitor(double timeout_s);
 
   /// Starts tracking `id`, as of time `now`.
   void Register(common::EntityId id, double now);
@@ -50,7 +45,7 @@ class HeartbeatMonitor {
   size_t size() const { return last_seen_.size(); }
 
  private:
-  Config config_;
+  double timeout_s_;
   std::map<common::EntityId, double> last_seen_;
 };
 

@@ -153,20 +153,23 @@ Disseminator::NodeCounters& Disseminator::CountersFor(common::StreamId stream,
       .first->second;
 }
 
+bool Disseminator::Route(const DisseminationTree& tree, common::EntityId at,
+                         const double* point) {
+  if (route_lookup_us_ == nullptr) {
+    return tree.Route(at, point, config_.early_filter, &targets_);
+  }
+  auto start = std::chrono::steady_clock::now();
+  const bool local = tree.Route(at, point, config_.early_filter, &targets_);
+  route_lookup_us_->Observe(std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  return local;
+}
+
 void Disseminator::Forward(const DisseminationTree& tree,
-                           DisseminationTree::Position at,
                            common::EntityId from, common::SimNodeId from_node,
                            const TupleEnvelope& env) {
-  std::vector<common::EntityId>& targets = targets_scratch_;
-  if (route_lookup_us_ != nullptr) {
-    auto start = std::chrono::steady_clock::now();
-    tree.ForwardTargets(at, env.point->data(), config_.early_filter, &targets);
-    route_lookup_us_->Observe(std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-  } else {
-    tree.ForwardTargets(at, env.point->data(), config_.early_filter, &targets);
-  }
+  const std::vector<common::EntityId>& targets = targets_;
   if (config_.metrics != nullptr) {
     NodeCounters& counters = CountersFor(env.tuple->stream, from);
     counters.forwarded->Increment(static_cast<int64_t>(targets.size()));
@@ -219,8 +222,8 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
     env.tuple = std::make_shared<const engine::Tuple>(tuple);
   }
   env.point = engine::ProjectPoint(tuple);
-  Forward(*tree, tree->Locate(common::kInvalidEntity), common::kInvalidEntity,
-          streams_[tuple.stream].source, env);
+  Route(*tree, common::kInvalidEntity, env.point->data());
+  Forward(*tree, common::kInvalidEntity, streams_[tuple.stream].source, env);
   return common::Status::OK();
 }
 
@@ -240,17 +243,16 @@ bool Disseminator::HandleMessage(const sim::Message& msg) {
   const DisseminationTree* tree = TreeOf(env->tuple->stream);
   DSPS_CHECK_MSG(tree != nullptr, "tuple of unknown stream %d",
                  env->tuple->stream);
-  // One resolution serves both the local match and the forwarding.
-  const DisseminationTree::Position at = tree->Locate(entity);
-  if (tree->LocalMatch(at, env->point->data())) {
+  // One stab answers both the local delivery and the forwarding; local
+  // delivery still goes first.
+  if (Route(*tree, entity, env->point->data())) {
     ++delivered_;
     if (config_.metrics != nullptr) {
       CountersFor(env->tuple->stream, entity).delivered->Increment();
     }
     if (delivery_) delivery_(entity, *env);
   }
-  // Forward down the tree.
-  Forward(*tree, at, entity, msg.to, *env);
+  Forward(*tree, entity, msg.to, *env);
   return true;
 }
 

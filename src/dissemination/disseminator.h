@@ -128,10 +128,14 @@ class Disseminator {
   interest::IndexStats RouteIndexStats() const;
 
  private:
-  /// Sends `env` to the targets of `at`, `from`'s resolved position in
-  /// `tree` (kInvalidEntity = the source).
-  void Forward(const DisseminationTree& tree,
-               DisseminationTree::Position at, common::EntityId from,
+  /// One hop's stab at `at` in `tree` (kInvalidEntity = the source), timed
+  /// into dissem.route_lookup_us when metrics are on: fills targets_ and
+  /// returns whether `at` itself wants `point` (DisseminationTree::Route).
+  bool Route(const DisseminationTree& tree, common::EntityId at,
+             const double* point);
+  /// Sends `env` from `from` (kInvalidEntity = the source), at `from_node`,
+  /// to every entity in targets_.
+  void Forward(const DisseminationTree& tree, common::EntityId from,
                common::SimNodeId from_node, const TupleEnvelope& env);
   /// The tree of `stream`, or null.
   DisseminationTree* TreeOf(common::StreamId stream) const;
@@ -166,13 +170,13 @@ class Disseminator {
   DeliveryHandler delivery_;
   int64_t delivered_ = 0;
   int64_t forwards_ = 0;
-  /// Wall-clock cost of each ForwardTargets routing lookup (interned once
-  /// when metrics are configured; null = no timing overhead).
+  /// Wall-clock cost of each hop's Route (interned once when metrics are
+  /// configured; null = no timing overhead).
   telemetry::HistogramMetric* route_lookup_us_ = nullptr;
-  /// Per-hop scratch for Forward's target list. Safe to reuse: message
-  /// delivery is always scheduled, never synchronous, so Forward cannot
-  /// re-enter while the list is being walked.
-  std::vector<common::EntityId> targets_scratch_;
+  /// The current hop's forward targets, from Route to Forward. Safe to
+  /// reuse: message delivery is always scheduled, never synchronous, so no
+  /// hop starts while another's list is being walked.
+  std::vector<common::EntityId> targets_;
   /// Reliable-mode tuple hops (unused when Config::reliable is false).
   sim::ReliableChannel hops_;
 };

@@ -320,138 +320,89 @@ std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
     const std::vector<common::EntityId>& children) const {
   // Gather the non-empty boxes first so every array is sized exactly:
   // tables live until the next change, and growth slack would stay.
-  std::vector<const Box*> own;
-  std::vector<const Box*> below;
-  std::vector<int64_t> positions;
-  std::vector<uint32_t> child_end;
-  child_end.reserve(children.size());
-  if (local != nullptr) {
-    for (const Box& b : *local) {
-      if (!interest::BoxEmpty(b)) own.push_back(&b);
-    }
-  }
-  for (size_t i = 0; i < children.size(); ++i) {
-    for (const Box& b : At(children[i]).subtree) {
+  std::vector<const Box*> boxes;
+  std::vector<int64_t> subs;
+  auto gather = [&boxes, &subs](const std::vector<Box>& from, int64_t sub) {
+    for (const Box& b : from) {
       if (interest::BoxEmpty(b)) continue;
-      below.push_back(&b);
-      positions.push_back(static_cast<int64_t>(i));
+      boxes.push_back(&b);
+      subs.push_back(sub);
     }
-    child_end.push_back(static_cast<uint32_t>(below.size()));
+  };
+  if (local != nullptr) gather(*local, 0);
+  for (size_t i = 0; i < children.size(); ++i) {
+    gather(At(children[i]).subtree, static_cast<int64_t>(i) + 1);
   }
   auto table = std::make_unique<Table>();
   // All boxes of one stream share dimensionality (see
   // interest/interval.h).
-  if (!own.empty() || !below.empty()) {
-    table->dims = (own.empty() ? below : own).front()->size();
+  if (!boxes.empty()) table->dims = boxes.front()->size();
+  std::vector<double> bounds;
+  bounds.reserve(boxes.size() * 2 * table->dims);
+  for (const Box* b : boxes) {
+    DSPS_CHECK_MSG(!b->empty() && b->size() == table->dims,
+                   "stream %d mixes box dimensionalities", stream_);
+    interest::AppendBounds(*b, &bounds);
   }
-  auto flatten = [&table, this](const std::vector<const Box*>& boxes) {
-    std::vector<double> bounds;
-    bounds.reserve(boxes.size() * 2 * table->dims);
-    for (const Box* b : boxes) {
-      DSPS_CHECK_MSG(!b->empty() && b->size() == table->dims,
-                     "stream %d mixes box dimensionalities", stream_);
-      interest::AppendBounds(*b, &bounds);
-    }
-    return bounds;
-  };
-  table->local = flatten(own);
-  if (below.size() < interest::BoxIndex::kBucketBuildMin) {
-    table->child_bounds = flatten(below);
-    table->child_end = std::move(child_end);
+  if (boxes.size() < interest::BoxIndex::kBucketBuildMin) {
+    table->bounds = std::move(bounds);
+    table->subs.assign(subs.begin(), subs.end());
     return table;
   }
-  const std::vector<double> bounds = flatten(below);
   const auto start = std::chrono::steady_clock::now();
   table->buckets =
-      std::make_unique<interest::BucketIndex>(table->dims, bounds, positions);
+      std::make_unique<interest::BucketIndex>(table->dims, bounds, subs);
   table->build_us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - start)
                         .count();
   return table;
 }
 
-DisseminationTree::Position DisseminationTree::Locate(
-    common::EntityId id) const {
-  Position pos;
-  if (id == common::kInvalidEntity) {
-    pos.known_ = true;
-  } else {
-    pos.node_ = Find(id);
-    pos.known_ = pos.node_ != nullptr;
+bool DisseminationTree::Route(common::EntityId at, const double* point,
+                              bool early_filter,
+                              std::vector<common::EntityId>* targets) const {
+  targets->clear();
+  const Node* node = nullptr;
+  if (at != common::kInvalidEntity) {
+    node = Find(at);
+    if (node == nullptr) return false;
   }
-  return pos;
-}
-
-void DisseminationTree::ForwardTargets(common::EntityId from,
-                                       const double* point, bool early_filter,
-                                       std::vector<common::EntityId>* out) const {
-  DSPS_DCHECK(from == common::kInvalidEntity || Contains(from));
-  ForwardTargets(Locate(from), point, early_filter, out);
-}
-
-void DisseminationTree::ForwardTargets(Position from, const double* point,
-                                       bool early_filter,
-                                       std::vector<common::EntityId>* out) const {
-  out->clear();
-  if (!from.known_) return;
-  const Node* node = from.node_;
-  std::unique_ptr<Table>* slot = &source_table_;
-  const std::vector<common::EntityId>* children = &source_children_;
-  if (node != nullptr) {
-    slot = &node->table;
-    children = &node->children;
-  }
-  if (!early_filter) {
-    *out = *children;
-    return;
-  }
-  if (children->empty()) return;
-  const Table& table = EnsureTable(slot, node);
+  const std::vector<common::EntityId>& children =
+      node == nullptr ? source_children_ : node->children;
+  if (!early_filter) *targets = children;
+  // The source wants nothing itself: it needs a table only to filter.
+  if (node == nullptr && (!early_filter || children.empty())) return false;
+  const Table& table =
+      EnsureTable(node == nullptr ? &source_table_ : &node->table, node);
+  interest::BucketIndex::Run run{table.bounds.data(), table.subs.data(),
+                                 table.subs.size()};
   if (table.buckets != nullptr) {
     ++table.lookups;
-    match_scratch_.clear();
-    table.buckets->Match(point, &match_scratch_);
-    // Child positions, ascending and deduplicated, are child-list order.
-    std::sort(match_scratch_.begin(), match_scratch_.end());
-    match_scratch_.erase(
-        std::unique(match_scratch_.begin(), match_scratch_.end()),
-        match_scratch_.end());
-    for (int64_t i : match_scratch_) {
-      out->push_back((*children)[static_cast<size_t>(i)]);
-    }
-    return;
+    run = table.buckets->Candidates(point);
   }
-  const size_t stride = 2 * table.dims;
-  size_t box = 0;
-  for (size_t i = 0; i < children->size(); ++i) {
-    const size_t end = table.child_end[i];
-    for (; box < end; ++box) {
-      if (interest::BoundsContain(&table.child_bounds[box * stride], point,
-                                  table.dims)) {
-        out->push_back((*children)[i]);
-        box = end;
-        break;
-      }
+  // A subscriber's boxes are consecutive in the run (see Table), so after
+  // its first hit the rest of its boxes are skipped untested, and the hits
+  // come out once each, in subscriber order: the node, then child-list
+  // order.
+  const size_t dims = table.dims;
+  bool local = false;
+  int64_t hit = -1;
+  for (size_t k = 0; k < run.size; ++k) {
+    const int64_t sub = run.subs[k];
+    if (sub == hit) continue;
+    // Unfiltered, only the node's own boxes matter, and they come first.
+    if (!early_filter && sub > 0) break;
+    if (!interest::BoundsContain(run.bounds + k * 2 * dims, point, dims)) {
+      continue;
     }
-  }
-}
-
-bool DisseminationTree::LocalMatch(common::EntityId id,
-                                   const double* point) const {
-  return id != common::kInvalidEntity && LocalMatch(Locate(id), point);
-}
-
-bool DisseminationTree::LocalMatch(Position at, const double* point) const {
-  const Node* node = at.node_;
-  if (node == nullptr) return false;
-  const Table& table = EnsureTable(&node->table, node);
-  const size_t stride = 2 * table.dims;
-  for (size_t i = 0; i < table.local.size(); i += stride) {
-    if (interest::BoundsContain(&table.local[i], point, table.dims)) {
-      return true;
+    hit = sub;
+    if (sub == 0) {
+      local = true;
+    } else {
+      targets->push_back(children[static_cast<size_t>(sub - 1)]);
     }
   }
-  return false;
+  return local;
 }
 
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
@@ -460,10 +411,8 @@ void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
     ++stats->indexes;
     stats->boxes += static_cast<int64_t>(table->buckets->size());
     stats->lookups += table->lookups;
-    ++stats->spline_rebuilds;
+    ++stats->rebuilds;
     stats->build_us += table->build_us;
-    stats->mem_bytes +=
-        static_cast<int64_t>(table->local.size() * sizeof(double));
     interest::AddBucketStats(*table->buckets, stats);
   };
   add(source_table_);
@@ -603,12 +552,12 @@ common::Status DisseminationTree::CheckInvariants() const {
   }
   // (4) Match tables vs linear scans, probed at child subtree box centers
   // (where mismatches from a stale table are most likely to show): the
-  // routing targets against a scan of the children's aggregates, and the
-  // LocalMatch of the parent and of each child against a scan of its
-  // LocalInterest(). A child's own boxes are part of its aggregate, so
-  // every node's local interest gets probed. Tables these calls build are
-  // dropped again parent by parent: output never depends on them, and on
-  // a system without traffic they would only hold memory.
+  // parent's Route targets against a scan of the children's aggregates,
+  // and the local answers of the parent and of each child against a scan
+  // of its LocalInterest(). A child's own boxes are part of its aggregate,
+  // so every node's local interest gets probed. Tables these calls build
+  // are dropped again parent by parent: output never depends on them, and
+  // on a system without traffic they would only hold memory.
   std::vector<common::EntityId> parents(1, common::kInvalidEntity);
   for (size_t id = 0; id < nodes_.size(); ++id) {
     if (nodes_[id].present) {
@@ -641,27 +590,30 @@ common::Status DisseminationTree::CheckInvariants() const {
       }
     }
     for (const std::vector<double>& point : probes) {
-      ForwardTargets(parent, point.data(), /*early_filter=*/true, &cached);
-      std::vector<common::EntityId> scanned;
-      for (common::EntityId child : children) {
-        for (const Box& b : At(child).subtree) {
-          if (interest::BoxContains(b, point.data())) {
-            scanned.push_back(child);
-            break;
+      for (common::EntityId id : probed) {
+        const bool local =
+            Route(id, point.data(), /*early_filter=*/true, &cached);
+        if (id == parent) {
+          std::vector<common::EntityId> scanned;
+          for (common::EntityId child : children) {
+            for (const Box& b : At(child).subtree) {
+              if (interest::BoxContains(b, point.data())) {
+                scanned.push_back(child);
+                break;
+              }
+            }
+          }
+          if (cached != scanned) {
+            return violation("routing table disagrees with linear scan");
           }
         }
-      }
-      if (cached != scanned) {
-        return violation("routing table disagrees with linear scan");
-      }
-      for (common::EntityId id : probed) {
         if (id == common::kInvalidEntity) continue;
-        const std::vector<Box>& local = At(id).local;
+        const std::vector<Box>& own = At(id).local;
         const bool scan =
-            std::any_of(local.begin(), local.end(), [&point](const Box& b) {
+            std::any_of(own.begin(), own.end(), [&point](const Box& b) {
               return interest::BoxContains(b, point.data());
             });
-        if (LocalMatch(id, point.data()) != scan) {
+        if (local != scan) {
           return violation("local match table disagrees with linear scan");
         }
       }

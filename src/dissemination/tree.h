@@ -95,38 +95,20 @@ class DisseminationTree {
   /// The entity's own registered boxes.
   const std::vector<interest::Box>& LocalInterest(common::EntityId id) const;
 
-  /// A tree position resolved once, so one tuple hop's LocalMatch and
-  /// ForwardTargets share a single resolution. Valid until the tree's
-  /// membership next changes (AddEntity, RemoveEntity).
-  class Position {
-    friend class DisseminationTree;
-    const Node* node_ = nullptr;  // null = the source
-    bool known_ = false;          // false = not in the tree
-  };
-  /// The position of `id` (kInvalidEntity = the source).
-  Position Locate(common::EntityId id) const;
-
-  /// Children of `from` (kInvalidEntity = source) that should receive a
-  /// tuple with numeric values `point`. With early_filter, a child is
-  /// included only if its subtree aggregate matches; otherwise all
-  /// children are included (forward-everything baseline). The per-child
-  /// matching reads `from`'s match table (see Table): a scan of the
-  /// children's contiguous bounds, or one bucket probe once they
-  /// hold interest::BoxIndex::kBucketBuildMin boxes. Results keep
-  /// child-list order, bit-identical to a scan of every child's box list.
-  void ForwardTargets(common::EntityId from, const double* point,
-                      bool early_filter,
-                      std::vector<common::EntityId>* out) const;
-  /// The same at a resolved position (nothing for an unknown entity).
-  void ForwardTargets(Position from, const double* point, bool early_filter,
-                      std::vector<common::EntityId>* out) const;
-
-  /// True if the entity's own interest matches the point (local delivery).
-  /// Reads the entity's match table, stopping at the first matching box.
-  /// False for an entity that is not in the tree.
-  bool LocalMatch(common::EntityId id, const double* point) const;
-  /// The same at a resolved position (false for the source).
-  bool LocalMatch(Position at, const double* point) const;
+  /// One tuple hop at `at` (kInvalidEntity = the source) for a tuple with
+  /// numeric values `point`. Fills `targets` with the children that should
+  /// receive it: with early_filter, the children whose subtree aggregate
+  /// matches, in child-list order; without, every child (the
+  /// forward-everything baseline). Returns true if `at`'s own interest
+  /// matches (local delivery); always false for the source and for an
+  /// entity that is not in the tree, which gets no targets either.
+  ///
+  /// Both answers come from one probe of `at`'s match table (see Table),
+  /// which stops testing a subscriber's boxes at its first hit. They are
+  /// bit-identical to a scan of the local boxes and of every child's box
+  /// list.
+  bool Route(common::EntityId at, const double* point, bool early_filter,
+             std::vector<common::EntityId>* targets) const;
 
   /// The entity's registered position.
   const sim::Point& position(common::EntityId id) const;
@@ -150,12 +132,12 @@ class DisseminationTree {
   /// exactly once as a child of its recorded parent; (2) acyclicity —
   /// every parent chain reaches the source within size() hops; (3) each
   /// node's cached subtree aggregate equals a fresh recomputation from
-  /// local + children (interval-exact, including coarsening); (4) cached
-  /// early-filter routing equals a plain linear scan over child subtree
-  /// boxes at probe points, and each probed node's LocalMatch equals a
-  /// scan of its LocalInterest() there. Internal error naming the first
-  /// violation. Read-only: a match table check (4) has to build is
-  /// dropped again.
+  /// local + children (interval-exact, including coarsening); (4) at
+  /// probe points, each node's early-filtered Route targets equal a plain
+  /// linear scan over its children's subtree boxes, and the local answers
+  /// of the node and of its children equal a scan of their
+  /// LocalInterest(). Internal error naming the first violation.
+  /// Read-only: a match table check (4) has to build is dropped again.
   common::Status CheckInvariants() const;
 
   /// Accumulates the statistics of every live bucket-backed match table
@@ -164,27 +146,26 @@ class DisseminationTree {
   void CollectIndexStats(interest::IndexStats* stats) const;
 
  private:
-  /// A node's match table: every bound a tuple stab at the node reads,
-  /// copied contiguously in the interest::AppendBounds layout so each
-  /// candidate box costs one branch (interest::BoundsContain). Built
-  /// lazily by the first LocalMatch or early-filtered ForwardTargets after
-  /// a change and rebuilt whole on the next one after DropTable, so it
-  /// needs no insert or removal path.
+  /// A node's match table: every bound a Route at the node reads, copied
+  /// contiguously in the interest::AppendBounds layout so each candidate
+  /// box costs one branch (interest::BoundsContain). Its subscribers are
+  /// the node itself (0, its own boxes) and its children (child i of the
+  /// child list is i + 1, its subtree aggregate), boxes given subscriber
+  /// after subscriber. Built lazily by the first Route after a change and
+  /// rebuilt whole on the next one after DropTable, so it needs no insert
+  /// or removal path.
   struct Table {
     /// Dimensionality of every box in the table.
     size_t dims = 0;
-    /// The node's own non-empty boxes (LocalMatch).
-    std::vector<double> local;
-    /// Below interest::BoxIndex::kBucketBuildMin child boxes: the
-    /// children's non-empty subtree boxes, child after child in
-    /// child-list order; child i's boxes end at box child_end[i].
-    std::vector<double> child_bounds;
-    std::vector<uint32_t> child_end;
-    /// From kBucketBuildMin child boxes: a bucket index over them
-    /// (subscriber = the child's position in the child list) in place of
-    /// child_bounds.
+    /// Below interest::BoxIndex::kBucketBuildMin boxes, counted together:
+    /// every non-empty box's bounds and its subscriber, in input order.
+    std::vector<double> bounds;
+    std::vector<int64_t> subs;
+    /// From kBucketBuildMin boxes: a bucket index over them in place of
+    /// bounds and subs. Its buckets keep input order too, so in every run
+    /// Route reads, each subscriber's boxes are consecutive.
     std::unique_ptr<interest::BucketIndex> buckets;
-    /// Bucket build time and early-filtered stabs served by it.
+    /// Bucket build time and Routes served by the buckets.
     double build_us = 0.0;
     mutable int64_t lookups = 0;
   };
@@ -256,9 +237,6 @@ class DisseminationTree {
   std::vector<common::EntityId> source_children_;
   /// The source's match table (children only; see Table).
   mutable std::unique_ptr<Table> source_table_;
-  /// Scratch for ForwardTargets' bucket lookups (avoids a per-tuple
-  /// allocation on the hot path).
-  mutable std::vector<int64_t> match_scratch_;
   /// Scratch for RecomputeSubtree's MarkAggregate call.
   std::vector<const interest::Box*> agg_in_;
   std::vector<uint8_t> agg_keep_;

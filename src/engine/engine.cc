@@ -59,12 +59,8 @@ common::Status BasicEngine::Inject(FragmentInstance& fragment,
                                    const Tuple& tuple,
                                    std::vector<TaggedOutput>* out) {
   DSPS_CHECK(fragment.host() == this);
-  std::vector<FragmentInstance::Output> local;
-  DSPS_RETURN_IF_ERROR(fragment.Inject(op, port, tuple, &local));
+  DSPS_RETURN_IF_ERROR(fragment.Inject(op, port, tuple, &scratch_, out));
   pending_cost_ += fragment.DrainCpuCost();
-  for (auto& o : local) {
-    out->push_back(TaggedOutput{fragment.id(), fragment.tag(), std::move(o)});
-  }
   return common::Status::OK();
 }
 
@@ -91,27 +87,31 @@ common::Status BatchEngine::Inject(FragmentInstance& fragment,
                                    const Tuple& tuple,
                                    std::vector<TaggedOutput>* out) {
   DSPS_CHECK(fragment.host() == this);
-  buffer_.push_back(Buffered{&fragment, op, port, tuple});
-  if (static_cast<int>(buffer_.size()) >= batch_size_) RunBatch(out);
+  if (buffered_ == buffer_.size()) {
+    buffer_.push_back(Buffered{&fragment, op, port, tuple});
+  } else {
+    Buffered& b = buffer_[buffered_];
+    b.fragment = &fragment;
+    b.op = op;
+    b.port = port;
+    b.tuple = tuple;
+  }
+  ++buffered_;
+  if (static_cast<int>(buffered_) >= batch_size_) RunBatch(out);
   return common::Status::OK();
 }
 
 void BatchEngine::RunBatch(std::vector<TaggedOutput>* out) {
-  if (buffer_.empty()) return;
-  std::vector<Buffered> batch;
-  batch.swap(buffer_);
+  if (buffered_ == 0) return;
   pending_cost_ += batch_overhead_s_;
-  std::vector<FragmentInstance::Output> local;
-  for (Buffered& b : batch) {
+  for (size_t i = 0; i < buffered_; ++i) {
+    const Buffered& b = buffer_[i];
     FragmentInstance& frag = *b.fragment;
-    local.clear();
-    common::Status s = frag.Inject(b.op, b.port, b.tuple, &local);
+    common::Status s = frag.Inject(b.op, b.port, b.tuple, &scratch_, out);
     DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
     pending_cost_ += frag.DrainCpuCost() * cpu_discount_;
-    for (auto& o : local) {
-      out->push_back(TaggedOutput{frag.id(), frag.tag(), std::move(o)});
-    }
   }
+  buffered_ = 0;
 }
 
 void BatchEngine::Flush(std::vector<TaggedOutput>* out) { RunBatch(out); }

@@ -11,16 +11,6 @@
 
 namespace dsps::engine {
 
-/// A fragment output tagged with the fragment that produced it (needed by
-/// engines that buffer work across fragments). Ids, not a pointer: an
-/// output may be delivered after its fragment is gone.
-struct TaggedOutput {
-  common::FragmentId fragment = -1;
-  /// The producing fragment's FragmentInstance::tag.
-  uint32_t tag = 0;
-  FragmentInstance::Output output;
-};
-
 /// Abstract single-site stream processing engine.
 ///
 /// The paper assumes each entity may run a different engine (STREAM,
@@ -75,6 +65,10 @@ class ExecutionEngine {
 
  protected:
   std::map<common::FragmentId, std::unique_ptr<FragmentInstance>> fragments_;
+  /// Every cascade on this engine runs in these buffers (one set per
+  /// engine, so per processor, not per fragment): after warm-up an
+  /// injection allocates only the tuples its operators produce.
+  FragmentInstance::Scratch scratch_;
 };
 
 /// Tuple-at-a-time engine: every injected tuple runs through its fragment
@@ -132,7 +126,11 @@ class BatchEngine : public ExecutionEngine {
   int batch_size_;
   double cpu_discount_;
   double batch_overhead_s_;
+  /// The first `buffered_` entries wait for the next batch. Entries past
+  /// them are kept, not destroyed, so the next Inject copies its tuple into
+  /// storage that is already there.
   std::vector<Buffered> buffer_;
+  size_t buffered_ = 0;
   double pending_cost_ = 0.0;
 };
 

@@ -1,6 +1,5 @@
 #include "engine/fragment.h"
 
-#include <deque>
 #include <set>
 
 #include "common/check.h"
@@ -52,37 +51,50 @@ const std::vector<PlanEdge>& FragmentInstance::RemoteEdges(
 }
 
 common::Status FragmentInstance::Inject(common::OperatorId op, int port,
-                                        const Tuple& tuple,
-                                        std::vector<Output>* out) {
+                                        const Tuple& tuple, Scratch* scratch,
+                                        std::vector<TaggedOutput>* out) {
   if (!Contains(op)) {
     return common::Status::NotFound("operator not in fragment");
   }
-  struct Work {
-    common::OperatorId op;
-    int port;
-    Tuple tuple;
-  };
-  std::deque<Work> queue;
-  queue.push_back(Work{op, port, tuple});
-  std::vector<Tuple> produced;
-  while (!queue.empty()) {
-    Work w = std::move(queue.front());
-    queue.pop_front();
-    // Internal edges only lead to hosted operators (see Create).
-    const OpSlot& slot = slots_[w.op];
-    Operator* oper = slot.op.get();
-    produced.clear();
-    oper->Process(w.port, w.tuple, &produced);
-    pending_cpu_cost_ += oper->cost_per_tuple();
-    const bool emits = slot.sink || !slot.remote.empty();
-    for (Tuple& t : produced) {
-      for (const PlanEdge& e : slot.internal) {
-        queue.push_back(Work{e.to, e.to_port, t});
+  DSPS_DCHECK(scratch->queue.empty());
+  // The same order as one FIFO queue that starts with the injected tuple.
+  Step(op, port, tuple, scratch, out);
+  for (size_t head = 0; head < scratch->queue.size(); ++head) {
+    const Scratch::Work& w = scratch->queue[head];
+    Step(w.op, w.port, w.tuple, scratch, out);
+  }
+  scratch->queue.clear();
+  return common::Status::OK();
+}
+
+void FragmentInstance::Step(common::OperatorId op, int port,
+                            const Tuple& tuple, Scratch* scratch,
+                            std::vector<TaggedOutput>* out) {
+  // Internal edges only lead to hosted operators (see Create).
+  const OpSlot& slot = slots_[op];
+  Operator* oper = slot.op.get();
+  std::vector<Tuple>& produced = scratch->produced;
+  produced.clear();
+  oper->Process(port, tuple, &produced);
+  pending_cpu_cost_ += oper->cost_per_tuple();
+  const bool emits = slot.sink || !slot.remote.empty();
+  const size_t edges = slot.internal.size();
+  std::vector<Scratch::Work>& queue = scratch->queue;
+  for (Tuple& t : produced) {
+    // The last use of `t` takes it instead of copying it.
+    for (size_t i = 0; i < edges; ++i) {
+      const PlanEdge& e = slot.internal[i];
+      if (i + 1 == edges && !emits) {
+        queue.push_back(Scratch::Work{e.to, e.to_port, std::move(t)});
+      } else {
+        queue.push_back(Scratch::Work{e.to, e.to_port, t});
       }
-      if (emits) out->push_back(Output{w.op, slot.sink, std::move(t)});
+    }
+    if (emits) {
+      out->push_back(
+          TaggedOutput{id_, tag_, Output{op, slot.sink, std::move(t)}});
     }
   }
-  return common::Status::OK();
 }
 
 double FragmentInstance::DrainCpuCost() {

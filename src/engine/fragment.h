@@ -12,6 +12,7 @@
 namespace dsps::engine {
 
 class ExecutionEngine;
+struct TaggedOutput;
 
 /// A runnable instance of one query fragment: a connected subset of a
 /// plan's operators, cloned with fresh state, plus the routing metadata
@@ -34,6 +35,22 @@ class FragmentInstance {
     Tuple tuple;
   };
 
+  /// The buffers of one cascade run, reused from run to run. An engine owns
+  /// one set and lends it to every fragment it runs (see Inject), so a
+  /// cascade allocates only the tuples its operators produce.
+  struct Scratch {
+    /// A produced tuple waiting at the far end of an internal edge.
+    struct Work {
+      common::OperatorId op;
+      int port;
+      Tuple tuple;
+    };
+    /// Work in FIFO order; empty between runs.
+    std::vector<Work> queue;
+    /// One operator's outputs, while the cascade routes them.
+    std::vector<Tuple> produced;
+  };
+
   /// Builds a fragment executing `ops` of `plan`. Fails if `ops` is empty
   /// or contains an id out of range. Operators are cloned (fresh state);
   /// plan edges with both endpoints in `ops` become internal.
@@ -45,9 +62,9 @@ class FragmentInstance {
   common::QueryId query() const { return query_; }
 
   /// An opaque tag the runtime hosting this fragment sets (the entity keeps
-  /// its routing record at this index); engines copy it into every
-  /// TaggedOutput, so outputs find their record without a lookup. 0 until
-  /// set.
+  /// its routing record at this index); the fragment copies it into every
+  /// TaggedOutput it produces, so outputs find their record without a
+  /// lookup. 0 until set.
   uint32_t tag() const { return tag_; }
   void set_tag(uint32_t tag) { tag_ = tag; }
 
@@ -73,10 +90,13 @@ class FragmentInstance {
   const std::vector<PlanEdge>& RemoteEdges(common::OperatorId from_op) const;
 
   /// Feeds one tuple to (op, port). Runs the operator cascade through all
-  /// internal edges; appends boundary outputs to `out`. Accumulates CPU
-  /// cost (see DrainCpuCost). NotFound if `op` is not hosted here.
+  /// internal edges, breadth first, in `scratch`; appends boundary outputs,
+  /// tagged with this fragment, to `out`. The injected tuple is processed
+  /// where it is; only tuples that cross an internal edge are queued.
+  /// Accumulates CPU cost (see DrainCpuCost). NotFound if `op` is not
+  /// hosted here.
   common::Status Inject(common::OperatorId op, int port, const Tuple& tuple,
-                        std::vector<Output>* out);
+                        Scratch* scratch, std::vector<TaggedOutput>* out);
 
   /// CPU-seconds consumed by Process calls since the last drain, per the
   /// operators' cost models. The simulated processor charges this time.
@@ -103,6 +123,13 @@ class FragmentInstance {
 
   FragmentInstance(common::QueryId query, common::FragmentId id);
 
+  /// Runs hosted operator `op` on `tuple` and routes its outputs: onto
+  /// `scratch`'s queue along internal edges, into `out` at the boundary.
+  /// `tuple` may live in that queue: it is read only before the first
+  /// push.
+  void Step(common::OperatorId op, int port, const Tuple& tuple,
+            Scratch* scratch, std::vector<TaggedOutput>* out);
+
   friend class ExecutionEngine;  // sets host_ on Install and Remove
 
   common::QueryId query_;
@@ -113,6 +140,16 @@ class FragmentInstance {
   std::vector<OpSlot> slots_;
   double pending_cpu_cost_ = 0.0;
   std::vector<PlanEdge> empty_edges_;
+};
+
+/// A fragment output tagged with the fragment that produced it (needed by
+/// engines that buffer work across fragments). Ids, not a pointer: an
+/// output may be delivered after its fragment is gone.
+struct TaggedOutput {
+  common::FragmentId fragment = -1;
+  /// The producing fragment's FragmentInstance::tag.
+  uint32_t tag = 0;
+  FragmentInstance::Output output;
 };
 
 }  // namespace dsps::engine

@@ -30,8 +30,11 @@ FilterOp::FilterOp(std::vector<int> numeric_indices, interest::Box box)
 
 void FilterOp::DoProcess(int /*port*/, const Tuple& tuple,
                          std::vector<Tuple>* out) {
-  ExtractNumeric(tuple, numeric_indices_, &scratch_);
-  if (interest::BoxContains(box_, scratch_.data())) out->push_back(tuple);
+  // BoxContains over the selected fields, read in place.
+  for (size_t d = 0; d < box_.size(); ++d) {
+    if (!box_[d].Contains(NumericField(tuple, numeric_indices_[d]))) return;
+  }
+  out->push_back(tuple);
 }
 
 std::unique_ptr<Operator> FilterOp::Clone() const {

@@ -93,7 +93,6 @@ class FilterOp : public Operator {
  private:
   std::vector<int> numeric_indices_;
   interest::Box box_;
-  std::vector<double> scratch_;
 };
 
 /// Sliding-window symmetric hash equi-join on an int64 key field. Output

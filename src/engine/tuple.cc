@@ -53,15 +53,10 @@ std::shared_ptr<const std::vector<double>> ProjectPoint(const Tuple& tuple) {
   return point;
 }
 
-void ExtractNumeric(const Tuple& tuple, const std::vector<int>& numeric_indices,
-                    std::vector<double>* out) {
-  out->resize(numeric_indices.size());
-  for (size_t i = 0; i < numeric_indices.size(); ++i) {
-    int idx = numeric_indices[i];
-    (*out)[i] = idx >= 0 && static_cast<size_t>(idx) < tuple.values.size()
-                    ? AsDouble(tuple.values[idx])
-                    : 0.0;
-  }
+double NumericField(const Tuple& tuple, int index) {
+  return index >= 0 && static_cast<size_t>(index) < tuple.values.size()
+             ? AsDouble(tuple.values[index])
+             : 0.0;
 }
 
 }  // namespace dsps::engine

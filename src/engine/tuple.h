@@ -73,11 +73,10 @@ struct Tuple {
 /// Projected once per published tuple and shared by every hop after.
 std::shared_ptr<const std::vector<double>> ProjectPoint(const Tuple& tuple);
 
-/// Copies the numeric fields of `tuple` (per `numeric_indices`, as returned
-/// by Schema::NumericFieldIndices) into `out`, resizing it. Used to match
-/// tuples against interest boxes.
-void ExtractNumeric(const Tuple& tuple, const std::vector<int>& numeric_indices,
-                    std::vector<double>* out);
+/// Field `index` of `tuple` as a double (AsDouble); 0 for an index out of
+/// range. A filter tests a tuple against its box one field at a time with
+/// it, without copying the fields out.
+double NumericField(const Tuple& tuple, int index);
 
 }  // namespace dsps::engine
 

@@ -12,13 +12,13 @@ void IndexStats::MergeFrom(const IndexStats& other) {
   boxes += other.boxes;
   mem_bytes += other.mem_bytes;
   lookups += other.lookups;
-  spline_rebuilds += other.spline_rebuilds;
-  spline_buckets += other.spline_buckets;
+  rebuilds += other.rebuilds;
+  buckets += other.buckets;
   build_us += other.build_us;
 }
 
 void AddBucketStats(const BucketIndex& buckets, IndexStats* stats) {
-  stats->spline_buckets += static_cast<int64_t>(buckets.bucket_count());
+  stats->buckets += static_cast<int64_t>(buckets.bucket_count());
   stats->mem_bytes += static_cast<int64_t>(buckets.mem_bytes());
 }
 
@@ -180,7 +180,7 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
   ++stats->indexes;
   stats->boxes += static_cast<int64_t>(total_boxes_);
   stats->lookups += lookups_;
-  stats->spline_rebuilds += rebuilds_;
+  stats->rebuilds += rebuilds_;
   stats->build_us += build_us_;
   // Structure size from element counts, not capacities: deterministic
   // across runs so bench baselines can pin it exactly.

@@ -20,10 +20,9 @@ struct IndexStats {
   int64_t mem_bytes = 0;
   /// Match/MatchOverlap calls, linear scans included.
   int64_t lookups = 0;
-  /// Bucket index (re)builds and the buckets of the built ones (the
-  /// exported names predate BucketIndex).
-  int64_t spline_rebuilds = 0;
-  int64_t spline_buckets = 0;
+  /// Bucket index (re)builds and the buckets of the built ones.
+  int64_t rebuilds = 0;
+  int64_t buckets = 0;
   /// Total bucket index (re)build time.
   double build_us = 0.0;
 

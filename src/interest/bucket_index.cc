@@ -96,15 +96,21 @@ size_t BucketIndex::Rank(double x) const {
       std::upper_bound(seps_.begin(), seps_.end(), x) - seps_.begin());
 }
 
-void BucketIndex::Match(const double* point, std::vector<int64_t>* out) const {
-  if (size_ == 0) return;
+BucketIndex::Run BucketIndex::Candidates(const double* point) const {
+  if (size_ == 0) return Run{};
   const size_t b = Rank(point[0]);
+  const size_t k = bucket_offsets_[b];
+  return Run{bucket_bounds_.data() + k * 2 * dims_, bucket_subs_.data() + k,
+             bucket_offsets_[b + 1] - k};
+}
+
+void BucketIndex::Match(const double* point, std::vector<int64_t>* out) const {
   // Locals, not members: `out` may alias them as far as the compiler knows.
+  const Run run = Candidates(point);
   const size_t dims = dims_;
-  const size_t end = bucket_offsets_[b + 1];
-  const double* bounds = bucket_bounds_.data() + bucket_offsets_[b] * 2 * dims;
-  for (size_t k = bucket_offsets_[b]; k < end; ++k, bounds += 2 * dims) {
-    if (BoundsContain(bounds, point, dims)) out->push_back(bucket_subs_[k]);
+  const double* bounds = run.bounds;
+  for (size_t k = 0; k < run.size; ++k, bounds += 2 * dims) {
+    if (BoundsContain(bounds, point, dims)) out->push_back(run.subs[k]);
   }
 }
 

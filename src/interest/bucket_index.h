@@ -42,6 +42,17 @@ class BucketIndex {
   BucketIndex(size_t dims, const std::vector<double>& bounds,
               const std::vector<int64_t>& subscribers);
 
+  /// The registrations in the one bucket a stab at `point` reads: box k's
+  /// bounds at bounds[2 * dims * k ..] and its subscriber at subs[k], for
+  /// k < size. They keep input order, so boxes given consecutively for one
+  /// subscriber stay consecutive here.
+  struct Run {
+    const double* bounds = nullptr;
+    const int64_t* subs = nullptr;
+    size_t size = 0;
+  };
+  Run Candidates(const double* point) const;
+
   /// Appends the subscriber of every box containing `point`. Raw
   /// candidates: no deduplication or ordering — the caller owns the final
   /// sort+unique (`BoxIndex` already does this).

@@ -928,7 +928,7 @@ common::Result<int> System::FailEntity(common::EntityId entity) {
   // Oracle failure / graceful departure: the entity's process is gone, so
   // it must not be re-admitted on a late heartbeat.
   departed_[entity] = true;
-  if (detection_active_) monitor_.Unregister(entity);
+  if (monitor_) monitor_->Unregister(entity);
   return EvictEntity(entity);
 }
 
@@ -1136,7 +1136,7 @@ void System::ReadmitEntity(common::EntityId entity) {
     InstallGatewayDispatcher(entity);
   }
   coordinator_->SetEntityInterest(entity, entity_interest_[entity]);
-  if (detection_active_) monitor_.Register(entity, simulator_->now());
+  if (monitor_) monitor_->Register(entity, simulator_->now());
   failure_stats_.readmissions += 1;
   if (config_.trace != nullptr) {
     config_.trace->RecordInstant("readmit", simulator_->now(), entity);
@@ -1149,7 +1149,7 @@ void System::ReadmitEntity(common::EntityId entity) {
 
 void System::OnHeartbeat(common::EntityId entity) {
   if (entity < 0 || entity >= num_entities() || departed_[entity]) return;
-  monitor_.Heartbeat(entity, simulator_->now());
+  monitor_->Heartbeat(entity, simulator_->now());
   // An evicted-but-heartbeating entity was a false suspicion (or has
   // recovered): its process is up, so re-admit it.
   if (!alive_[entity]) ReadmitEntity(entity);
@@ -1159,7 +1159,7 @@ void System::HandleSuspect(common::EntityId entity) {
   if (!alive_[entity]) return;
   if (num_alive() <= 1) {
     // Never evict the last survivor on suspicion alone — keep watching.
-    monitor_.Register(entity, simulator_->now());
+    monitor_->Register(entity, simulator_->now());
     failure_stats_.skipped_last_alive += 1;
     return;
   }
@@ -1182,9 +1182,7 @@ void System::HandleSuspect(common::EntityId entity) {
 void System::EnableFailureDetection(const FailureDetectionConfig& config,
                                     double until) {
   DSPS_CHECK(config.heartbeat_period_s > 0);
-  coordinator::HeartbeatMonitor::Config monitor_config;
-  monitor_config.timeout_s = kSuspectPeriods * config.heartbeat_period_s;
-  monitor_ = coordinator::HeartbeatMonitor(monitor_config);
+  monitor_.emplace(kSuspectPeriods * config.heartbeat_period_s);
   if (monitor_node_ == common::kInvalidSimNode) {
     // Lazily created so node-id assignment is untouched when detection is
     // off (client node ids — and thus whole simulations — stay identical).
@@ -1199,9 +1197,8 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
   }
   double now = simulator_->now();
   for (int e = 0; e < num_entities(); ++e) {
-    if (alive_[e] && !departed_[e]) monitor_.Register(e, now);
+    if (alive_[e] && !departed_[e]) monitor_->Register(e, now);
   }
-  detection_active_ = true;
   simulator_->Every(config.heartbeat_period_s, until, [this] {
     for (int e = 0; e < num_entities(); ++e) {
       if (departed_[e]) continue;
@@ -1221,7 +1218,7 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
     }
   });
   simulator_->Every(config.heartbeat_period_s, until, [this] {
-    for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
+    for (common::EntityId suspect : monitor_->Sweep(simulator_->now())) {
       HandleSuspect(suspect);
     }
   });

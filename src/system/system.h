@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -669,9 +670,8 @@ class System {
   /// Crash instant of each entity's current window (for detection
   /// latency), NaN when none.
   std::vector<double> crash_time_;
-  /// Failure detection (active once EnableFailureDetection ran).
-  coordinator::HeartbeatMonitor monitor_;
-  bool detection_active_ = false;
+  /// Failure detection; empty until EnableFailureDetection runs.
+  std::optional<coordinator::HeartbeatMonitor> monitor_;
   common::SimNodeId monitor_node_ = common::kInvalidSimNode;
   mutable FailureStats failure_stats_;
   /// Entity -> client results (unused unless reliable_results).

@@ -19,7 +19,8 @@ StockTickerGen::StockTickerGen(const Config& config, common::Rng rng)
       rng_(rng),
       schema_(Schema({Field{"symbol", ValueType::kInt64},
                       Field{"price", ValueType::kDouble},
-                      Field{"volume", ValueType::kDouble}})) {
+                      Field{"volume", ValueType::kDouble}})),
+      symbols_(static_cast<uint64_t>(config.num_symbols), config.zipf_s) {
   DSPS_CHECK(config.num_symbols > 0);
   prices_.resize(config.num_symbols);
   for (double& p : prices_) p = rng_.Uniform(kPriceMin, kPriceMax);
@@ -38,8 +39,7 @@ interest::StreamStats StockTickerGen::stats() const {
 }
 
 Tuple StockTickerGen::Next(double timestamp) {
-  int64_t symbol = static_cast<int64_t>(
-      rng_.Zipf(static_cast<uint64_t>(config_.num_symbols), config_.zipf_s));
+  int64_t symbol = static_cast<int64_t>(symbols_.Sample(&rng_));
   double& price = prices_[symbol];
   price += rng_.Uniform(-kWalkStep, kWalkStep);
   price = std::clamp(price, kPriceMin, kPriceMax);
@@ -58,7 +58,8 @@ NetMonGen::NetMonGen(const Config& config, common::Rng rng)
       rng_(rng),
       schema_(Schema({Field{"src_host", ValueType::kInt64},
                       Field{"dst_host", ValueType::kInt64},
-                      Field{"bytes", ValueType::kDouble}})) {
+                      Field{"bytes", ValueType::kDouble}})),
+      hosts_(static_cast<uint64_t>(config.num_hosts), config.zipf_s) {
   DSPS_CHECK(config.num_hosts > 0);
 }
 
@@ -74,9 +75,8 @@ interest::StreamStats NetMonGen::stats() const {
 }
 
 Tuple NetMonGen::Next(double timestamp) {
-  uint64_t n = static_cast<uint64_t>(config_.num_hosts);
-  int64_t src = static_cast<int64_t>(rng_.Zipf(n, config_.zipf_s));
-  int64_t dst = static_cast<int64_t>(rng_.Zipf(n, config_.zipf_s));
+  int64_t src = static_cast<int64_t>(hosts_.Sample(&rng_));
+  int64_t dst = static_cast<int64_t>(hosts_.Sample(&rng_));
   double bytes =
       std::min(rng_.Exponential(1.0 / kMeanFlowBytes), kMaxFlowBytes);
   Tuple t;

@@ -61,6 +61,7 @@ class StockTickerGen : public StreamGen {
   Config config_;
   common::Rng rng_;
   engine::Schema schema_;
+  common::ZipfSampler symbols_;
   std::vector<double> prices_;
 };
 
@@ -90,6 +91,7 @@ class NetMonGen : public StreamGen {
   Config config_;
   common::Rng rng_;
   engine::Schema schema_;
+  common::ZipfSampler hosts_;
 };
 
 /// Registers `gen`'s stats in `catalog` under its stream id.

@@ -280,9 +280,7 @@ TEST(ReattachTest, Validations) {
 // --------------------------------------------------------- Failure detector
 
 TEST(HeartbeatMonitorTest, DetectsSilence) {
-  coordinator::HeartbeatMonitor::Config cfg;
-  cfg.timeout_s = 2.0;
-  coordinator::HeartbeatMonitor mon(cfg);
+  coordinator::HeartbeatMonitor mon(/*timeout_s=*/2.0);
   mon.Register(1, 0.0);
   mon.Register(2, 0.0);
   mon.Heartbeat(1, 1.5);
@@ -297,9 +295,7 @@ TEST(HeartbeatMonitorTest, HeartbeatAfterSweepReRegisters) {
   // False-positive recovery: an entity evicted by Sweep (say its
   // heartbeats were partitioned away) is tracked again as soon as one of
   // its heartbeats gets through — it must not stay invisible forever.
-  coordinator::HeartbeatMonitor::Config cfg;
-  cfg.timeout_s = 2.0;
-  coordinator::HeartbeatMonitor mon(cfg);
+  coordinator::HeartbeatMonitor mon(/*timeout_s=*/2.0);
   mon.Register(2, 0.0);
   auto suspects = mon.Sweep(3.0);
   ASSERT_EQ(suspects.size(), 1u);
@@ -314,7 +310,7 @@ TEST(HeartbeatMonitorTest, HeartbeatAfterSweepReRegisters) {
 }
 
 TEST(HeartbeatMonitorTest, UnregisterAndReRegister) {
-  coordinator::HeartbeatMonitor mon;
+  coordinator::HeartbeatMonitor mon(/*timeout_s=*/2.0);
   mon.Register(1, 0.0);
   mon.Unregister(1);
   EXPECT_TRUE(mon.Sweep(100.0).empty());

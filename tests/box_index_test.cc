@@ -163,9 +163,9 @@ TEST_P(BoxIndexProperty, MatchesNaiveScan) {
     IndexStats stats;
     index.AddStatsTo(&stats);
     if (static_cast<size_t>(n) < BoxIndex::kBucketBuildMin) {
-      EXPECT_EQ(stats.spline_rebuilds, 0);
+      EXPECT_EQ(stats.rebuilds, 0);
     } else if (static_cast<size_t>(n) > 2 * BoxIndex::kBucketBuildMin) {
-      EXPECT_GE(stats.spline_rebuilds, 2);
+      EXPECT_GE(stats.rebuilds, 2);
     }
   }
 }

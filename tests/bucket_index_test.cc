@@ -166,7 +166,7 @@ TEST(BucketIndexTest, LinearFallbackBelowBuildThreshold) {
   IndexStats stats;
   index.AddStatsTo(&stats);
   EXPECT_EQ(stats.indexes, 1);
-  EXPECT_EQ(stats.spline_rebuilds, 0);  // linear scan, nothing built
+  EXPECT_EQ(stats.rebuilds, 0);  // linear scan, nothing built
 }
 
 /// The linear scan below the build threshold reads a lazily built copy
@@ -239,7 +239,7 @@ TEST(BucketIndexTest, ChurnTriggersRebuildAndStaysExact) {
   }
   IndexStats stats;
   index.AddStatsTo(&stats);
-  EXPECT_GE(stats.spline_rebuilds, 2);
+  EXPECT_GE(stats.rebuilds, 2);
 }
 
 /// Direct BucketIndex exercise: skewed keys, duplicate endpoints, and an
@@ -357,6 +357,76 @@ TEST(BucketIndexTest, BoundaryProbesMatchNaiveScanInEveryDimensionality) {
   }
 }
 
+/// Each bucket keeps its boxes in input order: a stab's candidate run
+/// lists them by ascending input position, so boxes given consecutively
+/// for one subscriber stay consecutive. DisseminationTree::Route relies on
+/// it to skip a subscriber's remaining boxes after its first hit. The run
+/// also holds every box that contains the point.
+TEST(BucketIndexTest, BucketsKeepInputOrder) {
+  common::Rng rng(67);
+  for (size_t dims = 1; dims <= 3; ++dims) {
+    std::vector<Box> boxes;
+    std::vector<double> bounds;
+    std::vector<int64_t> positions;  // subscriber = input position
+    std::vector<int64_t> owners;     // 1-4 consecutive boxes per owner
+    int64_t owner = 0;
+    while (boxes.size() < 300) {
+      const int n = 1 + static_cast<int>(rng.NextUint64(4));
+      for (int k = 0; k < n; ++k) {
+        Box box(dims);
+        for (size_t d = 0; d < dims; ++d) {
+          box[d].lo = static_cast<double>(rng.UniformInt(0, 100));
+          // Every fifth owner's first box is fat, so it registers in
+          // many buckets.
+          const int64_t width = k == 0 && owner % 5 == 0 ? 60 : 8;
+          box[d].hi = box[d].lo + static_cast<double>(rng.UniformInt(0, width));
+        }
+        AppendBounds(box, &bounds);
+        positions.push_back(static_cast<int64_t>(boxes.size()));
+        owners.push_back(owner);
+        boxes.push_back(std::move(box));
+      }
+      ++owner;
+    }
+    const BucketIndex by_position(dims, bounds, positions);
+    const BucketIndex by_owner(dims, bounds, owners);
+    ASSERT_GT(by_position.bucket_count(), 4u) << dims << "-d";
+    for (const Box& box : boxes) {
+      for (double x :
+           {box[0].lo, box[0].hi, std::nextafter(box[0].hi, 1e300)}) {
+        std::vector<double> p(dims, x);
+        for (size_t d = 1; d < dims; ++d) {
+          p[d] = static_cast<double>(rng.UniformInt(0, 100));
+        }
+        const BucketIndex::Run run = by_position.Candidates(p.data());
+        std::vector<int64_t> hits;
+        for (size_t k = 0; k < run.size; ++k) {
+          if (k > 0) {
+            ASSERT_LT(run.subs[k - 1], run.subs[k]) << dims << "-d at " << x;
+          }
+          if (BoundsContain(run.bounds + k * 2 * dims, p.data(), dims)) {
+            hits.push_back(run.subs[k]);
+          }
+        }
+        std::vector<int64_t> want;
+        for (size_t i = 0; i < boxes.size(); ++i) {
+          if (BoxContains(boxes[i], p.data())) {
+            want.push_back(static_cast<int64_t>(i));
+          }
+        }
+        EXPECT_EQ(hits, want) << dims << "-d at " << x;
+        // The same boxes under grouped subscribers: each owner's boxes
+        // form one run, owners ascending.
+        const BucketIndex::Run grouped = by_owner.Candidates(p.data());
+        ASSERT_EQ(grouped.size, run.size);
+        for (size_t k = 0; k < run.size; ++k) {
+          EXPECT_EQ(grouped.subs[k], owners[static_cast<size_t>(run.subs[k])]);
+        }
+      }
+    }
+  }
+}
+
 /// One index below the build threshold (linear scan) and one above it
 /// (built buckets) aggregate into one IndexStats.
 TEST(BucketIndexTest, StatsAggregateAcrossIndexes) {
@@ -380,7 +450,7 @@ TEST(BucketIndexTest, StatsAggregateAcrossIndexes) {
   EXPECT_EQ(stats.indexes, 2);
   EXPECT_EQ(stats.boxes, 320);
   EXPECT_EQ(stats.lookups, 2);
-  EXPECT_EQ(stats.spline_rebuilds, 1);
+  EXPECT_EQ(stats.rebuilds, 1);
   EXPECT_GT(stats.mem_bytes, 0);
   EXPECT_GT(stats.build_us, 0.0);
 }

@@ -149,6 +149,67 @@ TEST(RngTest, ZipfZeroExponentIsUniformish) {
   for (int c : counts) EXPECT_NEAR(c, 5000, 600);
 }
 
+/// The sampler draws exactly what the per-call Zipf it replaced drew:
+/// the first 64 ranks from seed 42, and the generator's next word after
+/// them (which pins how much randomness the draws consumed), recorded
+/// from the per-call implementation. Rng::Zipf forwards to the sampler.
+TEST(ZipfSamplerTest, DrawsArePinned) {
+  struct Case {
+    uint64_t n;
+    double s;
+    std::vector<uint64_t> draws;
+    uint64_t next;
+  };
+  const std::vector<Case> cases = {
+      {100, 0.5,
+       {84, 41, 13, 1,  0,  7,  10, 3,  8,  20, 13, 53, 6,  49, 11, 2,
+        17, 3,  11, 11, 83, 69, 35, 19, 49, 29, 39, 6,  16, 61, 37, 17,
+        3,  1,  5,  8,  6,  91, 31, 0,  24, 11, 6,  5,  2,  77, 22, 23,
+        3,  4,  26, 49, 67, 15, 94, 44, 21, 7,  27, 17, 0,  1,  63, 6},
+       1322953645177125106ULL},
+      {100, 1.0,
+       {64, 13, 2,  0, 0,  1,  1,  0,  1,  4,  2,  21, 1, 18, 1, 0,
+        3,  0,  2,  2, 61, 39, 9,  3,  19, 7,  12, 1,  3, 29, 11, 3,
+        0,  0,  0,  1, 1,  79, 8,  0,  5,  2,  1,  0,  0, 51, 4, 5,
+        0,  0,  6,  18, 36, 3, 86, 15, 4,  1,  6,  3,  0, 0,  31, 1},
+       1322953645177125106ULL},
+      {8, 0.8,
+       {6, 3, 1, 0, 0, 0, 0, 0, 0, 1, 1, 3, 0, 3, 0, 0,
+        1, 0, 0, 0, 6, 5, 2, 1, 3, 2, 2, 0, 1, 4, 2, 1,
+        0, 0, 0, 0, 0, 7, 2, 0, 1, 0, 0, 0, 0, 5, 1, 1,
+        0, 0, 1, 3, 5, 1, 7, 3, 1, 0, 2, 1, 0, 0, 4, 0},
+       1322953645177125106ULL},
+      {24, 2.0,
+       {5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0,
+        0, 0, 0, 4, 2, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0,
+        0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+        0, 0, 1, 2, 0, 10, 1, 0, 0, 0, 0, 0, 0, 0, 5, 2},
+       3460823323739793896ULL},
+      {1, 1.0, std::vector<uint64_t>(64, 0), 1546998764402558742ULL},
+      {50, 0.0,
+       {42, 2,  9,  43, 26, 34, 4,  7,  8,  35, 49, 43, 10, 42, 43, 20,
+        21, 6,  45, 48, 49, 45, 9,  15, 12, 38, 14, 34, 22, 10, 41, 32,
+        28, 4,  16, 30, 7,  29, 14, 11, 33, 7,  19, 12, 41, 13, 0,  41,
+        49, 27, 35, 28, 8,  42, 16, 31, 3,  20, 45, 48, 28, 49, 45, 20},
+       1322953645177125106ULL},
+  };
+  for (const Case& c : cases) {
+    const ZipfSampler sampler(c.n, c.s);
+    Rng by_sampler(42);
+    Rng by_rng(42);
+    std::vector<uint64_t> sampled;
+    std::vector<uint64_t> forwarded;
+    for (int i = 0; i < 64; ++i) {
+      sampled.push_back(sampler.Sample(&by_sampler));
+      forwarded.push_back(by_rng.Zipf(c.n, c.s));
+    }
+    EXPECT_EQ(sampled, c.draws) << "n=" << c.n << " s=" << c.s;
+    EXPECT_EQ(forwarded, c.draws) << "n=" << c.n << " s=" << c.s;
+    EXPECT_EQ(by_sampler.Next(), c.next) << "n=" << c.n << " s=" << c.s;
+    EXPECT_EQ(by_rng.Next(), c.next) << "n=" << c.n << " s=" << c.s;
+  }
+}
+
 TEST(RngTest, BernoulliEdgeCases) {
   Rng rng(21);
   EXPECT_FALSE(rng.Bernoulli(0.0));

@@ -27,6 +27,22 @@ DisseminationTree::Config TreeConfig(TreePolicy policy, int fanout = 3) {
   return cfg;
 }
 
+/// The forward targets of one Route at `at`.
+std::vector<common::EntityId> Targets(const DisseminationTree& tree,
+                                      common::EntityId at, const double* p,
+                                      bool early_filter = true) {
+  std::vector<common::EntityId> targets;
+  tree.Route(at, p, early_filter, &targets);
+  return targets;
+}
+
+/// The local answer of one Route at `at`.
+bool Local(const DisseminationTree& tree, common::EntityId at,
+           const double* p) {
+  std::vector<common::EntityId> targets;
+  return tree.Route(at, p, /*early_filter=*/true, &targets);
+}
+
 TEST(DisseminationTreeTest, SourceDirectIsAStar) {
   DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kSourceDirect));
   for (int e = 0; e < 10; ++e) {
@@ -65,13 +81,13 @@ TEST(DisseminationTreeTest, DuplicateAndMissingEntities) {
   // Unknown ids past, before and inside the dense node table.
   tree.SetLocalInterest(1, {Box{Interval{0, 100}}});
   const double p = 5;
-  EXPECT_TRUE(tree.LocalMatch(1, &p));
+  EXPECT_TRUE(Local(tree, 1, &p));
   for (common::EntityId id : {0, 2, 99, -5, common::kInvalidEntity}) {
-    EXPECT_FALSE(tree.LocalMatch(id, &p)) << id;
+    EXPECT_FALSE(Local(tree, id, &p)) << id;
     EXPECT_FALSE(tree.Contains(id)) << id;
   }
   ASSERT_TRUE(tree.RemoveEntity(1).ok());
-  EXPECT_FALSE(tree.LocalMatch(1, &p));
+  EXPECT_FALSE(Local(tree, 1, &p));
   EXPECT_EQ(tree.size(), 0u);
 }
 
@@ -121,15 +137,15 @@ TEST(DisseminationTreeTest, ForwardTargetsEarlyFiltering) {
   tree.SetLocalInterest(1, {Box{Interval{5, 20}}});
   double p7 = 7, p15 = 15, p99 = 99;
   std::vector<common::EntityId> targets;
-  tree.ForwardTargets(common::kInvalidEntity, &p7, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p7, true);
   EXPECT_EQ(targets.size(), 2u);
-  tree.ForwardTargets(common::kInvalidEntity, &p15, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p15, true);
   ASSERT_EQ(targets.size(), 1u);
   EXPECT_EQ(targets[0], 1);
-  tree.ForwardTargets(common::kInvalidEntity, &p99, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p99, true);
   EXPECT_TRUE(targets.empty());
   // Without early filtering everything goes everywhere.
-  tree.ForwardTargets(common::kInvalidEntity, &p99, false, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p99, false);
   EXPECT_EQ(targets.size(), 2u);
 }
 
@@ -149,7 +165,7 @@ TEST(DisseminationTreeTest, InterestUpdateCostBounded) {
 }
 
 /// Reference routing: the pre-cache linear scan of every child's subtree
-/// box list. The cached ForwardTargets must match it exactly after any
+/// box list. Route's targets must match it exactly after any
 /// mix of joins, leaves, reattaches, and interest updates.
 std::vector<common::EntityId> LinearForwardTargets(
     const DisseminationTree& tree, common::EntityId from, const double* point,
@@ -182,10 +198,10 @@ TEST(DisseminationTreeTest, RouteCacheMatchesLinearScanUnderChurn) {
       double p = rng.Uniform(-10, 110);
       for (common::EntityId parent : parents) {
         std::vector<common::EntityId> cached;
-        tree.ForwardTargets(parent, &p, true, &cached);
+        cached = Targets(tree, parent, &p, true);
         EXPECT_EQ(cached, LinearForwardTargets(tree, parent, &p, true))
             << when << " parent " << parent << " point " << p;
-        tree.ForwardTargets(parent, &p, false, &cached);
+        cached = Targets(tree, parent, &p, false);
         EXPECT_EQ(cached, LinearForwardTargets(tree, parent, &p, false))
             << when << " parent " << parent;
       }
@@ -228,13 +244,13 @@ TEST(DisseminationTreeTest, RouteCacheSeesInterestShrink) {
   tree.SetLocalInterest(0, {Box{Interval{0, 10}}});
   double p = 5;
   std::vector<common::EntityId> targets;
-  tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p, true);
   ASSERT_EQ(targets.size(), 1u);
   tree.SetLocalInterest(0, {Box{Interval{50, 60}}});
-  tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p, true);
   EXPECT_TRUE(targets.empty());
   tree.SetLocalInterest(0, {});
-  tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p, true);
   EXPECT_TRUE(targets.empty());
 }
 
@@ -250,20 +266,20 @@ TEST(DisseminationTreeTest, LocalMatchSeesLocalInterestChange) {
   tree.SetLocalInterest(0, {Box{Interval{0, 10}}});
   double p5 = 5, p25 = 25, p55 = 55;
   std::vector<common::EntityId> targets;
-  EXPECT_TRUE(tree.LocalMatch(0, &p5));
-  tree.ForwardTargets(0, &p5, true, &targets);
+  EXPECT_TRUE(Local(tree, 0, &p5));
+  targets = Targets(tree, 0, &p5, true);
   EXPECT_EQ(targets, std::vector<common::EntityId>{1});
   // 1's box covers 0's old and new ones: 0's aggregate does not change.
   EXPECT_EQ(tree.SetLocalInterest(0, {Box{Interval{20, 30}}}), 0);
-  EXPECT_FALSE(tree.LocalMatch(0, &p5));
-  EXPECT_TRUE(tree.LocalMatch(0, &p25));
+  EXPECT_FALSE(Local(tree, 0, &p5));
+  EXPECT_TRUE(Local(tree, 0, &p25));
   // A leaf's aggregate changes with it; its own table must follow.
-  EXPECT_TRUE(tree.LocalMatch(1, &p55));
+  EXPECT_TRUE(Local(tree, 1, &p55));
   tree.SetLocalInterest(1, {Box{Interval{50, 60}}});
-  EXPECT_FALSE(tree.LocalMatch(1, &p5));
-  EXPECT_TRUE(tree.LocalMatch(1, &p55));
+  EXPECT_FALSE(Local(tree, 1, &p5));
+  EXPECT_TRUE(Local(tree, 1, &p55));
   tree.SetLocalInterest(0, {});
-  EXPECT_FALSE(tree.LocalMatch(0, &p25));
+  EXPECT_FALSE(Local(tree, 0, &p25));
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -277,11 +293,11 @@ bool LinearLocalMatch(const DisseminationTree& tree, common::EntityId id,
 }
 
 /// Property: through joins, interest churn, leaves and reattaches, every
-/// match table answers like a linear scan — ForwardTargets against the
-/// children's aggregates and LocalMatch against the local interest. Boxes
-/// are 3-d with an unbounded last dimension; probes sit on box corners
-/// (bounds are closed), just outside them, and at centers; child sets
-/// fall on both sides of the bucket threshold.
+/// match table answers like a linear scan — Route's targets against the
+/// children's aggregates and its local answer against the local interest.
+/// Boxes are 3-d with an unbounded last dimension; probes sit on box
+/// corners (bounds are closed), just outside them, and at centers; child
+/// sets fall on both sides of the bucket threshold.
 TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
   constexpr int kEntities = 48;
   DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent, 8));
@@ -333,12 +349,12 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
       }
       std::vector<common::EntityId> cached;
       for (const std::vector<double>& p : probes) {
-        tree.ForwardTargets(parent, p.data(), true, &cached);
+        cached = Targets(tree, parent, p.data(), true);
         EXPECT_EQ(cached, LinearForwardTargets(tree, parent, p.data(), true))
             << when << " parent " << parent << " point " << p[0] << ","
             << p[1];
         if (parent != common::kInvalidEntity) {
-          EXPECT_EQ(tree.LocalMatch(parent, p.data()),
+          EXPECT_EQ(Local(tree, parent, p.data()),
                     LinearLocalMatch(tree, parent, p.data()))
               << when << " entity " << parent << " point " << p[0] << ","
               << p[1];
@@ -372,6 +388,123 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
   EXPECT_GT(bucket_sets, 0u);
 }
 
+/// Property: Route's two answers equal linear scans — its targets a scan
+/// of the children's subtree boxes in child-list order, its local answer a
+/// scan of the node's own boxes — on seeded random trees (fanout 1-6,
+/// 1-3 dimensions), before and after interest changes, leaves and
+/// reattaches. Tables fall on both sides of the bucket threshold. Boxes
+/// sit on a coarse integer grid and nodes hold several of them, so probes
+/// at box faces land on bucket separators (which are leading-dimension
+/// endpoints) and one subscriber often has several boxes containing a
+/// point.
+TEST(DisseminationTreeTest, RouteMatchesScans) {
+  constexpr int kEntities = 28;
+  size_t flat_tables = 0;
+  size_t bucket_tables = 0;
+  size_t multi_hits = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    common::Rng rng(seed * 104729);
+    const int fanout = 1 + static_cast<int>(rng.NextUint64(6));
+    const size_t dims = 1 + static_cast<size_t>(rng.NextUint64(3));
+    DisseminationTree::Config cfg = TreeConfig(TreePolicy::kRandom, fanout);
+    cfg.seed = seed;
+    DisseminationTree tree(0, {50, 50}, cfg);
+    auto random_local = [&rng, dims] {
+      std::vector<Box> boxes;
+      const int n = static_cast<int>(rng.NextUint64(11));
+      for (int i = 0; i < n; ++i) {
+        Box box(dims);
+        for (Interval& iv : box) {
+          iv.lo = static_cast<double>(rng.UniformInt(0, 30));
+          iv.hi = iv.lo + static_cast<double>(rng.UniformInt(0, 12));
+        }
+        boxes.push_back(std::move(box));
+      }
+      return boxes;
+    };
+    auto contains_any = [](const std::vector<Box>& boxes, const double* p) {
+      int hits = 0;
+      for (const Box& b : boxes) hits += interest::BoxContains(b, p);
+      return hits;
+    };
+    auto check = [&](const char* when) {
+      std::vector<common::EntityId> nodes{common::kInvalidEntity};
+      for (common::EntityId e = 0; e < kEntities; ++e) {
+        if (tree.Contains(e)) nodes.push_back(e);
+      }
+      for (common::EntityId at : nodes) {
+        const std::vector<common::EntityId> children = tree.Children(at);
+        std::vector<Box> probed = tree.LocalInterest(at);
+        for (common::EntityId child : children) {
+          for (const Box& b : tree.SubtreeInterest(child)) probed.push_back(b);
+        }
+        ++(probed.size() >= interest::BoxIndex::kBucketBuildMin
+               ? bucket_tables
+               : flat_tables);
+        std::vector<std::vector<double>> probes;
+        for (const Box& b : probed) {
+          for (int corner = 0; corner < (1 << dims); ++corner) {
+            std::vector<double> p(dims);
+            for (size_t d = 0; d < dims; ++d) {
+              p[d] = corner & (1 << d) ? b[d].hi : b[d].lo;
+            }
+            probes.push_back(p);
+          }
+          std::vector<double> outside(dims);
+          for (size_t d = 0; d < dims; ++d) outside[d] = b[d].lo;
+          outside[0] = std::nextafter(b[0].lo, -1e300);
+          probes.push_back(outside);
+          outside[0] = std::nextafter(b[0].hi, 1e300);
+          probes.push_back(outside);
+        }
+        for (const std::vector<double>& p : probes) {
+          std::vector<common::EntityId> want;
+          for (common::EntityId child : children) {
+            const int hits =
+                contains_any(tree.SubtreeInterest(child), p.data());
+            if (hits > 0) want.push_back(child);
+            multi_hits += hits > 1;
+          }
+          const int local_hits = contains_any(tree.LocalInterest(at), p.data());
+          multi_hits += local_hits > 1;
+          std::vector<common::EntityId> targets;
+          EXPECT_EQ(tree.Route(at, p.data(), true, &targets), local_hits > 0)
+              << when << " seed " << seed << " at " << at;
+          EXPECT_EQ(targets, want) << when << " seed " << seed << " at " << at;
+          EXPECT_EQ(tree.Route(at, p.data(), false, &targets), local_hits > 0)
+              << when << " seed " << seed << " at " << at;
+          EXPECT_EQ(targets, children) << when << " seed " << seed;
+        }
+      }
+    };
+    for (common::EntityId e = 0; e < kEntities; ++e) {
+      ASSERT_TRUE(
+          tree.AddEntity(e, {rng.Uniform(0, 100), rng.Uniform(0, 100)}).ok());
+      tree.SetLocalInterest(e, random_local());
+    }
+    check("after joins");
+    for (common::EntityId e = 0; e < kEntities; e += 3) {
+      tree.SetLocalInterest(e, random_local());
+    }
+    check("after interest changes");
+    for (common::EntityId e = 2; e < kEntities; e += 6) {
+      ASSERT_TRUE(tree.RemoveEntity(e).ok());
+    }
+    check("after leaves");
+    for (common::EntityId e = 0; e < kEntities; e += 4) {
+      if (!tree.Contains(e)) continue;
+      for (common::EntityId np = kEntities - 1; np >= 0; --np) {
+        if (np != e && tree.Contains(np) && tree.Reattach(e, np).ok()) break;
+      }
+    }
+    check("after reattaches");
+    EXPECT_TRUE(tree.CheckInvariants().ok()) << "seed " << seed;
+  }
+  EXPECT_GT(flat_tables, 0u);
+  EXPECT_GT(bucket_tables, 0u);
+  EXPECT_GT(multi_hits, 0u);
+}
+
 /// The audit's routing check builds a cache where none exists and drops
 /// it again; a cache the hot path built survives the audit.
 TEST(DisseminationTreeTest, CheckInvariantsLeavesRouteCachesAsFound) {
@@ -389,7 +522,7 @@ TEST(DisseminationTreeTest, CheckInvariantsLeavesRouteCachesAsFound) {
   EXPECT_EQ(cache_count(), 0);
   double p = 7;
   std::vector<common::EntityId> targets;
-  tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
+  targets = Targets(tree, common::kInvalidEntity, &p, true);
   EXPECT_EQ(cache_count(), 1);
   ASSERT_TRUE(tree.CheckInvariants().ok());
   EXPECT_EQ(cache_count(), 1);

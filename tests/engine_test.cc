@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,6 +13,46 @@
 #include "engine/operators.h"
 #include "engine/plan.h"
 #include "engine/tuple.h"
+
+// Every global allocation of this test binary is counted, so the
+// zero-allocation test below can hold the engines' cascade to it. The
+// helpers stay out of line: inlined, the compiler would pair an operator
+// new call with the free() below and warn about the mismatch.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+
+[[gnu::noinline]] void* CountedAlloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = CountedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 
 namespace dsps::engine {
 namespace {
@@ -61,11 +104,12 @@ TEST(TupleTest, SizeBytesAccountsForStrings) {
 
 TEST(TupleTest, ExtractNumeric) {
   Tuple t = MakeTuple(0, 0, {1.0, 2.0, 3.0});
-  std::vector<double> out;
-  ExtractNumeric(t, {2, 0}, &out);
-  EXPECT_EQ(out, (std::vector<double>{3.0, 1.0}));
-  ExtractNumeric(t, {5}, &out);  // out of range → 0
-  EXPECT_EQ(out, (std::vector<double>{0.0}));
+  t.values.emplace_back(int64_t{4});
+  EXPECT_DOUBLE_EQ(NumericField(t, 2), 3.0);
+  EXPECT_DOUBLE_EQ(NumericField(t, 0), 1.0);
+  EXPECT_DOUBLE_EQ(NumericField(t, 3), 4.0);
+  EXPECT_DOUBLE_EQ(NumericField(t, 5), 0.0);  // out of range → 0
+  EXPECT_DOUBLE_EQ(NumericField(t, -1), 0.0);
 }
 
 // --------------------------------------------------------------- Operators
@@ -303,44 +347,51 @@ TEST(FragmentTest, CreateValidations) {
 }
 
 TEST(FragmentTest, WholeQueryFragmentRunsCascade) {
+  FragmentInstance::Scratch scratch;
   auto plan = MakeLinearPlan();
   auto frag = std::move(FragmentInstance::Create(*plan, 1, 10, {0, 1}).value());
   EXPECT_EQ(frag->query(), 1);
   EXPECT_EQ(frag->id(), 10);
-  std::vector<FragmentInstance::Output> out;
-  ASSERT_TRUE(frag->Inject(0, 0, MakeTuple(0, 0, {25, 7}), &out).ok());
+  std::vector<TaggedOutput> out;
+  ASSERT_TRUE(
+      frag->Inject(0, 0, MakeTuple(0, 0, {25, 7}), &scratch, &out).ok());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_TRUE(out[0].is_result);
-  EXPECT_EQ(out[0].from_op, 1);
-  ASSERT_TRUE(frag->Inject(0, 0, MakeTuple(0, 0, {75, 7}), &out).ok());
+  EXPECT_EQ(out[0].fragment, 10);
+  EXPECT_TRUE(out[0].output.is_result);
+  EXPECT_EQ(out[0].output.from_op, 1);
+  ASSERT_TRUE(
+      frag->Inject(0, 0, MakeTuple(0, 0, {75, 7}), &scratch, &out).ok());
   EXPECT_EQ(out.size(), 1u);  // filtered out
   EXPECT_GT(frag->DrainCpuCost(), 0.0);
   EXPECT_DOUBLE_EQ(frag->DrainCpuCost(), 0.0);  // drained
 }
 
 TEST(FragmentTest, SplitFragmentsExposeRemoteEdges) {
+  FragmentInstance::Scratch scratch;
   auto plan = MakeLinearPlan();
   auto f0 = std::move(FragmentInstance::Create(*plan, 1, 10, {0}).value());
   auto f1 = std::move(FragmentInstance::Create(*plan, 1, 11, {1}).value());
   // The first filter's edge to the second is remote for f0.
   ASSERT_EQ(f0->RemoteEdges(0).size(), 1u);
   EXPECT_EQ(f0->RemoteEdges(0)[0].to, 1);
-  std::vector<FragmentInstance::Output> out;
-  ASSERT_TRUE(f0->Inject(0, 0, MakeTuple(0, 0, {25, 7}), &out).ok());
+  std::vector<TaggedOutput> out;
+  ASSERT_TRUE(f0->Inject(0, 0, MakeTuple(0, 0, {25, 7}), &scratch, &out).ok());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_FALSE(out[0].is_result);
+  EXPECT_FALSE(out[0].output.is_result);
   // Feed it to the second fragment manually, as the entity runtime would.
-  std::vector<FragmentInstance::Output> out2;
-  ASSERT_TRUE(f1->Inject(1, 0, out[0].tuple, &out2).ok());
+  std::vector<TaggedOutput> out2;
+  ASSERT_TRUE(f1->Inject(1, 0, out[0].output.tuple, &scratch, &out2).ok());
   ASSERT_EQ(out2.size(), 1u);
-  EXPECT_TRUE(out2[0].is_result);
+  EXPECT_TRUE(out2[0].output.is_result);
 }
 
 TEST(FragmentTest, InjectUnknownOpFails) {
+  FragmentInstance::Scratch scratch;
   auto plan = MakeLinearPlan();
   auto frag = std::move(FragmentInstance::Create(*plan, 1, 10, {0}).value());
-  std::vector<FragmentInstance::Output> out;
-  EXPECT_FALSE(frag->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &out).ok());
+  std::vector<TaggedOutput> out;
+  EXPECT_FALSE(
+      frag->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &scratch, &out).ok());
 
   // Sparse operator ids: ops {1, 3} of a 5-op chain 0 -> 1 -> 2 -> 3 -> 4.
   // The fragment's per-op table has holes (0, 2) and ends before op 4.
@@ -366,17 +417,19 @@ TEST(FragmentTest, InjectUnknownOpFails) {
     EXPECT_FALSE(sparse->Contains(op)) << op;
     EXPECT_TRUE(sparse->RemoteEdges(op).empty()) << op;
     out.clear();
-    common::Status s = sparse->Inject(op, 0, MakeTuple(0, 0, {1, 2}), &out);
+    common::Status s =
+        sparse->Inject(op, 0, MakeTuple(0, 0, {1, 2}), &scratch, &out);
     EXPECT_EQ(s.code(), common::StatusCode::kNotFound) << op;
     EXPECT_TRUE(out.empty()) << op;
   }
   EXPECT_DOUBLE_EQ(sparse->DrainCpuCost(), 0.0);
   // A hosted op still runs: op 1's only edge leaves the fragment.
   out.clear();
-  ASSERT_TRUE(sparse->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &out).ok());
+  ASSERT_TRUE(
+      sparse->Inject(1, 0, MakeTuple(0, 0, {1, 2}), &scratch, &out).ok());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].from_op, 1);
-  EXPECT_FALSE(out[0].is_result);
+  EXPECT_EQ(out[0].output.from_op, 1);
+  EXPECT_FALSE(out[0].output.is_result);
 }
 
 // ----------------------------------------------------------------- Engines
@@ -456,6 +509,43 @@ TEST(EngineEquivalenceTest, BatchMatchesBasicOutputs) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+/// After warm-up, injecting a tuple that the fragment's first filter drops
+/// allocates nothing on either engine: the cascade runs in the engine's
+/// scratch, and the batch engine copies each tuple into storage it kept
+/// from the batch before.
+TEST(EngineAllocationTest, DroppedTuplesAllocateNothing) {
+  auto plan = MakeLinearPlan();
+  std::vector<std::unique_ptr<ExecutionEngine>> engines;
+  engines.push_back(std::make_unique<BasicEngine>());
+  engines.push_back(std::make_unique<BatchEngine>(16));
+  for (const auto& eng : engines) {
+    ASSERT_TRUE(
+        eng->Install(
+               std::move(FragmentInstance::Create(*plan, 1, 5, {0, 1}).value()))
+            .ok());
+    FragmentInstance& frag = *eng->Find(5);
+    const Tuple passed = MakeTuple(0, 0, {25, 7});
+    const Tuple dropped = MakeTuple(0, 0, {75, 7});
+    std::vector<TaggedOutput> out;
+    out.reserve(64);
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(eng->Inject(frag, 0, 0, i % 2 ? passed : dropped, &out).ok());
+    }
+    eng->Flush(&out);
+    ASSERT_EQ(out.size(), 16u) << eng->name();
+    out.clear();
+    int failed = 0;
+    const int64_t before = g_allocations.load();
+    for (int i = 0; i < 10000; ++i) {
+      failed += !eng->Inject(frag, 0, 0, dropped, &out).ok();
+    }
+    eng->Flush(&out);
+    EXPECT_EQ(g_allocations.load() - before, 0) << eng->name();
+    EXPECT_EQ(failed, 0);
+    EXPECT_TRUE(out.empty()) << eng->name();
+  }
 }
 
 TEST(BatchEngineTest, BuffersUntilBatchSize) {

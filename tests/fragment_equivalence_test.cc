@@ -42,13 +42,15 @@ std::vector<std::vector<double>> RunFragmented(
     Tuple tuple;
   };
   std::deque<Work> queue;
+  FragmentInstance::Scratch scratch;
   auto drain = [&]() {
     while (!queue.empty()) {
       Work w = std::move(queue.front());
       queue.pop_front();
-      std::vector<FragmentInstance::Output> out;
-      ASSERT_TRUE(w.frag->Inject(w.op, w.port, w.tuple, &out).ok());
-      for (FragmentInstance::Output& o : out) {
+      std::vector<TaggedOutput> out;
+      ASSERT_TRUE(w.frag->Inject(w.op, w.port, w.tuple, &scratch, &out).ok());
+      for (TaggedOutput& tagged : out) {
+        FragmentInstance::Output& o = tagged.output;
         if (o.is_result) {
           std::vector<double> vals;
           for (const Value& v : o.tuple.values) vals.push_back(AsDouble(v));

@@ -65,14 +65,15 @@ TEST_F(QueryBuilderTest, BuiltQueryExecutes) {
   ASSERT_TRUE(q.ok());
   auto frag = FragmentInstance::Create(*q.value().plan, 4, 1, {0});
   ASSERT_TRUE(frag.ok());
-  std::vector<FragmentInstance::Output> out;
+  FragmentInstance::Scratch scratch;
+  std::vector<TaggedOutput> out;
   Tuple t;
   t.stream = 0;
   t.values = {Value{int64_t{5}}, Value{25.0}, Value{100.0}};
-  ASSERT_TRUE(frag.value()->Inject(0, 0, t, &out).ok());
+  ASSERT_TRUE(frag.value()->Inject(0, 0, t, &scratch, &out).ok());
   EXPECT_EQ(out.size(), 1u);
   t.values[1] = Value{75.0};
-  ASSERT_TRUE(frag.value()->Inject(0, 0, t, &out).ok());
+  ASSERT_TRUE(frag.value()->Inject(0, 0, t, &scratch, &out).ok());
   EXPECT_EQ(out.size(), 1u);  // filtered
 }
 

@@ -55,9 +55,8 @@ TEST(NetMonGenTest, TuplesInDomain) {
   interest::StreamStats stats = gen.stats();
   for (int i = 0; i < 200; ++i) {
     engine::Tuple t = gen.Next(0);
-    std::vector<double> vals;
-    engine::ExtractNumeric(t, {0, 1, 2}, &vals);
-    EXPECT_TRUE(interest::BoxContains(stats.domain, vals.data()));
+    EXPECT_TRUE(
+        interest::BoxContains(stats.domain, engine::ProjectPoint(t)->data()));
   }
 }
 
