@@ -438,22 +438,34 @@ void CoordinatorTree::InvalidateRoutePath(Node* leaf) {
 
 common::Result<CoordinatorTree::RouteResult> CoordinatorTree::RouteQuery(
     const Point& position, double load) {
+  return Descend(nullptr, nullptr, position, load);
+}
+
+common::Result<CoordinatorTree::RouteResult> CoordinatorTree::Descend(
+    const interest::InterestSet* query_interest,
+    const interest::StreamCatalog* catalog, const Point& position,
+    double load) {
   if (positions_.empty()) {
     return common::Status::FailedPrecondition("no entities in the tree");
   }
   RouteResult result;
   Node* node = root_.get();
+  // Per-child scores of the current level, reused level after level.
+  std::vector<double> load_per_leaf, dist, overlap;
   while (!node->is_leaf) {
     DSPS_CHECK(!node->children.empty());
     // Score children on coarse information: subtree load per leaf
     // (normalized by the mean across children) plus geographic proximity
-    // (normalized by the mean distance across children). The per-child
-    // aggregates come from the memoized route cache — O(fanout) per
-    // level instead of O(subtree) — with values identical to the old
+    // (normalized by the mean distance across children), less the
+    // normalized interest overlap when the query's interest is given. The
+    // per-child aggregates come from the memoized route cache — O(fanout)
+    // per level instead of O(subtree) — with values identical to the old
     // full recursion (see RefreshRouteCache).
     size_t nc = node->children.size();
-    std::vector<double> load_per_leaf(nc), dist(nc);
-    double mean_load = 0.0, mean_dist = 0.0;
+    load_per_leaf.resize(nc);
+    dist.resize(nc);
+    if (query_interest != nullptr) overlap.resize(nc);
+    double mean_load = 0.0, mean_dist = 0.0, mean_overlap = 0.0;
     for (size_t i = 0; i < nc; ++i) {
       Node* c = node->children[i].get();
       RefreshRouteCache(c);
@@ -462,14 +474,23 @@ common::Result<CoordinatorTree::RouteResult> CoordinatorTree::RouteQuery(
       dist[i] = Distance(positions_.at(c->entity), position);
       mean_load += load_per_leaf[i];
       mean_dist += dist[i];
+      if (query_interest != nullptr) {
+        overlap[i] = interest::SharedRateBytesPerSec(*query_interest,
+                                                     SummaryOf(c), *catalog);
+        mean_overlap += overlap[i];
+      }
     }
     mean_load = std::max(1e-12, mean_load / static_cast<double>(nc));
     mean_dist = std::max(1e-12, mean_dist / static_cast<double>(nc));
+    mean_overlap = std::max(1e-12, mean_overlap / static_cast<double>(nc));
     size_t best = 0;
     double best_score = std::numeric_limits<double>::max();
     for (size_t i = 0; i < nc; ++i) {
       double score = load_per_leaf[i] / mean_load +
                      config_.route_geo_weight * dist[i] / mean_dist;
+      if (query_interest != nullptr) {
+        score -= config_.route_interest_weight * overlap[i] / mean_overlap;
+      }
       if (score < best_score) {
         best_score = score;
         best = i;
@@ -528,50 +549,7 @@ common::Result<CoordinatorTree::RouteResult>
 CoordinatorTree::RouteQueryByInterest(const interest::InterestSet& query_interest,
                                       const interest::StreamCatalog& catalog,
                                       const Point& position, double load) {
-  if (positions_.empty()) {
-    return common::Status::FailedPrecondition("no entities in the tree");
-  }
-  RouteResult result;
-  Node* node = root_.get();
-  while (!node->is_leaf) {
-    DSPS_CHECK(!node->children.empty());
-    size_t nc = node->children.size();
-    std::vector<double> load_per_leaf(nc), dist(nc), overlap(nc);
-    double mean_load = 0.0, mean_dist = 0.0, mean_overlap = 0.0;
-    for (size_t i = 0; i < nc; ++i) {
-      Node* c = node->children[i].get();
-      RefreshRouteCache(c);
-      load_per_leaf[i] =
-          c->cached_load / std::max<size_t>(1, c->cached_leaves);
-      dist[i] = Distance(positions_.at(c->entity), position);
-      overlap[i] =
-          interest::SharedRateBytesPerSec(query_interest, SummaryOf(c),
-                                          catalog);
-      mean_load += load_per_leaf[i];
-      mean_dist += dist[i];
-      mean_overlap += overlap[i];
-    }
-    mean_load = std::max(1e-12, mean_load / static_cast<double>(nc));
-    mean_dist = std::max(1e-12, mean_dist / static_cast<double>(nc));
-    mean_overlap = std::max(1e-12, mean_overlap / static_cast<double>(nc));
-    size_t best = 0;
-    double best_score = std::numeric_limits<double>::max();
-    for (size_t i = 0; i < nc; ++i) {
-      double score = load_per_leaf[i] / mean_load +
-                     config_.route_geo_weight * dist[i] / mean_dist -
-                     config_.route_interest_weight * overlap[i] / mean_overlap;
-      if (score < best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    node = node->children[best].get();
-    ++result.hops;
-  }
-  result.entity = node->entity;
-  load_[node->entity] += load;
-  InvalidateRoutePath(node);
-  return result;
+  return Descend(&query_interest, &catalog, position, load);
 }
 
 double CoordinatorTree::LoadOf(common::EntityId id) const {

@@ -143,6 +143,14 @@ class CoordinatorTree {
   /// Lazily recomputes (and caches) `node`'s coarse interest summary.
   const interest::InterestSet& SummaryOf(Node* node);
 
+  /// The level-by-level descent of RouteQuery and, when `query_interest`
+  /// (with its `catalog`) is given, of RouteQueryByInterest: without one,
+  /// no overlap term is scored and no summary is computed.
+  common::Result<RouteResult> Descend(
+      const interest::InterestSet* query_interest,
+      const interest::StreamCatalog* catalog, const sim::Point& position,
+      double load);
+
   /// Lazily recomputes (and caches) `node`'s routing aggregates: subtree
   /// leaf count and subtree load. The memoized sum associates like a
   /// plain recursion (node = Σ children, in child order), so the cached

@@ -122,9 +122,8 @@ class Disseminator {
   /// Sends awaiting an ack right now.
   size_t pending_reliable_count() const { return hops_.pending(); }
 
-  /// Aggregated statistics of the bucket-backed match tables across
-  /// every stream tree (boxes, memory, buckets); feeds bench JSON
-  /// and dsps_doctor.
+  /// Aggregated statistics of every live match table across every stream
+  /// tree (boxes, memory, buckets); feeds bench JSON and dsps_doctor.
   interest::IndexStats RouteIndexStats() const;
 
  private:

@@ -333,29 +333,22 @@ std::unique_ptr<DisseminationTree::Table> DisseminationTree::BuildTable(
   for (size_t i = 0; i < children.size(); ++i) {
     gather(At(children[i]).subtree, static_cast<int64_t>(i) + 1);
   }
-  auto table = std::make_unique<Table>();
   // All boxes of one stream share dimensionality (see
-  // interest/interval.h).
-  if (!boxes.empty()) table->dims = boxes.front()->size();
+  // interest/interval.h); an empty table reads no bounds, so any serves.
+  const size_t dims = boxes.empty() ? 1 : boxes.front()->size();
   std::vector<double> bounds;
-  bounds.reserve(boxes.size() * 2 * table->dims);
+  bounds.reserve(boxes.size() * 2 * dims);
   for (const Box* b : boxes) {
-    DSPS_CHECK_MSG(!b->empty() && b->size() == table->dims,
+    DSPS_CHECK_MSG(!b->empty() && b->size() == dims,
                    "stream %d mixes box dimensionalities", stream_);
     interest::AppendBounds(*b, &bounds);
   }
-  if (boxes.size() < interest::BoxIndex::kBucketBuildMin) {
-    table->bounds = std::move(bounds);
-    table->subs.assign(subs.begin(), subs.end());
-    return table;
-  }
   const auto start = std::chrono::steady_clock::now();
-  table->buckets =
-      std::make_unique<interest::BucketIndex>(table->dims, bounds, subs);
-  table->build_us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  return table;
+  interest::BucketIndex index(dims, std::move(bounds), std::move(subs));
+  const double build_us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  return std::make_unique<Table>(Table{std::move(index), build_us});
 }
 
 bool DisseminationTree::Route(common::EntityId at, const double* point,
@@ -374,17 +367,13 @@ bool DisseminationTree::Route(common::EntityId at, const double* point,
   if (node == nullptr && (!early_filter || children.empty())) return false;
   const Table& table =
       EnsureTable(node == nullptr ? &source_table_ : &node->table, node);
-  interest::BucketIndex::Run run{table.bounds.data(), table.subs.data(),
-                                 table.subs.size()};
-  if (table.buckets != nullptr) {
-    ++table.lookups;
-    run = table.buckets->Candidates(point);
-  }
+  ++table.lookups;
+  const interest::BucketIndex::Run run = table.index.Candidates(point);
   // A subscriber's boxes are consecutive in the run (see Table), so after
   // its first hit the rest of its boxes are skipped untested, and the hits
   // come out once each, in subscriber order: the node, then child-list
   // order.
-  const size_t dims = table.dims;
+  const size_t dims = table.index.dims();
   bool local = false;
   int64_t hit = -1;
   for (size_t k = 0; k < run.size; ++k) {
@@ -407,13 +396,13 @@ bool DisseminationTree::Route(common::EntityId at, const double* point,
 
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
   auto add = [stats](const std::unique_ptr<Table>& table) {
-    if (table == nullptr || table->buckets == nullptr) return;
+    if (table == nullptr) return;
     ++stats->indexes;
-    stats->boxes += static_cast<int64_t>(table->buckets->size());
+    stats->boxes += static_cast<int64_t>(table->index.size());
     stats->lookups += table->lookups;
     ++stats->rebuilds;
     stats->build_us += table->build_us;
-    interest::AddBucketStats(*table->buckets, stats);
+    interest::AddBucketStats(table->index, stats);
   };
   add(source_table_);
   for (const Node& node : nodes_) add(node.table);

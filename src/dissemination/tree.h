@@ -140,32 +140,22 @@ class DisseminationTree {
   /// Read-only: a match table check (4) has to build is dropped again.
   common::Status CheckInvariants() const;
 
-  /// Accumulates the statistics of every live bucket-backed match table
-  /// (per-node and source) into `stats`; smaller tables are plain scans
-  /// and are not counted as indexes.
+  /// Accumulates the statistics of every live match table (per-node and
+  /// source, whatever its size) into `stats`.
   void CollectIndexStats(interest::IndexStats* stats) const;
 
  private:
-  /// A node's match table: every bound a Route at the node reads, copied
-  /// contiguously in the interest::AppendBounds layout so each candidate
-  /// box costs one branch (interest::BoundsContain). Its subscribers are
-  /// the node itself (0, its own boxes) and its children (child i of the
-  /// child list is i + 1, its subtree aggregate), boxes given subscriber
-  /// after subscriber. Built lazily by the first Route after a change and
-  /// rebuilt whole on the next one after DropTable, so it needs no insert
-  /// or removal path.
+  /// A node's match table: a bucket index over every non-empty box a Route
+  /// at the node reads. Its subscribers are the node itself (0, its own
+  /// boxes) and its children (child i of the child list is i + 1, its
+  /// subtree aggregate), boxes given subscriber after subscriber; buckets
+  /// keep input order, so in every run Route reads, each subscriber's
+  /// boxes are consecutive. Built lazily by the first Route after a change
+  /// and rebuilt whole on the next one after DropTable, so it needs no
+  /// insert or removal path.
   struct Table {
-    /// Dimensionality of every box in the table.
-    size_t dims = 0;
-    /// Below interest::BoxIndex::kBucketBuildMin boxes, counted together:
-    /// every non-empty box's bounds and its subscriber, in input order.
-    std::vector<double> bounds;
-    std::vector<int64_t> subs;
-    /// From kBucketBuildMin boxes: a bucket index over them in place of
-    /// bounds and subs. Its buckets keep input order too, so in every run
-    /// Route reads, each subscriber's boxes are consecutive.
-    std::unique_ptr<interest::BucketIndex> buckets;
-    /// Bucket build time and Routes served by the buckets.
+    interest::BucketIndex index;
+    /// Build time and Routes served.
     double build_us = 0.0;
     mutable int64_t lookups = 0;
   };

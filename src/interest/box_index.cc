@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/check.h"
 
@@ -33,54 +34,38 @@ void BoxIndex::Insert(int64_t subscriber, const Box& box) {
   bounds.reserve(bounds.size() + 2 * dims_);
   AppendBounds(box, &bounds);
   ++total_boxes_;
-  if (flat_live_) {
-    AppendBounds(box, &flat_bounds_);
-    flat_subs_.push_back(subscriber);
+  if (buckets_) {
+    AppendBounds(box, &overlay_bounds_);
+    overlay_subs_.push_back(subscriber);
   }
 }
 
 void BoxIndex::Remove(int64_t subscriber) {
   auto it = bounds_of_.find(subscriber);
   if (it == bounds_of_.end()) return;
-  if (flat_live_) {
+  if (buckets_) {
     const size_t stride = 2 * dims_;
     size_t kept = 0;
-    for (size_t r = 0; r < flat_subs_.size(); ++r) {
-      if (flat_subs_[r] == subscriber) continue;
+    for (size_t r = 0; r < overlay_subs_.size(); ++r) {
+      if (overlay_subs_[r] == subscriber) continue;
       if (kept != r) {
-        flat_subs_[kept] = flat_subs_[r];
-        std::copy_n(flat_bounds_.begin() + static_cast<long>(r * stride),
+        overlay_subs_[kept] = overlay_subs_[r];
+        std::copy_n(overlay_bounds_.begin() + static_cast<long>(r * stride),
                     stride,
-                    flat_bounds_.begin() + static_cast<long>(kept * stride));
+                    overlay_bounds_.begin() + static_cast<long>(kept * stride));
       }
       ++kept;
     }
-    flat_subs_.resize(kept);
-    flat_bounds_.resize(kept * stride);
+    overlay_subs_.resize(kept);
+    overlay_bounds_.resize(kept * stride);
+    erased_.insert(subscriber);
   }
-  if (buckets_ != nullptr) erased_.insert(subscriber);
   total_boxes_ -= it->second.size() / (2 * dims_);
   bounds_of_.erase(it);
 }
 
-void BoxIndex::BuildFlat() const {
-  flat_bounds_.clear();
-  flat_subs_.clear();
-  flat_bounds_.reserve(total_boxes_ * 2 * dims_);
-  flat_subs_.reserve(total_boxes_);
-  for (const auto& [sub, bounds] : bounds_of_) {
-    flat_bounds_.insert(flat_bounds_.end(), bounds.begin(), bounds.end());
-    flat_subs_.insert(flat_subs_.end(), bounds.size() / (2 * dims_), sub);
-  }
-  flat_live_ = true;
-}
-
 void BoxIndex::MaybeRebuildBuckets() const {
-  if (buckets_ == nullptr) {
-    if (total_boxes_ >= kBucketBuildMin) RebuildBuckets();
-    return;
-  }
-  if (flat_subs_.size() * 4 > buckets_->size() ||
+  if (!buckets_ || overlay_subs_.size() * 4 > buckets_->size() ||
       erased_.size() * 4 > buckets_->size()) {
     RebuildBuckets();
   }
@@ -88,46 +73,37 @@ void BoxIndex::MaybeRebuildBuckets() const {
 
 void BoxIndex::RebuildBuckets() const {
   erased_.clear();
-  flat_bounds_.clear();
-  flat_bounds_.shrink_to_fit();
-  flat_subs_.clear();
-  flat_subs_.shrink_to_fit();
-  if (total_boxes_ < kBucketBuildMin) {
-    buckets_.reset();  // back to the linear scan, copied at the next lookup
-    flat_live_ = false;
-    return;
-  }
+  overlay_bounds_.clear();
+  overlay_bounds_.shrink_to_fit();
+  overlay_subs_.clear();
+  overlay_subs_.shrink_to_fit();
   // Collect subscribers in ascending order: the hash map's iteration
   // order must never reach a data structure a lookup could observe.
-  std::vector<int64_t> subs;
+  std::vector<std::pair<int64_t, const std::vector<double>*>> subs;
   subs.reserve(bounds_of_.size());
-  for (const auto& kv : bounds_of_) subs.push_back(kv.first);
+  for (const auto& [sub, own] : bounds_of_) subs.emplace_back(sub, &own);
   std::sort(subs.begin(), subs.end());
   std::vector<double> bounds;
   std::vector<int64_t> box_subs;
   bounds.reserve(total_boxes_ * 2 * dims_);
   box_subs.reserve(total_boxes_);
-  for (int64_t sub : subs) {
-    const std::vector<double>& own = bounds_of_.at(sub);
-    bounds.insert(bounds.end(), own.begin(), own.end());
-    box_subs.insert(box_subs.end(), own.size() / (2 * dims_), sub);
+  for (const auto& [sub, own] : subs) {
+    bounds.insert(bounds.end(), own->begin(), own->end());
+    box_subs.insert(box_subs.end(), own->size() / (2 * dims_), sub);
   }
   const auto start = std::chrono::steady_clock::now();
-  buckets_ = std::make_unique<BucketIndex>(dims_, bounds, box_subs);
+  buckets_.emplace(dims_, std::move(bounds), std::move(box_subs));
   build_us_ += std::chrono::duration<double, std::micro>(
                    std::chrono::steady_clock::now() - start)
                    .count();
   ++rebuilds_;
-  flat_live_ = true;  // the overlay now holds the (no) boxes inserted since
 }
 
 void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
   ++lookups_;
   size_t before = out->size();
   MaybeRebuildBuckets();
-  if (buckets_ == nullptr) {
-    if (!flat_live_) BuildFlat();
-  } else if (erased_.empty()) {
+  if (erased_.empty()) {
     buckets_->Match(point, out);
   } else {
     bucket_scratch_.clear();
@@ -137,9 +113,9 @@ void BoxIndex::Match(const double* point, std::vector<int64_t>* out) const {
     }
   }
   const size_t stride = 2 * dims_;
-  const double* b = flat_bounds_.data();
-  for (size_t r = 0; r < flat_subs_.size(); ++r, b += stride) {
-    if (BoundsContain(b, point, dims_)) out->push_back(flat_subs_[r]);
+  const double* b = overlay_bounds_.data();
+  for (size_t r = 0; r < overlay_subs_.size(); ++r, b += stride) {
+    if (BoundsContain(b, point, dims_)) out->push_back(overlay_subs_[r]);
   }
   // Dedupe (a subscriber may have several boxes matching the point).
   std::sort(out->begin() + static_cast<long>(before), out->end());
@@ -153,9 +129,7 @@ void BoxIndex::MatchOverlap(const Box& query, std::vector<int64_t>* out) const {
   ++lookups_;
   size_t before = out->size();
   MaybeRebuildBuckets();
-  if (buckets_ == nullptr) {
-    if (!flat_live_) BuildFlat();
-  } else if (erased_.empty()) {
+  if (erased_.empty()) {
     buckets_->MatchOverlap(query, out);
   } else {
     bucket_scratch_.clear();
@@ -165,9 +139,9 @@ void BoxIndex::MatchOverlap(const Box& query, std::vector<int64_t>* out) const {
     }
   }
   const size_t stride = 2 * dims_;
-  const double* b = flat_bounds_.data();
-  for (size_t r = 0; r < flat_subs_.size(); ++r, b += stride) {
-    if (BoundsOverlap(b, query)) out->push_back(flat_subs_[r]);
+  const double* b = overlay_bounds_.data();
+  for (size_t r = 0; r < overlay_subs_.size(); ++r, b += stride) {
+    if (BoundsOverlap(b, query)) out->push_back(overlay_subs_[r]);
   }
   // Dedupe (a box may register in several scanned buckets, and a
   // subscriber may hold several overlapping boxes).
@@ -189,11 +163,11 @@ void BoxIndex::AddStatsTo(IndexStats* stats) const {
     mem += static_cast<int64_t>(sizeof(sub) + sizeof(bounds) +
                                 bounds.size() * sizeof(double));
   }
-  if (buckets_ != nullptr) AddBucketStats(*buckets_, stats);
+  if (buckets_) AddBucketStats(*buckets_, stats);
   mem += static_cast<int64_t>(erased_.size()) *
          static_cast<int64_t>(sizeof(int64_t));
-  mem += static_cast<int64_t>(flat_subs_.size() * sizeof(int64_t) +
-                              flat_bounds_.size() * sizeof(double));
+  mem += static_cast<int64_t>(overlay_subs_.size() * sizeof(int64_t) +
+                              overlay_bounds_.size() * sizeof(double));
   stats->mem_bytes += mem;
 }
 

@@ -2,7 +2,7 @@
 #define DSPS_INTEREST_BOX_INDEX_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,7 +18,7 @@ struct IndexStats {
   int64_t indexes = 0;
   int64_t boxes = 0;
   int64_t mem_bytes = 0;
-  /// Match/MatchOverlap calls, linear scans included.
+  /// Match/MatchOverlap calls and dissemination Routes.
   int64_t lookups = 0;
   /// Bucket index (re)builds and the buckets of the built ones.
   int64_t rebuilds = 0;
@@ -43,18 +43,15 @@ void AddBucketStats(const BucketIndex& buckets, IndexStats* stats);
 /// A stream delegate fans each tuple out to the queries bound to the
 /// stream; with thousands of co-located queries the naive per-tuple scan
 /// is the hot loop. The index is a BucketIndex, which buckets boxes by
-/// the empirical CDF of their leading-dimension endpoints. Inserts land
-/// in a pending overlay and removals in a tombstone set; the immutable
-/// buckets are rebuilt lazily when either overlay grows past a quarter
-/// of the built size. Below kBucketBuildMin boxes no buckets are built
-/// at all and lookups scan a flat copy of the boxes' bounds. Every scan,
-/// in the buckets or in the flat overlay, tests a box with
+/// the empirical CDF of their leading-dimension endpoints (one bucket
+/// below BucketIndex::kBucketBuildMin boxes). The buckets are built at
+/// the first lookup; inserts after that land in a pending overlay and
+/// removals in a tombstone set, and the immutable buckets are rebuilt
+/// lazily when either overlay grows past a quarter of the built size.
+/// Every scan, in the buckets or in the overlay, tests a box with
 /// BoundsContain / BoundsOverlap.
 class BoxIndex {
  public:
-  /// Indexes smaller than this use a plain linear scan.
-  static constexpr size_t kBucketBuildMin = 32;
-
   /// `dims` is the dimensionality of every box and probe (>= 1).
   explicit BoxIndex(size_t dims);
 
@@ -89,28 +86,23 @@ class BoxIndex {
   /// tables in dissemination/tree.h).
   void MaybeRebuildBuckets() const;
   void RebuildBuckets() const;
-  /// Fills the flat overlay with every box (used while no buckets exist).
-  void BuildFlat() const;
 
   size_t dims_;
   /// Ground truth for rebuilds and Remove: each subscriber's boxes as flat
   /// bounds (AppendBounds layout), box after box.
   std::unordered_map<int64_t, std::vector<double>> bounds_of_;
   size_t total_boxes_ = 0;
-  /// The immutable built buckets. erased_ tombstones subscribers removed
-  /// since their build (filtering built candidates only — re-inserted
-  /// subscribers live in the flat overlay and bypass it).
-  mutable std::unique_ptr<BucketIndex> buckets_;
+  /// The immutable built buckets; empty until the first lookup, so an
+  /// index nobody queries keeps no copy. erased_ tombstones subscribers
+  /// removed since their build (filtering built candidates only —
+  /// re-inserted subscribers live in the overlay and bypass it).
+  mutable std::optional<BucketIndex> buckets_;
   mutable std::unordered_set<int64_t> erased_;
   mutable std::vector<int64_t> bucket_scratch_;
-  /// The boxes a lookup scans besides the buckets, as flat bounds
-  /// (AppendBounds layout) and their subscribers: with buckets, the boxes
-  /// inserted since its build; without one, every box, copied at the first
-  /// lookup so an index nobody queries keeps no copy. While flat_live_,
-  /// Insert and Remove keep the overlay in step.
-  mutable std::vector<double> flat_bounds_;
-  mutable std::vector<int64_t> flat_subs_;
-  mutable bool flat_live_ = false;
+  /// The boxes inserted since the build, which a lookup scans besides the
+  /// buckets: flat bounds (AppendBounds layout) and their subscribers.
+  mutable std::vector<double> overlay_bounds_;
+  mutable std::vector<int64_t> overlay_subs_;
   mutable int64_t rebuilds_ = 0;
   mutable double build_us_ = 0.0;
   mutable int64_t lookups_ = 0;

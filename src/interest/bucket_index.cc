@@ -7,20 +7,27 @@
 
 namespace dsps::interest {
 
-BucketIndex::BucketIndex(size_t dims, const std::vector<double>& bounds,
-                         const std::vector<int64_t>& subscribers)
+BucketIndex::BucketIndex(size_t dims, std::vector<double> bounds,
+                         std::vector<int64_t> subscribers)
     : dims_(dims), size_(subscribers.size()) {
   DSPS_CHECK(dims_ >= 1);
   DSPS_CHECK(bounds.size() == 2 * dims_ * size_);
   DSPS_CHECK(size_ < std::numeric_limits<uint32_t>::max());
+  if (size_ < kBucketBuildMin) {
+    // One bucket: every box registers once, in input order, so the input
+    // is the bucket (kept at its exact size: indexes live until rebuilt).
+    bucket_bounds_ = std::move(bounds);
+    bucket_bounds_.shrink_to_fit();
+    bucket_subs_ = std::move(subscribers);
+    bucket_subs_.shrink_to_fit();
+    return;
+  }
   BuildSeparators(bounds);
   BuildBuckets(bounds, subscribers);
   seps_.shrink_to_fit();
 }
 
 void BucketIndex::BuildSeparators(const std::vector<double>& bounds) {
-  seps_.clear();
-  if (size_ == 0) return;
   // Empirical CDF of the leading-dimension interval endpoints.
   const size_t stride = 2 * dims_;
   std::vector<double> endpoints;
@@ -96,14 +103,6 @@ size_t BucketIndex::Rank(double x) const {
       std::upper_bound(seps_.begin(), seps_.end(), x) - seps_.begin());
 }
 
-BucketIndex::Run BucketIndex::Candidates(const double* point) const {
-  if (size_ == 0) return Run{};
-  const size_t b = Rank(point[0]);
-  const size_t k = bucket_offsets_[b];
-  return Run{bucket_bounds_.data() + k * 2 * dims_, bucket_subs_.data() + k,
-             bucket_offsets_[b + 1] - k};
-}
-
 void BucketIndex::Match(const double* point, std::vector<int64_t>* out) const {
   // Locals, not members: `out` may alias them as far as the compiler knows.
   const Run run = Candidates(point);
@@ -120,9 +119,14 @@ void BucketIndex::MatchOverlap(const Box& query,
   DSPS_CHECK(query.size() == dims_);
   const size_t stride = 2 * dims_;
   // Buckets are contiguous in registration order, so the scanned range is
-  // one run from the first bucket's start to the last bucket's end.
-  const size_t k0 = bucket_offsets_[Rank(query[0].lo)];
-  const size_t k1 = bucket_offsets_[Rank(query[0].hi) + 1];
+  // one run from the first bucket's start to the last bucket's end; with
+  // no separators, every registration.
+  size_t k0 = 0;
+  size_t k1 = bucket_subs_.size();
+  if (!seps_.empty()) {
+    k0 = bucket_offsets_[Rank(query[0].lo)];
+    k1 = bucket_offsets_[Rank(query[0].hi) + 1];
+  }
   const double* bounds = bucket_bounds_.data() + k0 * stride;
   for (size_t k = k0; k < k1; ++k, bounds += stride) {
     if (BoundsOverlap(bounds, query)) out->push_back(bucket_subs_[k]);

@@ -28,19 +28,24 @@ namespace dsps::interest {
 /// adapt to the data: a skewed subscriber population gets fine buckets
 /// where boxes crowd and coarse buckets where they don't, and the bucket
 /// count itself is capped by a registration budget so fat boxes cannot
-/// blow up memory.
+/// blow up memory. Below kBucketBuildMin boxes there is one bucket, and
+/// a stab returns every box in input order without searching: the same
+/// structure serves every size, so no caller keeps a flat copy.
 class BucketIndex {
  public:
   /// Aim for about this many boxes per bucket.
   static constexpr size_t kTargetBucketBoxes = 8;
+  /// Fewer boxes than this get one bucket: a scan of all of them is as
+  /// cheap as searching separators first.
+  static constexpr size_t kBucketBuildMin = 32;
 
   /// Builds the index over `subscribers.size()` boxes of `dims` (>= 1)
   /// dimensions, box i's bounds at bounds[2 * dims * i ..] in the flat
   /// layout of AppendBounds. Every box must be non-empty. Each bucket keeps
   /// its boxes in input order; callers that need deterministic iteration
   /// must pre-sort.
-  BucketIndex(size_t dims, const std::vector<double>& bounds,
-              const std::vector<int64_t>& subscribers);
+  BucketIndex(size_t dims, std::vector<double> bounds,
+              std::vector<int64_t> subscribers);
 
   /// The registrations in the one bucket a stab at `point` reads: box k's
   /// bounds at bounds[2 * dims * k ..] and its subscriber at subs[k], for
@@ -51,7 +56,19 @@ class BucketIndex {
     const int64_t* subs = nullptr;
     size_t size = 0;
   };
-  Run Candidates(const double* point) const;
+  Run Candidates(const double* point) const {
+    // No separators: one bucket, the whole input, found without a search.
+    // Inline, with only the search out of line, so a caller keeps the run
+    // in registers.
+    if (seps_.empty()) {
+      return Run{bucket_bounds_.data(), bucket_subs_.data(),
+                 bucket_subs_.size()};
+    }
+    const size_t b = Rank(point[0]);
+    const size_t k = bucket_offsets_[b];
+    return Run{bucket_bounds_.data() + k * 2 * dims_, bucket_subs_.data() + k,
+               bucket_offsets_[b + 1] - k};
+  }
 
   /// Appends the subscriber of every box containing `point`. Raw
   /// candidates: no deduplication or ordering — the caller owns the final
@@ -63,9 +80,11 @@ class BucketIndex {
   /// bucket range; caller dedupes.
   void MatchOverlap(const Box& query, std::vector<int64_t>* out) const;
 
+  /// Dimensionality of every indexed box.
+  size_t dims() const { return dims_; }
   /// Indexed boxes.
   size_t size() const { return size_; }
-  size_t bucket_count() const { return bucket_offsets_.size() - 1; }
+  size_t bucket_count() const { return seps_.size() + 1; }
   /// Deterministic structure size (computed from element counts, not
   /// container capacities, so it is stable across allocators and runs).
   size_t mem_bytes() const;
@@ -77,8 +96,8 @@ class BucketIndex {
   void BuildBuckets(const std::vector<double>& bounds,
                     const std::vector<int64_t>& subscribers);
 
+  // What a one-bucket stab reads comes first.
   size_t dims_;
-  size_t size_;
   /// Sorted distinct bucket boundaries; bucket b holds keys x with
   /// rank(x) == b, where rank counts separators <= x. Buckets number
   /// seps_.size() + 1.
@@ -88,10 +107,12 @@ class BucketIndex {
   /// registered with its bucket: its flat bounds at
   /// bucket_bounds_[2 * dims_ * k ..] and its subscriber at
   /// bucket_subs_[k]. A box spanning several buckets is copied into each,
-  /// so a stab reads one contiguous run.
-  std::vector<uint32_t> bucket_offsets_;
+  /// so a stab reads one contiguous run. Below kBucketBuildMin boxes the
+  /// one bucket is the input itself and has no offsets.
   std::vector<double> bucket_bounds_;
   std::vector<int64_t> bucket_subs_;
+  std::vector<uint32_t> bucket_offsets_;
+  size_t size_;
 };
 
 }  // namespace dsps::interest

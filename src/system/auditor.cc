@@ -82,7 +82,6 @@ common::Status Auditor::CheckCoordinator() const {
 }
 
 common::Status Auditor::CheckDissemination() const {
-  if (system_->disseminator_ == nullptr) return common::Status::OK();
   for (common::StreamId s : system_->catalog_.streams()) {
     const dissemination::DisseminationTree* tree =
         system_->disseminator_->tree(s);

@@ -832,15 +832,11 @@ common::Status System::PartitionBatch(std::span<const engine::Query> queries,
 
 interest::IndexStats System::IndexStatsSnapshot() const {
   interest::IndexStats stats;
-  if (disseminator_ != nullptr) {
-    stats.MergeFrom(disseminator_->RouteIndexStats());
-  }
+  stats.MergeFrom(disseminator_->RouteIndexStats());
   if (graph_index_ != nullptr) {
     stats.MergeFrom(graph_index_->StreamIndexStats());
   }
-  for (const auto& entity : entities_) {
-    if (entity != nullptr) entity->CollectIndexStats(&stats);
-  }
+  for (const auto& entity : entities_) entity->CollectIndexStats(&stats);
   return stats;
 }
 
@@ -939,9 +935,7 @@ int System::EvictEntity(common::EntityId entity) {
   // Leave the federation structures (same repair path as graceful leave).
   auto leave = coordinator_->Leave(entity);
   if (leave.ok()) failure_stats_.repair_messages += leave.value();
-  if (disseminator_ != nullptr) {
-    (void)disseminator_->RemoveEntity(entity);
-  }
+  (void)disseminator_->RemoveEntity(entity);
   // Timer hygiene: the evicted process cannot retransmit its results, and
   // re-home batches addressed to it will never be acked. A stranded
   // batch's uninstalled queries are still in unplaced_, so they
@@ -1129,12 +1123,10 @@ void System::ReadmitEntity(common::EntityId entity) {
   }
   auto join = coordinator_->Join(entity, topology_.entities[entity].center);
   if (join.ok()) failure_stats_.repair_messages += join.value();
-  if (disseminator_ != nullptr) {
-    (void)disseminator_->AddEntity(entity, entities_[entity]->gateway_node());
-    // AddEntity installed the disseminator's own handler; restore the
-    // combined dispatcher.
-    InstallGatewayDispatcher(entity);
-  }
+  (void)disseminator_->AddEntity(entity, entities_[entity]->gateway_node());
+  // AddEntity installed the disseminator's own handler; restore the
+  // combined dispatcher.
+  InstallGatewayDispatcher(entity);
   coordinator_->SetEntityInterest(entity, entity_interest_[entity]);
   if (monitor_) monitor_->Register(entity, simulator_->now());
   failure_stats_.readmissions += 1;
@@ -1428,20 +1420,18 @@ void System::MaintenanceRound() {
   if (!unplaced_.empty()) TryRehomeUnplaced();
   DrainAdmissionQueue();
   maintenance_stats_.coordinator_messages += coordinator_->Maintain();
-  if (disseminator_ != nullptr) {
-    dissemination::TreeReorganizer reorganizer;
-    int round_moves = 0;
-    for (common::StreamId s : catalog_.streams()) {
-      dissemination::DisseminationTree* tree = disseminator_->mutable_tree(s);
-      if (tree != nullptr) {
-        round_moves += reorganizer.Round(tree).moves;
-      }
+  dissemination::TreeReorganizer reorganizer;
+  int round_moves = 0;
+  for (common::StreamId s : catalog_.streams()) {
+    dissemination::DisseminationTree* tree = disseminator_->mutable_tree(s);
+    if (tree != nullptr) {
+      round_moves += reorganizer.Round(tree).moves;
     }
-    maintenance_stats_.tree_moves += round_moves;
-    if (config_.trace != nullptr && round_moves > 0) {
-      config_.trace->RecordInstant("tree_reorg", simulator_->now(), -1,
-                                   static_cast<double>(round_moves));
-    }
+  }
+  maintenance_stats_.tree_moves += round_moves;
+  if (config_.trace != nullptr && round_moves > 0) {
+    config_.trace->RecordInstant("tree_reorg", simulator_->now(), -1,
+                                 static_cast<double>(round_moves));
   }
   placement::Rebalancer rebalancer;
   for (int e = 0; e < num_entities(); ++e) {
@@ -1490,9 +1480,7 @@ telemetry::Watchdog* System::EnableWatchdog(double period_s, double until) {
           double retries =
               static_cast<double>(result_channel_.retries()) +
               static_cast<double>(rehome_channel_.retries());
-          if (disseminator_ != nullptr) {
-            retries += static_cast<double>(disseminator_->retries_count());
-          }
+          retries += static_cast<double>(disseminator_->retries_count());
           return retries;
         },
         kRetryStormRatePerS);
@@ -1756,13 +1744,11 @@ SystemMetrics System::Collect() const {
   m.wan_bytes = bytes.wan_bytes;
   for (const sim::SourceSite& src : topology_.sources) {
     m.source_egress_bytes += network_->egress_bytes(src.node);
-    if (disseminator_ != nullptr) {
-      const dissemination::DisseminationTree* tree =
-          disseminator_->tree(src.stream);
-      if (tree != nullptr) {
-        m.max_source_fanout =
-            std::max(m.max_source_fanout, tree->source_fanout());
-      }
+    const dissemination::DisseminationTree* tree =
+        disseminator_->tree(src.stream);
+    if (tree != nullptr) {
+      m.max_source_fanout =
+          std::max(m.max_source_fanout, tree->source_fanout());
     }
   }
   // Entity load imbalance and processor utilization.

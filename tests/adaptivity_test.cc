@@ -1,7 +1,6 @@
 // Tests for the adaptive/extension machinery: interest summarization,
-// dissemination-tree reorganization, failure detection, dynamic fragment
-// re-placement with live state migration, and the DES-integrated
-// distributed ordering chain.
+// dissemination-tree reorganization, failure detection, and dynamic
+// fragment re-placement with live state migration.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "engine/operators.h"
 #include "entity/entity.h"
 #include "interest/summarize.h"
-#include "ordering/distributed_chain.h"
 #include "placement/rebalancer.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -505,108 +503,6 @@ TEST_F(MigrationTest, RebalanceMovesLoadOffHotProcessor) {
   ent_->OnStreamTuple(KeyTuple(0, 1.0, 1));
   sim_.Run();
   EXPECT_EQ(results, 6);
-}
-
-// ------------------------------------------------------- Distributed chain
-
-ordering::DistributedChain::FilterSite MakeSite(
-    common::OperatorId op, common::ProcessorId proc, common::SimNodeId node,
-    double pass_below) {
-  ordering::DistributedChain::FilterSite site;
-  site.op = op;
-  site.proc = proc;
-  site.node = node;
-  site.cost = 1e-5;
-  site.predicate = [pass_below](const engine::Tuple& t) {
-    return engine::AsDouble(t.values[0]) < pass_below;
-  };
-  return site;
-}
-
-TEST(DistributedChainTest, SurvivorsAreConjunction) {
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  std::vector<common::SimNodeId> nodes{net.AddNode({0, 0}),
-                                       net.AddNode({0.1, 0})};
-  ordering::DistributedChain::Config cfg;
-  cfg.adaptive = true;
-  ordering::DistributedChain chain(
-      &net, 1,
-      {MakeSite(0, 0, nodes[0], 50.0), MakeSite(1, 1, nodes[1], 30.0)}, cfg);
-  chain.InstallHandlers();
-  std::vector<double> survived;
-  chain.SetSurvivorHandler(
-      [&](const engine::Tuple& t, double latency) {
-        EXPECT_GT(latency, 0.0);
-        survived.push_back(engine::AsDouble(t.values[0]));
-      });
-  for (int v = 0; v < 100; v += 10) {
-    engine::Tuple t;
-    t.stream = 0;
-    t.timestamp = sim.now();
-    t.values = {engine::Value{static_cast<double>(v)}};
-    ASSERT_TRUE(chain.Submit(t).ok());
-    sim.Run();
-  }
-  // Survivors: v < 30 → 0, 10, 20.
-  ASSERT_EQ(survived.size(), 3u);
-  EXPECT_EQ(chain.survivors(), 3);
-  EXPECT_GT(chain.evaluations(), 0);
-}
-
-TEST(DistributedChainTest, AdaptiveBeatsStaticUnderDrift) {
-  auto run = [&](bool adaptive) {
-    sim::Simulator sim;
-    sim::Network net(&sim);
-    std::vector<common::SimNodeId> nodes{net.AddNode({0, 0}),
-                                         net.AddNode({0.1, 0}),
-                                         net.AddNode({0.2, 0})};
-    // Selectivities flip halfway: op0 passes almost everything early and
-    // little late; op1 the opposite.
-    int64_t seq = 0;
-    auto drift_pred = [&seq](double early, double late, int64_t* counter) {
-      return [early, late, counter](const engine::Tuple& t) {
-        double frac = engine::AsDouble(t.values[0]);  // in [0,1)
-        double threshold =
-            *counter < 3000 ? early : late;
-        return frac < threshold;
-      };
-    };
-    (void)seq;
-    static int64_t counter = 0;
-    counter = 0;
-    ordering::DistributedChain::FilterSite s0;
-    s0.op = 0;
-    s0.proc = 0;
-    s0.node = nodes[0];
-    s0.cost = 1e-5;
-    s0.predicate = drift_pred(0.95, 0.05, &counter);
-    ordering::DistributedChain::FilterSite s1;
-    s1.op = 1;
-    s1.proc = 1;
-    s1.node = nodes[1];
-    s1.cost = 1e-5;
-    s1.predicate = drift_pred(0.05, 0.95, &counter);
-    ordering::DistributedChain::Config cfg;
-    cfg.adaptive = adaptive;
-    ordering::DistributedChain chain(&net, 1, {s0, s1}, cfg);
-    chain.InstallHandlers();
-    common::Rng rng(11);
-    for (int i = 0; i < 6000; ++i) {
-      ++counter;
-      engine::Tuple t;
-      t.stream = 0;
-      t.timestamp = sim.now();
-      t.values = {engine::Value{rng.NextDouble()}};
-      EXPECT_TRUE(chain.Submit(t).ok());
-      sim.RunUntil(sim.now() + 1e-3);
-    }
-    sim.Run();
-    return chain.evaluations();
-  };
-  int64_t adaptive_evals = run(true);
-  int64_t static_evals = run(false);
-  EXPECT_LT(adaptive_evals, static_evals);
 }
 
 }  // namespace

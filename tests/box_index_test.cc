@@ -113,8 +113,8 @@ Box RandomBox(common::Rng& rng, const Box& domain, bool route_shaped) {
 
 /// Property: the index returns exactly what the naive scan returns, for
 /// Match and MatchOverlap, at box counts on both sides of the bucket
-/// build threshold. Probing while boxes arrive makes the larger indexes
-/// build, fill their pending overlay and rebuild along the way.
+/// build threshold, empty included. Probing while boxes arrive makes the
+/// indexes build, fill their pending overlay and rebuild along the way.
 class BoxIndexProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BoxIndexProperty, MatchesNaiveScan) {
@@ -162,16 +162,18 @@ TEST_P(BoxIndexProperty, MatchesNaiveScan) {
     probe(500, 100);
     IndexStats stats;
     index.AddStatsTo(&stats);
-    if (static_cast<size_t>(n) < BoxIndex::kBucketBuildMin) {
-      EXPECT_EQ(stats.rebuilds, 0);
-    } else if (static_cast<size_t>(n) > 2 * BoxIndex::kBucketBuildMin) {
+    if (static_cast<size_t>(n) < BucketIndex::kBucketBuildMin) {
+      // Built at the first lookup, as one bucket.
+      EXPECT_GE(stats.rebuilds, 1);
+      EXPECT_EQ(stats.buckets, 1);
+    } else if (static_cast<size_t>(n) > 2 * BucketIndex::kBucketBuildMin) {
       EXPECT_GE(stats.rebuilds, 2);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BoxCounts, BoxIndexProperty,
-                         ::testing::Values(8, 31, 32, 33, 300));
+                         ::testing::Values(0, 1, 8, 31, 32, 33, 300));
 
 TEST(BoxIndexTest, OneDimensionalDomain) {
   BoxIndex index(1);

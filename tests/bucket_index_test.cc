@@ -154,7 +154,9 @@ TEST(BucketIndexProperty, AppendsAfterExistingElements) {
   EXPECT_TRUE(std::is_sorted(out.begin() + 2, out.end()));
 }
 
-TEST(BucketIndexTest, LinearFallbackBelowBuildThreshold) {
+/// Below the build threshold the first lookup builds the buckets too:
+/// one bucket, which a stab scans whole.
+TEST(BucketIndexTest, OneBucketBelowBuildThreshold) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
   index.Insert(1, Box{{10, 20}, {0, 100}, {0, 1000}});
@@ -166,12 +168,13 @@ TEST(BucketIndexTest, LinearFallbackBelowBuildThreshold) {
   IndexStats stats;
   index.AddStatsTo(&stats);
   EXPECT_EQ(stats.indexes, 1);
-  EXPECT_EQ(stats.rebuilds, 0);  // linear scan, nothing built
+  EXPECT_EQ(stats.rebuilds, 1);
+  EXPECT_EQ(stats.buckets, 1);
 }
 
-/// The linear scan below the build threshold reads a lazily built copy
-/// of the bounds; a removal between two lookups must not leave the
-/// removed subscriber in it.
+/// Below the build threshold a lookup scans the one bucket built at the
+/// first lookup; a removal between two lookups must not leave the removed
+/// subscriber in its answers.
 TEST(BucketIndexTest, LinearScanForgetsRemovedSubscribers) {
   const Box domain = Domain3();
   BoxIndex index(domain.size());
@@ -427,8 +430,8 @@ TEST(BucketIndexTest, BucketsKeepInputOrder) {
   }
 }
 
-/// One index below the build threshold (linear scan) and one above it
-/// (built buckets) aggregate into one IndexStats.
+/// One index below the build threshold (one bucket) and one above it
+/// (many buckets) aggregate into one IndexStats.
 TEST(BucketIndexTest, StatsAggregateAcrossIndexes) {
   const Box domain = Domain3();
   BoxIndex small(domain.size());
@@ -450,9 +453,13 @@ TEST(BucketIndexTest, StatsAggregateAcrossIndexes) {
   EXPECT_EQ(stats.indexes, 2);
   EXPECT_EQ(stats.boxes, 320);
   EXPECT_EQ(stats.lookups, 2);
-  EXPECT_EQ(stats.rebuilds, 1);
+  EXPECT_EQ(stats.rebuilds, 2);  // each built once, at its first lookup
   EXPECT_GT(stats.mem_bytes, 0);
   EXPECT_GT(stats.build_us, 0.0);
+  IndexStats small_stats;
+  small.AddStatsTo(&small_stats);
+  EXPECT_EQ(small_stats.buckets, 1);
+  EXPECT_GT(stats.buckets, 2);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "dissemination/disseminator.h"
@@ -331,8 +332,8 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
         }
       }
       if (child_boxes > 0) {
-        ++(child_boxes >= interest::BoxIndex::kBucketBuildMin ? bucket_sets
-                                                              : small_sets);
+        ++(child_boxes >= interest::BucketIndex::kBucketBuildMin ? bucket_sets
+                                                                 : small_sets);
       }
       std::vector<std::vector<double>> probes;
       for (const Box& b : probed) {
@@ -388,18 +389,92 @@ TEST(DisseminationTreeTest, MatchTablesMatchLinearScanUnderChurn) {
   EXPECT_GT(bucket_sets, 0u);
 }
 
-/// Property: Route's two answers equal linear scans — its targets a scan
-/// of the children's subtree boxes in child-list order, its local answer a
-/// scan of the node's own boxes — on seeded random trees (fanout 1-6,
-/// 1-3 dimensions), before and after interest changes, leaves and
-/// reattaches. Tables fall on both sides of the bucket threshold. Boxes
-/// sit on a coarse integer grid and nodes hold several of them, so probes
-/// at box faces land on bucket separators (which are leading-dimension
-/// endpoints) and one subscriber often has several boxes containing a
+/// Checks Route's two answers at every node of `tree` (entities below
+/// `entities`, and the source) against linear scans: its targets against
+/// a scan of the children's subtree boxes in child-list order, its local
+/// answer against a scan of the node's own boxes, filtered and not.
+/// Probes sit on every corner of every box the node's table holds, just
+/// outside its leading interval, and at one fixed point. Counts the probes where one
+/// subscriber had several boxes containing the point in `multi_hits`, and
+/// the tables of one bucket and of several in `one_bucket`/`bucketed`.
+void ExpectRouteMatchesScans(const DisseminationTree& tree, int entities,
+                             size_t dims, const std::string& when,
+                             size_t* multi_hits, size_t* one_bucket,
+                             size_t* bucketed) {
+  auto contains_any = [](const std::vector<Box>& boxes, const double* p) {
+    int hits = 0;
+    for (const Box& b : boxes) hits += interest::BoxContains(b, p);
+    return hits;
+  };
+  std::vector<common::EntityId> nodes{common::kInvalidEntity};
+  for (common::EntityId e = 0; e < entities; ++e) {
+    if (tree.Contains(e)) nodes.push_back(e);
+  }
+  for (common::EntityId at : nodes) {
+    const std::vector<common::EntityId> children = tree.Children(at);
+    std::vector<Box> probed = tree.LocalInterest(at);
+    for (common::EntityId child : children) {
+      for (const Box& b : tree.SubtreeInterest(child)) probed.push_back(b);
+    }
+    ++*(probed.size() >= interest::BucketIndex::kBucketBuildMin ? bucketed
+                                                                 : one_bucket);
+    // One probe even when the table is empty.
+    std::vector<std::vector<double>> probes{std::vector<double>(dims, 15.0)};
+    for (const Box& b : probed) {
+      for (int corner = 0; corner < (1 << dims); ++corner) {
+        std::vector<double> p(dims);
+        for (size_t d = 0; d < dims; ++d) {
+          p[d] = corner & (1 << d) ? b[d].hi : b[d].lo;
+        }
+        probes.push_back(p);
+      }
+      std::vector<double> outside(dims);
+      for (size_t d = 0; d < dims; ++d) outside[d] = b[d].lo;
+      outside[0] = std::nextafter(b[0].lo, -1e300);
+      probes.push_back(outside);
+      outside[0] = std::nextafter(b[0].hi, 1e300);
+      probes.push_back(outside);
+    }
+    for (const std::vector<double>& p : probes) {
+      std::vector<common::EntityId> want;
+      for (common::EntityId child : children) {
+        const int hits = contains_any(tree.SubtreeInterest(child), p.data());
+        if (hits > 0) want.push_back(child);
+        *multi_hits += hits > 1;
+      }
+      const int local_hits = contains_any(tree.LocalInterest(at), p.data());
+      *multi_hits += local_hits > 1;
+      std::vector<common::EntityId> targets;
+      EXPECT_EQ(tree.Route(at, p.data(), true, &targets), local_hits > 0)
+          << when << " at " << at;
+      EXPECT_EQ(targets, want) << when << " at " << at;
+      EXPECT_EQ(tree.Route(at, p.data(), false, &targets), local_hits > 0)
+          << when << " at " << at;
+      EXPECT_EQ(targets, children) << when << " at " << at;
+    }
+  }
+}
+
+/// A box on a coarse integer grid, so probes at box faces land on bucket
+/// separators (which are leading-dimension endpoints) and boxes overlap.
+Box GridBox(common::Rng& rng, size_t dims) {
+  Box box(dims);
+  for (Interval& iv : box) {
+    iv.lo = static_cast<double>(rng.UniformInt(0, 30));
+    iv.hi = iv.lo + static_cast<double>(rng.UniformInt(0, 12));
+  }
+  return box;
+}
+
+/// Property: Route's two answers equal linear scans (see
+/// ExpectRouteMatchesScans) on seeded random trees (fanout 1-6, 1-3
+/// dimensions), before and after interest changes, leaves and reattaches.
+/// Tables fall on both sides of the bucket threshold. Nodes hold several
+/// grid boxes, so one subscriber often has several boxes containing a
 /// point.
 TEST(DisseminationTreeTest, RouteMatchesScans) {
   constexpr int kEntities = 28;
-  size_t flat_tables = 0;
+  size_t one_bucket_tables = 0;
   size_t bucket_tables = 0;
   size_t multi_hits = 0;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -412,70 +487,14 @@ TEST(DisseminationTreeTest, RouteMatchesScans) {
     auto random_local = [&rng, dims] {
       std::vector<Box> boxes;
       const int n = static_cast<int>(rng.NextUint64(11));
-      for (int i = 0; i < n; ++i) {
-        Box box(dims);
-        for (Interval& iv : box) {
-          iv.lo = static_cast<double>(rng.UniformInt(0, 30));
-          iv.hi = iv.lo + static_cast<double>(rng.UniformInt(0, 12));
-        }
-        boxes.push_back(std::move(box));
-      }
+      for (int i = 0; i < n; ++i) boxes.push_back(GridBox(rng, dims));
       return boxes;
     };
-    auto contains_any = [](const std::vector<Box>& boxes, const double* p) {
-      int hits = 0;
-      for (const Box& b : boxes) hits += interest::BoxContains(b, p);
-      return hits;
-    };
     auto check = [&](const char* when) {
-      std::vector<common::EntityId> nodes{common::kInvalidEntity};
-      for (common::EntityId e = 0; e < kEntities; ++e) {
-        if (tree.Contains(e)) nodes.push_back(e);
-      }
-      for (common::EntityId at : nodes) {
-        const std::vector<common::EntityId> children = tree.Children(at);
-        std::vector<Box> probed = tree.LocalInterest(at);
-        for (common::EntityId child : children) {
-          for (const Box& b : tree.SubtreeInterest(child)) probed.push_back(b);
-        }
-        ++(probed.size() >= interest::BoxIndex::kBucketBuildMin
-               ? bucket_tables
-               : flat_tables);
-        std::vector<std::vector<double>> probes;
-        for (const Box& b : probed) {
-          for (int corner = 0; corner < (1 << dims); ++corner) {
-            std::vector<double> p(dims);
-            for (size_t d = 0; d < dims; ++d) {
-              p[d] = corner & (1 << d) ? b[d].hi : b[d].lo;
-            }
-            probes.push_back(p);
-          }
-          std::vector<double> outside(dims);
-          for (size_t d = 0; d < dims; ++d) outside[d] = b[d].lo;
-          outside[0] = std::nextafter(b[0].lo, -1e300);
-          probes.push_back(outside);
-          outside[0] = std::nextafter(b[0].hi, 1e300);
-          probes.push_back(outside);
-        }
-        for (const std::vector<double>& p : probes) {
-          std::vector<common::EntityId> want;
-          for (common::EntityId child : children) {
-            const int hits =
-                contains_any(tree.SubtreeInterest(child), p.data());
-            if (hits > 0) want.push_back(child);
-            multi_hits += hits > 1;
-          }
-          const int local_hits = contains_any(tree.LocalInterest(at), p.data());
-          multi_hits += local_hits > 1;
-          std::vector<common::EntityId> targets;
-          EXPECT_EQ(tree.Route(at, p.data(), true, &targets), local_hits > 0)
-              << when << " seed " << seed << " at " << at;
-          EXPECT_EQ(targets, want) << when << " seed " << seed << " at " << at;
-          EXPECT_EQ(tree.Route(at, p.data(), false, &targets), local_hits > 0)
-              << when << " seed " << seed << " at " << at;
-          EXPECT_EQ(targets, children) << when << " seed " << seed;
-        }
-      }
+      ExpectRouteMatchesScans(tree, kEntities, dims,
+                              std::string(when) + " seed " +
+                                  std::to_string(seed),
+                              &multi_hits, &one_bucket_tables, &bucket_tables);
     };
     for (common::EntityId e = 0; e < kEntities; ++e) {
       ASSERT_TRUE(
@@ -500,9 +519,100 @@ TEST(DisseminationTreeTest, RouteMatchesScans) {
     check("after reattaches");
     EXPECT_TRUE(tree.CheckInvariants().ok()) << "seed " << seed;
   }
-  EXPECT_GT(flat_tables, 0u);
+  EXPECT_GT(one_bucket_tables, 0u);
   EXPECT_GT(bucket_tables, 0u);
   EXPECT_GT(multi_hits, 0u);
+}
+
+/// Route against linear scans at tables of exactly 0, 1, 31, 32 and 33
+/// boxes, on both sides of the bucket threshold: n source children with
+/// one box each fill the source's table (forwarding), and one entity
+/// holding n boxes of its own fills its table (local delivery).
+TEST(DisseminationTreeTest, RouteMatchesScansAtThresholdSizes) {
+  for (int n : {0, 1, 31, 32, 33}) {
+    for (size_t dims = 1; dims <= 3; ++dims) {
+      common::Rng rng(static_cast<uint64_t>(n) * 31 + dims);
+      const std::string when =
+          "n " + std::to_string(n) + " dims " + std::to_string(dims);
+      size_t multi_hits = 0;
+      size_t one_bucket = 0;
+      size_t bucketed = 0;
+      DisseminationTree forward(0, {50, 50},
+                                TreeConfig(TreePolicy::kSourceDirect));
+      for (common::EntityId e = 0; e < n; ++e) {
+        ASSERT_TRUE(forward.AddEntity(e, {1.0 * e, 0}).ok());
+        forward.SetLocalInterest(e, {GridBox(rng, dims)});
+      }
+      ExpectRouteMatchesScans(forward, n, dims, "forward " + when,
+                              &multi_hits, &one_bucket, &bucketed);
+      DisseminationTree local(0, {50, 50},
+                              TreeConfig(TreePolicy::kSourceDirect));
+      ASSERT_TRUE(local.AddEntity(0, {1, 1}).ok());
+      std::vector<Box> own;
+      for (int i = 0; i < n; ++i) own.push_back(GridBox(rng, dims));
+      local.SetLocalInterest(0, own);
+      ExpectRouteMatchesScans(local, 1, dims, "local " + when, &multi_hits,
+                              &one_bucket, &bucketed);
+      // The source's table in `forward` and entity 0's in `local` hold n
+      // boxes; each entity of `forward` holds one, and the source of
+      // `local` holds entity 0's aggregate.
+      interest::IndexStats forward_stats;
+      forward.CollectIndexStats(&forward_stats);
+      EXPECT_EQ(forward_stats.boxes, 2 * n) << when;
+      interest::IndexStats local_stats;
+      local.CollectIndexStats(&local_stats);
+      EXPECT_EQ(local_stats.boxes,
+                n + static_cast<int64_t>(local.SubtreeInterest(0).size()))
+          << when;
+    }
+  }
+}
+
+/// CollectIndexStats counts every live match table, however few boxes it
+/// holds: one index, one build and one bucket per table, each table's
+/// boxes, and every Route it served.
+TEST(DisseminationTreeTest, CollectIndexStatsCountsEveryTable) {
+  DisseminationTree tree(0, {0, 0}, TreeConfig(TreePolicy::kClosestParent, 2));
+  common::Rng rng(5);
+  constexpr int kEntities = 7;
+  for (common::EntityId e = 0; e < kEntities; ++e) {
+    ASSERT_TRUE(
+        tree.AddEntity(e, {rng.Uniform(0, 100), rng.Uniform(0, 100)}).ok());
+    // Entity 3 holds nothing: its table may be empty.
+    std::vector<Box> boxes;
+    if (e != 3) boxes.push_back(Box{Interval{10.0 * e, 10.0 * e + 15}});
+    if (e % 2 == 0) boxes.push_back(Box{Interval{5.0 * e, 5.0 * e + 1}});
+    tree.SetLocalInterest(e, boxes);
+  }
+  interest::IndexStats none;
+  tree.CollectIndexStats(&none);
+  EXPECT_EQ(none.indexes, 0);  // no Route yet, so no table
+  // Route twice at every node and the source; count what each table holds:
+  // its own non-empty boxes and its children's aggregate boxes.
+  std::vector<common::EntityId> nodes{common::kInvalidEntity};
+  for (common::EntityId e = 0; e < kEntities; ++e) nodes.push_back(e);
+  int64_t boxes = 0;
+  std::vector<common::EntityId> targets;
+  for (common::EntityId at : nodes) {
+    double p = 12;
+    tree.Route(at, &p, /*early_filter=*/true, &targets);
+    tree.Route(at, &p, /*early_filter=*/true, &targets);
+    if (at != common::kInvalidEntity) {
+      boxes += static_cast<int64_t>(tree.LocalInterest(at).size());
+    }
+    for (common::EntityId child : tree.Children(at)) {
+      boxes += static_cast<int64_t>(tree.SubtreeInterest(child).size());
+    }
+  }
+  ASSERT_LT(boxes, static_cast<int64_t>(interest::BucketIndex::kBucketBuildMin));
+  interest::IndexStats stats;
+  tree.CollectIndexStats(&stats);
+  EXPECT_EQ(stats.indexes, kEntities + 1);
+  EXPECT_EQ(stats.rebuilds, kEntities + 1);
+  EXPECT_EQ(stats.buckets, kEntities + 1);
+  EXPECT_EQ(stats.boxes, boxes);
+  EXPECT_EQ(stats.lookups, 2 * (kEntities + 1));
+  EXPECT_GT(stats.mem_bytes, 0);
 }
 
 /// The audit's routing check builds a cache where none exists and drops

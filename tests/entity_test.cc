@@ -412,7 +412,7 @@ ResultLog RunChurnScript(bool indexed, int batch_size, uint64_t seed) {
     interest::IndexStats stats;
     ent.CollectIndexStats(&stats);
     EXPECT_GE(stats.boxes,
-              static_cast<int64_t>(interest::BoxIndex::kBucketBuildMin));
+              static_cast<int64_t>(interest::BucketIndex::kBucketBuildMin));
   }
   sim.Run();
   for (int step = 0; step < 160; ++step) {
